@@ -548,16 +548,15 @@ def chain_report(t_max: int, simulate_steps: int, seed: int) -> dict:
     walk = simulate_walk(simulate_steps, seed, record_returns=True)
     rate = walk.n11 / walk.steps
     durations = walk.return_times or []
+    # Fewer than two returns give no sample variance: both stay None.
+    mean_dur = rate_ci99 = None
     if len(durations) >= 2:
         mean_dur = sum(durations) / len(durations)
         var_dur = sum((d - mean_dur) ** 2 for d in durations) / (len(durations) - 1)
         # Renewal CLT: sd(N/t) ~= sigma / sqrt(t * mu^3).
         rate_se = math.sqrt(var_dur / (walk.steps * mean_dur**3))
-    else:
-        mean_dur = float("nan")
-        var_dur = float("nan")
-        rate_se = float("nan")
-    z = 2.576
+        z = 2.576
+        rate_ci99 = [rate - z * rate_se, rate + z * rate_se]
 
     return {
         "pmf_horizon": t_max,
@@ -579,7 +578,7 @@ def chain_report(t_max: int, simulate_steps: int, seed: int) -> dict:
             "seed": seed,
             "n11": walk.n11,
             "n11_over_t": rate,
-            "rate_ci99": [rate - z * rate_se, rate + z * rate_se],
+            "rate_ci99": rate_ci99,
             "mean_return_duration": mean_dur,
             "expected_rate_validated": float(1 / stationary),
             "expected_rate_published": float(1 / PUBLISHED_MEAN_RETURN),

@@ -8,13 +8,12 @@ to entropy, so every emitted number is reproducible from the flags alone.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__, chain, ensemble, oracle, process, verification
 
@@ -41,14 +40,48 @@ def _provenance(args: argparse.Namespace, elapsed: float) -> dict:
     return {"version": __version__, "elapsed_seconds": elapsed, "flags": flags}
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write: Callable[[TextIO], None]) -> None:
+    """Stream ``write``'s output into ``path`` atomically.
+
+    The text goes to a temp file in the target directory, which is renamed
+    over ``path`` only once ``write`` has returned; if it raises, the temp
+    file is removed and ``path`` is left as it was.
+    """
+    import os
+
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_atomic(path, lambda fh: fh.write(text))
+
+
+def _dumps(doc: dict) -> str:
+    """Strict JSON: a NaN or infinity is a bug, never output."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _dumps(doc))
+
+
+def _threads(text: str) -> int:
+    """``--threads``: a positive int; run_ensemble caps the pool it starts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_t_list(text: str) -> list[int]:
@@ -101,19 +134,17 @@ def _cmd_simulate(args) -> int:
     }
     if args.format == "json":
         doc = {"summary": summary, "provenance": _provenance(args, elapsed)}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _dumps(doc)
         if args.out:
             _write_text(Path(args.out), text)
         else:
             sys.stdout.write(text)
     else:
-        buf = io.StringIO()
-        process.write_trajectory_csv(record, buf)
         if args.out:
-            _write_text(Path(args.out), buf.getvalue())
+            _write_atomic(Path(args.out), lambda fh: process.write_trajectory_csv(record, fh))
             _write_json(Path(args.out + ".meta.json"), _provenance(args, elapsed))
         else:
-            sys.stdout.write(buf.getvalue())
+            process.write_trajectory_csv(record, sys.stdout)
     line = (
         f"simulate t={args.t} seed={args.seed}: O={state.total_olives} "
         f"plates={state.num_plates} O/t={float(ratio):.6f}"
@@ -141,12 +172,10 @@ def _cmd_ensemble(args) -> int:
     doc = ensemble.summary_json(stats, elapsed, __version__)
     doc["provenance"]["flags"] = _provenance(args, elapsed)["flags"]
     if args.out:
-        buf = io.StringIO()
-        ensemble.write_ensemble_csv(stats, buf)
-        _write_text(Path(args.out + ".csv"), buf.getvalue())
+        _write_atomic(Path(args.out + ".csv"), lambda fh: ensemble.write_ensemble_csv(stats, fh))
         _write_json(Path(args.out + ".summary.json"), doc)
     else:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(doc))
     checks = doc["checks"]
     print(
         f"ensemble t={config.t} R={config.replicas}: mean O/t="
@@ -169,12 +198,10 @@ def _cmd_chain(args) -> int:
     elapsed = time.perf_counter() - start
     report["provenance"] = _provenance(args, elapsed)
     if args.out:
-        buf = io.StringIO()
-        chain.write_chain_csv(args.t_max, buf)
-        _write_text(Path(args.out + ".csv"), buf.getvalue())
+        _write_atomic(Path(args.out + ".csv"), lambda fh: chain.write_chain_csv(args.t_max, fh))
         _write_json(Path(args.out + ".report.json"), report)
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(report))
     mrt = report["mean_return_time"]
     sim = report["simulation"]
     verdict = report["return_rate_inequality"]
@@ -202,12 +229,8 @@ def _cmd_exact(args) -> int:
     elapsed = time.perf_counter() - start
     mean = sum((o * p for o, p in rows[-1][1].items()), Fraction(0))
     if args.out:
-        buf = io.StringIO()
-        oracle.write_olive_pmf_csv(rows, buf)
-        _write_text(Path(args.out + ".pmf.csv"), buf.getvalue())
-        buf = io.StringIO()
-        oracle.write_expected_olives_csv(rows, buf)
-        _write_text(Path(args.out + ".mean.csv"), buf.getvalue())
+        _write_atomic(Path(args.out + ".pmf.csv"), lambda fh: oracle.write_olive_pmf_csv(rows, fh))
+        _write_atomic(Path(args.out + ".mean.csv"), lambda fh: oracle.write_expected_olives_csv(rows, fh))
         _write_json(Path(args.out + ".meta.json"), _provenance(args, elapsed))
     print(
         f"exact t={args.t}: E(O_t) = {mean.numerator}/{mean.denominator} "
@@ -235,10 +258,7 @@ def _cmd_sweep(args) -> int:
     if args.replicas < 1:
         raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
     start = time.perf_counter()
-    c_report = ensemble.estimate_c(t_list, args.replicas, args.seed, threads=args.threads)
-    growth = ensemble.log_growth_check(
-        sorted(set(t_list)), min(args.replicas, 50), args.seed, threads=args.threads
-    )
+    c_report, growth = ensemble.sweep(t_list, args.replicas, args.seed, threads=args.threads)
     elapsed = time.perf_counter() - start
     doc = {
         "c_estimate": c_report,
@@ -248,12 +268,10 @@ def _cmd_sweep(args) -> int:
     if args.out:
         _write_json(Path(args.out + ".sweep.json"), doc)
     else:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(doc))
     for row in c_report["rows"]:
-        print(
-            f"t={row['t']}: c_hat={row['ratio']:.6f} "
-            f"CI99=[{row['ci_low']:.6f}, {row['ci_high']:.6f}]"
-        )
+        ci = "n/a" if row["ci_low"] is None else f"[{row['ci_low']:.6f}, {row['ci_high']:.6f}]"
+        print(f"t={row['t']}: c_hat={row['ratio']:.6f} CI99={ci}")
     print(f"max pairwise ratio difference: {c_report['max_ratio_difference']:.6f}")
     return EXIT_OK
 
@@ -283,7 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--deltas", type=str, default=None, help="comma list, e.g. 0.01,0.02")
     p.add_argument("--cadence", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_threads, default=None, help="worker processes (>= 1)")
     p.add_argument("--out", type=str, default=None, help="output prefix (.csv / .summary.json)")
     p.set_defaults(func=_cmd_ensemble)
 
@@ -309,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-list", dest="t_list", type=str, required=True, help="comma list of horizons")
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_threads, default=None, help="worker processes (>= 1)")
     p.add_argument("--out", type=str, default=None, help="output prefix (.sweep.json)")
     p.set_defaults(func=_cmd_sweep)
 

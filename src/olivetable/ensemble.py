@@ -162,25 +162,59 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
     )
 
 
+# Increments and gaps are counted in batches of about this many (one
+# Counter.update per batch, not per replica), which bounds a chunk's memory
+# on long trajectories.
+_FOLD_AT = 1 << 16
+
+
 def _run_chunk(args: tuple) -> tuple:
     config, lo, hi, check_identity = args
-    rows = np.empty(hi - lo, dtype=REPLICA_DTYPE)
+    rows = []
+    increments = []  # one increment and one gap per return
+    gaps = []
     xi = Counter()
-    gaps = Counter()
+    gap_hist = Counter()
     tau = Counter()
     sum_o = 0
     sum_o2 = 0
-    for k, i in enumerate(range(lo, hi)):
+    for i in range(lo, hi):
         seed = derive_seed(config.master_seed, i)
         rec = run_trajectory(config.t, seed, cadence=0, check_identity=check_identity)
-        rows[k] = _replica_row(i, seed, rec)
-        xi.update(rec.olive_increments)
-        gaps.update(rec.return_gaps)
+        rows.append(_replica_row(i, seed, rec))
+        increments += rec.olive_increments
+        gaps += rec.return_gaps
+        if len(increments) >= _FOLD_AT:
+            xi.update(increments)
+            gap_hist.update(gaps)
+            increments.clear()
+            gaps.clear()
         tau.update(rec.tau)
         o = rec.final_state.total_olives
         sum_o += o
         sum_o2 += o * o
-    return rows, xi, gaps, tau, sum_o, sum_o2
+    xi.update(increments)
+    gap_hist.update(gaps)
+    return np.array(rows, dtype=REPLICA_DTYPE), xi, gap_hist, tau, sum_o, sum_o2
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pool_size(threads: int, cpus: int, tasks: int) -> int:
+    """Worker processes for a pool: min(threads, cpus, tasks), at least 1.
+
+    Asking for more threads than there are usable CPUs or tasks never starts
+    more processes than those; ``threads`` < 1 is an error.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, cpus, tasks))
 
 
 def run_ensemble(
@@ -191,22 +225,22 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run replicas [lo, hi) of ``config`` (default: all of them).
 
-    ``threads`` sizes the worker pool (default: available parallelism);
-    the result is identical for any thread count because replica seeds are
+    ``threads`` (default: the usable CPUs) caps the worker pool, which
+    ``pool_size`` also caps at the usable CPUs and the replica count; the
+    result is identical for any thread count because replica seeds are
     derived from the config and chunks merge by replica index.
     """
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     if not 0 <= lo <= hi <= config.replicas:
         raise ValueError(f"bad replica range {replica_range} for R={config.replicas}")
-    if lo == hi:
-        return empty_stats(config)
-    if threads is None:
-        threads = os.cpu_count() or 1
+    cpus = _usable_cpus()
     count = hi - lo
-    use_pool = threads > 1 and count > 1 and count * config.t >= 1_000_000
+    workers = pool_size(cpus if threads is None else threads, cpus, max(count, 1))
+    if count == 0:
+        return empty_stats(config)
 
-    if use_pool:
-        n_chunks = min(count, threads * 4)
+    if workers > 1 and count * config.t >= 1_000_000:
+        n_chunks = min(count, workers * 4)
         bounds = [lo + (count * k) // n_chunks for k in range(n_chunks + 1)]
         tasks = [
             (config, bounds[k], bounds[k + 1], check_identity)
@@ -214,7 +248,7 @@ def run_ensemble(
             if bounds[k] < bounds[k + 1]
         ]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=threads) as pool:
+        with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_run_chunk, tasks)
     else:
         parts = [_run_chunk((config, lo, hi, check_identity))]
@@ -268,34 +302,69 @@ def ratio_estimate(o_values: Sequence[int], t: int, z: float = Z99) -> dict:
     """Mean O/t with a normal-approximation CI from per-replica totals.
 
     Exact integer sums feed the point estimate; the CI uses the sample sd.
-    Degenerate samples (all equal) get a zero-width interval.
+    Degenerate samples (all equal) get a zero-width interval; a single
+    replica has no CI, so ``ci_low`` and ``ci_high`` are None.
     """
-    n = len(o_values)
+    values = [int(v) for v in o_values]
+    return _estimate_from_sums(sum(values), sum(v * v for v in values), len(values), t, z)
+
+
+def _estimate_from_sums(total: int, total_sq: int, n: int, t: int, z: float = Z99) -> dict:
+    """``ratio_estimate`` from the exact sums of O and O^2 over n replicas."""
     if n < 1:
         raise ValueError("need at least one replica")
-    total = sum(int(v) for v in o_values)
-    total_sq = sum(int(v) * int(v) for v in o_values)
     mean_o = Fraction(total, n)
-    ratio = mean_o / t
+    ratio = float(mean_o / t)
     if n > 1:
-        var = (total_sq - Fraction(total**2, n)) / (n - 1)
-        se = math.sqrt(float(var) / n) / t
+        var = float((total_sq - Fraction(total**2, n)) / (n - 1))
+        half = z * (math.sqrt(var / n) / t)
+        ci_low, ci_high, sd = ratio - half, ratio + half, math.sqrt(var)
     else:
-        se = float("nan")
-    half = z * se if n > 1 else float("nan")
+        ci_low = ci_high = None
+        sd = 0.0
     return {
         "n": n,
         "t": t,
         "mean_O": float(mean_o),
         "mean_O_exact": f"{mean_o.numerator}/{mean_o.denominator}",
-        "ratio": float(ratio),
-        "ci_low": float(ratio) - half,
-        "ci_high": float(ratio) + half,
-        "sd_O": math.sqrt(float(var)) if n > 1 else 0.0,
+        "ratio": ratio,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
+        "sd_O": sd,
     }
 
 
+def _stats_estimate(stats: EnsembleStats) -> dict:
+    return _estimate_from_sums(stats.sum_olives, stats.sum_olives_sq, stats.n, stats.config.t)
+
+
 # -- reports ------------------------------------------------------------------
+
+LOG_GROWTH_CEILING = 50.0
+SWEEP_GROWTH_REPLICAS = 50
+
+
+def _check_c_horizons(t_list: Sequence[int]) -> None:
+    if any(t < 1000 for t in t_list):
+        raise ValueError("estimate_c expects horizons t >= 1000")
+
+
+def _c_row(stats: EnsembleStats) -> dict:
+    row = _stats_estimate(stats)
+    lo, hi = stats.config.c_bounds
+    row["within_bounds"] = lo <= stats.mean_olives() / stats.config.t <= hi
+    return row
+
+
+def _c_report(rows: list[dict], replicas: int, master_seed: int) -> dict:
+    ratios = [r["ratio"] for r in rows]
+    stability = max(abs(a - b) for a in ratios for b in ratios) if len(ratios) > 1 else 0.0
+    return {
+        "replicas": replicas,
+        "master_seed": master_seed,
+        "rows": rows,
+        "max_ratio_difference": stability,
+    }
 
 
 def estimate_c(
@@ -310,31 +379,20 @@ def estimate_c(
     across horizons) and reports mean O/t with 99% CIs plus the maximum
     pairwise ratio difference as a stability diagnostic.
     """
-    if any(t < 1000 for t in t_list):
-        raise ValueError("estimate_c expects horizons t >= 1000")
-    rows = []
-    for t in t_list:
-        config = EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed)
-        stats = run_ensemble(config, threads=threads)
-        est = ratio_estimate(stats.records["O"], t)
-        lo, hi = config.c_bounds
-        est["within_bounds"] = lo <= stats.mean_olives() / t <= hi
-        rows.append(est)
-    ratios = [r["ratio"] for r in rows]
-    stability = max(abs(a - b) for a in ratios for b in ratios) if len(ratios) > 1 else 0.0
-    return {
-        "replicas": replicas,
-        "master_seed": master_seed,
-        "rows": rows,
-        "max_ratio_difference": stability,
-    }
+    _check_c_horizons(t_list)
+    rows = [
+        _c_row(run_ensemble(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed), threads=threads))
+        for t in t_list
+    ]
+    return _c_report(rows, replicas, master_seed)
 
 
 def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]] = None) -> dict:
     """Exceedance frequencies of |O - mean| >= delta * t per delta.
 
-    Comparisons are exact (|O*R - sum| >= delta * t * R in rationals);
-    zero counts come with Wilson 99% upper bounds.
+    Comparisons are exact (|O*R - sum| >= delta * t * R in rationals), made
+    once per distinct O and weighted by its replica count; zero counts come
+    with Wilson 99% upper bounds.
     """
     if stats.n < 1:
         raise ValueError("need at least one replica")
@@ -342,11 +400,12 @@ def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]]
     n = stats.n
     total = stats.sum_olives
     t = stats.config.t
-    o_vals = [int(v) for v in stats.records["O"]]
+    values, counts = np.unique(stats.records["O"], return_counts=True)
+    o_counts = list(zip(values.tolist(), counts.tolist()))  # at most t + 1 pairs
     rows = []
     for d in deltas:
         threshold = Fraction(d) * t * n
-        count = sum(1 for o in o_vals if abs(o * n - total) >= threshold)
+        count = sum(c for o, c in o_counts if abs(o * n - total) >= threshold)
         rows.append(
             {
                 "delta": d,
@@ -383,16 +442,11 @@ def plate_move_stats(stats: EnsembleStats) -> dict:
     plate_ratio_min = float(t_plate.min()) / t
     plate_ratio_ok = bool((t_plate * 10 >= 3 * t).all())
     tau1_ok = bool((tau1 * 76 >= t).all())
-    removal_ok = True
-    removal_min = None
-    for Li, mi in zip(removals, moves):
-        if mi == 0:
-            continue
-        frac = Li / mi
-        removal_min = frac if removal_min is None else min(removal_min, frac)
-        slack = 4 * math.sqrt(0.75 * 0.25 / mi)
-        if frac < 0.75 - slack:
-            removal_ok = False
+    counted = moves > 0
+    fracs = removals[counted] / moves[counted]
+    slack = 4 * np.sqrt(0.75 * 0.25 / moves[counted])
+    removal_ok = not (fracs < 0.75 - slack).any()
+    removal_min = float(fracs.min()) if fracs.size else None
     pooled_moves = int(moves.sum())
     pooled_removals = int(removals.sum())
     return {
@@ -460,12 +514,35 @@ def xi_tail_report(stats: EnsembleStats, fit_from: int = 50) -> dict:
     }
 
 
+def _growth_row(t: int, max_other: int, ceiling_coefficient: float) -> dict:
+    return {
+        "t": t,
+        "max_other": max_other,
+        "B_fit": max_other / math.log(t) if t > 1 else None,
+        "ceiling": ceiling_coefficient * math.log(t),
+        "within_ceiling": max_other <= ceiling_coefficient * math.log(t),
+    }
+
+
+def _growth_report(rows: list[dict], replicas: int, master_seed: int, ceiling_coefficient: float) -> dict:
+    growth_ratio = (
+        rows[-1]["max_other"] / rows[0]["max_other"] if len(rows) > 1 and rows[0]["max_other"] else None
+    )
+    return {
+        "replicas": replicas,
+        "master_seed": master_seed,
+        "ceiling_coefficient": ceiling_coefficient,
+        "rows": rows,
+        "growth_ratio": growth_ratio,
+    }
+
+
 def log_growth_check(
     t_list: Sequence[int],
     replicas: int,
     master_seed: int,
     threads: Optional[int] = None,
-    ceiling_coefficient: float = 50.0,
+    ceiling_coefficient: float = LOG_GROWTH_CEILING,
 ) -> dict:
     """Growth of the largest non-first-plate olive count across horizons.
 
@@ -481,55 +558,69 @@ def log_growth_check(
     for t in t_list:
         config = EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed)
         stats = run_ensemble(config, threads=threads)
-        max_other = int(stats.records["max_other_olives"].max())
-        rows.append(
-            {
-                "t": t,
-                "max_other": max_other,
-                "B_fit": max_other / math.log(t) if t > 1 else None,
-                "ceiling": ceiling_coefficient * math.log(t),
-                "within_ceiling": max_other <= ceiling_coefficient * math.log(t),
-            }
-        )
-    growth_ratio = (
-        rows[-1]["max_other"] / rows[0]["max_other"] if len(rows) > 1 and rows[0]["max_other"] else None
-    )
-    return {
-        "replicas": replicas,
-        "master_seed": master_seed,
-        "ceiling_coefficient": ceiling_coefficient,
-        "rows": rows,
-        "growth_ratio": growth_ratio,
+        rows.append(_growth_row(t, int(stats.records["max_other_olives"].max()), ceiling_coefficient))
+    return _growth_report(rows, replicas, master_seed, ceiling_coefficient)
+
+
+def sweep(
+    t_list: Sequence[int],
+    replicas: int,
+    master_seed: int,
+    threads: Optional[int] = None,
+) -> tuple[dict, dict]:
+    """``estimate_c`` over ``t_list`` and ``log_growth_check`` over its
+    distinct horizons with min(replicas, SWEEP_GROWTH_REPLICAS) replicas,
+    from one ensemble per distinct horizon.
+
+    Replica i of a horizon has the same derived seed in both reports, so the
+    log-growth rows read the first replicas of the estimate's ensembles and
+    equal those of a separate ``log_growth_check`` run.
+    """
+    _check_c_horizons(t_list)
+    runs = {
+        t: run_ensemble(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed), threads=threads)
+        for t in sorted(set(t_list))
     }
+    c_report = _c_report([_c_row(runs[t]) for t in t_list], replicas, master_seed)
+    n_growth = min(replicas, SWEEP_GROWTH_REPLICAS)
+    rows = [
+        _growth_row(t, int(stats.records["max_other_olives"][:n_growth].max()), LOG_GROWTH_CEILING)
+        for t, stats in runs.items()
+    ]
+    return c_report, _growth_report(rows, n_growth, master_seed, LOG_GROWTH_CEILING)
 
 
 # -- bound checks and serialization -------------------------------------------
 
 
 def bounds_check(stats: EnsembleStats) -> dict:
-    """Per-replica O/t band check against config.c_bounds, exactly."""
+    """Per-replica O/t band check against config.c_bounds, exactly.
+
+    Each distinct O is compared once in exact rationals; ``violations``
+    lists the first 20 offending replica indices in replica order.
+    """
     lo, hi = stats.config.c_bounds
     t = stats.config.t
-    violations = [
-        int(r["replica"])
-        for r in stats.records
-        if not (lo * t <= int(r["O"]) <= hi * t)
-    ]
+    o = stats.records["O"]
+    outside = [v for v in np.unique(o).tolist() if not lo * t <= v <= hi * t]
+    violations = stats.records["replica"][np.isin(o, outside)]
     return {
         "lower": str(lo),
         "upper": str(hi),
-        "violations": violations[:20],
-        "violation_count": len(violations),
-        "bounds_pass": not violations,
+        "violations": violations[:20].tolist(),
+        "violation_count": violations.size,
+        "bounds_pass": violations.size == 0,
     }
 
 
 def summary_json(stats: EnsembleStats, elapsed_seconds: float, version: str) -> dict:
     """The ensemble summary document (schema is stable; see README)."""
-    est = ratio_estimate(stats.records["O"], stats.config.t)
+    t = stats.config.t
+    est = _stats_estimate(stats)
     conc = concentration_report(stats)
     pms = plate_move_stats(stats)
     bc = bounds_check(stats)
+    max_other = int(stats.records["max_other_olives"].max())
     return {
         "config": stats.config.as_dict(),
         "estimates": {
@@ -549,33 +640,24 @@ def summary_json(stats: EnsembleStats, elapsed_seconds: float, version: str) -> 
                 {"delta": r["delta"], "freq": r["freq"], "wilson_hi": r["wilson_hi"]}
                 for r in conc["exceedance"]
             ],
-            "max_other": int(stats.records["max_other_olives"].max()),
-            "B_fit": (
-                int(stats.records["max_other_olives"].max()) / math.log(stats.config.t)
-                if stats.config.t > 1
-                else None
-            ),
+            "max_other": max_other,
+            "B_fit": max_other / math.log(t) if t > 1 else None,
         },
         "provenance": {"version": version, "elapsed_seconds": elapsed_seconds},
     }
 
 
+_CSV_ROW = ",".join(["%d"] * len(REPLICA_DTYPE.names)) + "\n"
+_CSV_BLOCK_ROWS = 8192
+
+
 def write_ensemble_csv(stats: EnsembleStats, out: TextIO) -> None:
-    """Per-replica rows, sorted by replica index; LF endings, no quoting."""
+    """Per-replica rows, sorted by replica index; LF endings, no quoting.
+
+    Rows are formatted and written a block at a time, so the text of the
+    whole table is never held in memory.
+    """
     out.write(ENSEMBLE_CSV_HEADER + "\n")
-    for r in stats.records:
-        out.write(
-            "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n"
-            % (
-                int(r["replica"]),
-                int(r["seed"]),
-                int(r["O"]),
-                int(r["t_plate"]),
-                int(r["tau1"]),
-                int(r["two_to_one"]),
-                int(r["max_other_olives"]),
-                int(r["first_plate_olives"]),
-                int(r["L_ge3"]),
-                int(r["plate_moves_ge3"]),
-            )
-        )
+    records = stats.records
+    for lo in range(0, len(records), _CSV_BLOCK_ROWS):
+        out.write("".join(map(_CSV_ROW.__mod__, records[lo : lo + _CSV_BLOCK_ROWS].tolist())))

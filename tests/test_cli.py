@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -183,3 +184,104 @@ def test_usage_errors_exit_one():
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "olivetable" in capsys.readouterr().out
+
+
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_ensemble_single_replica_is_strict_json(tmp_path, capsys):
+    args = ["ensemble", "--t", "12", "--replicas", "1", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "one")]) == EXIT_OK
+    doc = _strict_loads((tmp_path / "one.summary.json").read_text())
+    assert doc["estimates"]["ci_low"] is None and doc["estimates"]["ci_high"] is None
+    assert doc["checks"]["sd"] == 0.0
+    capsys.readouterr()
+    assert main(args) == EXIT_OK  # the summary goes to stdout, before the one-line report
+    out = capsys.readouterr().out
+    assert _strict_loads(out[: out.rindex("}") + 1])["estimates"] == doc["estimates"]
+
+
+def test_sweep_single_replica_is_strict_json(tmp_path, capsys):
+    prefix = tmp_path / "one"
+    assert main(["sweep", "--t-list", "1000", "--replicas", "1", "--seed", "3", "--out", str(prefix)]) == EXIT_OK
+    (row,) = _strict_loads((tmp_path / "one.sweep.json").read_text())["c_estimate"]["rows"]
+    assert row["ci_low"] is None and row["ci_high"] is None
+    assert "CI99=n/a" in capsys.readouterr().out
+
+
+def test_chain_single_step_is_strict_json(tmp_path):
+    prefix = tmp_path / "chain"
+    assert main(["chain", "--t-max", "3", "--simulate-steps", "1", "--seed", "2", "--out", str(prefix)]) == EXIT_OK
+    sim = _strict_loads((tmp_path / "chain.report.json").read_text())["simulation"]
+    assert sim["steps"] == 1
+    assert sim["mean_return_duration"] is None and sim["rate_ci99"] is None
+
+
+def test_threads_below_one_exit_one(capsys):
+    for threads in ("0", "-4"):
+        assert main(["ensemble", "--t", "12", "--replicas", "3", "--seed", "1", "--threads", threads]) == EXIT_USAGE
+        assert main(["sweep", "--t-list", "1000", "--replicas", "2", "--seed", "1", "--threads", threads]) == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
+    def write_then_fail(stats, out):
+        out.write(ensemble.ENSEMBLE_CSV_HEADER + "\n")
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(ensemble, "write_ensemble_csv", write_then_fail)
+    args = ["ensemble", "--t", "12", "--replicas", "5", "--seed", "1", "--out", str(tmp_path / "run")]
+    with pytest.raises(RuntimeError):
+        main(args)
+    assert list(tmp_path.iterdir()) == []
+    # An earlier complete output is left exactly as it was.
+    (tmp_path / "run.csv").write_text("earlier\n")
+    with pytest.raises(RuntimeError):
+        main(args)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    assert (tmp_path / "run.csv").read_text() == "earlier\n"
+
+
+def _strip_volatile(node):
+    if isinstance(node, dict):
+        return {
+            k: _strip_volatile({f: x for f, x in v.items() if f != "out"} if k == "flags" else v)
+            for k, v in node.items()
+            if k != "elapsed_seconds"
+        }
+    if isinstance(node, list):
+        return [_strip_volatile(v) for v in node]
+    return node
+
+
+# sha256 of each command's output files (JSON with timing and flags.out
+# removed), recorded before the report functions were made columnar.
+GOLDEN = {
+    ("ensemble", "--t", "12", "--replicas", "3000", "--seed", "5"): (
+        [".csv", ".summary.json"],
+        "a47e9c53a8979ae4cd5a598cb64419ca0912aef280afe32224b6909908161c0f",
+    ),
+    ("sweep", "--t-list", "1000,2000", "--replicas", "60", "--seed", "9"): (
+        [".sweep.json"],
+        "282c67adf0b693cf0a3e5eda3e76936f7a5ef15a8b0fece288dcf749ba20d9f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda argv: argv[0])
+def test_golden_payload_digest(argv, tmp_path):
+    suffixes, digest = GOLDEN[argv]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_OK
+    h = hashlib.sha256()
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == sorted("run" + s for s in suffixes)  # no temp files left
+    for path in paths:
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = json.dumps(_strip_volatile(_strict_loads(data)), sort_keys=True).encode()
+        h.update(path.name.encode() + b"\0" + data + b"\0")
+    assert h.hexdigest() == digest

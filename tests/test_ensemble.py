@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from olivetable.ensemble import (
     log_growth_check,
     merge,
     plate_move_stats,
+    pool_size,
     ratio_estimate,
     run_ensemble,
     summary_json,
+    sweep,
     wilson_upper,
     write_ensemble_csv,
     xi_tail_report,
@@ -85,6 +88,56 @@ def test_thread_count_does_not_change_results():
     assert serial.records.tobytes() == pooled.records.tobytes()
     assert serial.xi_hist == pooled.xi_hist
     assert serial.sum_olives == pooled.sum_olives
+
+
+def test_pool_size_arithmetic():
+    assert pool_size(threads=2, cpus=2, tasks=100) == 2
+    assert pool_size(threads=64, cpus=2, tasks=100) == 2
+    assert pool_size(threads=10**9, cpus=8, tasks=3) == 3
+    assert pool_size(threads=1, cpus=8, tasks=100) == 1
+    assert pool_size(threads=4, cpus=8, tasks=0) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            pool_size(threads=bad, cpus=2, tasks=10)
+
+
+def test_run_ensemble_clamps_its_pool(monkeypatch):
+    # A recording stand-in for the fork context: no process is started.
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    fake = SimpleNamespace(get_context=lambda method: SimpleNamespace(Pool=FakePool))
+    config = EnsembleConfig(t=1000, replicas=1000, master_seed=13)
+    serial = run_ensemble(config, threads=1)
+    monkeypatch.setattr(ensemble, "multiprocessing", fake)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
+    clamped = run_ensemble(config, threads=10**6)
+    assert started == [3]
+    assert _stats_equal(clamped, serial)
+    with pytest.raises(ValueError):
+        run_ensemble(config, threads=0)
+    assert started == [3]
+
+
+def test_chunk_histograms_do_not_depend_on_batching(monkeypatch):
+    config = EnsembleConfig(t=300, replicas=20, master_seed=17)
+    whole = run_ensemble(config, threads=1)
+    monkeypatch.setattr(ensemble, "_FOLD_AT", 5)
+    folded = run_ensemble(config, threads=1)
+    assert _stats_equal(folded, whole)
+    assert list(folded.xi_hist.items()) == list(whole.xi_hist.items())
 
 
 def _stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
@@ -217,6 +270,23 @@ def test_log_growth_check():
     assert report["growth_ratio"] > 0
     with pytest.raises(ValueError):
         log_growth_check([2000, 1000], replicas=5, master_seed=0)
+
+
+def test_sweep_equals_separate_reports():
+    t_list = [2000, 1000, 2000]
+    c_report, growth = sweep(t_list, replicas=60, master_seed=21)
+    assert c_report == estimate_c(t_list, replicas=60, master_seed=21)
+    assert growth == log_growth_check([1000, 2000], replicas=50, master_seed=21)
+    _, few = sweep([1000], replicas=7, master_seed=21)
+    assert few == log_growth_check([1000], replicas=7, master_seed=21)
+    with pytest.raises(ValueError):
+        sweep([10], replicas=5, master_seed=0)
+
+
+def test_ratio_estimate_single_replica_has_no_ci():
+    est = ratio_estimate([7], t=100)
+    assert est["ci_low"] is None and est["ci_high"] is None
+    assert est["ratio"] == 0.07 and est["sd_O"] == 0.0
 
 
 def test_bounds_check_exact(mid_stats):
