@@ -4,18 +4,10 @@ plates-and-olives process."""
 __version__ = "0.1.0"
 
 from .process import (
-    InvalidMoveError,
-    Move,
-    MoveCounts,
-    MoveKind,
     Plate,
     TableState,
     TrajectoryRecord,
-    apply_move,
-    move_counts,
-    new_table,
     run_trajectory,
-    sample_move,
     step,
 )
 from .chain import (
@@ -46,18 +38,10 @@ from .rng import derive_seed, make_rng
 
 __all__ = [
     "__version__",
-    "InvalidMoveError",
-    "Move",
-    "MoveCounts",
-    "MoveKind",
     "Plate",
     "TableState",
     "TrajectoryRecord",
-    "apply_move",
-    "move_counts",
-    "new_table",
     "run_trajectory",
-    "sample_move",
     "step",
     "ReturnTimePMF",
     "StationaryDist",

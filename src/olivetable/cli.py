@@ -107,6 +107,15 @@ def _parse_deltas(text: str) -> tuple[float, ...]:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _report_stream(args) -> TextIO:
+    """Where the human summary lines go: stdout, unless the payload went there.
+
+    Without ``--out`` the payload is written to stdout, which then carries
+    only that payload.
+    """
+    return sys.stdout if args.out else sys.stderr
+
+
 def _cmd_simulate(args) -> int:
     if args.t < 1:
         raise _UsageError(f"--t must be >= 1, got {args.t}")
@@ -145,12 +154,11 @@ def _cmd_simulate(args) -> int:
             _write_json(Path(args.out + ".meta.json"), _provenance(args, elapsed))
         else:
             process.write_trajectory_csv(record, sys.stdout)
-    line = (
+    print(
         f"simulate t={args.t} seed={args.seed}: O={state.total_olives} "
-        f"plates={state.num_plates} O/t={float(ratio):.6f}"
+        f"plates={state.num_plates} O/t={float(ratio):.6f}",
+        file=_report_stream(args),
     )
-    # Keep stdout machine-readable when the payload was written to it.
-    print(line, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
@@ -180,7 +188,8 @@ def _cmd_ensemble(args) -> int:
     print(
         f"ensemble t={config.t} R={config.replicas}: mean O/t="
         f"{doc['estimates']['ratio']:.6f} sd={checks['sd']:.2f} "
-        f"bounds_pass={checks['bounds_pass']} tau1_pass={checks['tau1_pass']}"
+        f"bounds_pass={checks['bounds_pass']} tau1_pass={checks['tau1_pass']}",
+        file=_report_stream(args),
     )
     if config.t >= BOUND_ENFORCEMENT_MIN_T and not (checks["bounds_pass"] and checks["tau1_pass"]):
         print("hard bound check failed", file=sys.stderr)
@@ -205,14 +214,17 @@ def _cmd_chain(args) -> int:
     mrt = report["mean_return_time"]
     sim = report["simulation"]
     verdict = report["return_rate_inequality"]
+    stream = _report_stream(args)
     print(
         f"mean return time: validated {mrt['validated_stationary']['exact']} "
         f"(series in {mrt['series_interval']}, tail {mrt['series_tail_bound']:.2e}); "
-        f"published claim {mrt['published_claim']['exact']}"
+        f"published claim {mrt['published_claim']['exact']}",
+        file=stream,
     )
     print(
         f"simulated N11/t = {sim['n11_over_t']:.6f} over {sim['steps']} steps; "
-        f"N11/t >= 1/19 holds: {verdict['holds']}"
+        f"N11/t >= 1/19 holds: {verdict['holds']}",
+        file=stream,
     )
     return EXIT_OK
 
@@ -269,10 +281,11 @@ def _cmd_sweep(args) -> int:
         _write_json(Path(args.out + ".sweep.json"), doc)
     else:
         sys.stdout.write(_dumps(doc))
+    stream = _report_stream(args)
     for row in c_report["rows"]:
         ci = "n/a" if row["ci_low"] is None else f"[{row['ci_low']:.6f}, {row['ci_high']:.6f}]"
-        print(f"t={row['t']}: c_hat={row['ratio']:.6f} CI99={ci}")
-    print(f"max pairwise ratio difference: {c_report['max_ratio_difference']:.6f}")
+        print(f"t={row['t']}: c_hat={row['ratio']:.6f} CI99={ci}", file=stream)
+    print(f"max pairwise ratio difference: {c_report['max_ratio_difference']:.6f}", file=stream)
     return EXIT_OK
 
 
@@ -346,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help / --version
         code = exc.code or 0
         return EXIT_USAGE if code not in (0,) else EXIT_OK
-    except (ValueError, process.InvalidMoveError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

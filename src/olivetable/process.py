@@ -19,26 +19,22 @@ either survivor convention.
 
 The per-step work is O(1): plates live in contiguous parallel lists with
 swap-removal, non-empty plates are tracked in an index list, and the single
-uniform draw in [0, M) is decoded positionally (unbiased via rejection
-sampling in :mod:`olivetable.rng`).
+uniform draw in [0, M) is rejection-sampled and decoded positionally.  One
+kernel, ``_advance``, holds that code; :func:`run_trajectory` and
+:func:`step` are both one call to it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
-from .rng import make_rng, randbelow
+from .rng import make_rng
 
 MAX_SERIES_ROWS = 2_000_000
 
 TRAJECTORY_CSV_HEADER = "step,olives,plates,nonempty,first_plate_olives,max_other_olives"
-
-
-class InvalidMoveError(ValueError):
-    """A move that is not available in the current state (caller bug)."""
 
 
 class Plate(NamedTuple):
@@ -46,63 +42,6 @@ class Plate(NamedTuple):
 
     id: int
     olives: int
-
-
-class MoveKind(enum.Enum):
-    ADD_PLATE = "P+"
-    MERGE_PLATES = "P-"
-    ADD_OLIVE = "O+"
-    REMOVE_OLIVE = "O-"
-
-
-@dataclass(frozen=True)
-class Move:
-    """One process move.
-
-    ``plate_a``/``plate_b`` are plate ids: a merge carries the ordered pair
-    (lower id, higher id); the olive moves carry the target plate in
-    ``plate_a``; adding a plate carries neither.
-    """
-
-    kind: MoveKind
-    plate_a: Optional[int] = None
-    plate_b: Optional[int] = None
-
-    @staticmethod
-    def add_plate() -> "Move":
-        return Move(MoveKind.ADD_PLATE)
-
-    @staticmethod
-    def merge(id_a: int, id_b: int) -> "Move":
-        if id_a == id_b:
-            raise InvalidMoveError(f"merge needs two distinct plates, got {id_a} twice")
-        lo, hi = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-        return Move(MoveKind.MERGE_PLATES, lo, hi)
-
-    @staticmethod
-    def add_olive(plate_id: int) -> "Move":
-        return Move(MoveKind.ADD_OLIVE, plate_id)
-
-    @staticmethod
-    def remove_olive(plate_id: int) -> "Move":
-        return Move(MoveKind.REMOVE_OLIVE, plate_id)
-
-
-class MoveCounts(NamedTuple):
-    """Number of available moves of each kind, plus the total M."""
-
-    add_plate: int
-    merge: int
-    add_olive: int
-    remove_olive: int
-    total: int
-
-
-def _unrank_pair(k: int) -> tuple[int, int]:
-    """k-th unordered index pair (i, j), i < j, in the order (0,1),(0,2),(1,2),..."""
-    j = (1 + math.isqrt(1 + 8 * k)) // 2
-    i = k - j * (j - 1) // 2
-    return i, j
 
 
 class TableState:
@@ -168,9 +107,6 @@ class TableState:
     def plate_moves(self) -> int:
         return self.c_add_plate + self.c_merge
 
-    def olives_of(self, plate_id: int) -> int:
-        return self._olives[self._position_of(plate_id)]
-
     def copy(self) -> "TableState":
         dup = TableState.__new__(TableState)
         dup._ids = self._ids[:]
@@ -234,82 +170,6 @@ class TableState:
         state.t = state.c_add_plate + state.c_add_olive
         return state
 
-    # -- internal positional mutators -------------------------------------
-    # These are the single source of truth for how a move changes the state;
-    # run_trajectory inlines equivalent code for speed and a parity test
-    # pins the two paths together.
-
-    def _position_of(self, plate_id: int) -> int:
-        try:
-            return self._ids.index(plate_id)
-        except ValueError:
-            raise InvalidMoveError(f"no plate with id {plate_id}") from None
-
-    def _ne_add(self, pos: int) -> None:
-        self._ne_idx[pos] = len(self._ne_pos)
-        self._ne_pos.append(pos)
-
-    def _ne_remove(self, pos: int) -> None:
-        slot = self._ne_idx[pos]
-        last = self._ne_pos.pop()
-        if last != pos:
-            self._ne_pos[slot] = last
-            self._ne_idx[last] = slot
-        self._ne_idx[pos] = -1
-
-    def _apply_add_plate(self) -> None:
-        if self._next_id == 1:
-            self._pos1 = len(self._ids)
-        self._ids.append(self._next_id)
-        self._next_id += 1
-        self._olives.append(0)
-        self._ne_idx.append(-1)
-        self.c_add_plate += 1
-        self.t += 1
-
-    def _apply_merge(self, pos_a: int, pos_b: int) -> None:
-        """Merge the plates at two positions; the lower-id one survives."""
-        i, j = pos_a, pos_b
-        if self._ids[i] > self._ids[j]:
-            i, j = j, i
-        moved = self._olives[j]
-        if moved:
-            if self._olives[i] == 0:
-                self._ne_add(i)
-            self._olives[i] += moved
-            self._ne_remove(j)
-        last_pos = len(self._ids) - 1
-        if j != last_pos:
-            self._ids[j] = self._ids[last_pos]
-            self._olives[j] = self._olives[last_pos]
-            slot = self._ne_idx[last_pos]
-            self._ne_idx[j] = slot
-            if slot >= 0:
-                self._ne_pos[slot] = j
-            if self._pos1 == last_pos:
-                self._pos1 = j
-        self._ids.pop()
-        self._olives.pop()
-        self._ne_idx.pop()
-        self.c_merge += 1
-        self.t += 1
-
-    def _apply_add_olive(self, pos: int) -> None:
-        if self._olives[pos] == 0:
-            self._ne_add(pos)
-        self._olives[pos] += 1
-        self.total_olives += 1
-        self.c_add_olive += 1
-        self.t += 1
-
-    def _apply_remove_olive(self, pos: int) -> None:
-        self._olives[pos] -= 1
-        if self._olives[pos] == 0:
-            self._ne_remove(pos)
-        self.total_olives -= 1
-        self.c_remove_olive += 1
-        self.t += 1
-
     # -- invariants --------------------------------------------------------
 
     def check_invariants(self) -> None:
@@ -333,78 +193,6 @@ class TableState:
             assert l >= 1, "the table can never re-empty"
 
 
-def new_table() -> TableState:
-    """The empty table: no plates, no olives, step 0."""
-    return TableState()
-
-
-def move_counts(state: TableState) -> MoveCounts:
-    """Available-move tally (1, C(l,2), l, n_e) and their total."""
-    l = state.num_plates
-    n_merge = l * (l - 1) // 2
-    n_e = state.num_nonempty
-    return MoveCounts(1, n_merge, l, n_e, 1 + n_merge + l + n_e)
-
-
-def sample_move(state: TableState, rng) -> Move:
-    """Draw one of the M available moves with probability exactly 1/M each.
-
-    A single rejection-sampled integer u in [0, M) is decoded positionally:
-    0 adds a plate, the next C(l,2) values pick an unordered plate pair, the
-    next l values pick a plate for an olive, the last n_e values pick a
-    non-empty plate for a removal.
-    """
-    counts = move_counts(state)
-    u = randbelow(rng, counts.total)
-    if u == 0:
-        return Move.add_plate()
-    u -= 1
-    if u < counts.merge:
-        i, j = _unrank_pair(u)
-        return Move.merge(state._ids[i], state._ids[j])
-    u -= counts.merge
-    if u < counts.add_olive:
-        return Move.add_olive(state._ids[u])
-    u -= counts.add_olive
-    return Move.remove_olive(state._ids[state._ne_pos[u]])
-
-
-def apply_move(state: TableState, move: Move) -> TableState:
-    """Apply ``move`` in place and return the state.
-
-    Raises :class:`InvalidMoveError` for a move not available in ``state``
-    (nonexistent plate, removal from an empty plate, merge with < 2 plates);
-    moves produced by :func:`sample_move` are always valid.
-    """
-    kind = move.kind
-    if kind is MoveKind.ADD_PLATE:
-        state._apply_add_plate()
-    elif kind is MoveKind.MERGE_PLATES:
-        if state.num_plates < 2:
-            raise InvalidMoveError("merge needs at least two plates")
-        pos_a = state._position_of(move.plate_a)
-        pos_b = state._position_of(move.plate_b)
-        if pos_a == pos_b:
-            raise InvalidMoveError("merge needs two distinct plates")
-        state._apply_merge(pos_a, pos_b)
-    elif kind is MoveKind.ADD_OLIVE:
-        state._apply_add_olive(state._position_of(move.plate_a))
-    elif kind is MoveKind.REMOVE_OLIVE:
-        pos = state._position_of(move.plate_a)
-        if state._olives[pos] < 1:
-            raise InvalidMoveError(f"plate {move.plate_a} has no olive to remove")
-        state._apply_remove_olive(pos)
-    else:  # pragma: no cover - enum is closed
-        raise InvalidMoveError(f"unknown move kind {kind!r}")
-    return state
-
-
-def step(state: TableState, rng) -> tuple[TableState, Move]:
-    """Advance the state by one uniformly chosen move; returns the move taken."""
-    move = sample_move(state, rng)
-    return apply_move(state, move), move
-
-
 @dataclass
 class TrajectoryRecord:
     """Everything one trajectory run reports.
@@ -424,13 +212,13 @@ class TrajectoryRecord:
     seed: int
     cadence: int
     final_state: TableState
-    two_to_one_times: list[int]
-    olive_increments: list[int]
-    tau: dict[int, int]
-    l_ge3_removals: int
-    plate_moves_at_ge3: int
-    max_other_olives: int
-    first_plate_olives: int
+    two_to_one_times: list[int] = field(default_factory=list)
+    olive_increments: list[int] = field(default_factory=list)
+    tau: dict[int, int] = field(default_factory=dict)
+    l_ge3_removals: int = 0
+    plate_moves_at_ge3: int = 0
+    max_other_olives: int = 0
+    first_plate_olives: int = 0
     series: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
 
     @property
@@ -449,59 +237,50 @@ class TrajectoryRecord:
         return gaps
 
 
-def run_trajectory(
-    t_max: int,
-    seed: int,
-    cadence: int = 0,
+def _advance(
+    state: TableState,
+    rng,
+    n_steps: int,
+    record: TrajectoryRecord,
     check_identity: bool = False,
-) -> TrajectoryRecord:
-    """Run ``t_max`` steps from the empty table with full diagnostics.
+) -> None:
+    """Advance ``state`` in place by ``n_steps`` moves; the only transition code.
 
-    ``cadence`` > 0 samples a (step, olives, plates, nonempty,
-    first_plate_olives, max_other_olives) row every ``cadence`` steps;
-    per-step recording of long runs is refused to bound memory.
-    ``check_identity`` asserts the olive conservation law after every step.
-    Identical (t_max, seed, cadence) always reproduce the identical record.
+    Each step draws one rejection-sampled u in [0, M) and decodes it
+    positionally: 0 adds a plate, the next C(l,2) values pick an unordered
+    plate pair by rank in the order (0,1),(0,2),(1,2),..., the next l values
+    pick a plate for an olive, the last n_e values pick a non-empty plate
+    for a removal.  It resumes from any state; ``record``'s diagnostics are
+    extended in place, with the olive count at the last return taken as
+    ``sum(record.olive_increments)``.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if cadence < 0:
-        raise ValueError(f"cadence must be >= 0, got {cadence}")
-    if cadence and t_max // cadence > MAX_SERIES_ROWS:
-        raise ValueError(
-            f"cadence {cadence} over {t_max} steps would record "
-            f"{t_max // cadence} rows (cap {MAX_SERIES_ROWS})"
-        )
-
-    state = TableState()
-    rng = make_rng(seed)
     getrandbits = rng.getrandbits
     isqrt = math.isqrt
 
     # Hot loop: every list is aliased and every scalar is local; the state
-    # object is synced at the end.  The decode order matches sample_move
-    # exactly (one rejection-sampled draw per step) and a parity test pins
-    # this path to the step() path.
+    # and the record are synced at the end.
     ids = state._ids
     olives = state._olives
     ne_pos = state._ne_pos
     ne_idx = state._ne_idx
-    pos1 = -1
-    next_id = 1
-    O = 0
-    num_plates = 0
-    c_pp = c_pm = c_op = c_om = 0
+    pos1 = state._pos1
+    next_id = state._next_id
+    O = state.total_olives
+    num_plates = len(ids)
+    c_pp, c_pm, c_op, c_om = state.counters()
+    t0 = state.t
 
-    two_to_one: list[int] = []
-    increments: list[int] = []
-    tau: dict[int, int] = {}
-    l_ge3_removals = 0
-    plate_moves_ge3 = 0
-    max_other = 0
-    o_at_last_return = 0
-    series: list[tuple[int, int, int, int, int, int]] = []
+    cadence = record.cadence
+    two_to_one = record.two_to_one_times
+    increments = record.olive_increments
+    tau = record.tau
+    series = record.series
+    l_ge3_removals = record.l_ge3_removals
+    plate_moves_ge3 = record.plate_moves_at_ge3
+    max_other = record.max_other_olives
+    o_at_last_return = sum(increments)
 
-    for t in range(1, t_max + 1):
+    for t in range(t0 + 1, t0 + n_steps + 1):
         n_e = len(ne_pos)
         n_merge = num_plates * (num_plates - 1) // 2
         m_total = 1 + n_merge + num_plates + n_e
@@ -603,26 +382,56 @@ def run_trajectory(
     state._pos1 = pos1
     state._next_id = next_id
     state.total_olives = O
-    state.t = t_max
+    state.t = t0 + n_steps
     state.c_add_plate = c_pp
     state.c_merge = c_pm
     state.c_add_olive = c_op
     state.c_remove_olive = c_om
 
-    return TrajectoryRecord(
-        t_max=t_max,
-        seed=seed,
-        cadence=cadence,
-        final_state=state,
-        two_to_one_times=two_to_one,
-        olive_increments=increments,
-        tau=tau,
-        l_ge3_removals=l_ge3_removals,
-        plate_moves_at_ge3=plate_moves_ge3,
-        max_other_olives=max_other,
-        first_plate_olives=olives[pos1] if pos1 >= 0 else 0,
-        series=series,
-    )
+    record.l_ge3_removals = l_ge3_removals
+    record.plate_moves_at_ge3 = plate_moves_ge3
+    record.max_other_olives = max_other
+    record.first_plate_olives = olives[pos1] if pos1 >= 0 else 0
+
+
+def run_trajectory(
+    t_max: int,
+    seed: int,
+    cadence: int = 0,
+    check_identity: bool = False,
+) -> TrajectoryRecord:
+    """Run ``t_max`` steps from the empty table with full diagnostics.
+
+    ``cadence`` > 0 samples a (step, olives, plates, nonempty,
+    first_plate_olives, max_other_olives) row every ``cadence`` steps;
+    per-step recording of long runs is refused to bound memory.
+    ``check_identity`` asserts the olive conservation law after every step.
+    Identical (t_max, seed, cadence) always reproduce the identical record.
+    """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    if cadence < 0:
+        raise ValueError(f"cadence must be >= 0, got {cadence}")
+    if cadence and t_max // cadence > MAX_SERIES_ROWS:
+        raise ValueError(
+            f"cadence {cadence} over {t_max} steps would record "
+            f"{t_max // cadence} rows (cap {MAX_SERIES_ROWS})"
+        )
+    state = TableState()
+    record = TrajectoryRecord(t_max=t_max, seed=seed, cadence=cadence, final_state=state)
+    _advance(state, make_rng(seed), t_max, record, check_identity)
+    return record
+
+
+def step(state: TableState, rng) -> TableState:
+    """Advance ``state`` in place by one uniformly chosen move and return it.
+
+    The step's diagnostics go to a scratch record (seed -1: the rng comes
+    from the caller) and are dropped.
+    """
+    scratch = TrajectoryRecord(t_max=state.t + 1, seed=-1, cadence=0, final_state=state)
+    _advance(state, rng, 1, scratch)
+    return state
 
 
 def write_trajectory_csv(record: TrajectoryRecord, out: TextIO) -> None:

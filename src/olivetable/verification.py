@@ -147,9 +147,7 @@ def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
         law = oracle.exact_transition_check(base)
         counts = {key: 0 for key in law}
         for _ in range(draws):
-            trial = base.copy()
-            process.apply_move(trial, process.sample_move(trial, rng))
-            counts[oracle.canonical_of(trial)] += 1
+            counts[oracle.canonical_of(process.step(base.copy(), rng))] += 1
         for succ, p in law.items():
             pf = float(p)
             se = (pf * (1 - pf) / draws) ** 0.5

@@ -200,9 +200,10 @@ def test_ensemble_single_replica_is_strict_json(tmp_path, capsys):
     assert doc["estimates"]["ci_low"] is None and doc["estimates"]["ci_high"] is None
     assert doc["checks"]["sd"] == 0.0
     capsys.readouterr()
-    assert main(args) == EXIT_OK  # the summary goes to stdout, before the one-line report
-    out = capsys.readouterr().out
-    assert _strict_loads(out[: out.rindex("}") + 1])["estimates"] == doc["estimates"]
+    assert main(args) == EXIT_OK  # the summary goes to stdout, the one-line report to stderr
+    captured = capsys.readouterr()
+    assert _strict_loads(captured.out)["estimates"] == doc["estimates"]
+    assert "mean O/t=" in captured.err
 
 
 def test_sweep_single_replica_is_strict_json(tmp_path, capsys):
@@ -219,6 +220,22 @@ def test_chain_single_step_is_strict_json(tmp_path):
     sim = _strict_loads((tmp_path / "chain.report.json").read_text())["simulation"]
     assert sim["steps"] == 1
     assert sim["mean_return_duration"] is None and sim["rate_ci99"] is None
+
+
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (["ensemble", "--t", "12", "--replicas", "20", "--seed", "4"], "mean O/t="),
+        (["sweep", "--t-list", "1000", "--replicas", "3", "--seed", "4"], "c_hat="),
+        (["chain", "--t-max", "6", "--simulate-steps", "2000", "--seed", "4"], "N11/t"),
+    ],
+    ids=["ensemble", "sweep", "chain"],
+)
+def test_stdout_is_one_json_document_without_out(argv, report, capsys):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert isinstance(_strict_loads(captured.out), dict)
+    assert report in captured.err
 
 
 def test_threads_below_one_exit_one(capsys):

@@ -18,7 +18,7 @@ from olivetable.oracle import (
     state_distribution,
     transitions,
 )
-from olivetable.process import TableState, new_table
+from olivetable.process import TableState
 from olivetable.rng import make_rng
 
 HALF = Fraction(1, 2)
@@ -26,7 +26,7 @@ QUARTER = Fraction(1, 4)
 
 
 def test_canonicalization():
-    assert canonical_of(new_table()) == EMPTY_TABLE
+    assert canonical_of(TableState()) == EMPTY_TABLE
     state = TableState.from_plates([(1, 2), (2, 0), (3, 5), (4, 0)])
     canon = canonical_of(state)
     assert canon == CanonicalState(2, (0, 0, 5))
@@ -78,7 +78,7 @@ def test_transition_mass_sums_to_one_for_random_states():
 def test_exact_transition_check_from_table_state():
     law = exact_transition_check(TableState.from_plates([(1, 0), (2, 0)]))
     assert law[CanonicalState(0, ())] == QUARTER
-    assert exact_transition_check(new_table()) == {CanonicalState(0, ()): Fraction(1)}
+    assert exact_transition_check(TableState()) == {CanonicalState(0, ()): Fraction(1)}
 
 
 def test_exact_olive_distribution_small_t():

@@ -1,60 +1,102 @@
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from olivetable import process, verification
+from olivetable.oracle import canonical_of, exact_transition_check
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
-    InvalidMoveError,
-    Move,
-    MoveKind,
     TableState,
-    apply_move,
-    move_counts,
-    new_table,
     run_trajectory,
-    sample_move,
     step,
     write_trajectory_csv,
 )
 from olivetable.rng import make_rng
 
 
+class _Draws:
+    """An rng stub whose ``getrandbits`` returns the given values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self.values.pop(0)
+
+
+def _step_with(state, u):
+    """``state`` after the move that the draw ``u`` decodes to."""
+    return step(state, _Draws(u))
+
+
 def test_new_table_is_empty():
-    state = new_table()
+    state = TableState()
     assert state.num_plates == 0
     assert state.total_olives == 0
     assert state.t == 0
     assert state.counters() == (0, 0, 0, 0)
-    assert move_counts(state) == (1, 0, 0, 0, 1)
     state.check_invariants()
 
 
 def test_first_step_is_forced():
-    state = new_table()
-    _, move = step(state, make_rng(0))
-    assert move.kind is MoveKind.ADD_PLATE
+    state = step(TableState(), make_rng(0))
+    assert state.counters() == (1, 0, 0, 0)
     assert state.num_plates == 1
     assert state.total_olives == 0
     assert state.plates == [(1, 0)]
 
 
-@pytest.mark.parametrize(
-    "plates,expected",
-    [
-        ([(1, 0), (2, 0)], (1, 1, 2, 0, 4)),
-        ([(1, 1), (2, 2), (3, 3), (4, 0), (5, 0)], (1, 10, 5, 3, 19)),
-        ([(1, 0), (2, 0), (3, 0)], (1, 3, 3, 0, 7)),
-        ([(1, 0)], (1, 0, 1, 0, 2)),
-        ([(1, 2)], (1, 0, 1, 1, 3)),
-    ],
-)
+MOVE_COUNTS = [
+    ([(1, 0), (2, 0)], (1, 1, 2, 0, 4)),
+    ([(1, 1), (2, 2), (3, 3), (4, 0), (5, 0)], (1, 10, 5, 3, 19)),
+    ([(1, 0), (2, 0), (3, 0)], (1, 3, 3, 0, 7)),
+    ([(1, 0)], (1, 0, 1, 0, 2)),
+    ([(1, 2)], (1, 0, 1, 1, 3)),
+    ([], (1, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("plates,expected", MOVE_COUNTS)
 def test_move_counts_formula(plates, expected):
-    state = TableState.from_plates(plates)
-    state.check_invariants()
-    assert move_counts(state) == expected
+    # (P+, P-, O+, O-, M) with M = 1 + C(l,2) + l + n_e, read off the kernel:
+    # draws u >= M are rejected, and each u < M takes one move of one kind.
+    base = TableState.from_plates(plates)
+    base.check_invariants()
+    m_total = expected[-1]
+    draws = _Draws(m_total, m_total - 1)
+    step(base.copy(), draws)
+    assert draws.widths == [m_total.bit_length()] * 2 and not draws.values
+    kinds = [0, 0, 0, 0]
+    for u in range(m_total):
+        after = _step_with(base.copy(), u).counters()
+        (kind,) = [i for i, (a, b) in enumerate(zip(after, base.counters())) if a != b]
+        kinds[kind] += 1
+    assert (*kinds, m_total) == expected
+
+
+@pytest.mark.parametrize(
+    "plates",
+    [plates for plates, _ in MOVE_COUNTS] + [[(1, 0), (2, 1), (5, 4)], [(3, 2), (1, 0), (2, 2), (7, 2)]],
+)
+def test_step_decode_matches_exact_law(plates):
+    # Every u in [0, M) through the kernel: the successors, weighted 1/M each,
+    # are exactly the lumped one-step law, and the lowest id always survives.
+    base = TableState.from_plates(plates)
+    m_total = 1 + base.num_plates * (base.num_plates - 1) // 2 + base.num_plates + base.num_nonempty
+    law = {}
+    for u in range(m_total):
+        trial = _step_with(base.copy(), u)
+        trial.check_invariants()
+        assert min(p.id for p in trial.plates) == min((i for i, _ in plates), default=1)
+        key = canonical_of(trial)
+        law[key] = law.get(key, 0) + Fraction(1, m_total)
+    assert law == exact_transition_check(base)
 
 
 def test_plate_move_probability_at_least_one_third():
@@ -74,25 +116,24 @@ def test_conditional_merge_probability_at_least_three_quarters():
 
 
 def test_sample_move_empty_table_always_adds_plate():
-    state = new_table()
     rng = make_rng(1)
-    assert all(sample_move(state, rng).kind is MoveKind.ADD_PLATE for _ in range(100))
+    assert all(step(TableState(), rng).plates == [(1, 0)] for _ in range(100))
 
 
 def test_sample_move_uniform_two_empty_plates():
     # l=2 both empty: M=4 moves, each frequency within 5 sigma of 1/4.
-    state = TableState.from_plates([(1, 0), (2, 0)])
+    base = TableState.from_plates([(1, 0), (2, 0)])
     rng = make_rng(123)
     n = 1_000_000
     counts = {}
     for _ in range(n):
-        mv = sample_move(state, rng)
-        counts[mv] = counts.get(mv, 0) + 1
+        plates = tuple(step(base.copy(), rng).plates)
+        counts[plates] = counts.get(plates, 0) + 1
     assert len(counts) == 4
     tol = 5 * math.sqrt(n * 0.25 * 0.75)
     chi2 = 0.0
-    for mv, c in counts.items():
-        assert abs(c - n / 4) <= tol, (mv, c)
+    for plates, c in counts.items():
+        assert abs(c - n / 4) <= tol, (plates, c)
         chi2 += (c - n / 4) ** 2 / (n / 4)
     # chi-square with 3 df: mean 3, sd sqrt(6); 5 sigma above the mean.
     assert chi2 <= 3 + 5 * math.sqrt(6)
@@ -100,58 +141,63 @@ def test_sample_move_uniform_two_empty_plates():
 
 def test_sample_move_merge_probability_one_in_five():
     # l=2, n_e=1: M = 1 + 1 + 2 + 1 = 5, so Pr(P-) = 1/5.
-    state = TableState.from_plates([(1, 1), (2, 0)])
-    assert move_counts(state).total == 5
+    base = TableState.from_plates([(1, 1), (2, 0)])
     rng = make_rng(321)
     n = 200_000
-    merges = sum(1 for _ in range(n) if sample_move(state, rng).kind is MoveKind.MERGE_PLATES)
+    merges = sum(1 for _ in range(n) if step(base.copy(), rng).num_plates == 1)
     tol = 5 * math.sqrt(n * 0.2 * 0.8)
     assert abs(merges - n / 5) <= tol
 
 
 def test_apply_merge_conserves_olives_and_keeps_lower_id():
-    state = TableState.from_plates([(1, 3), (2, 2)])
-    apply_move(state, Move.merge(2, 1))
-    assert state.plates == [(1, 5)]
-    assert state.total_olives == 5
-    assert state.num_nonempty == 1
-    state.check_invariants()
+    # u = 1 merges the plates at positions 0 and 1, whichever id is lower.
+    for plates in ([(1, 3), (2, 2)], [(2, 2), (1, 3)]):
+        state = _step_with(TableState.from_plates(plates), 1)
+        assert state.plates == [(1, 5)]
+        assert state.total_olives == 5
+        assert state.num_nonempty == 1
+        state.check_invariants()
 
 
 def test_merge_of_non_first_plates_keeps_lower_id():
-    state = TableState.from_plates([(1, 0), (2, 1), (5, 4)])
-    apply_move(state, Move.merge(5, 2))
+    # u = 3 is the merge of pair rank 2, positions (1, 2): ids 2 and 5.
+    state = _step_with(TableState.from_plates([(1, 0), (2, 1), (5, 4)]), 3)
     assert sorted(state.plates) == [(1, 0), (2, 5)]
     state.check_invariants()
 
 
 def test_remove_last_olive_updates_nonempty():
+    # l=2, n_e=2: u = 1 + 1 + 2 = 4 removes from the first non-empty plate.
     state = TableState.from_plates([(1, 1), (2, 3)])
     assert state.num_nonempty == 2
-    apply_move(state, Move.remove_olive(1))
+    _step_with(state, 4)
     assert state.num_nonempty == 1
-    assert state.olives_of(1) == 0
+    assert dict(state.plates)[1] == 0
     state.check_invariants()
 
 
-def test_invalid_moves_raise():
-    state = TableState.from_plates([(1, 0), (2, 1)])
-    with pytest.raises(InvalidMoveError):
-        apply_move(state.copy(), Move.remove_olive(1))  # empty plate
-    with pytest.raises(InvalidMoveError):
-        apply_move(state.copy(), Move.add_olive(9))  # no such plate
-    with pytest.raises(InvalidMoveError):
-        apply_move(TableState.from_plates([(1, 0)]), Move.merge(1, 2))
-    with pytest.raises(InvalidMoveError):
-        Move.merge(3, 3)
+def test_one_kernel_serves_production_and_checks(monkeypatch):
+    calls = []
+    kernel = process._advance
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(process, "_advance", counting)
+    run_trajectory(50, 1)
+    assert calls == [50]
+    calls.clear()
+    verification._check_sampler_against_oracle(2, 50)
+    assert calls == [1] * 100
 
 
 def test_single_move_deltas_are_bounded():
     rng = make_rng(5150)
-    state = new_table()
+    state = TableState()
     for _ in range(2000):
         before = (state.total_olives, state.num_plates, state.counters())
-        state, _ = step(state, rng)
+        state = step(state, rng)
         after = (state.total_olives, state.num_plates, state.counters())
         assert abs(after[0] - before[0]) <= 1
         assert abs(after[1] - before[1]) <= 1
@@ -163,7 +209,6 @@ def test_single_move_deltas_are_bounded():
 def test_step_from_single_empty_plate_adds_olive_half_the_time():
     # l=1, n_e=0: M = 2 (P+ or O+), so Pr(O=1 after the step) = 1/2.
     base = TableState.from_plates([(1, 0)])
-    assert move_counts(base).total == 2
     rng = make_rng(2718)
     n = 100_000
     hits = 0
@@ -179,9 +224,9 @@ def test_step_from_single_empty_plate_adds_olive_half_the_time():
 @settings(max_examples=25, deadline=None)
 def test_accounting_identity_and_structure_hold(seed, t):
     rng = make_rng(seed)
-    state = new_table()
+    state = TableState()
     for _ in range(t):
-        state, _ = step(state, rng)
+        state = step(state, rng)
         assert state.total_olives == state.t - state.plate_moves - 2 * state.c_remove_olive
         assert state.num_plates >= 1, "table re-emptied"
         assert min(p.id for p in state.plates) == 1, "first plate lost"
@@ -193,15 +238,15 @@ def test_fast_loop_matches_step_by_step():
     for seed in (0, 1, 910, 2**63):
         record = run_trajectory(t, seed)
         rng = make_rng(seed)
-        state = new_table()
+        state = TableState()
         taus = {}
         returns = []
         for _ in range(t):
             before = state.num_plates
-            state, move = step(state, rng)
+            state = step(state, rng)
             if state.num_plates != before:
                 taus[state.num_plates] = taus.get(state.num_plates, 0) + 1
-            if move.kind is MoveKind.MERGE_PLATES and before == 2:
+            if before == 2 and state.num_plates == 1:
                 returns.append(state.t)
         fast = record.final_state
         assert fast == state
@@ -250,10 +295,10 @@ def test_max_other_olives_tracks_non_first_plates():
     seed = 88
     rec = run_trajectory(t, seed)
     rng = make_rng(seed)
-    state = new_table()
+    state = TableState()
     max_other = 0
     for _ in range(t):
-        state, _ = step(state, rng)
+        state = step(state, rng)
         max_other = max(
             max_other, max((p.olives for p in state.plates if p.id != 1), default=0)
         )
