@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from .rng import make_rng
 
@@ -209,6 +209,13 @@ def published_first_return_pmf(t: int) -> Fraction:
     if t < 2:
         raise ValueError(f"published closed form needs t >= 2, got {t}")
     return 4 * Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
+
+
+def _first_return_rows(t_max: int) -> Iterator[tuple[int, Fraction, Optional[Fraction]]]:
+    """(t, validated f(2t), published form or None at t = 1) for t = 1..t_max:
+    the rows of every pmf discrepancy table and of the chain CSV."""
+    for t in range(1, t_max + 1):
+        yield t, first_return_pmf_closed(t), published_first_return_pmf(t) if t >= 2 else None
 
 
 def published_pmf_t1_conventions() -> dict[str, Fraction]:
@@ -501,10 +508,9 @@ def write_chain_csv(t_max: int, out: TextIO) -> None:
     """
     out.write(CHAIN_CSV_HEADER + "\n")
     cdf = Fraction(0)
-    for t in range(1, t_max + 1):
-        f = first_return_pmf_closed(t)
+    for t, f, fp in _first_return_rows(t_max):
         cdf += f
-        fp = published_first_return_pmf(t) if t >= 2 else Fraction(0)
+        fp = fp or Fraction(0)
         out.write(
             "%d,%d,%d,%d,%d,%d,%d\n"
             % (t, f.numerator, f.denominator, fp.numerator, fp.denominator,
@@ -532,18 +538,16 @@ def chain_report(t_max: int, simulate_steps: int, seed: int) -> dict:
         raise ValueError(f"t_max must be >= 2, got {t_max}")
     series_value, series_tail = mean_return_time_series(max(t_max, 200))
     stationary = mean_return_time_stationary()
-    table = []
-    for t in range(2, t_max + 1):
-        validated = first_return_pmf_closed(t)
-        published = published_first_return_pmf(t)
-        table.append(
-            {
-                "t": t,
-                "f_validated": _fraction_fields(validated),
-                "f_published": _fraction_fields(published),
-                "published_over_validated": _fraction_fields(published / validated),
-            }
-        )
+    table = [
+        {
+            "t": t,
+            "f_validated": _fraction_fields(validated),
+            "f_published": _fraction_fields(published),
+            "published_over_validated": _fraction_fields(published / validated),
+        }
+        for t, validated, published in _first_return_rows(t_max)
+        if published is not None
+    ]
 
     walk = simulate_walk(simulate_steps, seed, record_returns=True)
     rate = walk.n11 / walk.steps

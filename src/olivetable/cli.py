@@ -239,7 +239,7 @@ def _cmd_exact(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     elapsed = time.perf_counter() - start
-    mean = sum((o * p for o, p in rows[-1][1].items()), Fraction(0))
+    mean = oracle._mean(rows[-1][1])
     if args.out:
         _write_atomic(Path(args.out + ".pmf.csv"), lambda fh: oracle.write_olive_pmf_csv(rows, fh))
         _write_atomic(Path(args.out + ".mean.csv"), lambda fh: oracle.write_expected_olives_csv(rows, fh))

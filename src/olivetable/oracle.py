@@ -19,7 +19,7 @@ multiplicities in the multiset are weighted correctly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .chain import ReturnTimePMF
 from .process import TableState
@@ -81,12 +81,12 @@ def canonical_of(state: TableState) -> CanonicalState:
     The distinguished plate is the minimum-id plate (plate 1 in any state
     evolved from the empty table).
     """
-    plates = state.plates
-    if not plates:
+    ids = state._ids
+    if not ids:
         return EMPTY_TABLE
-    first = min(plates, key=lambda p: p.id)
-    others = sorted(p.olives for p in plates if p.id != first.id)
-    return CanonicalState(first.olives, tuple(others))
+    olives = state._olives
+    p = ids.index(min(ids))
+    return CanonicalState(olives[p], tuple(sorted(olives[:p] + olives[p + 1 :])))
 
 
 def transitions(state: CanonicalState) -> dict[CanonicalState, Fraction]:
@@ -166,6 +166,30 @@ def _advance(
     return nxt, projected
 
 
+def _pushforward(t: int, budget: int) -> Iterator[dict[CanonicalState, Fraction]]:
+    """The exact state distribution after steps 0, 1, ..., t, in turn."""
+    dist: dict[CanonicalState, Fraction] = {EMPTY_TABLE: Fraction(1)}
+    yield dist
+    work = 0
+    for s in range(1, t + 1):
+        dist, work = _advance(dist, s, work, budget)
+        yield dist
+
+
+def _olive_pmf(dist: dict[CanonicalState, Fraction]) -> dict[int, Fraction]:
+    """Olive-total pmf of a state distribution, in ascending olive count."""
+    pmf: dict[int, Fraction] = {}
+    for state, p in dist.items():
+        o = state.total_olives
+        pmf[o] = pmf.get(o, Fraction(0)) + p
+    return dict(sorted(pmf.items()))
+
+
+def _mean(pmf: dict[int, Fraction]) -> Fraction:
+    """Exact mean sum(o * p) of an olive pmf."""
+    return sum((o * p for o, p in pmf.items()), Fraction(0))
+
+
 def state_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[CanonicalState, Fraction]:
     """Exact distribution over canonical states after t steps.
 
@@ -177,28 +201,19 @@ def state_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[Canon
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    dist: dict[CanonicalState, Fraction] = {EMPTY_TABLE: Fraction(1)}
-    work = 0
-    for s in range(1, t + 1):
-        dist, work = _advance(dist, s, work, budget)
+    for dist in _pushforward(t, budget):
+        pass
     return dist
 
 
 def exact_olive_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[int, Fraction]:
     """Exact pmf of the olive total after t steps; masses sum to 1."""
-    pmf: dict[int, Fraction] = {}
-    for state, p in state_distribution(t, budget).items():
-        o = state.total_olives
-        pmf[o] = pmf.get(o, Fraction(0)) + p
-    return dict(sorted(pmf.items()))
+    return _olive_pmf(state_distribution(t, budget))
 
 
 def exact_expected_olives(t: int, budget: int = DEFAULT_STATE_BUDGET) -> Fraction:
     """Exact expected olive total after t steps."""
-    return sum(
-        (o * p for o, p in exact_olive_distribution(t, budget).items()),
-        Fraction(0),
-    )
+    return _mean(exact_olive_distribution(t, budget))
 
 
 def olive_distribution_table(
@@ -207,17 +222,7 @@ def olive_distribution_table(
     """Exact olive pmf at every step 1..t_max from one incremental pushforward."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    rows = []
-    dist: dict[CanonicalState, Fraction] = {EMPTY_TABLE: Fraction(1)}
-    work = 0
-    for s in range(1, t_max + 1):
-        dist, work = _advance(dist, s, work, budget)
-        pmf: dict[int, Fraction] = {}
-        for state, p in dist.items():
-            o = state.total_olives
-            pmf[o] = pmf.get(o, Fraction(0)) + p
-        rows.append((s, dict(sorted(pmf.items()))))
-    return rows
+    return [(s, _olive_pmf(dist)) for s, dist in enumerate(_pushforward(t_max, budget)) if s > 0]
 
 
 # -- labeled (unlumped) cross-check ----------------------------------------
@@ -325,5 +330,5 @@ def write_olive_pmf_csv(rows: list[tuple[int, dict[int, Fraction]]], out: TextIO
 def write_expected_olives_csv(rows: list[tuple[int, dict[int, Fraction]]], out: TextIO) -> None:
     out.write(EXPECTED_OLIVES_CSV_HEADER + "\n")
     for t, pmf in rows:
-        mean = sum((o * p for o, p in pmf.items()), Fraction(0))
+        mean = _mean(pmf)
         out.write("%d,%d,%d\n" % (t, mean.numerator, mean.denominator))

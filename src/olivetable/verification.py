@@ -26,6 +26,9 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_seconds: float
+    #: What the check computed for the JSON report (after a failure, the
+    #: partial report its VerificationError carries), or None.
+    report: object = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -60,11 +63,13 @@ def _check_pmf_triple(t_hi: int) -> str:
     return f"DP = closed form = convolution exactly for t <= {t_hi}"
 
 
-def _check_pmf_published_ratio(t_hi: int) -> str:
-    for t in range(2, t_hi + 1):
-        ratio = chain.published_first_return_pmf(t) / chain.first_return_pmf_closed(t)
-        assert ratio == 4, f"published/validated = {ratio} != 4 at t={t}"
-    return f"published closed form = 4 x validated for 2 <= t <= {t_hi}"
+def _check_pmf_published_ratio(t_hi: int) -> tuple[str, list]:
+    rows = list(chain._first_return_rows(t_hi))
+    for t, validated, published in rows[1:]:  # the published form starts at t = 2
+        ratio = published / validated
+        if ratio != 4:
+            raise chain.VerificationError(f"published/validated = {ratio} != 4 at t={t}", report=rows)
+    return f"published closed form = 4 x validated for 2 <= t <= {t_hi}", rows
 
 
 def _check_path_enumeration(t_hi: int) -> str:
@@ -200,24 +205,25 @@ def _check_seed_derivation(n: int) -> str:
     return f"{n} derived seeds distinct; first draws of 1000 streams all differ"
 
 
-def build_checks(level: str) -> list[tuple[str, Callable[[], str]]]:
+def build_checks(level: str) -> list[tuple[str, Callable[[], str | tuple[str, object]]]]:
+    """(name, check) pairs; a check returns its detail, or (detail, report)."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     full = level == "full"
     return [
         ("catalan_values", _check_catalan_values),
         ("catalan_convolution", lambda: (
-            chain.verify_catalan_convolution(12 if full else 9),
             "convolution closed form exact for all (t, i)",
-        )[1]),
+            chain.verify_catalan_convolution(12 if full else 9),
+        )),
         ("gould_identity", lambda: (
-            chain.verify_gould_identity(60 if full else 25),
             "partial-sum identity exact over the sweep",
-        )[1]),
+            chain.verify_gould_identity(60 if full else 25),
+        )),
         ("binomial_series", lambda: (
-            chain.verify_binomial_series(k_max=200 if full else 100),
             "generating-function values (incl. 12 and 6) reproduced",
-        )[1]),
+            chain.verify_binomial_series(k_max=200 if full else 100),
+        )),
         ("pmf_triple_agreement", lambda: _check_pmf_triple(30 if full else 20)),
         ("pmf_published_ratio", lambda: _check_pmf_published_ratio(30)),
         ("path_enumeration", lambda: _check_path_enumeration(10 if full else 7)),
@@ -242,62 +248,46 @@ def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None
     for name, fn in build_checks(level):
         start = time.perf_counter()
         try:
-            detail = fn()
+            out = fn()
+            detail, report = out if isinstance(out, tuple) else (out, None)
             passed = True
-        except (AssertionError, chain.VerificationError) as exc:
+        except AssertionError as exc:  # chain.VerificationError included
             detail = str(exc) or exc.__class__.__name__
+            report = getattr(exc, "report", None)
             passed = False
-        elapsed = time.perf_counter() - start
-        result = CheckResult(name=name, passed=passed, detail=detail, elapsed_seconds=elapsed)
+        check = CheckResult(name, passed, detail, time.perf_counter() - start, report)
         if emit is not None:
-            emit(result.line())
-        results.append(result)
+            emit(check.line())
+        results.append(check)
     return results
 
 
 def suite_report(results: list[CheckResult], level: str) -> dict:
-    """Structured JSON document: per-check pass/fail plus identity values
-    and the first-return pmf discrepancy table."""
+    """Structured JSON document: per-check pass/fail plus the identity rows
+    and the first-return pmf discrepancy table, as the checks computed them
+    (a failed check contributes the rows it had reached)."""
 
     def frac(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
 
-    full = level == "full"
-    series = chain.verify_binomial_series(k_max=200 if full else 100)
-    discrepancy = []
-    for t in range(1, 31):
-        validated = chain.first_return_pmf_closed(t)
-        row = {"t": t, "f_validated": frac(validated)}
-        if t >= 2:
-            published = chain.published_first_return_pmf(t)
-            row["f_published"] = frac(published)
-            row["ratio"] = frac(published / validated)
-        else:
-            row["f_published_conventions"] = {
-                name: frac(v) for name, v in chain.published_pmf_t1_conventions().items()
-            }
-        discrepancy.append(row)
+    computed = {r.name: r.report for r in results}
+    t1 = {name: frac(v) for name, v in chain.published_pmf_t1_conventions().items()}
+    discrepancy = [
+        {"t": t, "f_validated": frac(f), "f_published_conventions": t1}
+        if fp is None
+        else {"t": t, "f_validated": frac(f), "f_published": frac(fp), "ratio": frac(fp / f)}
+        for t, f, fp in computed["pmf_published_ratio"]
+    ]
     return {
         "level": level,
         "all_passed": all(r.passed for r in results),
         "checks": [
-            {
-                "name": r.name,
-                "pass": r.passed,
-                "detail": r.detail,
-                "elapsed_seconds": r.elapsed_seconds,
-            }
+            {"name": r.name, "pass": r.passed, "detail": r.detail, "elapsed_seconds": r.elapsed_seconds}
             for r in results
         ],
         "identities": {
-            "catalan_convolution": [
-                {"t": row["t"], "i": row["i"], "value": row["value"], "pass": row["pass"]}
-                for row in chain.verify_catalan_convolution(12 if full else 9)
-            ],
-            "binomial_partial_sum": [
-                {"x": row["x"], "n": row["n"], "value": row["value"], "pass": row["pass"]}
-                for row in chain.verify_gould_identity(60 if full else 25)
-            ],
+            "catalan_convolution": computed["catalan_convolution"],
+            "binomial_partial_sum": computed["gould_identity"],
             "binomial_series": {
                 name: {
                     "partial": frac(c["partial"]),
@@ -305,7 +295,7 @@ def suite_report(results: list[CheckResult], level: str) -> dict:
                     "tail_bound": c["tail_bound"],
                     "pass": c["pass"],
                 }
-                for name, c in series["checks"].items()
+                for name, c in computed["binomial_series"]["checks"].items()
             },
         },
         "pmf_discrepancy_table": discrepancy,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,46 @@ def test_verify_detects_mutated_constant(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
+    # One wrong value of the Catalan convolution closed form fails that check;
+    # the JSON report is still written and holds the failing row.
+    real = chain.catalan_convolution_closed
+    monkeypatch.setattr(
+        chain, "catalan_convolution_closed", lambda t, i: real(t, i) + ((t, i) == (5, 2))
+    )
+    prefix = tmp_path / "report"
+    assert main(["verify", "--level", "quick", "--out", str(prefix)]) == EXIT_CHECK_FAILED
+    assert "16/17 checks passed" in capsys.readouterr().out
+    doc = _strict_loads((tmp_path / "report.verify.json").read_text())
+    assert doc["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["catalan_convolution"]
+    rows = doc["identities"]["catalan_convolution"]
+    assert rows[-1] == {"t": 5, "i": 2, "value": chain.catalan_convolution_brute(5, 2), "pass": False}
+    assert all(row["pass"] for row in rows[:-1])
+
+
+def test_verify_out_computes_each_result_once(monkeypatch, tmp_path, capsys):
+    calls = Counter()
+
+    def count(name):
+        real = getattr(chain, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chain, name, counted)
+
+    sweeps = ["verify_catalan_convolution", "verify_gould_identity", "verify_binomial_series"]
+    for name in sweeps + ["published_first_return_pmf"]:
+        count(name)
+    assert main(["verify", "--level", "quick", "--out", str(tmp_path / "report")]) == EXIT_OK
+    capsys.readouterr()
+    # Each identity sweep runs once, and the published pmf once per row
+    # t = 2..30 of the discrepancy table.
+    assert calls == {**{name: 1 for name in sweeps}, "published_first_return_pmf": 29}
+
+
 def test_sweep_outputs(tmp_path, capsys):
     prefix = tmp_path / "sweep"
     code = main(
@@ -276,7 +317,9 @@ def _strip_volatile(node):
 
 
 # sha256 of each command's output files (JSON with timing and flags.out
-# removed), recorded before the report functions were made columnar.
+# removed): the ensemble and sweep digests were recorded before the report
+# functions were made columnar, the verify, chain and exact digests before
+# verify stopped recomputing its identity sweeps and pmf table.
 GOLDEN = {
     ("ensemble", "--t", "12", "--replicas", "3000", "--seed", "5"): (
         [".csv", ".summary.json"],
@@ -285,6 +328,18 @@ GOLDEN = {
     ("sweep", "--t-list", "1000,2000", "--replicas", "60", "--seed", "9"): (
         [".sweep.json"],
         "282c67adf0b693cf0a3e5eda3e76936f7a5ef15a8b0fece288dcf749ba20d9f8",
+    ),
+    ("verify", "--level", "quick"): (
+        [".verify.json"],
+        "7b1d1f02d2cc2572951d3d65aafb17d6512dc95462d5ff286ea169ab7430316e",
+    ),
+    ("chain", "--t-max", "12", "--simulate-steps", "20000", "--seed", "3"): (
+        [".csv", ".report.json"],
+        "cabd8d0684469ccefa7af0e8e04e058af0a0454f2e0007f0c60317e9486555d0",
+    ),
+    ("exact", "--t", "8"): (
+        [".mean.csv", ".meta.json", ".pmf.csv"],
+        "80dfac6028cb7c946b0b878ae18e0ae75ffe862914e7a5601f501e5a9b596e5c",
     ),
 }
 

@@ -33,6 +33,8 @@ def test_canonicalization():
     assert canon.num_plates == 4
     assert canon.total_olives == 7
     assert canon.num_nonempty == 2
+    # Without plate 1 the lowest id present is the distinguished plate.
+    assert canonical_of(TableState.from_plates([(3, 2), (2, 0), (5, 1)])) == CanonicalState(0, (1, 2))
 
 
 def test_transitions_from_empty_table():
