@@ -65,12 +65,6 @@ class ReturnTimePMF:
     def mass(self, time: int) -> Fraction:
         return self.entries.get(time, Fraction(0))
 
-    def cdf(self, time: int) -> Fraction:
-        return sum(
-            (p for s, p in self.entries.items() if s <= time),
-            Fraction(0),
-        )
-
     def check_invariants(self) -> None:
         total = Fraction(0)
         for time in sorted(self.entries):

@@ -2,10 +2,10 @@
 
 Replica ``i`` of a run is fully determined by the config: its stream seed is
 ``derive_seed(master_seed, i)``, so any subset of replicas can be computed on
-any worker (or re-run alone) and merged back bit-identically.  Olive totals
-are aggregated in Python integers (never floats), increment/gap/level
-statistics are pooled into exact integer histograms, and ``merge`` is
-associative and commutative, so chunked parallel runs equal monolithic ones.
+any worker (or re-run alone) and merged back bit-identically.  Each replica
+contributes one row of integer counters, olive totals are aggregated in
+Python integers (never floats), and ``merge`` is associative and
+commutative, so chunked parallel runs equal monolithic ones.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -98,17 +97,12 @@ class EnsembleStats:
     """Mergeable aggregate over a set of replicas of one config.
 
     ``records`` holds one row per replica (sorted by replica index) with
-    exactly the ensemble CSV columns.  The histograms pool the inter-return
-    olive increments, the inter-return gaps, and the plate-count level
-    entries over all replicas; they are exact integer counts, so merging is
-    lossless.  ``sum_olives``/``sum_olives_sq`` are exact Python ints.
+    exactly the ensemble CSV columns.  ``sum_olives``/``sum_olives_sq`` are
+    exact Python ints, so merging is lossless.
     """
 
     config: EnsembleConfig
     records: np.ndarray
-    xi_hist: Counter = field(default_factory=Counter)
-    gap_hist: Counter = field(default_factory=Counter)
-    tau_hist: Counter = field(default_factory=Counter)
     sum_olives: int = 0
     sum_olives_sq: int = 0
 
@@ -133,9 +127,6 @@ class EnsembleStats:
         assert self.sum_olives_sq == sum(int(v) * int(v) for v in o)
         indices = [int(r) for r in self.records["replica"]]
         assert indices == sorted(set(indices))
-        if self.n:
-            # one increment recorded per 2 -> 1 transition
-            assert sum(self.xi_hist.values()) == int(self.records["two_to_one"].sum())
 
 
 def empty_stats(config: EnsembleConfig) -> EnsembleStats:
@@ -162,40 +153,19 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
     )
 
 
-# Increments and gaps are counted in batches of about this many (one
-# Counter.update per batch, not per replica), which bounds a chunk's memory
-# on long trajectories.
-_FOLD_AT = 1 << 16
-
-
 def _run_chunk(args: tuple) -> tuple:
     config, lo, hi, check_identity = args
     rows = []
-    increments = []  # one increment and one gap per return
-    gaps = []
-    xi = Counter()
-    gap_hist = Counter()
-    tau = Counter()
     sum_o = 0
     sum_o2 = 0
     for i in range(lo, hi):
         seed = derive_seed(config.master_seed, i)
         rec = run_trajectory(config.t, seed, cadence=0, check_identity=check_identity)
         rows.append(_replica_row(i, seed, rec))
-        increments += rec.olive_increments
-        gaps += rec.return_gaps
-        if len(increments) >= _FOLD_AT:
-            xi.update(increments)
-            gap_hist.update(gaps)
-            increments.clear()
-            gaps.clear()
-        tau.update(rec.tau)
         o = rec.final_state.total_olives
         sum_o += o
         sum_o2 += o * o
-    xi.update(increments)
-    gap_hist.update(gaps)
-    return np.array(rows, dtype=REPLICA_DTYPE), xi, gap_hist, tau, sum_o, sum_o2
+    return np.array(rows, dtype=REPLICA_DTYPE), sum_o, sum_o2
 
 
 def _usable_cpus() -> int:
@@ -255,10 +225,7 @@ def run_ensemble(
 
     records = np.concatenate([p[0] for p in parts])
     stats = EnsembleStats(config=config, records=records)
-    for _, xi, gaps, tau, sum_o, sum_o2 in parts:
-        stats.xi_hist += xi
-        stats.gap_hist += gaps
-        stats.tau_hist += tau
+    for _, sum_o, sum_o2 in parts:
         stats.sum_olives += sum_o
         stats.sum_olives_sq += sum_o2
     return stats
@@ -276,9 +243,6 @@ def merge(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
     return EnsembleStats(
         config=a.config,
         records=records,
-        xi_hist=a.xi_hist + b.xi_hist,
-        gap_hist=a.gap_hist + b.gap_hist,
-        tau_hist=a.tau_hist + b.tau_hist,
         sum_olives=a.sum_olives + b.sum_olives,
         sum_olives_sq=a.sum_olives_sq + b.sum_olives_sq,
     )
@@ -342,49 +306,6 @@ def _stats_estimate(stats: EnsembleStats) -> dict:
 
 LOG_GROWTH_CEILING = 50.0
 SWEEP_GROWTH_REPLICAS = 50
-
-
-def _check_c_horizons(t_list: Sequence[int]) -> None:
-    if any(t < 1000 for t in t_list):
-        raise ValueError("estimate_c expects horizons t >= 1000")
-
-
-def _c_row(stats: EnsembleStats) -> dict:
-    row = _stats_estimate(stats)
-    lo, hi = stats.config.c_bounds
-    row["within_bounds"] = lo <= stats.mean_olives() / stats.config.t <= hi
-    return row
-
-
-def _c_report(rows: list[dict], replicas: int, master_seed: int) -> dict:
-    ratios = [r["ratio"] for r in rows]
-    stability = max(abs(a - b) for a in ratios for b in ratios) if len(ratios) > 1 else 0.0
-    return {
-        "replicas": replicas,
-        "master_seed": master_seed,
-        "rows": rows,
-        "max_ratio_difference": stability,
-    }
-
-
-def estimate_c(
-    t_list: Sequence[int],
-    replicas: int,
-    master_seed: int,
-    threads: Optional[int] = None,
-) -> dict:
-    """Per-horizon estimates of the linear olive-growth constant.
-
-    Runs one ensemble per t (same master seed, hence common random numbers
-    across horizons) and reports mean O/t with 99% CIs plus the maximum
-    pairwise ratio difference as a stability diagnostic.
-    """
-    _check_c_horizons(t_list)
-    rows = [
-        _c_row(run_ensemble(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed), threads=threads))
-        for t in t_list
-    ]
-    return _c_report(rows, replicas, master_seed)
 
 
 def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]] = None) -> dict:
@@ -468,126 +389,77 @@ def plate_move_stats(stats: EnsembleStats) -> dict:
     }
 
 
-def _fit_geometric_rate(hist: Counter, k_min: int) -> Optional[float]:
-    """Least-squares decay rate of the empirical survival beyond k_min."""
-    if not hist:
-        return None
-    ks = sorted(hist)
-    total = sum(hist.values())
-    survival = []
-    running = total
-    for k in ks:
-        survival.append((k, running))
-        running -= hist[k]
-    points = [(k, s) for k, s in survival if k >= k_min and s > 0]
-    if len(points) < 3:
-        return None
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.log(np.array([p[1] for p in points], dtype=float) / total)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(math.exp(slope))
-
-
-def xi_tail_report(stats: EnsembleStats, fit_from: int = 50) -> dict:
-    """Tail shape of the inter-return olive increments and gaps.
-
-    Requires at least 1000 recorded increments.  Reports the pooled mean
-    increment exactly, the minimum gap (always >= 2: leaving and re-reaching
-    one plate takes two plate moves), and fitted geometric decay rates of
-    the survival functions beyond ``fit_from``.
-    """
-    n_inc = sum(stats.xi_hist.values())
-    if n_inc < 1000:
-        raise ValueError(f"need >= 1000 recorded increments, got {n_inc}")
-    mean_xi = Fraction(sum(k * c for k, c in stats.xi_hist.items()), n_inc)
-    n_gap = sum(stats.gap_hist.values())
-    mean_gap = Fraction(sum(k * c for k, c in stats.gap_hist.items()), n_gap)
-    return {
-        "increments": n_inc,
-        "mean_increment": float(mean_xi),
-        "mean_increment_exact": f"{mean_xi.numerator}/{mean_xi.denominator}",
-        "increment_decay_rate": _fit_geometric_rate(stats.xi_hist, fit_from),
-        "min_gap": min(stats.gap_hist),
-        "max_gap": max(stats.gap_hist),
-        "mean_gap": float(mean_gap),
-        "gap_decay_rate": _fit_geometric_rate(stats.gap_hist, fit_from),
-    }
-
-
-def _growth_row(t: int, max_other: int, ceiling_coefficient: float) -> dict:
-    return {
-        "t": t,
-        "max_other": max_other,
-        "B_fit": max_other / math.log(t) if t > 1 else None,
-        "ceiling": ceiling_coefficient * math.log(t),
-        "within_ceiling": max_other <= ceiling_coefficient * math.log(t),
-    }
-
-
-def _growth_report(rows: list[dict], replicas: int, master_seed: int, ceiling_coefficient: float) -> dict:
-    growth_ratio = (
-        rows[-1]["max_other"] / rows[0]["max_other"] if len(rows) > 1 and rows[0]["max_other"] else None
-    )
-    return {
-        "replicas": replicas,
-        "master_seed": master_seed,
-        "ceiling_coefficient": ceiling_coefficient,
-        "rows": rows,
-        "growth_ratio": growth_ratio,
-    }
-
-
-def log_growth_check(
-    t_list: Sequence[int],
-    replicas: int,
-    master_seed: int,
-    threads: Optional[int] = None,
-    ceiling_coefficient: float = LOG_GROWTH_CEILING,
-) -> dict:
-    """Growth of the largest non-first-plate olive count across horizons.
-
-    For each t, reports the max over replicas and time of non-first-plate
-    olive counts, the fitted coefficient max/ln(t), and whether the max
-    stays below ceiling_coefficient * ln(t); plus the growth ratio between
-    the first and last horizon.
-    """
-    t_list = list(t_list)
-    if sorted(t_list) != t_list or len(set(t_list)) != len(t_list):
-        raise ValueError(f"t_list must be strictly increasing, got {t_list}")
-    rows = []
-    for t in t_list:
-        config = EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed)
-        stats = run_ensemble(config, threads=threads)
-        rows.append(_growth_row(t, int(stats.records["max_other_olives"].max()), ceiling_coefficient))
-    return _growth_report(rows, replicas, master_seed, ceiling_coefficient)
-
-
 def sweep(
     t_list: Sequence[int],
     replicas: int,
     master_seed: int,
     threads: Optional[int] = None,
 ) -> tuple[dict, dict]:
-    """``estimate_c`` over ``t_list`` and ``log_growth_check`` over its
-    distinct horizons with min(replicas, SWEEP_GROWTH_REPLICAS) replicas,
-    from one ensemble per distinct horizon.
+    """The linear-growth estimate and the log-growth check, from one
+    ensemble per distinct horizon (all horizons t >= 1000).
 
-    Replica i of a horizon has the same derived seed in both reports, so the
-    log-growth rows read the first replicas of the estimate's ensembles and
-    equal those of a separate ``log_growth_check`` run.
+    The estimate has one row per entry of ``t_list``: mean O/t with a 99% CI
+    and whether it lies within the config's ``c_bounds``, plus the largest
+    pairwise ratio difference as a stability diagnostic.  Every horizon uses
+    the same master seed, hence common random numbers across horizons.
+
+    The log-growth check has one row per distinct horizon, read off the
+    first min(replicas, SWEEP_GROWTH_REPLICAS) replicas: the largest olive
+    count of any plate but the first, over those replicas and all times,
+    its fitted coefficient max/ln(t), and whether it stays within
+    LOG_GROWTH_CEILING * ln(t); plus the growth ratio between the first and
+    last horizon.  Replica i has the same derived seed for any R, so these
+    rows do not depend on ``replicas`` once it is at least
+    SWEEP_GROWTH_REPLICAS.
     """
-    _check_c_horizons(t_list)
+    if any(t < 1000 for t in t_list):
+        raise ValueError("sweep expects horizons t >= 1000")
     runs = {
         t: run_ensemble(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed), threads=threads)
         for t in sorted(set(t_list))
     }
-    c_report = _c_report([_c_row(runs[t]) for t in t_list], replicas, master_seed)
+
+    c_rows = []
+    for t in t_list:
+        stats = runs[t]
+        row = _stats_estimate(stats)
+        lo, hi = stats.config.c_bounds
+        row["within_bounds"] = lo <= stats.mean_olives() / t <= hi
+        c_rows.append(row)
+    ratios = [r["ratio"] for r in c_rows]
+    c_report = {
+        "replicas": replicas,
+        "master_seed": master_seed,
+        "rows": c_rows,
+        "max_ratio_difference": max(abs(a - b) for a in ratios for b in ratios) if len(ratios) > 1 else 0.0,
+    }
+
     n_growth = min(replicas, SWEEP_GROWTH_REPLICAS)
-    rows = [
-        _growth_row(t, int(stats.records["max_other_olives"][:n_growth].max()), LOG_GROWTH_CEILING)
-        for t, stats in runs.items()
-    ]
-    return c_report, _growth_report(rows, n_growth, master_seed, LOG_GROWTH_CEILING)
+    growth_rows = []
+    for t, stats in runs.items():
+        max_other = int(stats.records["max_other_olives"][:n_growth].max())
+        ceiling = LOG_GROWTH_CEILING * math.log(t)
+        growth_rows.append(
+            {
+                "t": t,
+                "max_other": max_other,
+                "B_fit": max_other / math.log(t),
+                "ceiling": ceiling,
+                "within_ceiling": max_other <= ceiling,
+            }
+        )
+    growth_report = {
+        "replicas": n_growth,
+        "master_seed": master_seed,
+        "ceiling_coefficient": LOG_GROWTH_CEILING,
+        "rows": growth_rows,
+        "growth_ratio": (
+            growth_rows[-1]["max_other"] / growth_rows[0]["max_other"]
+            if len(growth_rows) > 1 and growth_rows[0]["max_other"]
+            else None
+        ),
+    }
+    return c_report, growth_report
 
 
 # -- bound checks and serialization -------------------------------------------

@@ -195,46 +195,29 @@ class TableState:
 
 @dataclass
 class TrajectoryRecord:
-    """Everything one trajectory run reports.
+    """Everything one trajectory run reports, in O(1) memory in ``t_max``.
 
-    ``two_to_one_times`` are the steps at which a merge took the plate count
-    from 2 to 1 (the return times t_1 < ... < t_m).  ``olive_increments``
-    holds the olive-count changes between consecutive return times, with the
-    initial reference point t_0 = 1 (the forced first plate), so their sum
-    is the olive count at t_m.  ``tau`` counts entries into each plate-count
-    level, counted only when the plate count changes; the arrival at one
-    plate on step 1 is counted, so ``tau[1] == len(two_to_one_times) + 1``.
-    ``max_other_olives`` is the maximum, over the whole run and over every
-    plate other than plate 1, of that plate's olive count.
+    ``num_returns`` counts the merges that took the plate count from 2 to 1
+    (the returns to one plate).  ``tau`` counts entries into each
+    plate-count level, counted only when the plate count changes; the
+    arrival at one plate on step 1 is counted, so
+    ``tau[1] == num_returns + 1``.  ``max_other_olives`` is the maximum,
+    over the whole run and over every plate other than plate 1, of that
+    plate's olive count.  ``series`` holds the cadence rows, capped at
+    ``MAX_SERIES_ROWS``.
     """
 
     t_max: int
     seed: int
     cadence: int
     final_state: TableState
-    two_to_one_times: list[int] = field(default_factory=list)
-    olive_increments: list[int] = field(default_factory=list)
+    num_returns: int = 0
     tau: dict[int, int] = field(default_factory=dict)
     l_ge3_removals: int = 0
     plate_moves_at_ge3: int = 0
     max_other_olives: int = 0
     first_plate_olives: int = 0
     series: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
-
-    @property
-    def num_returns(self) -> int:
-        """m: the number of 2 -> 1 transitions."""
-        return len(self.two_to_one_times)
-
-    @property
-    def return_gaps(self) -> list[int]:
-        """Gaps t_{i+1} - t_i of the return-time sequence, from t_0 = 1."""
-        prev = 1
-        gaps = []
-        for ti in self.two_to_one_times:
-            gaps.append(ti - prev)
-            prev = ti
-        return gaps
 
 
 def _advance(
@@ -251,8 +234,7 @@ def _advance(
     plate pair by rank in the order (0,1),(0,2),(1,2),..., the next l values
     pick a plate for an olive, the last n_e values pick a non-empty plate
     for a removal.  It resumes from any state; ``record``'s diagnostics are
-    extended in place, with the olive count at the last return taken as
-    ``sum(record.olive_increments)``.
+    extended in place.
     """
     getrandbits = rng.getrandbits
     isqrt = math.isqrt
@@ -271,14 +253,12 @@ def _advance(
     t0 = state.t
 
     cadence = record.cadence
-    two_to_one = record.two_to_one_times
-    increments = record.olive_increments
+    num_returns = record.num_returns
     tau = record.tau
     series = record.series
     l_ge3_removals = record.l_ge3_removals
     plate_moves_ge3 = record.plate_moves_at_ge3
     max_other = record.max_other_olives
-    o_at_last_return = sum(increments)
 
     for t in range(t0 + 1, t0 + n_steps + 1):
         n_e = len(ne_pos)
@@ -340,9 +320,7 @@ def _advance(
                 plate_moves_ge3 += 1
                 l_ge3_removals += 1
             elif num_plates == 2:
-                two_to_one.append(t)
-                increments.append(O - o_at_last_return)
-                o_at_last_return = O
+                num_returns += 1
             num_plates -= 1
             c_pm += 1
             tau[num_plates] = tau.get(num_plates, 0) + 1
@@ -388,6 +366,7 @@ def _advance(
     state.c_add_olive = c_op
     state.c_remove_olive = c_om
 
+    record.num_returns = num_returns
     record.l_ge3_removals = l_ge3_removals
     record.plate_moves_at_ge3 = plate_moves_ge3
     record.max_other_olives = max_other

@@ -7,8 +7,8 @@ documented, reproducible part of the external interface: replica ``i`` of a
 run with master seed ``s`` always uses ``derive_seed(s, i)``, so any subset
 of replicas can be re-run in isolation and bit-identically.
 
-Bounded uniform integers are drawn by rejection on ``getrandbits`` (never by
-modulo), so category sampling carries no bias.
+The process kernel draws bounded uniform integers by rejection on
+``getrandbits`` (never by modulo), so category sampling carries no bias.
 """
 
 from __future__ import annotations
@@ -42,15 +42,3 @@ def derive_seed(master_seed: int, index: int) -> int:
 def make_rng(seed: int) -> random.Random:
     """A fresh deterministic generator for one trajectory or walk."""
     return random.Random(seed & _MASK64)
-
-
-def randbelow(rng: random.Random, n: int) -> int:
-    """Uniform integer in [0, n) via rejection sampling (no modulo bias)."""
-    if n <= 0:
-        raise ValueError(f"bound must be positive, got {n}")
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-    u = getrandbits(k)
-    while u >= n:
-        u = getrandbits(k)
-    return u

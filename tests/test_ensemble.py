@@ -17,8 +17,6 @@ from olivetable.ensemble import (
     bounds_check,
     concentration_report,
     empty_stats,
-    estimate_c,
-    log_growth_check,
     merge,
     plate_move_stats,
     pool_size,
@@ -28,7 +26,6 @@ from olivetable.ensemble import (
     sweep,
     wilson_upper,
     write_ensemble_csv,
-    xi_tail_report,
 )
 from olivetable.process import run_trajectory
 from olivetable.rng import derive_seed
@@ -74,9 +71,6 @@ def test_single_replica_reduces_to_trajectory(small_stats):
 def test_determinism_bitwise(small_stats):
     again = run_ensemble(CFG)
     assert small_stats.records.tobytes() == again.records.tobytes()
-    assert small_stats.xi_hist == again.xi_hist
-    assert small_stats.gap_hist == again.gap_hist
-    assert small_stats.tau_hist == again.tau_hist
     assert small_stats.sum_olives == again.sum_olives
     assert small_stats.sum_olives_sq == again.sum_olives_sq
 
@@ -86,7 +80,6 @@ def test_thread_count_does_not_change_results():
     serial = run_ensemble(config, threads=1)
     pooled = run_ensemble(config, threads=2)
     assert serial.records.tobytes() == pooled.records.tobytes()
-    assert serial.xi_hist == pooled.xi_hist
     assert serial.sum_olives == pooled.sum_olives
 
 
@@ -131,21 +124,9 @@ def test_run_ensemble_clamps_its_pool(monkeypatch):
     assert started == [3]
 
 
-def test_chunk_histograms_do_not_depend_on_batching(monkeypatch):
-    config = EnsembleConfig(t=300, replicas=20, master_seed=17)
-    whole = run_ensemble(config, threads=1)
-    monkeypatch.setattr(ensemble, "_FOLD_AT", 5)
-    folded = run_ensemble(config, threads=1)
-    assert _stats_equal(folded, whole)
-    assert list(folded.xi_hist.items()) == list(whole.xi_hist.items())
-
-
 def _stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
     return (
         a.records.tobytes() == b.records.tobytes()
-        and a.xi_hist == b.xi_hist
-        and a.gap_hist == b.gap_hist
-        and a.tau_hist == b.tau_hist
         and a.sum_olives == b.sum_olives
         and a.sum_olives_sq == b.sum_olives_sq
     )
@@ -234,51 +215,44 @@ def test_plate_move_diagnostics(mid_stats):
     assert report["two_to_one_rate_mean"] > 0
 
 
-def test_xi_tail_report(mid_stats):
-    report = xi_tail_report(mid_stats, fit_from=10)
-    assert report["increments"] >= 1000
-    assert report["mean_increment"] > 0
-    assert report["min_gap"] >= 2
-    assert report["mean_gap"] > 2
-    rate = report["gap_decay_rate"]
-    assert rate is None or 0 < rate < 1
-
-
-def test_xi_tail_report_requires_data(small_stats):
-    tiny = run_ensemble(EnsembleConfig(t=10, replicas=2, master_seed=1))
-    with pytest.raises(ValueError):
-        xi_tail_report(tiny)
-
-
 def test_estimate_c_runs_and_validates():
-    report = estimate_c([1000, 2000], replicas=40, master_seed=11)
+    report, _ = sweep([1000, 2000], replicas=40, master_seed=11)
     assert len(report["rows"]) == 2
     for row in report["rows"]:
         assert row["ci_low"] <= row["ratio"] <= row["ci_high"]
         assert row["within_bounds"]
     assert report["max_ratio_difference"] >= 0
     with pytest.raises(ValueError):
-        estimate_c([10], replicas=5, master_seed=0)
+        sweep([10], replicas=5, master_seed=0)
 
 
 def test_log_growth_check():
-    report = log_growth_check([1000, 4000], replicas=10, master_seed=3)
+    _, report = sweep([1000, 4000], replicas=10, master_seed=3)
     assert [row["t"] for row in report["rows"]] == [1000, 4000]
     for row in report["rows"]:
         assert row["within_ceiling"]
         assert row["B_fit"] == pytest.approx(row["max_other"] / math.log(row["t"]))
+        assert row["ceiling"] == ensemble.LOG_GROWTH_CEILING * math.log(row["t"])
     assert report["growth_ratio"] > 0
-    with pytest.raises(ValueError):
-        log_growth_check([2000, 1000], replicas=5, master_seed=0)
+    assert report["replicas"] == 10
+    # One row per distinct horizon, in increasing order.
+    assert sweep([4000, 1000, 4000], replicas=10, master_seed=3)[1] == report
 
 
 def test_sweep_equals_separate_reports():
+    # The log-growth rows read the first SWEEP_GROWTH_REPLICAS replicas of
+    # each horizon, which are exactly the replicas of a separate run with
+    # that many (the README's promise).
     t_list = [2000, 1000, 2000]
     c_report, growth = sweep(t_list, replicas=60, master_seed=21)
-    assert c_report == estimate_c(t_list, replicas=60, master_seed=21)
-    assert growth == log_growth_check([1000, 2000], replicas=50, master_seed=21)
+    assert sweep(t_list, replicas=ensemble.SWEEP_GROWTH_REPLICAS, master_seed=21)[1] == growth
+    assert [row["t"] for row in c_report["rows"]] == t_list
+    assert c_report["rows"][0] == c_report["rows"][2]
     _, few = sweep([1000], replicas=7, master_seed=21)
-    assert few == log_growth_check([1000], replicas=7, master_seed=21)
+    assert few["replicas"] == 7
+    assert few["rows"][0]["max_other"] == int(
+        run_ensemble(EnsembleConfig(t=1000, replicas=7, master_seed=21)).records["max_other_olives"].max()
+    )
     with pytest.raises(ValueError):
         sweep([10], replicas=5, master_seed=0)
 
@@ -295,9 +269,6 @@ def test_bounds_check_exact(mid_stats):
     corrupted = EnsembleStats(
         config=mid_stats.config,
         records=mid_stats.records.copy(),
-        xi_hist=mid_stats.xi_hist,
-        gap_hist=mid_stats.gap_hist,
-        tau_hist=mid_stats.tau_hist,
         sum_olives=mid_stats.sum_olives,
         sum_olives_sq=mid_stats.sum_olives_sq,
     )
@@ -342,6 +313,5 @@ def test_exact_integer_aggregation(small_stats):
     assert small_stats.sum_olives == sum(o_vals)
     assert small_stats.sum_olives_sq == sum(v * v for v in o_vals)
     assert small_stats.mean_olives() == Fraction(sum(o_vals), len(o_vals))
-    # tau pooled histogram covers every entry recorded by the replicas.
-    assert sum(small_stats.tau_hist.values()) == int(small_stats.records["t_plate"].sum())
-    assert small_stats.tau_hist[1] == int(small_stats.records["tau1"].sum())
+    # tau1 counts the initial entry to one plate as well as every return.
+    assert (small_stats.records["tau1"] == small_stats.records["two_to_one"] + 1).all()

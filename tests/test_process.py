@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from olivetable.oracle import canonical_of, exact_transition_check
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
+    TrajectoryRecord,
     run_trajectory,
     step,
     write_trajectory_csv,
@@ -234,25 +236,31 @@ def test_accounting_identity_and_structure_hold(seed, t):
 
 
 def test_fast_loop_matches_step_by_step():
+    # One record advanced a step at a time: it counts a return exactly on the
+    # steps that take the plate count from 2 to 1, and ends equal to the
+    # record of one run_trajectory call.
     t = 5000
     for seed in (0, 1, 910, 2**63):
         record = run_trajectory(t, seed)
         rng = make_rng(seed)
         state = TableState()
+        stepped = TrajectoryRecord(t_max=t, seed=seed, cadence=0, final_state=state)
         taus = {}
-        returns = []
+        returns = 0
         for _ in range(t):
             before = state.num_plates
-            state = step(state, rng)
+            process._advance(state, rng, 1, stepped)
             if state.num_plates != before:
                 taus[state.num_plates] = taus.get(state.num_plates, 0) + 1
             if before == 2 and state.num_plates == 1:
-                returns.append(state.t)
+                returns += 1
+            assert stepped.num_returns == returns, state.t
         fast = record.final_state
         assert fast == state
         assert fast.counters() == state.counters()
-        assert record.tau == taus
-        assert record.two_to_one_times == returns
+        assert record.tau == taus == stepped.tau
+        assert record.num_returns == returns > 0
+        assert record == stepped
         fast.check_invariants()
 
 
@@ -262,8 +270,7 @@ def test_trajectory_determinism_and_seed_sensitivity():
     c = run_trajectory(20_000, 43, cadence=1000)
     assert a.final_state == b.final_state
     assert a.series == b.series
-    assert a.two_to_one_times == b.two_to_one_times
-    assert a.olive_increments == b.olive_increments
+    assert a == b
     assert c.final_state != a.final_state or c.series != a.series
 
 
@@ -272,22 +279,26 @@ def test_trajectory_t1_conventions():
     assert rec.final_state.num_plates == 1
     assert rec.final_state.total_olives == 0
     assert rec.tau == {1: 1}
-    assert rec.two_to_one_times == []
-    assert rec.olive_increments == []
     assert rec.num_returns == 0
 
 
 def test_trajectory_record_invariants():
     rec = run_trajectory(100_000, 1234, check_identity=True)
-    # Return times strictly increase and tau[1] counts the initial entry.
-    assert all(a < b for a, b in zip(rec.two_to_one_times, rec.two_to_one_times[1:]))
+    # tau[1] counts the initial entry as well as every return.
     assert rec.tau[1] == rec.num_returns + 1
-    assert len(rec.olive_increments) == rec.num_returns
-    assert all(g >= 2 for g in rec.return_gaps)
-    # Telescoping: increments sum to the olive count at the last return.
-    rerun = run_trajectory(rec.two_to_one_times[-1], 1234)
-    assert sum(rec.olive_increments) == rerun.final_state.total_olives
     assert rec.final_state.plate_moves == sum(rec.tau.values())
+
+
+def test_trajectory_memory_does_not_grow_with_t():
+    # The record keeps counters only (no per-return or per-step lists), so a
+    # long run allocates no more than a short one.
+    tracemalloc.start()
+    try:
+        run_trajectory(200_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_max_other_olives_tracks_non_first_plates():
@@ -340,4 +351,3 @@ def test_bounds_hold_at_moderate_horizon():
     rec = run_trajectory(100_000, 777)
     ratio = rec.final_state.total_olives / 100_000
     assert 1 / 342 <= ratio <= 2 / 3
-    assert sum(rec.olive_increments) <= rec.final_state.total_olives + 1

@@ -1,6 +1,6 @@
 import pytest
 
-from olivetable.rng import derive_seed, make_rng, randbelow, splitmix64
+from olivetable.rng import derive_seed, make_rng, splitmix64
 
 
 def test_splitmix64_is_deterministic_64_bit():
@@ -28,25 +28,3 @@ def test_replica_streams_do_not_overlap():
         streams.add(tuple(rng.getrandbits(32) for _ in range(1000)))
     assert len(streams) == 1000
 
-
-def test_randbelow_bounds_and_coverage():
-    rng = make_rng(9)
-    for n in (1, 2, 3, 5, 7, 100):
-        draws = [randbelow(rng, n) for _ in range(2000)]
-        assert all(0 <= u < n for u in draws)
-        if n <= 7:
-            assert set(draws) == set(range(n))
-    with pytest.raises(ValueError):
-        randbelow(rng, 0)
-
-
-def test_randbelow_unbiased_on_non_power_of_two():
-    # n = 3 would show ~33% vs ~16% skew under naive modulo of 2 bits.
-    rng = make_rng(31337)
-    n, draws = 3, 120_000
-    counts = [0] * n
-    for _ in range(draws):
-        counts[randbelow(rng, n)] += 1
-    expected = draws / n
-    tol = 5 * (draws * (1 / n) * (1 - 1 / n)) ** 0.5
-    assert all(abs(c - expected) <= tol for c in counts)
