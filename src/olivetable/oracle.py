@@ -4,7 +4,9 @@ Two independent exact engines:
 
 * a rational pushforward over canonical table states (the first plate's
   olive count plus the sorted multiset of the other plates' counts), which
-  yields the exact law of the olive total for small step counts, and
+  yields the exact law of the olive total for small step counts; it carries
+  integer numerators over one common denominator and builds a ``Fraction``
+  only for what it returns, and
 * exhaustive path enumeration for the auxiliary walk's first-return time,
   deliberately sharing no code with the dynamic program in
   :mod:`olivetable.chain` that it cross-checks.
@@ -12,12 +14,16 @@ Two independent exact engines:
 Lumping non-first plates is sound because the uniform move choice treats
 them exchangeably; ``labeled_olive_distribution`` re-derives the same olive
 law from the fully labeled process (no lumping) to guard that assumption.
-Merges are enumerated over unordered pairs of plate positions, so
-multiplicities in the multiset are weighted correctly.
+Each successor's multiplicity counts the moves that reach it: a merge of
+plates holding counts v and w counts every unordered pair of plate positions
+holding them, so multiplicities in the multiset are weighted correctly.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple, TextIO
 
@@ -89,55 +95,69 @@ def canonical_of(state: TableState) -> CanonicalState:
     return CanonicalState(olives[p], tuple(sorted(olives[:p] + olives[p + 1 :])))
 
 
-def transitions(state: CanonicalState) -> dict[CanonicalState, Fraction]:
-    """Exact one-step law from a canonical state; probabilities sum to 1."""
-    if state.first < 0:
-        return {CanonicalState(0, ()): Fraction(1)}
-    first = state.first
-    others = state.others
-    n_others = len(others)
-    l = 1 + n_others
-    n_e = state.num_nonempty
-    m_total = 1 + l * (l - 1) // 2 + l + n_e
-    weight = Fraction(1, m_total)
-    out: dict[CanonicalState, Fraction] = {}
+def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
+    """Exact one-step law from a canonical state as ``(M, {successor: k})``.
 
-    def add(succ: CanonicalState) -> None:
-        out[succ] = out.get(succ, Fraction(0)) + weight
+    The process picks one of M equally likely moves and ``k`` counts the
+    moves that lead to each successor, so the multiplicities sum to M.  This
+    is the one place that lists successors; ``transitions``, the pushforward
+    and the sampler check all read it.
+    """
+    first, others = state
+    if first < 0:
+        return 1, {CanonicalState(0, ()): 1}
+    out: dict[CanonicalState, int] = {}
 
-    def drop_sorted(seq: tuple[int, ...], index: int) -> tuple[int, ...]:
-        return seq[:index] + seq[index + 1 :]
+    def add(succ: CanonicalState, k: int = 1) -> None:
+        out[succ] = out.get(succ, 0) + k
 
-    def insert_sorted(seq: tuple[int, ...], value: int) -> tuple[int, ...]:
-        lst = list(seq)
-        lo = 0
-        while lo < len(lst) and lst[lo] < value:
-            lo += 1
-        lst.insert(lo, value)
-        return tuple(lst)
+    def swap(drop: tuple[int, ...], value: int | None = None) -> tuple[int, ...]:
+        # others with one plate of each count in ``drop`` taken out and,
+        # unless ``value`` is None, one plate of count ``value`` put in
+        rest = list(others)
+        for v in drop:
+            rest.remove(v)
+        if value is not None:
+            insort(rest, value)
+        return tuple(rest)
 
+    # Plates of equal count lead to the same successor, so the non-first
+    # plates are walked by distinct count v, held by c of them.
+    groups = list(Counter(others).items())
     # P+: one new empty plate (never the first plate).
     add(CanonicalState(first, (0,) + others))
-    # P-: one way per unordered position pair.  The first plate has the
-    # lowest id and survives any merge it joins; a merge of two non-first
-    # plates keeps the combined count among the others either way.
-    for j in range(n_others):
-        add(CanonicalState(first + others[j], drop_sorted(others, j)))
-    for a in range(n_others):
-        for b in range(a + 1, n_others):
-            rest = others[:a] + others[a + 1 : b] + others[b + 1 :]
-            add(CanonicalState(first, insert_sorted(rest, others[a] + others[b])))
+    # P-: one way per unordered plate pair.  The first plate has the lowest
+    # id and survives any merge it joins; a merge of two non-first plates
+    # keeps the combined count among the others either way.
+    for i, (v, c) in enumerate(groups):
+        add(CanonicalState(first + v, swap((v,))), c)
+        if c > 1:
+            add(CanonicalState(first, swap((v, v), 2 * v)), c * (c - 1) // 2)
+        for w, d in groups[i + 1 :]:
+            add(CanonicalState(first, swap((v, w), v + w)), c * d)
     # O+: one way per plate.
     add(CanonicalState(first + 1, others))
-    for j in range(n_others):
-        add(CanonicalState(first, insert_sorted(drop_sorted(others, j), others[j] + 1)))
+    for v, c in groups:
+        add(CanonicalState(first, swap((v,), v + 1)), c)
     # O-: one way per non-empty plate.
     if first > 0:
         add(CanonicalState(first - 1, others))
-    for j in range(n_others):
-        if others[j] > 0:
-            add(CanonicalState(first, insert_sorted(drop_sorted(others, j), others[j] - 1)))
-    return out
+    for v, c in groups:
+        if v > 0:
+            add(CanonicalState(first, swap((v,), v - 1)), c)
+    return _num_moves(state), out
+
+
+def _num_moves(state: CanonicalState) -> int:
+    """M = 1 + C(l, 2) + l + n_e, the number of equally likely moves."""
+    l = state.num_plates
+    return 1 + l * (l - 1) // 2 + l + state.num_nonempty
+
+
+def transitions(state: CanonicalState) -> dict[CanonicalState, Fraction]:
+    """Exact one-step law from a canonical state; probabilities sum to 1."""
+    m_total, law = _law(state)
+    return {succ: Fraction(k, m_total) for succ, k in law.items()}
 
 
 def exact_transition_check(state: TableState) -> dict[CanonicalState, Fraction]:
@@ -146,43 +166,72 @@ def exact_transition_check(state: TableState) -> dict[CanonicalState, Fraction]:
 
 
 def _advance(
-    dist: dict[CanonicalState, Fraction], step: int, work_done: int, budget: int
-) -> tuple[dict[CanonicalState, Fraction], int]:
+    dist: dict[CanonicalState, int], den: int, step: int, work_done: int, budget: int
+) -> tuple[dict[CanonicalState, int], int, int]:
     """One exact pushforward step under a cumulative work budget.
 
-    The projected work for the step (sum of branching factors, computable
-    without any rational arithmetic) is charged before the step runs.
+    ``dist`` maps each state to the integer numerator of its probability
+    over the common denominator ``den``; it is consumed (left empty).
+    Returns the next step's numerators, denominator and the work done so
+    far.  The projected work for the step (sum of branching factors M,
+    computable without listing a successor) is charged before the step
+    runs.  Each state's numerator is scaled to the lcm of the live Ms, and
+    one gcd is divided out at the end.
     """
     projected = work_done
+    live = set()
     for state in dist:
-        l = state.num_plates
-        projected += 1 + l * (l - 1) // 2 + l + state.num_nonempty
+        m_total = _num_moves(state)
+        projected += m_total
+        live.add(m_total)
     if projected > budget:
         raise BudgetExceededError(step, projected, budget)
-    nxt: dict[CanonicalState, Fraction] = {}
-    for state, p in dist.items():
-        for succ, q in transitions(state).items():
-            nxt[succ] = nxt.get(succ, Fraction(0)) + p * q
-    return nxt, projected
+    lcm = math.lcm(*live)
+    nxt: dict[CanonicalState, int] = {}
+    while dist:  # emptied as it is read, so old and new numerators never both peak
+        state, num = dist.popitem()
+        m_total, law = _law(state)
+        scaled = num * (lcm // m_total)
+        for succ, k in law.items():
+            nxt[succ] = nxt.get(succ, 0) + scaled * k
+    den *= lcm
+    g = math.gcd(den, *nxt.values())
+    if g > 1:
+        den //= g
+        for succ in nxt:
+            nxt[succ] //= g
+    return nxt, den, projected
 
 
-def _pushforward(t: int, budget: int) -> Iterator[dict[CanonicalState, Fraction]]:
-    """The exact state distribution after steps 0, 1, ..., t, in turn."""
-    dist: dict[CanonicalState, Fraction] = {EMPTY_TABLE: Fraction(1)}
-    yield dist
+def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[CanonicalState, int], int]]:
+    """The exact state distribution after steps 0, 1, ..., t, in turn, each
+    as (integer numerators, common denominator).  A yielded dict is emptied
+    when the next step is computed, so read it before advancing."""
+    dist: dict[CanonicalState, int] = {EMPTY_TABLE: 1}
+    den = 1
+    yield dist, den
     work = 0
     for s in range(1, t + 1):
-        dist, work = _advance(dist, s, work, budget)
-        yield dist
+        dist, den, work = _advance(dist, den, s, work, budget)
+        yield dist, den
 
 
-def _olive_pmf(dist: dict[CanonicalState, Fraction]) -> dict[int, Fraction]:
+def _final(t: int, budget: int) -> tuple[dict[CanonicalState, int], int]:
+    """Numerators and common denominator of the state distribution at t."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    for dist, den in _pushforward(t, budget):
+        pass
+    return dist, den
+
+
+def _olive_pmf(dist: dict[CanonicalState, int], den: int) -> dict[int, Fraction]:
     """Olive-total pmf of a state distribution, in ascending olive count."""
-    pmf: dict[int, Fraction] = {}
-    for state, p in dist.items():
+    nums: dict[int, int] = {}
+    for state, num in dist.items():
         o = state.total_olives
-        pmf[o] = pmf.get(o, Fraction(0)) + p
-    return dict(sorted(pmf.items()))
+        nums[o] = nums.get(o, 0) + num
+    return {o: Fraction(nums[o], den) for o in sorted(nums)}
 
 
 def _mean(pmf: dict[int, Fraction]) -> Fraction:
@@ -196,19 +245,16 @@ def state_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[Canon
     Raises BudgetExceededError once the cumulative state expansions would
     pass ``budget``; never truncates silently.  The default budget admits
     t <= 29 (7.5e6 expansions; step 30 would need 1.02e7), which takes
-    about 95 s on a 2-vCPU x86-64 box with CPython 3.11, against about 5 s
-    at t = 20.
+    10-13 s and 76 MB on a 2-vCPU x86-64 box with CPython 3.11, against
+    under 1 s at t = 20.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    for dist in _pushforward(t, budget):
-        pass
-    return dist
+    dist, den = _final(t, budget)
+    return {state: Fraction(num, den) for state, num in dist.items()}
 
 
 def exact_olive_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[int, Fraction]:
     """Exact pmf of the olive total after t steps; masses sum to 1."""
-    return _olive_pmf(state_distribution(t, budget))
+    return _olive_pmf(*_final(t, budget))
 
 
 def exact_expected_olives(t: int, budget: int = DEFAULT_STATE_BUDGET) -> Fraction:
@@ -222,7 +268,7 @@ def olive_distribution_table(
     """Exact olive pmf at every step 1..t_max from one incremental pushforward."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    return [(s, _olive_pmf(dist)) for s, dist in enumerate(_pushforward(t_max, budget)) if s > 0]
+    return [(s, _olive_pmf(*step)) for s, step in enumerate(_pushforward(t_max, budget)) if s > 0]
 
 
 # -- labeled (unlumped) cross-check ----------------------------------------

@@ -10,6 +10,7 @@ through module attributes so a deliberately broken constant is caught.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -126,8 +127,10 @@ def _check_transition_mass(n_states: int) -> str:
         state = oracle.CanonicalState(
             rng.randrange(0, 5), tuple(sorted(rng.randrange(0, 4) for _ in range(n_others)))
         )
-        law = oracle.transitions(state)
-        assert sum(law.values(), Fraction(0)) == 1, f"mass != 1 from {state}"
+        m_total, law = oracle._law(state)
+        l, n_e = state.num_plates, state.num_nonempty
+        assert m_total == 1 + l * (l - 1) // 2 + l + n_e, f"M = {m_total} is not the move count of {state}"
+        assert sum(law.values()) == m_total, f"mass != 1 from {state}"
     return f"one-step law sums to 1 exactly from {n_states} random states"
 
 
@@ -149,12 +152,19 @@ def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
     worst = 0.0
     for plates in configs[:n_states]:
         base = process.TableState.from_plates(plates)
-        law = oracle.exact_transition_check(base)
-        counts = {key: 0 for key in law}
+        m_total, law = oracle._law(oracle.canonical_of(base))
+        # Count raw successors; canonicalise each distinct one once.
+        raw: Counter[tuple] = Counter()
         for _ in range(draws):
-            counts[oracle.canonical_of(process.step(base.copy(), rng))] += 1
-        for succ, p in law.items():
-            pf = float(p)
+            succ = process.step(base.copy(), rng)
+            raw[tuple(succ._ids), tuple(succ._olives)] += 1
+        counts = dict.fromkeys(law, 0)
+        for (ids, olives), n in raw.items():
+            canon = oracle.canonical_of(process.TableState.from_plates(zip(ids, olives)))
+            assert canon in counts, f"sampler reached {canon} from {plates}, outside the exact law"
+            counts[canon] += n
+        for succ, k in law.items():
+            pf = k / m_total
             se = (pf * (1 - pf) / draws) ** 0.5
             dev = abs(counts[succ] / draws - pf)
             worst = max(worst, dev / se if se else 0.0)

@@ -320,8 +320,9 @@ def _strip_volatile(node):
 # removed): the ensemble and sweep digests were recorded before the report
 # functions were made columnar, the verify, chain and exact digests before
 # verify stopped recomputing its identity sweeps and pmf table, the simulate
-# digests before trajectories stopped keeping per-return lists.  With
-# ``--format json`` the ``--out`` file itself is the JSON document.
+# digests before trajectories stopped keeping per-return lists, the
+# ``exact --t 14`` digest before the pushforward moved to integer numerators.
+# With ``--format json`` the ``--out`` file itself is the JSON document.
 GOLDEN = {
     ("ensemble", "--t", "12", "--replicas", "3000", "--seed", "5"): (
         [".csv", ".summary.json"],
@@ -343,6 +344,10 @@ GOLDEN = {
         [".mean.csv", ".meta.json", ".pmf.csv"],
         "80dfac6028cb7c946b0b878ae18e0ae75ffe862914e7a5601f501e5a9b596e5c",
     ),
+    ("exact", "--t", "14"): (
+        [".mean.csv", ".meta.json", ".pmf.csv"],
+        "24a0157381b48c9074733028b0d7c31c3233368dd38fc831d37c2342897c2457",
+    ),
     ("simulate", "--t", "100000", "--seed", "1", "--format", "json"): (
         [""],
         "a1f4bf115faa535bf2f5646dd26b52724c263520dd7e686a6409352027bca4e4",
@@ -354,7 +359,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda argv: argv[0])
+# Test ids name the command (pytest numbers repeats); an entry added for a
+# command that was already pinned has its own id, so earlier ids stay put.
+GOLDEN_IDS = {("exact", "--t", "14"): "exact_t14"}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda argv: GOLDEN_IDS.get(argv, argv[0]))
 def test_golden_payload_digest(argv, tmp_path):
     suffixes, digest = GOLDEN[argv]
     assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_OK

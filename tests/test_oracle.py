@@ -18,7 +18,7 @@ from olivetable.oracle import (
     state_distribution,
     transitions,
 )
-from olivetable.process import TableState
+from olivetable.process import TableState, step
 from olivetable.rng import make_rng
 
 HALF = Fraction(1, 2)
@@ -127,6 +127,75 @@ def test_budget_error_reports_counts():
     assert info.value.state_count > 100
     assert "budget" in str(info.value)
     assert oracle.DEFAULT_STATE_BUDGET == 10**7
+
+
+class _Draw:
+    """An rng stub whose one ``getrandbits`` call returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def getrandbits(self, k):
+        return self.u
+
+
+def _table_of(state):
+    """A labeled table in the canonical state: plate 1 first, then the others."""
+    if state == EMPTY_TABLE:
+        return TableState()
+    return TableState.from_plates([(1, state.first)] + [(i + 2, o) for i, o in enumerate(state.others)])
+
+
+def test_integer_law_matches_kernel_on_reachable_states():
+    reached = set()
+    for dist, _ in oracle._pushforward(10, oracle.DEFAULT_STATE_BUDGET):
+        reached.update(dist)
+    assert len(reached) == 285
+    for state in reached:
+        m_total, law = oracle._law(state)
+        l = state.num_plates
+        assert m_total == 1 + l * (l - 1) // 2 + l + state.num_nonempty
+        assert sum(law.values()) == m_total and min(law.values()) >= 1
+        assert transitions(state) == {succ: Fraction(k, m_total) for succ, k in law.items()}
+        # Every one of the M moves, decoded by the production kernel.
+        kernel: dict[CanonicalState, int] = {}
+        for u in range(m_total):
+            succ = canonical_of(step(_table_of(state), _Draw(u)))
+            kernel[succ] = kernel.get(succ, 0) + 1
+        assert kernel == law, state
+
+
+def test_state_distribution_equals_fraction_reference():
+    # A plain Fraction pushforward over ``transitions``, sharing nothing with
+    # the integer numerators and common denominator of ``_advance``.
+    ref = {EMPTY_TABLE: Fraction(1)}
+    for t in range(0, 13):
+        assert state_distribution(t) == ref, t
+        if t <= 6:
+            pmf: dict[int, Fraction] = {}
+            for state, p in ref.items():
+                pmf[state.total_olives] = pmf.get(state.total_olives, Fraction(0)) + p
+            assert pmf == labeled_olive_distribution(t), t
+        nxt: dict[CanonicalState, Fraction] = {}
+        for state, p in ref.items():
+            for succ, q in transitions(state).items():
+                nxt[succ] = nxt.get(succ, Fraction(0)) + p * q
+        ref = nxt
+
+
+@pytest.mark.parametrize(
+    "budget, fail_step, state_count", [(100, 6, 206), (20_000, 14, 27_649), (10**6, 23, 1_066_612)]
+)
+def test_budget_is_charged_before_any_successor_is_listed(budget, fail_step, state_count, monkeypatch):
+    expanded = sum(len(dist) for dist, _ in oracle._pushforward(fail_step - 2, budget))
+    calls = []
+    law = oracle._law
+    monkeypatch.setattr(oracle, "_law", lambda state: calls.append(state) or law(state))
+    with pytest.raises(BudgetExceededError) as info:
+        exact_olive_distribution(40, budget=budget)
+    assert (info.value.step, info.value.state_count, info.value.budget) == (fail_step, state_count, budget)
+    # Only the states of the steps that completed were expanded.
+    assert len(calls) == expanded
 
 
 def test_lumping_soundness_against_labeled_tree():
