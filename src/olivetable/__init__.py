@@ -25,7 +25,6 @@ from .chain import (
     published_first_return_pmf,
     simulate_walk,
 )
-from .ensemble import EnsembleConfig, EnsembleStats, merge, run_ensemble
 from .oracle import (
     BudgetExceededError,
     CanonicalState,
@@ -35,6 +34,19 @@ from .oracle import (
     exact_transition_check,
 )
 from .rng import derive_seed, make_rng
+
+# The ensemble layer needs numpy, which nothing else loads; its names
+# resolve on first access, so the other layers import without it.
+_ENSEMBLE_NAMES = frozenset({"EnsembleConfig", "EnsembleStats", "merge", "run_ensemble"})
+
+
+def __getattr__(name: str):
+    if name in _ENSEMBLE_NAMES:
+        from . import ensemble
+
+        return getattr(ensemble, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .rng import make_rng
 
@@ -500,9 +500,14 @@ def write_chain_csv(t_max: int, out: TextIO) -> None:
     t = 1 row uses the C(-1,0) = 0 convention; both conventions appear in
     the JSON report), cdf_* is F(2t).
     """
+    _write_chain_rows(_first_return_rows(t_max), out)
+
+
+def _write_chain_rows(rows: Iterable[tuple[int, Fraction, Optional[Fraction]]], out: TextIO) -> None:
+    """``write_chain_csv`` over first-return rows the caller already built."""
     out.write(CHAIN_CSV_HEADER + "\n")
     cdf = Fraction(0)
-    for t, f, fp in _first_return_rows(t_max):
+    for t, f, fp in rows:
         cdf += f
         fp = fp or Fraction(0)
         out.write(
@@ -530,6 +535,13 @@ def chain_report(t_max: int, simulate_steps: int, seed: int) -> dict:
     simulation, and the pmf discrepancy table."""
     if t_max < 2:
         raise ValueError(f"t_max must be >= 2, got {t_max}")
+    return _chain_report(list(_first_return_rows(t_max)), simulate_steps, seed)
+
+
+def _chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate_steps: int, seed: int) -> dict:
+    """``chain_report`` over the first-return rows for t = 1..t_max, built
+    once by a caller that also writes them to the CSV."""
+    t_max = len(rows)
     series_value, series_tail = mean_return_time_series(max(t_max, 200))
     stationary = mean_return_time_stationary()
     table = [
@@ -539,7 +551,7 @@ def chain_report(t_max: int, simulate_steps: int, seed: int) -> dict:
             "f_published": _fraction_fields(published),
             "published_over_validated": _fraction_fields(published / validated),
         }
-        for t, validated, published in _first_return_rows(t_max)
+        for t, validated, published in rows
         if published is not None
     ]
 

@@ -8,6 +8,7 @@ to entropy, so every emitted number is reproducible from the flags alone.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -15,7 +16,19 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO
 
-from . import __version__, chain, ensemble, oracle, process, verification
+from . import __version__, chain, oracle, process
+
+# ``ensemble`` (numpy-backed) and ``verification``, which imports it, load
+# only inside the commands that run them: ``ensemble``, ``sweep`` and
+# ``verify``.  ``cli.ensemble`` and ``cli.verification`` still resolve.
+_LAZY_MODULES = ("ensemble", "verification")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Hard bound checks are only enforced (exit 2) at horizons where the
 #: asymptotic bands are meaningful; shorter runs still report them.
@@ -163,6 +176,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    from . import ensemble
+
     deltas = _parse_deltas(args.deltas) if args.deltas else (0.005, 0.01, 0.02, 0.05)
     try:
         config = ensemble.EnsembleConfig(
@@ -203,11 +218,12 @@ def _cmd_chain(args) -> int:
     if args.simulate_steps < 1:
         raise _UsageError(f"--simulate-steps must be >= 1, got {args.simulate_steps}")
     start = time.perf_counter()
-    report = chain.chain_report(args.t_max, args.simulate_steps, args.seed)
+    rows = list(chain._first_return_rows(args.t_max))  # for the report and the CSV
+    report = chain._chain_report(rows, args.simulate_steps, args.seed)
     elapsed = time.perf_counter() - start
     report["provenance"] = _provenance(args, elapsed)
     if args.out:
-        _write_atomic(Path(args.out + ".csv"), lambda fh: chain.write_chain_csv(args.t_max, fh))
+        _write_atomic(Path(args.out + ".csv"), lambda fh: chain._write_chain_rows(rows, fh))
         _write_json(Path(args.out + ".report.json"), report)
     else:
         sys.stdout.write(_dumps(report))
@@ -252,6 +268,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     start = time.perf_counter()
     results = verification.run_suite(args.level, emit=print)
     failed = [r for r in results if not r.passed]
@@ -264,6 +282,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import ensemble
+
     t_list = _parse_t_list(args.t_list)
     if any(t < 1000 for t in t_list):
         raise _UsageError("sweep horizons must be >= 1000")

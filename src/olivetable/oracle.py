@@ -22,8 +22,7 @@ holding them, so multiplicities in the multiset are weighted correctly.
 from __future__ import annotations
 
 import math
-from bisect import insort
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterator, NamedTuple, TextIO
 
@@ -80,6 +79,9 @@ class CanonicalState(NamedTuple):
 
 EMPTY_TABLE = CanonicalState(-1, ())
 
+# Builds a CanonicalState without the NamedTuple constructor's call overhead.
+_new = tuple.__new__
+
 
 def canonical_of(state: TableState) -> CanonicalState:
     """Canonical form of a full process state.
@@ -106,52 +108,63 @@ def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
     first, others = state
     if first < 0:
         return 1, {CanonicalState(0, ()): 1}
-    out: dict[CanonicalState, int] = {}
-
-    def add(succ: CanonicalState, k: int = 1) -> None:
-        out[succ] = out.get(succ, 0) + k
-
-    def swap(drop: tuple[int, ...], value: int | None = None) -> tuple[int, ...]:
-        # others with one plate of each count in ``drop`` taken out and,
-        # unless ``value`` is None, one plate of count ``value`` put in
-        rest = list(others)
-        for v in drop:
-            rest.remove(v)
-        if value is not None:
-            insort(rest, value)
-        return tuple(rest)
-
     # Plates of equal count lead to the same successor, so the non-first
-    # plates are walked by distinct count v, held by c of them.
-    groups = list(Counter(others).items())
+    # plates are walked by distinct count v, held by others[lo:hi].  Each
+    # successor is built by slicing the sorted tuple, so it stays sorted.
+    n = len(others)
+    groups = []
+    lo = 0
+    while lo < n:
+        v = others[lo]
+        hi = bisect_right(others, v, lo)
+        groups.append((v, lo, hi))
+        lo = hi
+    zeros = groups[0][2] if groups and groups[0][0] == 0 else 0
+    nonzero = groups[1:] if zeros else groups
+    S = CanonicalState
     # P+: one new empty plate (never the first plate).
-    add(CanonicalState(first, (0,) + others))
+    out = {_new(S, (first, (0,) + others)): 1}
     # P-: one way per unordered plate pair.  The first plate has the lowest
     # id and survives any merge it joins; a merge of two non-first plates
-    # keeps the combined count among the others either way.
-    for i, (v, c) in enumerate(groups):
-        add(CanonicalState(first + v, swap((v,))), c)
+    # keeps the combined count among the others either way.  Every merge
+    # with an empty plate just drops it, so all of them lead to one
+    # successor; every other move leads to a successor of its own.
+    if zeros:
+        # z empty plates: z merges with the first plate, C(z, 2) among
+        # themselves and z (n - z) with the non-empty others
+        out[_new(S, (first, others[1:]))] = zeros * (zeros + 1) // 2 + zeros * (n - zeros)
+    for i, (v, lo, hi) in enumerate(nonzero):
+        c = hi - lo
+        out[_new(S, (first + v, others[:lo] + others[lo + 1 :]))] = c
         if c > 1:
-            add(CanonicalState(first, swap((v, v), 2 * v)), c * (c - 1) // 2)
-        for w, d in groups[i + 1 :]:
-            add(CanonicalState(first, swap((v, w), v + w)), c * d)
-    # O+: one way per plate.
-    add(CanonicalState(first + 1, others))
-    for v, c in groups:
-        add(CanonicalState(first, swap((v,), v + 1)), c)
-    # O-: one way per non-empty plate.
+            s = 2 * v
+            p = bisect_left(others, s, hi)
+            out[_new(S, (first, others[:lo] + others[lo + 2 : p] + (s,) + others[p:]))] = c * (c - 1) // 2
+        for w, lo2, hi2 in nonzero[i + 1 :]:
+            s = v + w
+            p = bisect_left(others, s, hi2)
+            succ = others[:lo] + others[lo + 1 : lo2] + others[lo2 + 1 : p] + (s,) + others[p:]
+            out[_new(S, (first, succ))] = c * (hi2 - lo2)
+    # O+: one way per plate; a count's last plate is the one raised.
+    out[_new(S, (first + 1, others))] = 1
+    for v, lo, hi in groups:
+        out[_new(S, (first, others[: hi - 1] + (v + 1,) + others[hi:]))] = hi - lo
+    # O-: one way per non-empty plate; a count's first plate is the one lowered.
     if first > 0:
-        add(CanonicalState(first - 1, others))
-    for v, c in groups:
-        if v > 0:
-            add(CanonicalState(first, swap((v,), v - 1)), c)
+        out[_new(S, (first - 1, others))] = 1
+    for v, lo, hi in nonzero:
+        out[_new(S, (first, others[:lo] + (v - 1,) + others[lo + 1 :]))] = hi - lo
     return _num_moves(state), out
 
 
 def _num_moves(state: CanonicalState) -> int:
     """M = 1 + C(l, 2) + l + n_e, the number of equally likely moves."""
-    l = state.num_plates
-    return 1 + l * (l - 1) // 2 + l + state.num_nonempty
+    first, others = state
+    if first < 0:
+        return 1
+    l = len(others) + 1
+    n_e = (first > 0) + len(others) - bisect_right(others, 0)  # counts are >= 0
+    return 1 + l * (l - 1) // 2 + l + n_e
 
 
 def transitions(state: CanonicalState) -> dict[CanonicalState, Fraction]:
@@ -245,8 +258,8 @@ def state_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[Canon
     Raises BudgetExceededError once the cumulative state expansions would
     pass ``budget``; never truncates silently.  The default budget admits
     t <= 29 (7.5e6 expansions; step 30 would need 1.02e7), which takes
-    10-13 s and 76 MB on a 2-vCPU x86-64 box with CPython 3.11, against
-    under 1 s at t = 20.
+    6-8 s and 62 MB peak RSS for ``exact --t 29`` on a 2-vCPU x86-64 box
+    with CPython 3.11, against about 0.4 s and 19 MB at t = 20.
     """
     dist, den = _final(t, budget)
     return {state: Fraction(num, den) for state, num in dist.items()}

@@ -153,10 +153,14 @@ def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
     for plates in configs[:n_states]:
         base = process.TableState.from_plates(plates)
         m_total, law = oracle._law(oracle.canonical_of(base))
-        # Count raw successors; canonicalise each distinct one once.
+        # Count raw successors; canonicalise each distinct one once.  Each
+        # draw is one step of the production kernel from a fresh copy; its
+        # diagnostics go to one scratch record per base state.
         raw: Counter[tuple] = Counter()
+        scratch = process.TrajectoryRecord(t_max=base.t + 1, seed=-1, cadence=0, final_state=base)
         for _ in range(draws):
-            succ = process.step(base.copy(), rng)
+            succ = base.copy()
+            process._advance(succ, rng, 1, scratch)
             raw[tuple(succ._ids), tuple(succ._olives)] += 1
         counts = dict.fromkeys(law, 0)
         for (ids, olives), n in raw.items():

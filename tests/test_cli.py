@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import olivetable
 from olivetable import chain, cli, ensemble
 from olivetable.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
@@ -109,6 +114,22 @@ def test_chain_outputs(tmp_path, capsys):
     assert report["return_rate_inequality"]["holds"] is True
     out = capsys.readouterr().out
     assert "N11/t" in out and "1/19" in out
+
+
+def test_chain_out_builds_the_pmf_rows_once(monkeypatch, tmp_path, capsys):
+    calls = Counter()
+    real = chain.published_first_return_pmf
+
+    def counted(t):
+        calls[t] += 1
+        return real(t)
+
+    monkeypatch.setattr(chain, "published_first_return_pmf", counted)
+    argv = ["chain", "--t-max", "12", "--simulate-steps", "1000", "--seed", "3"]
+    assert main([*argv, "--out", str(tmp_path / "chain")]) == EXIT_OK
+    capsys.readouterr()
+    # One row per t = 2..12 serves both the report's table and the CSV.
+    assert calls == {t: 1 for t in range(2, 13)}
 
 
 def test_chain_rejects_small_horizon():
@@ -377,3 +398,52 @@ def test_golden_payload_digest(argv, tmp_path):
             data = json.dumps(_strip_volatile(_strict_loads(data)), sort_keys=True).encode()
         h.update(path.name.encode() + b"\0" + data + b"\0")
     assert h.hexdigest() == digest
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this olivetable."""
+    src = str(Path(olivetable.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_only_numpy_commands_import_numpy():
+    code = """
+import sys
+import olivetable.cli
+assert "numpy" not in sys.modules, "import olivetable.cli loaded numpy"
+from olivetable.cli import main
+assert main(["exact", "--t", "3"]) == 0
+assert main(["simulate", "--t", "100", "--seed", "1"]) == 0
+assert main(["chain", "--t-max", "3", "--simulate-steps", "100", "--seed", "1"]) == 0
+assert "numpy" not in sys.modules, "exact, simulate or chain loaded numpy"
+assert main(["ensemble", "--t", "12", "--replicas", "10", "--seed", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_resolves():
+    code = """
+import olivetable
+namespace = {}
+exec("from olivetable import *", namespace)
+missing = [name for name in olivetable.__all__ if name not in namespace]
+assert not missing, missing
+assert namespace["run_ensemble"] is olivetable.ensemble.run_ensemble
+try:
+    olivetable.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("olivetable.no_such_name resolved")
+"""
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,10 @@
+from bisect import insort
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olivetable import oracle
 from olivetable.chain import first_return_pmf_dp
@@ -163,6 +167,75 @@ def test_integer_law_matches_kernel_on_reachable_states():
             succ = canonical_of(step(_table_of(state), _Draw(u)))
             kernel[succ] = kernel.get(succ, 0) + 1
         assert kernel == law, state
+
+
+def _reference_law(state):
+    """The one-step law as ``(M, {successor: k})``, built the plain way: each
+    successor from a list copy with ``list.remove`` and ``insort``, equal
+    successors merged through a dict.  Shares no code with ``oracle._law``."""
+    first, others = state
+    if first < 0:
+        return 1, {CanonicalState(0, ()): 1}
+    out = {}
+
+    def add(succ, k=1):
+        out[succ] = out.get(succ, 0) + k
+
+    def swap(drop, value=None):
+        rest = list(others)
+        for v in drop:
+            rest.remove(v)
+        if value is not None:
+            insort(rest, value)
+        return tuple(rest)
+
+    groups = list(Counter(others).items())
+    add(CanonicalState(first, (0,) + others))
+    for i, (v, c) in enumerate(groups):
+        add(CanonicalState(first + v, swap((v,))), c)
+        if c > 1:
+            add(CanonicalState(first, swap((v, v), 2 * v)), c * (c - 1) // 2)
+        for w, d in groups[i + 1 :]:
+            add(CanonicalState(first, swap((v, w), v + w)), c * d)
+    add(CanonicalState(first + 1, others))
+    for v, c in groups:
+        add(CanonicalState(first, swap((v,), v + 1)), c)
+    if first > 0:
+        add(CanonicalState(first - 1, others))
+    for v, c in groups:
+        if v > 0:
+            add(CanonicalState(first, swap((v,), v - 1)), c)
+    l = state.num_plates
+    return 1 + l * (l - 1) // 2 + l + state.num_nonempty, out
+
+
+def _assert_law_matches_reference(state):
+    m_total, law = oracle._law(state)
+    assert (m_total, law) == _reference_law(state), state
+    assert oracle._num_moves(state) == m_total, state
+    for succ in law:
+        assert type(succ) is CanonicalState and list(succ.others) == sorted(succ.others), (state, succ)
+
+
+def test_sliced_law_equals_reference_on_reachable_states():
+    reached = {EMPTY_TABLE}
+    frontier = [EMPTY_TABLE]
+    for _ in range(14):  # every state the process can reach in 14 steps
+        frontier = [s for s in {succ for state in frontier for succ in _reference_law(state)[1]} if s not in reached]
+        reached.update(frontier)
+    assert len(reached) == 1264
+    for state in reached:
+        _assert_law_matches_reference(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.integers(min_value=0, max_value=6),
+    others=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 30)), max_size=10),
+)
+def test_sliced_law_equals_reference_on_drawn_states(first, others):
+    # Small counts make repeated and zero counts common.
+    _assert_law_matches_reference(CanonicalState(first, tuple(sorted(others))))
 
 
 def test_state_distribution_equals_fraction_reference():
