@@ -15,7 +15,6 @@ from .chain import (
     StationaryDist,
     WalkRunStats,
     catalan,
-    chain_step,
     first_return_cdf,
     first_return_pmf_closed,
     first_return_pmf_convolution,
@@ -59,7 +58,6 @@ __all__ = [
     "StationaryDist",
     "WalkRunStats",
     "catalan",
-    "chain_step",
     "first_return_cdf",
     "first_return_pmf_closed",
     "first_return_pmf_convolution",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Optional, TextIO
 
 from .rng import make_rng
 
@@ -109,12 +109,18 @@ class StationaryDist:
 
 @dataclass
 class WalkRunStats:
-    """Outcome of one simulated walk of ``steps`` moves from state 1."""
+    """Outcome of one simulated walk of ``steps`` moves from state 1.
+
+    The return durations d_1..d_n11 are kept only as exact integer moments:
+    they telescope, so their sum is the step of the last return, and
+    ``sum_sq_durations`` is the sum of their squares.
+    """
 
     steps: int
     n11: int
-    return_times: Optional[list[int]]
     final_state: int
+    last_return: int
+    sum_sq_durations: int
 
 
 def catalan(k: int) -> int:
@@ -122,21 +128,6 @@ def catalan(k: int) -> int:
     if k < 0:
         raise ValueError(f"catalan needs k >= 0, got {k}")
     return math.comb(2 * k, k) // (k + 1)
-
-
-def chain_step(k: int, rng) -> int:
-    """One move of the walk from state k >= 1.
-
-    The branch probabilities 1/2 and 3/4 are dyadic, so getrandbits gives
-    them exactly.
-    """
-    if k < 1:
-        raise ValueError(f"walk state must be >= 1, got {k}")
-    if k == 1:
-        return 2
-    if k == 2:
-        return 1 if rng.getrandbits(1) else 3
-    return k - 1 if rng.getrandbits(2) else k + 1
 
 
 def first_return_pmf_dp(t_max: int) -> ReturnTimePMF:
@@ -205,11 +196,13 @@ def published_first_return_pmf(t: int) -> Fraction:
     return 4 * Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
 
 
-def _first_return_rows(t_max: int) -> Iterator[tuple[int, Fraction, Optional[Fraction]]]:
+def first_return_rows(t_max: int) -> list[tuple[int, Fraction, Optional[Fraction]]]:
     """(t, validated f(2t), published form or None at t = 1) for t = 1..t_max:
     the rows of every pmf discrepancy table and of the chain CSV."""
-    for t in range(1, t_max + 1):
-        yield t, first_return_pmf_closed(t), published_first_return_pmf(t) if t >= 2 else None
+    return [
+        (t, first_return_pmf_closed(t), published_first_return_pmf(t) if t >= 2 else None)
+        for t in range(1, t_max + 1)
+    ]
 
 
 def published_pmf_t1_conventions() -> dict[str, Fraction]:
@@ -326,8 +319,12 @@ def mean_return_time_stationary() -> Fraction:
     return 1 / stationary_distribution(3).pi[1]
 
 
-def simulate_walk(t: int, seed: int, record_returns: bool = False) -> WalkRunStats:
-    """Run the walk for ``t`` steps from state 1, counting returns to 1."""
+def simulate_walk(t: int, seed: int) -> WalkRunStats:
+    """Run the walk for ``t`` steps from state 1, counting returns to 1.
+
+    The branch probabilities 1/2 and 3/4 are dyadic, so getrandbits gives
+    them exactly.
+    """
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
     rng = make_rng(seed)
@@ -335,7 +332,7 @@ def simulate_walk(t: int, seed: int, record_returns: bool = False) -> WalkRunSta
     k = 1
     n11 = 0
     last_return = 0
-    returns: Optional[list[int]] = [] if record_returns else None
+    sum_sq = 0
     for s in range(1, t + 1):
         if k == 1:
             k = 2
@@ -343,8 +340,8 @@ def simulate_walk(t: int, seed: int, record_returns: bool = False) -> WalkRunSta
             if getrandbits(1):
                 k = 1
                 n11 += 1
-                if returns is not None:
-                    returns.append(s - last_return)
+                d = s - last_return
+                sum_sq += d * d
                 last_return = s
             else:
                 k = 3
@@ -352,7 +349,7 @@ def simulate_walk(t: int, seed: int, record_returns: bool = False) -> WalkRunSta
             k -= 1
         else:
             k += 1
-    return WalkRunStats(steps=t, n11=n11, return_times=returns, final_state=k)
+    return WalkRunStats(steps=t, n11=n11, final_state=k, last_return=last_return, sum_sq_durations=sum_sq)
 
 
 # -- identity verification suites -----------------------------------------
@@ -493,18 +490,14 @@ def verify_binomial_series(
 # -- reporting --------------------------------------------------------------
 
 
-def write_chain_csv(t_max: int, out: TextIO) -> None:
-    """Exact pmf/CDF table: one row per return-time index t.
+def write_chain_csv(rows: list[tuple[int, Fraction, Optional[Fraction]]], out: TextIO) -> None:
+    """Exact pmf/CDF table: one row per return-time index t, from
+    ``first_return_rows(t_max)``.
 
     f_* is the validated pmf, f_paper_* the as-published closed form (its
     t = 1 row uses the C(-1,0) = 0 convention; both conventions appear in
     the JSON report), cdf_* is F(2t).
     """
-    _write_chain_rows(_first_return_rows(t_max), out)
-
-
-def _write_chain_rows(rows: Iterable[tuple[int, Fraction, Optional[Fraction]]], out: TextIO) -> None:
-    """``write_chain_csv`` over first-return rows the caller already built."""
     out.write(CHAIN_CSV_HEADER + "\n")
     cdf = Fraction(0)
     for t, f, fp in rows:
@@ -530,18 +523,13 @@ def _decimal_30(value: Fraction) -> str:
     return str(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
-def chain_report(t_max: int, simulate_steps: int, seed: int) -> dict:
-    """Full mean-return-time report: validated values, published claims,
-    simulation, and the pmf discrepancy table."""
+def chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate_steps: int, seed: int) -> dict:
+    """Full mean-return-time report over ``first_return_rows(t_max)``:
+    validated values, published claims, simulation, and the pmf
+    discrepancy table."""
+    t_max = len(rows)
     if t_max < 2:
         raise ValueError(f"t_max must be >= 2, got {t_max}")
-    return _chain_report(list(_first_return_rows(t_max)), simulate_steps, seed)
-
-
-def _chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate_steps: int, seed: int) -> dict:
-    """``chain_report`` over the first-return rows for t = 1..t_max, built
-    once by a caller that also writes them to the CSV."""
-    t_max = len(rows)
     series_value, series_tail = mean_return_time_series(max(t_max, 200))
     stationary = mean_return_time_stationary()
     table = [
@@ -555,14 +543,15 @@ def _chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate
         if published is not None
     ]
 
-    walk = simulate_walk(simulate_steps, seed, record_returns=True)
+    walk = simulate_walk(simulate_steps, seed)
     rate = walk.n11 / walk.steps
-    durations = walk.return_times or []
+    n = walk.n11
     # Fewer than two returns give no sample variance: both stay None.
     mean_dur = rate_ci99 = None
-    if len(durations) >= 2:
-        mean_dur = sum(durations) / len(durations)
-        var_dur = sum((d - mean_dur) ** 2 for d in durations) / (len(durations) - 1)
+    if n >= 2:
+        mean_dur = walk.last_return / n
+        # Sample variance of the durations from exact integer moments.
+        var_dur = (n * walk.sum_sq_durations - walk.last_return**2) / (n * (n - 1))
         # Renewal CLT: sd(N/t) ~= sigma / sqrt(t * mu^3).
         rate_se = math.sqrt(var_dur / (walk.steps * mean_dur**3))
         z = 2.576

@@ -218,12 +218,12 @@ def _cmd_chain(args) -> int:
     if args.simulate_steps < 1:
         raise _UsageError(f"--simulate-steps must be >= 1, got {args.simulate_steps}")
     start = time.perf_counter()
-    rows = list(chain._first_return_rows(args.t_max))  # for the report and the CSV
-    report = chain._chain_report(rows, args.simulate_steps, args.seed)
+    rows = chain.first_return_rows(args.t_max)  # for the report and the CSV
+    report = chain.chain_report(rows, args.simulate_steps, args.seed)
     elapsed = time.perf_counter() - start
     report["provenance"] = _provenance(args, elapsed)
     if args.out:
-        _write_atomic(Path(args.out + ".csv"), lambda fh: chain._write_chain_rows(rows, fh))
+        _write_atomic(Path(args.out + ".csv"), lambda fh: chain.write_chain_csv(rows, fh))
         _write_json(Path(args.out + ".report.json"), report)
     else:
         sys.stdout.write(_dumps(report))

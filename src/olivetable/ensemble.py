@@ -118,8 +118,7 @@ class EnsembleStats:
     def sd_olives(self) -> float:
         if self.n < 2:
             return 0.0
-        var = (self.sum_olives_sq - Fraction(self.sum_olives**2, self.n)) / (self.n - 1)
-        return math.sqrt(float(var))
+        return math.sqrt(_sample_variance(self.sum_olives, self.sum_olives_sq, self.n))
 
     def check_invariants(self) -> None:
         o = self.records["O"]
@@ -273,6 +272,12 @@ def ratio_estimate(o_values: Sequence[int], t: int, z: float = Z99) -> dict:
     return _estimate_from_sums(sum(values), sum(v * v for v in values), len(values), t, z)
 
 
+def _sample_variance(total: int, total_sq: int, n: int) -> float:
+    """Sample variance (n >= 2) from the exact sums of O and O^2: an integer
+    quotient, so the float is correctly rounded."""
+    return (n * total_sq - total**2) / (n * (n - 1))
+
+
 def _estimate_from_sums(total: int, total_sq: int, n: int, t: int, z: float = Z99) -> dict:
     """``ratio_estimate`` from the exact sums of O and O^2 over n replicas."""
     if n < 1:
@@ -280,7 +285,7 @@ def _estimate_from_sums(total: int, total_sq: int, n: int, t: int, z: float = Z9
     mean_o = Fraction(total, n)
     ratio = float(mean_o / t)
     if n > 1:
-        var = float((total_sq - Fraction(total**2, n)) / (n - 1))
+        var = _sample_variance(total, total_sq, n)
         half = z * (math.sqrt(var / n) / t)
         ci_low, ci_high, sd = ratio - half, ratio + half, math.sqrt(var)
     else:

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,11 @@ from olivetable.chain import (
     VerificationError,
     catalan,
     chain_report,
-    chain_step,
     first_return_cdf,
     first_return_pmf_closed,
     first_return_pmf_convolution,
     first_return_pmf_dp,
+    first_return_rows,
     mean_return_time_series,
     mean_return_time_stationary,
     published_first_return_pmf,
@@ -43,17 +44,123 @@ def test_catalan_matches_convolution_recurrence():
     assert all(catalan(k) == v for k, v in enumerate(values))
 
 
-def test_chain_step_transitions():
-    rng = make_rng(12)
-    assert all(chain_step(1, rng) == 2 for _ in range(50))
-    assert all(chain_step(7, rng) in (6, 8) for _ in range(200))
-    n = 200_000
-    down = sum(1 for _ in range(n) if chain_step(2, rng) == 1)
-    assert abs(down - n / 2) <= 5 * math.sqrt(n * 0.25)
-    down3 = sum(1 for _ in range(n) if chain_step(3, rng) == 2)
-    assert abs(down3 - 0.75 * n) <= 5 * math.sqrt(n * 0.75 * 0.25)
-    with pytest.raises(ValueError):
-        chain_step(0, rng)
+def _recording_walk(t, seed):
+    """Reference walk that keeps every return duration in a list.
+
+    Returns (durations, final_state); ``simulate_walk`` must agree with it
+    on the same seed while keeping only integer moments.
+    """
+    getrandbits = make_rng(seed).getrandbits
+    k = 1
+    last_return = 0
+    durations = []
+    for s in range(1, t + 1):
+        if k == 1:
+            k = 2
+        elif k == 2:
+            if getrandbits(1):
+                k = 1
+                durations.append(s - last_return)
+                last_return = s
+            else:
+                k = 3
+        elif getrandbits(2):
+            k -= 1
+        else:
+            k += 1
+    return durations, k
+
+
+def _two_pass_rate_ci99(durations, steps):
+    """rate_ci99 from the recorded durations by two-pass float moments."""
+    mean = sum(durations) / len(durations)
+    var = sum((d - mean) ** 2 for d in durations) / (len(durations) - 1)
+    rate = len(durations) / steps
+    half = 2.576 * math.sqrt(var / (steps * mean**3))
+    return [rate - half, rate + half]
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 9, 1000, 200_000])
+def test_simulate_walk_matches_recording_reference(t):
+    seeds = range(24) if t <= 1000 else (1, 2)
+    returns_seen = set()
+    for seed in seeds:
+        durations, final_state = _recording_walk(t, seed)
+        stats = simulate_walk(t, seed)
+        assert stats.steps == t
+        assert (stats.n11, stats.final_state) == (len(durations), final_state)
+        assert stats.last_return == sum(durations)
+        assert stats.sum_sq_durations == sum(d * d for d in durations)
+        returns_seen.add(len(durations))
+    if t <= 4:
+        # t = 1, 2, 4 reach every return count 0..t/2; two returns by t = 4
+        # are the durations (2, 2), a sample with zero variance.
+        assert returns_seen == set(range(t // 2 + 1))
+
+
+@pytest.mark.parametrize("t,seeds", [(2, range(4)), (4, range(16)), (9, range(8)), (200_000, (1, 2))])
+def test_chain_report_matches_recorded_durations(t, seeds):
+    rows = first_return_rows(2)
+    zero_variance = False
+    for seed in seeds:
+        durations, _ = _recording_walk(t, seed)
+        sim = chain_report(rows, t, seed)["simulation"]
+        if len(durations) < 2:
+            assert sim["mean_return_duration"] is None and sim["rate_ci99"] is None
+            continue
+        assert sim["mean_return_duration"] == sum(durations) / len(durations)
+        expected = _two_pass_rate_ci99(durations, t)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(sim["rate_ci99"], expected))
+        zero_variance |= len(set(durations)) == 1
+    if t == 4:
+        assert zero_variance
+
+
+def test_walk_kernel_transition_law():
+    # After three moves from 1 the walk is at (n11, state) = (1, 2) with
+    # probability 1/2 (2 -> 1 at 1/2), (0, 2) with 3/8 (3 -> 2 at 3/4) and
+    # (0, 4) with 1/8: the forced 1 -> 2 move and both coin branches.
+    n = 40_000
+    counts = Counter((w.n11, w.final_state) for w in (simulate_walk(3, seed=s) for s in range(n)))
+    assert set(counts) == {(1, 2), (0, 2), (0, 4)}
+    for key, p in {(1, 2): 0.5, (0, 2): 0.375, (0, 4): 0.125}.items():
+        assert abs(counts[key] - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (key, counts[key])
+    assert all(simulate_walk(1, seed=s).final_state == 2 for s in range(20))
+
+
+@pytest.fixture(scope="module")
+def million_returns():
+    stats = simulate_walk(5_500_000, seed=606)
+    assert stats.n11 >= 1_000_000
+    return stats
+
+
+def test_walk_return_moments_cover_the_validated_pmf(million_returns):
+    # E[D^2] = 49 from the validated pmf: the partial sum of (2j)^2 f(2j)
+    # plus a certified tail.  f(2j) <= (1/2)(3/4)^(j-1), so the neglected
+    # terms are at most 2 j^2 (3/4)^(j-1), whose ratio for j > J is at most
+    # q = (3/4)((J+2)/(J+1))^2 < 1.
+    J = 200
+    partial = sum((2 * j) ** 2 * first_return_pmf_closed(j) for j in range(1, J + 1))
+    q = Fraction(3, 4) * Fraction(J + 2, J + 1) ** 2
+    tail = 2 * (J + 1) ** 2 * Fraction(3, 4) ** J / (1 - q)
+    assert partial <= 49 <= partial + tail
+    assert tail < Fraction(1, 10**15)
+    var_d = 49 - mean_return_time_stationary() ** 2
+    assert var_d == 24
+
+    # 99% CIs from the walk's exact integer moments.
+    n = million_returns.n11
+    total, total_sq = million_returns.last_return, million_returns.sum_sq_durations
+    mean = total / n
+    var = (n * total_sq - total**2) / (n * (n - 1))
+    half_mean = 2.576 * math.sqrt(var / n)
+    assert mean - half_mean <= 5 <= mean + half_mean, (mean, half_mean)
+    # The sample variance has sd sqrt((mu4 - Var^2) / n); mu4 = E[(D-5)^4]
+    # from the validated pmf (the neglected tail is far below float).
+    mu4 = float(sum((2 * j - 5) ** 4 * first_return_pmf_closed(j) for j in range(1, 401)))
+    half_var = 2.576 * math.sqrt((mu4 - 24**2) / n)
+    assert var - half_var <= 24 <= var + half_var, (var, half_var)
 
 
 def test_dp_pmf_hand_values():
@@ -138,38 +245,38 @@ def test_stationary_distribution_structure():
 
 
 def test_simulate_walk_basics():
-    stats = simulate_walk(2, seed=3, record_returns=True)
+    stats = simulate_walk(2, seed=3)
     assert stats.n11 in (0, 1)
     n = 40_000
     hits = sum(simulate_walk(2, seed=s).n11 for s in range(n))
     assert abs(hits - n / 2) <= 5 * math.sqrt(n * 0.25)
 
-    long = simulate_walk(300_000, seed=9, record_returns=True)
+    long = simulate_walk(300_000, seed=9)
     assert long.n11 <= long.steps // 2
-    assert all(d % 2 == 0 for d in long.return_times)
-    assert sum(long.return_times) <= long.steps
+    # Durations are even, so their sum is too and each square is 0 mod 4.
+    assert long.last_return % 2 == 0 and long.sum_sq_durations % 4 == 0
+    assert long.last_return <= long.steps
+    assert (long.final_state - 1 - long.steps) % 2 == 0
     rate = long.n11 / long.steps
     assert abs(rate - 0.2) < 0.01  # ergodic limit 1/5
     assert rate >= 1 / 19  # the a fortiori inequality
-    mean_dur = sum(long.return_times) / len(long.return_times)
+    mean_dur = long.last_return / long.n11
     assert abs(mean_dur - 5) < 0.15
 
 
 def test_walk_determinism():
-    a = simulate_walk(10_000, seed=4, record_returns=True)
-    b = simulate_walk(10_000, seed=4, record_returns=True)
-    assert (a.n11, a.final_state, a.return_times) == (b.n11, b.final_state, b.return_times)
+    a = simulate_walk(10_000, seed=4)
+    b = simulate_walk(10_000, seed=4)
+    assert a == b
+    assert a != simulate_walk(10_000, seed=5)
 
 
-def test_ergodic_mean_duration_over_a_million_returns():
+def test_ergodic_mean_duration_over_a_million_returns(million_returns):
     # The empirical mean return duration over >= 1e6 completed returns must
     # cover the stationary oracle's value within its own 99% CI.
-    stats = simulate_walk(5_500_000, seed=606, record_returns=True)
-    durations = stats.return_times
-    n = len(durations)
-    assert n >= 1_000_000
-    mean = sum(durations) / n
-    var = sum(d * d for d in durations) / n - mean * mean
+    n = million_returns.n11
+    mean = million_returns.last_return / n
+    var = million_returns.sum_sq_durations / n - mean * mean
     half = 2.576 * math.sqrt(var / n)
     target = float(mean_return_time_stationary())
     assert mean - half <= target <= mean + half, (mean, half)
@@ -227,7 +334,7 @@ def test_verify_binomial_series_validates_domain():
 
 def test_chain_csv_schema():
     buf = io.StringIO()
-    write_chain_csv(4, buf)
+    write_chain_csv(first_return_rows(4), buf)
     lines = buf.getvalue().split("\n")
     assert lines[0] == CHAIN_CSV_HEADER
     assert lines[1] == "1,1,2,0,1,1,2"       # f = 1/2, published undefined -> 0/1, F(2) = 1/2
@@ -238,7 +345,7 @@ def test_chain_csv_schema():
 
 
 def test_chain_report_contents():
-    report = chain_report(t_max=10, simulate_steps=200_000, seed=5)
+    report = chain_report(first_return_rows(10), simulate_steps=200_000, seed=5)
     mrt = report["mean_return_time"]
     assert mrt["validated_stationary"]["exact"] == "5/1"
     assert mrt["published_claim"]["exact"] == "19/1"
@@ -254,4 +361,4 @@ def test_chain_report_contents():
     conventions = report["published_pmf_at_t1"]
     assert {v["exact"] for v in conventions.values()} == {"0/1", "4/1"}
     with pytest.raises(ValueError):
-        chain_report(1, 10, seed=1)
+        chain_report(first_return_rows(1), 10, seed=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -179,6 +180,22 @@ def test_verify_detects_mutated_constant(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["final_state", "last_return"])
+def test_verify_detects_a_broken_walk(monkeypatch, capsys, field):
+    # A final state of the wrong parity, or an odd sum of return durations,
+    # cannot come from a walk that moves by +-1 from state 1.
+    real = chain.simulate_walk
+
+    def broken(t, seed):
+        stats = real(t, seed)
+        return dataclasses.replace(stats, **{field: getattr(stats, field) + 1})
+
+    monkeypatch.setattr(chain, "simulate_walk", broken)
+    assert main(["verify", "--level", "quick"]) == EXIT_CHECK_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and "walk_structure" in failed[0]
+
+
 def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
     # One wrong value of the Catalan convolution closed form fails that check;
     # the JSON report is still written and holds the failing row.
@@ -343,6 +360,8 @@ def _strip_volatile(node):
 # verify stopped recomputing its identity sweeps and pmf table, the simulate
 # digests before trajectories stopped keeping per-return lists, the
 # ``exact --t 14`` digest before the pushforward moved to integer numerators.
+# The chain digest was re-recorded when ``rate_ci99`` moved to the walk's
+# exact integer moments, which changes only that field's low bits.
 # With ``--format json`` the ``--out`` file itself is the JSON document.
 GOLDEN = {
     ("ensemble", "--t", "12", "--replicas", "3000", "--seed", "5"): (
@@ -359,7 +378,7 @@ GOLDEN = {
     ),
     ("chain", "--t-max", "12", "--simulate-steps", "20000", "--seed", "3"): (
         [".csv", ".report.json"],
-        "cabd8d0684469ccefa7af0e8e04e058af0a0454f2e0007f0c60317e9486555d0",
+        "62455f2590caf26970908842b2b17a6cdb3cb65bc87a7857f2bea21e1cd09c8a",
     ),
     ("exact", "--t", "8"): (
         [".mean.csv", ".meta.json", ".pmf.csv"],
