@@ -133,11 +133,15 @@ def empty_stats(config: EnsembleConfig) -> EnsembleStats:
     return EnsembleStats(config=config, records=np.empty(0, dtype=REPLICA_DTYPE))
 
 
+def _conservation_error(index: int) -> AssertionError:
+    return AssertionError(f"olive conservation violated in replica {index}")
+
+
 def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
     o = rec.final_state.total_olives
     # The conservation law must hold at the final step of every replica.
     if o != rec.t_max - rec.final_state.plate_moves - 2 * rec.final_state.c_remove_olive:
-        raise AssertionError(f"olive conservation violated in replica {index}")
+        raise _conservation_error(index)
     return (
         index,
         seed,
@@ -152,8 +156,20 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
     )
 
 
+# The lockstep kernel runs a chunk when its steps are few and its replicas
+# many: it pays 10-15 ms per block for seeding, so it is the slower kernel
+# below about 500 replicas, and at long horizons numpy's per-call cost
+# makes each of its steps dearer than the scalar kernel's.
+_LOCKSTEP_MAX_T = 64
+_LOCKSTEP_MIN_REPLICAS = 1024
+
+
 def _run_chunk(args: tuple) -> tuple:
     config, lo, hi, check_identity = args
+    if not check_identity and config.t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
+        records = _lockstep_records(config, lo, hi)
+        o = records["O"]  # |O| <= t <= 64: the int64 sums are exact
+        return records, int(o.sum()), int((o * o).sum())
     rows = []
     sum_o = 0
     sum_o2 = 0
@@ -165,6 +181,31 @@ def _run_chunk(args: tuple) -> tuple:
         sum_o += o
         sum_o2 += o * o
     return np.array(rows, dtype=REPLICA_DTYPE), sum_o, sum_o2
+
+
+def _lockstep_records(config: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
+    """Replicas [lo, hi) by the lockstep kernel, in blocks of near-equal size
+    within its seeding-buffer cap; a lane that ran out of buffered words is
+    re-run by the scalar kernel."""
+    from . import _lockstep
+
+    t = config.t
+    records = np.empty(hi - lo, dtype=REPLICA_DTYPE)
+    n_blocks = -(-(hi - lo) // _lockstep.MAX_LANES)
+    bounds = [lo + (hi - lo) * k // n_blocks for k in range(n_blocks + 1)]
+    for a, b in zip(bounds, bounds[1:]):
+        block = records[a - lo : b - lo]
+        removals, dry = _lockstep.run_block(t, config.master_seed, a, b, block)
+        # _replica_row's conservation check, on every lane at once; the dry
+        # lanes get theirs from _replica_row itself.
+        held = block["O"] == t - block["t_plate"] - 2 * removals
+        held[dry] = True
+        if not held.all():
+            raise _conservation_error(a + int(np.flatnonzero(~held)[0]))
+        for k in dry.tolist():
+            seed = derive_seed(config.master_seed, a + k)
+            block[k] = _replica_row(a + k, seed, run_trajectory(t, seed))
+    return records
 
 
 def _usable_cpus() -> int:

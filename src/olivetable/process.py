@@ -22,6 +22,13 @@ swap-removal, non-empty plates are tracked in an index list, and the single
 uniform draw in [0, M) is rejection-sampled and decoded positionally.  One
 kernel, ``_advance``, holds that code; :func:`run_trajectory` and
 :func:`step` are both one call to it.
+
+The ensemble has a second, lockstep path for short horizons
+(``olivetable._lockstep``): a pool chunk of at least 1,024 replicas of
+t <= 64 steps, run without ``check_identity``, advances a block of replicas
+as numpy lanes with ``_advance``'s positional decode and swap-removal
+order, so every replica row is bit-identical.  Every other run, and any
+lane that runs out of buffered random words, goes through ``_advance``.
 """
 
 from __future__ import annotations

@@ -368,6 +368,11 @@ GOLDEN = {
         [".csv", ".summary.json"],
         "a47e9c53a8979ae4cd5a598cb64419ca0912aef280afe32224b6909908161c0f",
     ),
+    # Pooled chunks of 7,500 replicas (on two CPUs), each on the lockstep kernel.
+    ("ensemble", "--t", "20", "--replicas", "60000", "--seed", "11", "--threads", "2"): (
+        [".csv", ".summary.json"],
+        "ed04654788f58fa49164324672e7607aadd53a2faeb9a00f100c6e7575e5d942",
+    ),
     ("sweep", "--t-list", "1000,2000", "--replicas", "60", "--seed", "9"): (
         [".sweep.json"],
         "282c67adf0b693cf0a3e5eda3e76936f7a5ef15a8b0fece288dcf749ba20d9f8",
@@ -401,7 +406,10 @@ GOLDEN = {
 
 # Test ids name the command (pytest numbers repeats); an entry added for a
 # command that was already pinned has its own id, so earlier ids stay put.
-GOLDEN_IDS = {("exact", "--t", "14"): "exact_t14"}
+GOLDEN_IDS = {
+    ("exact", "--t", "14"): "exact_t14",
+    ("ensemble", "--t", "20", "--replicas", "60000", "--seed", "11", "--threads", "2"): "ensemble_t20_pooled",
+}
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda argv: GOLDEN_IDS.get(argv, argv[0]))
@@ -437,6 +445,7 @@ def test_only_numpy_commands_import_numpy():
 import sys
 import olivetable.cli
 assert "numpy" not in sys.modules, "import olivetable.cli loaded numpy"
+assert "olivetable._lockstep" not in sys.modules, "import olivetable.cli loaded the lockstep kernel"
 from olivetable.cli import main
 assert main(["exact", "--t", "3"]) == 0
 assert main(["simulate", "--t", "100", "--seed", "1"]) == 0

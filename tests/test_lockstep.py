@@ -1,0 +1,203 @@
+"""The lockstep ensemble kernel against the scalar one it must reproduce.
+
+Every comparison is with a test-local reference built from the scalar
+kernel (``run_trajectory`` and ``_replica_row``), replica by replica, with
+exact Python-int sums.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from olivetable import _lockstep, ensemble, process
+from olivetable.ensemble import REPLICA_DTYPE, EnsembleConfig, run_ensemble
+from olivetable.process import TableState, run_trajectory
+from olivetable.rng import derive_seed, make_rng
+
+MIN_R = ensemble._LOCKSTEP_MIN_REPLICAS
+
+
+def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, int, int]:
+    rows = []
+    for i in range(lo, hi):
+        seed = derive_seed(config.master_seed, i)
+        rows.append(ensemble._replica_row(i, seed, run_trajectory(config.t, seed)))
+    o = [row[2] for row in rows]
+    return np.array(rows, dtype=REPLICA_DTYPE).tobytes(), sum(o), sum(v * v for v in o)
+
+
+def outcome(stats) -> tuple[bytes, int, int]:
+    return stats.records.tobytes(), stats.sum_olives, stats.sum_olives_sq
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Record each lockstep block (lo, hi) and each scalar replica run."""
+    blocks, scalar = [], []
+    real_block, real_trajectory = _lockstep.run_block, ensemble.run_trajectory
+
+    def run_block(t, master_seed, lo, hi, rows):
+        blocks.append((lo, hi))
+        return real_block(t, master_seed, lo, hi, rows)
+
+    def run_trajectory_spy(t_max, seed, **kwargs):
+        scalar.append((seed, kwargs.get("check_identity", False)))
+        return real_trajectory(t_max, seed, **kwargs)
+
+    monkeypatch.setattr(_lockstep, "run_block", run_block)
+    monkeypatch.setattr(ensemble, "run_trajectory", run_trajectory_spy)
+    return blocks, scalar
+
+
+# -- streams ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("master", [0, -1, 2**64 + 5, 20260810])
+@pytest.mark.parametrize("lo, hi", [(3, 40), (999_990, 1_000_010)])
+def test_vectorised_splitmix64_is_derive_seed(master, lo, hi):
+    seeds = _lockstep.derive_seeds(master, lo, hi)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(master, i) for i in range(lo, hi)]
+
+
+def test_vectorised_mt19937_prefix_is_random_random():
+    # Seeds below 2**32 are one-word init_by_array keys, the rest two-word.
+    edge = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    derived = [derive_seed(m, i) for m in (0, 11, 2**63) for i in range(40)]
+    seeds = np.array(edge + derived, dtype=np.uint64)
+    words = _lockstep.first_words(seeds, _lockstep.TWIST_WORDS)
+    assert words.shape == (_lockstep.TWIST_WORDS, len(seeds)) and words.dtype == np.uint32
+    for k, seed in enumerate(seeds.tolist()):
+        rng = random.Random(seed)
+        assert words[:, k].tolist() == [rng.getrandbits(32) for _ in range(_lockstep.TWIST_WORDS)], seed
+    assert _lockstep.first_words(seeds, 5).tolist() == words[:5].tolist()
+    # getrandbits(k <= 32) is the word's top k bits, as the kernel decodes it.
+    rng = make_rng(int(seeds[7]))
+    bits = (1, 5, 13, 32)
+    assert [rng.getrandbits(k) for k in bits] == [int(w) >> (32 - k) for w, k in zip(words[:4, 7], bits)]
+    for bad in (0, _lockstep.TWIST_WORDS + 1):
+        with pytest.raises(ValueError):
+            _lockstep.first_words(seeds, bad)
+
+
+# -- rows ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 12, 40, 64])
+def test_rows_equal_the_scalar_kernel(t, spies):
+    blocks, scalar = spies
+    config = EnsembleConfig(t=t, replicas=MIN_R + 300, master_seed=t * 7919 + 1)
+    assert outcome(run_ensemble(config, threads=1)) == scalar_reference(config, 0, config.replicas)
+    assert blocks == [(0, config.replicas)]
+    assert scalar == []  # no lane ran dry at the default buffer
+
+
+def test_blocks_and_replica_ranges(spies, monkeypatch):
+    blocks, _ = spies
+    monkeypatch.setattr(_lockstep, "MAX_LANES", 500)
+    config = EnsembleConfig(t=12, replicas=5000, master_seed=2**64 + 5)
+    lo, hi = 1234, 1234 + 1501
+    stats = run_ensemble(config, threads=1, replica_range=(lo, hi))
+    assert outcome(stats) == scalar_reference(config, lo, hi)
+    # Four near-equal blocks within the cap, tiling the range in order.
+    assert [b - a for a, b in blocks] == [375, 375, 375, 376]
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(a == b for (_, a), (b, _) in zip(blocks, blocks[1:]))
+
+
+def test_seeding_buffer_stays_within_ten_mib():
+    assert _lockstep.MAX_LANES * 624 * np.dtype(np.uint32).itemsize <= 10 << 20
+    assert _lockstep.MAX_LANES >= 4096
+
+
+POOLED = EnsembleConfig(t=40, replicas=25_000, master_seed=5)
+
+
+@pytest.fixture(scope="module")
+def pooled_reference():
+    return scalar_reference(POOLED, 0, POOLED.replicas)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_thread_count_does_not_change_lockstep_results(threads, pooled_reference):
+    # t * R >= 1e6: two threads split the run into pool chunks of 3125
+    # replicas, each on the lockstep path; one thread runs one chunk of
+    # seven blocks.
+    assert outcome(run_ensemble(POOLED, threads=threads)) == pooled_reference
+
+
+def _draws_per_step(t: int, seed: int) -> list[int]:
+    """Cumulative words the scalar kernel draws by the end of each step."""
+    counts = []
+    rng = make_rng(seed)
+    real = rng.getrandbits
+    used = [0]
+
+    def getrandbits(k):
+        used[0] += 1
+        return real(k)
+
+    rng.getrandbits = getrandbits
+    state = TableState()
+    for _ in range(t):
+        process.step(state, rng)
+        counts.append(used[0])
+    return counts
+
+
+@pytest.mark.parametrize("words", [1, 14])
+def test_dry_lanes_fall_back_to_the_scalar_kernel(words, spies, monkeypatch):
+    blocks, scalar = spies
+    monkeypatch.setattr(_lockstep, "_buffer_words", lambda t: words)
+    config = EnsembleConfig(t=12, replicas=MIN_R + 76, master_seed=77)
+    stats = run_ensemble(config, threads=1)
+    assert outcome(stats) == scalar_reference(config, 0, config.replicas)
+
+    draws = [_draws_per_step(config.t, derive_seed(config.master_seed, i)) for i in range(config.replicas)]
+    rerun = {seed for seed, _ in scalar}
+    expected = {derive_seed(config.master_seed, i) for i, d in enumerate(draws) if d[-1] > words}
+    assert rerun == expected and len(scalar) == len(expected)
+    if words == 14:
+        # Lanes that use their last word on the last step stay in lockstep;
+        # lanes that use it at an earlier step boundary leave the block.
+        exact_end = [i for i, d in enumerate(draws) if d[-1] == words]
+        exact_inner = [i for i, d in enumerate(draws) if words in d[:-1]]
+        assert exact_end and exact_inner
+        assert not {derive_seed(config.master_seed, i) for i in exact_end} & rerun
+        assert {derive_seed(config.master_seed, i) for i in exact_inner} <= rerun
+        assert len(expected) < config.replicas
+
+
+def test_selection_rule(spies):
+    blocks, scalar = spies
+    run_ensemble(EnsembleConfig(t=65, replicas=MIN_R, master_seed=1), threads=1)
+    assert blocks == [] and len(scalar) == MIN_R
+    run_ensemble(EnsembleConfig(t=12, replicas=MIN_R - 1, master_seed=1), threads=1)
+    assert blocks == [] and len(scalar) == 2 * MIN_R - 1
+    scalar.clear()
+    run_ensemble(EnsembleConfig(t=64, replicas=MIN_R, master_seed=1), threads=1)
+    assert blocks == [(0, MIN_R)] and scalar == []
+
+
+def test_check_identity_runs_the_scalar_kernel_at_every_step(spies):
+    blocks, scalar = spies
+    config = EnsembleConfig(t=12, replicas=MIN_R + 10, master_seed=3)
+    checked = run_ensemble(config, threads=1, check_identity=True)
+    assert blocks == []
+    assert scalar == [(derive_seed(3, i), True) for i in range(config.replicas)]
+    assert outcome(checked) == outcome(run_ensemble(config, threads=1))
+
+
+def test_a_corrupted_lane_fails_the_conservation_check(monkeypatch):
+    real = _lockstep.run_block
+
+    def corrupt(t, master_seed, lo, hi, rows):
+        removals, dry = real(t, master_seed, lo, hi, rows)
+        removals[37] += 1
+        return removals, dry
+
+    monkeypatch.setattr(_lockstep, "run_block", corrupt)
+    config = EnsembleConfig(t=12, replicas=2 * MIN_R, master_seed=9)
+    with pytest.raises(AssertionError, match="replica 537"):
+        run_ensemble(config, threads=1, replica_range=(500, 500 + MIN_R))
