@@ -30,7 +30,6 @@ from .oracle import (
     enumerate_chain_paths,
     exact_expected_olives,
     exact_olive_distribution,
-    exact_transition_check,
 )
 from .rng import derive_seed, make_rng
 
@@ -75,7 +74,6 @@ __all__ = [
     "enumerate_chain_paths",
     "exact_expected_olives",
     "exact_olive_distribution",
-    "exact_transition_check",
     "derive_seed",
     "make_rng",
 ]

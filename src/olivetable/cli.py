@@ -138,7 +138,7 @@ def _cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - start
     state = record.final_state
     ratio = Fraction(state.total_olives, args.t)
-    lo, hi = Fraction(1, 342), Fraction(2, 3)
+    lo, hi = process.C_BOUNDS
     summary = {
         "final_olives": state.total_olives,
         "plates": state.num_plates,
@@ -148,10 +148,10 @@ def _cmd_simulate(args) -> int:
         "bounds_band": [str(lo), str(hi)],
         "within_bounds": lo <= ratio <= hi,
         "t_plate": state.plate_moves,
-        "tau1": record.tau.get(1, 0),
+        "tau1": record.num_returns + 1,
         "two_to_one": record.num_returns,
         "max_other_olives": record.max_other_olives,
-        "first_plate_olives": record.first_plate_olives,
+        "first_plate_olives": state.first_plate_olives,
         "series_rows": len(record.series),
     }
     if args.format == "json":

@@ -3,9 +3,10 @@
 Replica ``i`` of a run is fully determined by the config: its stream seed is
 ``derive_seed(master_seed, i)``, so any subset of replicas can be computed on
 any worker (or re-run alone) and merged back bit-identically.  Each replica
-contributes one row of integer counters, olive totals are aggregated in
-Python integers (never floats), and ``merge`` is associative and
-commutative, so chunked parallel runs equal monolithic ones.
+contributes one row of integer counters, and the rows are the only store:
+every statistic is read off them, with the olive moments summed in Python
+integers (never floats).  ``merge`` is associative and commutative, so
+chunked parallel runs equal monolithic ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .process import TrajectoryRecord, run_trajectory
+from .process import C_BOUNDS, TrajectoryRecord, run_trajectory
 from .rng import derive_seed
 
 ENSEMBLE_CSV_HEADER = (
@@ -54,10 +55,10 @@ class EnsembleConfig:
     """Parameters that fully determine an ensemble run.
 
     ``c_bounds`` is the (lower, upper) band for the per-replica O/t check,
-    defaulting to [1/342, 2/3]; ``deltas`` drive the concentration report.
-    ``cadence`` is carried for provenance (re-running a single replica with
-    it reproduces that replica's time series); ensemble runs themselves do
-    not retain per-replica series.
+    defaulting to the paper's [1/342, 2/3]; ``deltas`` drive the
+    concentration report.  ``cadence`` is carried for provenance (re-running
+    a single replica with it reproduces that replica's time series);
+    ensemble runs themselves do not retain per-replica series.
     """
 
     t: int
@@ -65,7 +66,7 @@ class EnsembleConfig:
     master_seed: int
     deltas: tuple[float, ...] = (0.005, 0.01, 0.02, 0.05)
     cadence: int = 0
-    c_bounds: tuple[Fraction, Fraction] = (Fraction(1, 342), Fraction(2, 3))
+    c_bounds: tuple[Fraction, Fraction] = C_BOUNDS
 
     def __post_init__(self):
         if self.t < 1:
@@ -97,14 +98,12 @@ class EnsembleStats:
     """Mergeable aggregate over a set of replicas of one config.
 
     ``records`` holds one row per replica (sorted by replica index) with
-    exactly the ensemble CSV columns.  ``sum_olives``/``sum_olives_sq`` are
-    exact Python ints, so merging is lossless.
+    exactly the ensemble CSV columns.  It is the whole state: every
+    statistic is read off it, so merging is lossless.
     """
 
     config: EnsembleConfig
     records: np.ndarray
-    sum_olives: int = 0
-    sum_olives_sq: int = 0
 
     @property
     def n(self) -> int:
@@ -113,17 +112,16 @@ class EnsembleStats:
     def mean_olives(self) -> Fraction:
         if self.n == 0:
             raise ValueError("no replicas")
-        return Fraction(self.sum_olives, self.n)
+        _, total, _ = _olive_moments(self)
+        return Fraction(total, self.n)
 
     def sd_olives(self) -> float:
         if self.n < 2:
             return 0.0
-        return math.sqrt(_sample_variance(self.sum_olives, self.sum_olives_sq, self.n))
+        _, total, total_sq = _olive_moments(self)
+        return math.sqrt(_sample_variance(total, total_sq, self.n))
 
     def check_invariants(self) -> None:
-        o = self.records["O"]
-        assert self.sum_olives == sum(int(v) for v in o)
-        assert self.sum_olives_sq == sum(int(v) * int(v) for v in o)
         indices = [int(r) for r in self.records["replica"]]
         assert indices == sorted(set(indices))
 
@@ -131,6 +129,14 @@ class EnsembleStats:
 def empty_stats(config: EnsembleConfig) -> EnsembleStats:
     """The merge identity: zero replicas of ``config``."""
     return EnsembleStats(config=config, records=np.empty(0, dtype=REPLICA_DTYPE))
+
+
+def _olive_moments(stats: EnsembleStats) -> tuple[list[tuple[int, int]], int, int]:
+    """The distinct olive totals with their replica counts (at most t + 1
+    pairs, in increasing O), and the exact sums of O and O^2 in Python ints."""
+    values, counts = np.unique(stats.records["O"], return_counts=True)
+    o_counts = list(zip(values.tolist(), counts.tolist()))
+    return o_counts, sum(o * c for o, c in o_counts), sum(o * o * c for o, c in o_counts)
 
 
 def _conservation_error(index: int) -> AssertionError:
@@ -147,10 +153,10 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
         seed,
         o,
         rec.final_state.plate_moves,
-        rec.tau.get(1, 0),
+        rec.num_returns + 1,  # tau1: every return, and the arrival on step 1
         rec.num_returns,
         rec.max_other_olives,
-        rec.first_plate_olives,
+        rec.final_state.first_plate_olives,
         rec.l_ge3_removals,
         rec.plate_moves_at_ge3,
     )
@@ -164,23 +170,16 @@ _LOCKSTEP_MAX_T = 64
 _LOCKSTEP_MIN_REPLICAS = 1024
 
 
-def _run_chunk(args: tuple) -> tuple:
+def _run_chunk(args: tuple) -> np.ndarray:
     config, lo, hi, check_identity = args
     if not check_identity and config.t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
-        records = _lockstep_records(config, lo, hi)
-        o = records["O"]  # |O| <= t <= 64: the int64 sums are exact
-        return records, int(o.sum()), int((o * o).sum())
+        return _lockstep_records(config, lo, hi)
     rows = []
-    sum_o = 0
-    sum_o2 = 0
     for i in range(lo, hi):
         seed = derive_seed(config.master_seed, i)
         rec = run_trajectory(config.t, seed, cadence=0, check_identity=check_identity)
         rows.append(_replica_row(i, seed, rec))
-        o = rec.final_state.total_olives
-        sum_o += o
-        sum_o2 += o * o
-    return np.array(rows, dtype=REPLICA_DTYPE), sum_o, sum_o2
+    return np.array(rows, dtype=REPLICA_DTYPE)
 
 
 def _lockstep_records(config: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
@@ -263,12 +262,7 @@ def run_ensemble(
     else:
         parts = [_run_chunk((config, lo, hi, check_identity))]
 
-    records = np.concatenate([p[0] for p in parts])
-    stats = EnsembleStats(config=config, records=records)
-    for _, sum_o, sum_o2 in parts:
-        stats.sum_olives += sum_o
-        stats.sum_olives_sq += sum_o2
-    return stats
+    return EnsembleStats(config=config, records=np.concatenate(parts))
 
 
 def merge(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
@@ -280,37 +274,21 @@ def merge(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
         raise ConfigMismatchError("overlapping replica indices")
     records = np.concatenate([a.records, b.records])
     records = records[np.argsort(records["replica"], kind="stable")]
-    return EnsembleStats(
-        config=a.config,
-        records=records,
-        sum_olives=a.sum_olives + b.sum_olives,
-        sum_olives_sq=a.sum_olives_sq + b.sum_olives_sq,
-    )
+    return EnsembleStats(config=a.config, records=records)
 
 
 # -- statistics helpers -------------------------------------------------------
 
 
-def wilson_upper(successes: int, n: int, z: float = Z99) -> float:
-    """Upper end of the Wilson score interval for a binomial proportion."""
+def wilson_upper(successes: int, n: int) -> float:
+    """Upper end of the 99% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     phat = successes / n
-    denom = 1 + z * z / n
-    center = phat + z * z / (2 * n)
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
+    denom = 1 + Z99 * Z99 / n
+    center = phat + Z99 * Z99 / (2 * n)
+    half = Z99 * math.sqrt(phat * (1 - phat) / n + Z99 * Z99 / (4 * n * n))
     return (center + half) / denom
-
-
-def ratio_estimate(o_values: Sequence[int], t: int, z: float = Z99) -> dict:
-    """Mean O/t with a normal-approximation CI from per-replica totals.
-
-    Exact integer sums feed the point estimate; the CI uses the sample sd.
-    Degenerate samples (all equal) get a zero-width interval; a single
-    replica has no CI, so ``ci_low`` and ``ci_high`` are None.
-    """
-    values = [int(v) for v in o_values]
-    return _estimate_from_sums(sum(values), sum(v * v for v in values), len(values), t, z)
 
 
 def _sample_variance(total: int, total_sq: int, n: int) -> float:
@@ -319,15 +297,22 @@ def _sample_variance(total: int, total_sq: int, n: int) -> float:
     return (n * total_sq - total**2) / (n * (n - 1))
 
 
-def _estimate_from_sums(total: int, total_sq: int, n: int, t: int, z: float = Z99) -> dict:
-    """``ratio_estimate`` from the exact sums of O and O^2 over n replicas."""
+def _stats_estimate(stats: EnsembleStats) -> dict:
+    """Mean O/t with a 99% normal-approximation CI over the replicas.
+
+    Exact integer sums feed the point estimate; the CI uses the sample sd.
+    Degenerate samples (all equal) get a zero-width interval; a single
+    replica has no CI, so ``ci_low`` and ``ci_high`` are None.
+    """
+    n, t = stats.n, stats.config.t
     if n < 1:
         raise ValueError("need at least one replica")
+    _, total, total_sq = _olive_moments(stats)
     mean_o = Fraction(total, n)
     ratio = float(mean_o / t)
     if n > 1:
         var = _sample_variance(total, total_sq, n)
-        half = z * (math.sqrt(var / n) / t)
+        half = Z99 * (math.sqrt(var / n) / t)
         ci_low, ci_high, sd = ratio - half, ratio + half, math.sqrt(var)
     else:
         ci_low = ci_high = None
@@ -342,10 +327,6 @@ def _estimate_from_sums(total: int, total_sq: int, n: int, t: int, z: float = Z9
         "ci_high": ci_high,
         "sd_O": sd,
     }
-
-
-def _stats_estimate(stats: EnsembleStats) -> dict:
-    return _estimate_from_sums(stats.sum_olives, stats.sum_olives_sq, stats.n, stats.config.t)
 
 
 # -- reports ------------------------------------------------------------------
@@ -365,10 +346,9 @@ def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]]
         raise ValueError("need at least one replica")
     deltas = tuple(deltas) if deltas is not None else stats.config.deltas
     n = stats.n
-    total = stats.sum_olives
     t = stats.config.t
-    values, counts = np.unique(stats.records["O"], return_counts=True)
-    o_counts = list(zip(values.tolist(), counts.tolist()))  # at most t + 1 pairs
+    o_counts, total, _ = _olive_moments(stats)
+    est = _stats_estimate(stats)
     rows = []
     for d in deltas:
         threshold = Fraction(d) * t * n
@@ -384,8 +364,8 @@ def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]]
     return {
         "t": t,
         "R": n,
-        "mean_O": float(stats.mean_olives()),
-        "sd_O": stats.sd_olives(),
+        "mean_O": est["mean_O"],
+        "sd_O": est["sd_O"],
         "exceedance": rows,
     }
 
@@ -519,9 +499,9 @@ def bounds_check(stats: EnsembleStats) -> dict:
     """
     lo, hi = stats.config.c_bounds
     t = stats.config.t
-    o = stats.records["O"]
-    outside = [v for v in np.unique(o).tolist() if not lo * t <= v <= hi * t]
-    violations = stats.records["replica"][np.isin(o, outside)]
+    o_counts, _, _ = _olive_moments(stats)
+    outside = [o for o, _ in o_counts if not lo * t <= o <= hi * t]
+    violations = stats.records["replica"][np.isin(stats.records["O"], outside)]
     return {
         "lower": str(lo),
         "upper": str(hi),

@@ -173,11 +173,6 @@ def transitions(state: CanonicalState) -> dict[CanonicalState, Fraction]:
     return {succ: Fraction(k, m_total) for succ, k in law.items()}
 
 
-def exact_transition_check(state: TableState) -> dict[CanonicalState, Fraction]:
-    """Exact one-step law of a full process state, keyed canonically."""
-    return transitions(canonical_of(state))
-
-
 def _advance(
     dist: dict[CanonicalState, int], den: int, step: int, work_done: int, budget: int
 ) -> tuple[dict[CanonicalState, int], int, int]:

@@ -35,11 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, NamedTuple, TextIO
 
 from .rng import make_rng
 
 MAX_SERIES_ROWS = 2_000_000
+
+# The paper's band for the olive rate: t/342 <= O_t <= 2t/3.
+C_BOUNDS = (Fraction(1, 342), Fraction(2, 3))
 
 TRAJECTORY_CSV_HEADER = "step,olives,plates,nonempty,first_plate_olives,max_other_olives"
 
@@ -205,25 +209,22 @@ class TrajectoryRecord:
     """Everything one trajectory run reports, in O(1) memory in ``t_max``.
 
     ``num_returns`` counts the merges that took the plate count from 2 to 1
-    (the returns to one plate).  ``tau`` counts entries into each
-    plate-count level, counted only when the plate count changes; the
-    arrival at one plate on step 1 is counted, so
-    ``tau[1] == num_returns + 1``.  ``max_other_olives`` is the maximum,
-    over the whole run and over every plate other than plate 1, of that
-    plate's olive count.  ``series`` holds the cadence rows, capped at
-    ``MAX_SERIES_ROWS``.
+    (the returns to one plate).  The entries into the one-plate level are
+    these returns plus the forced arrival on step 1, so a run's ``tau1`` is
+    ``num_returns + 1``.  ``max_other_olives`` is the maximum, over the
+    whole run and over every plate other than plate 1, of that plate's
+    olive count.  ``series`` holds the cadence rows, capped at
+    ``MAX_SERIES_ROWS``.  Everything else, plate 1's olives included, is
+    read off ``final_state``.
     """
 
     t_max: int
-    seed: int
     cadence: int
     final_state: TableState
     num_returns: int = 0
-    tau: dict[int, int] = field(default_factory=dict)
     l_ge3_removals: int = 0
     plate_moves_at_ge3: int = 0
     max_other_olives: int = 0
-    first_plate_olives: int = 0
     series: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
 
 
@@ -261,7 +262,6 @@ def _advance(
 
     cadence = record.cadence
     num_returns = record.num_returns
-    tau = record.tau
     series = record.series
     l_ge3_removals = record.l_ge3_removals
     plate_moves_ge3 = record.plate_moves_at_ge3
@@ -288,7 +288,6 @@ def _advance(
             ne_idx.append(-1)
             num_plates += 1
             c_pp += 1
-            tau[num_plates] = tau.get(num_plates, 0) + 1
         elif u <= n_merge:
             # P-: merge pair rank u-1; lower id survives
             r = u - 1
@@ -330,7 +329,6 @@ def _advance(
                 num_returns += 1
             num_plates -= 1
             c_pm += 1
-            tau[num_plates] = tau.get(num_plates, 0) + 1
         elif u <= n_merge + num_plates:
             # O+: add an olive
             p = u - 1 - n_merge
@@ -377,7 +375,6 @@ def _advance(
     record.l_ge3_removals = l_ge3_removals
     record.plate_moves_at_ge3 = plate_moves_ge3
     record.max_other_olives = max_other
-    record.first_plate_olives = olives[pos1] if pos1 >= 0 else 0
 
 
 def run_trajectory(
@@ -404,7 +401,7 @@ def run_trajectory(
             f"{t_max // cadence} rows (cap {MAX_SERIES_ROWS})"
         )
     state = TableState()
-    record = TrajectoryRecord(t_max=t_max, seed=seed, cadence=cadence, final_state=state)
+    record = TrajectoryRecord(t_max=t_max, cadence=cadence, final_state=state)
     _advance(state, make_rng(seed), t_max, record, check_identity)
     return record
 
@@ -412,10 +409,9 @@ def run_trajectory(
 def step(state: TableState, rng) -> TableState:
     """Advance ``state`` in place by one uniformly chosen move and return it.
 
-    The step's diagnostics go to a scratch record (seed -1: the rng comes
-    from the caller) and are dropped.
+    The step's diagnostics go to a scratch record and are dropped.
     """
-    scratch = TrajectoryRecord(t_max=state.t + 1, seed=-1, cadence=0, final_state=state)
+    scratch = TrajectoryRecord(t_max=state.t + 1, cadence=0, final_state=state)
     _advance(state, rng, 1, scratch)
     return state
 

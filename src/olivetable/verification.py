@@ -157,7 +157,7 @@ def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
         # draw is one step of the production kernel from a fresh copy; its
         # diagnostics go to one scratch record per base state.
         raw: Counter[tuple] = Counter()
-        scratch = process.TrajectoryRecord(t_max=base.t + 1, seed=-1, cadence=0, final_state=base)
+        scratch = process.TrajectoryRecord(t_max=base.t + 1, cadence=0, final_state=base)
         for _ in range(draws):
             succ = base.copy()
             process._advance(succ, rng, 1, scratch)

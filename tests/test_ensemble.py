@@ -20,7 +20,6 @@ from olivetable.ensemble import (
     merge,
     plate_move_stats,
     pool_size,
-    ratio_estimate,
     run_ensemble,
     summary_json,
     sweep,
@@ -31,6 +30,18 @@ from olivetable.process import run_trajectory
 from olivetable.rng import derive_seed
 
 CFG = EnsembleConfig(t=2000, replicas=12, master_seed=99)
+
+
+def _sums(stats: EnsembleStats) -> tuple[int, int]:
+    _, total, total_sq = ensemble._olive_moments(stats)
+    return total, total_sq
+
+
+def _hand_built(o_values: list[int], t: int) -> EnsembleStats:
+    records = np.zeros(len(o_values), dtype=ensemble.REPLICA_DTYPE)
+    records["replica"] = np.arange(len(o_values))
+    records["O"] = o_values
+    return EnsembleStats(EnsembleConfig(t=t, replicas=len(o_values), master_seed=0), records)
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +70,10 @@ def test_single_replica_reduces_to_trajectory(small_stats):
     row = small_stats.records[0]
     assert int(row["O"]) == rec.final_state.total_olives
     assert int(row["t_plate"]) == rec.final_state.plate_moves
-    assert int(row["tau1"]) == rec.tau[1]
+    assert int(row["tau1"]) == rec.num_returns + 1
     assert int(row["two_to_one"]) == rec.num_returns
     assert int(row["max_other_olives"]) == rec.max_other_olives
-    assert int(row["first_plate_olives"]) == rec.first_plate_olives
+    assert int(row["first_plate_olives"]) == rec.final_state.first_plate_olives
     assert int(row["L_ge3"]) == rec.l_ge3_removals
     assert int(row["plate_moves_ge3"]) == rec.plate_moves_at_ge3
     assert int(row["seed"]) == derive_seed(CFG.master_seed, 0)
@@ -71,8 +82,7 @@ def test_single_replica_reduces_to_trajectory(small_stats):
 def test_determinism_bitwise(small_stats):
     again = run_ensemble(CFG)
     assert small_stats.records.tobytes() == again.records.tobytes()
-    assert small_stats.sum_olives == again.sum_olives
-    assert small_stats.sum_olives_sq == again.sum_olives_sq
+    assert _sums(small_stats) == _sums(again)
 
 
 def test_thread_count_does_not_change_results():
@@ -80,7 +90,7 @@ def test_thread_count_does_not_change_results():
     serial = run_ensemble(config, threads=1)
     pooled = run_ensemble(config, threads=2)
     assert serial.records.tobytes() == pooled.records.tobytes()
-    assert serial.sum_olives == pooled.sum_olives
+    assert _sums(serial) == _sums(pooled)
 
 
 def test_pool_size_arithmetic():
@@ -125,11 +135,7 @@ def test_run_ensemble_clamps_its_pool(monkeypatch):
 
 
 def _stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
-    return (
-        a.records.tobytes() == b.records.tobytes()
-        and a.sum_olives == b.sum_olives
-        and a.sum_olives_sq == b.sum_olives_sq
-    )
+    return a.records.tobytes() == b.records.tobytes() and _sums(a) == _sums(b)
 
 
 def test_fold_of_single_replica_parts_equals_full_run(small_stats):
@@ -179,7 +185,7 @@ def test_replica_range_validation():
 
 
 def test_ratio_estimate_synthetic_injection():
-    est = ratio_estimate([100] * 50, t=1000)
+    est = ensemble._stats_estimate(_hand_built([100] * 50, t=1000))
     assert est["ratio"] == pytest.approx(0.1)
     assert est["ci_low"] == pytest.approx(0.1)
     assert est["ci_high"] == pytest.approx(0.1)
@@ -258,7 +264,7 @@ def test_sweep_equals_separate_reports():
 
 
 def test_ratio_estimate_single_replica_has_no_ci():
-    est = ratio_estimate([7], t=100)
+    est = ensemble._stats_estimate(_hand_built([7], t=100))
     assert est["ci_low"] is None and est["ci_high"] is None
     assert est["ratio"] == 0.07 and est["sd_O"] == 0.0
 
@@ -266,12 +272,7 @@ def test_ratio_estimate_single_replica_has_no_ci():
 def test_bounds_check_exact(mid_stats):
     report = bounds_check(mid_stats)
     assert report["bounds_pass"]
-    corrupted = EnsembleStats(
-        config=mid_stats.config,
-        records=mid_stats.records.copy(),
-        sum_olives=mid_stats.sum_olives,
-        sum_olives_sq=mid_stats.sum_olives_sq,
-    )
+    corrupted = EnsembleStats(mid_stats.config, mid_stats.records.copy())
     corrupted.records["O"][0] = 0
     bad = bounds_check(corrupted)
     assert not bad["bounds_pass"]
@@ -310,8 +311,7 @@ def test_ensemble_csv_schema(small_stats):
 
 def test_exact_integer_aggregation(small_stats):
     o_vals = [int(v) for v in small_stats.records["O"]]
-    assert small_stats.sum_olives == sum(o_vals)
-    assert small_stats.sum_olives_sq == sum(v * v for v in o_vals)
+    assert _sums(small_stats) == (sum(o_vals), sum(v * v for v in o_vals))
     assert small_stats.mean_olives() == Fraction(sum(o_vals), len(o_vals))
     # tau1 counts the initial entry to one plate as well as every return.
     assert (small_stats.records["tau1"] == small_stats.records["two_to_one"] + 1).all()

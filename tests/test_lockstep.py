@@ -28,7 +28,8 @@ def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, i
 
 
 def outcome(stats) -> tuple[bytes, int, int]:
-    return stats.records.tobytes(), stats.sum_olives, stats.sum_olives_sq
+    _, total, total_sq = ensemble._olive_moments(stats)
+    return stats.records.tobytes(), total, total_sq
 
 
 @pytest.fixture

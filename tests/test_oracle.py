@@ -16,7 +16,6 @@ from olivetable.oracle import (
     enumerate_chain_paths,
     exact_expected_olives,
     exact_olive_distribution,
-    exact_transition_check,
     labeled_olive_distribution,
     olive_distribution_table,
     state_distribution,
@@ -81,10 +80,10 @@ def test_transition_mass_sums_to_one_for_random_states():
         assert all(p > 0 for p in law.values())
 
 
-def test_exact_transition_check_from_table_state():
-    law = exact_transition_check(TableState.from_plates([(1, 0), (2, 0)]))
+def test_transitions_from_table_state():
+    law = transitions(canonical_of(TableState.from_plates([(1, 0), (2, 0)])))
     assert law[CanonicalState(0, ())] == QUARTER
-    assert exact_transition_check(TableState()) == {CanonicalState(0, ()): Fraction(1)}
+    assert transitions(canonical_of(TableState())) == {CanonicalState(0, ()): Fraction(1)}
 
 
 def test_exact_olive_distribution_small_t():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olivetable import process, verification
-from olivetable.oracle import canonical_of, exact_transition_check
+from olivetable.oracle import canonical_of, transitions
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
@@ -98,7 +98,7 @@ def test_step_decode_matches_exact_law(plates):
         assert min(p.id for p in trial.plates) == min((i for i, _ in plates), default=1)
         key = canonical_of(trial)
         law[key] = law.get(key, 0) + Fraction(1, m_total)
-    assert law == exact_transition_check(base)
+    assert law == transitions(canonical_of(base))
 
 
 def test_plate_move_probability_at_least_one_third():
@@ -238,27 +238,30 @@ def test_accounting_identity_and_structure_hold(seed, t):
 def test_fast_loop_matches_step_by_step():
     # One record advanced a step at a time: it counts a return exactly on the
     # steps that take the plate count from 2 to 1, and ends equal to the
-    # record of one run_trajectory call.
+    # record of one run_trajectory call.  Every plate move enters a new
+    # plate-count level, and the entries into one plate are the returns and
+    # the arrival on step 1 (the tau1 of the ensemble CSV).
     t = 5000
     for seed in (0, 1, 910, 2**63):
         record = run_trajectory(t, seed)
         rng = make_rng(seed)
         state = TableState()
-        stepped = TrajectoryRecord(t_max=t, seed=seed, cadence=0, final_state=state)
-        taus = {}
+        stepped = TrajectoryRecord(t_max=t, cadence=0, final_state=state)
+        entries = {}
         returns = 0
         for _ in range(t):
             before = state.num_plates
             process._advance(state, rng, 1, stepped)
             if state.num_plates != before:
-                taus[state.num_plates] = taus.get(state.num_plates, 0) + 1
+                entries[state.num_plates] = entries.get(state.num_plates, 0) + 1
             if before == 2 and state.num_plates == 1:
                 returns += 1
             assert stepped.num_returns == returns, state.t
         fast = record.final_state
         assert fast == state
         assert fast.counters() == state.counters()
-        assert record.tau == taus == stepped.tau
+        assert entries[1] == record.num_returns + 1
+        assert sum(entries.values()) == fast.plate_moves
         assert record.num_returns == returns > 0
         assert record == stepped
         fast.check_invariants()
@@ -278,15 +281,16 @@ def test_trajectory_t1_conventions():
     rec = run_trajectory(1, 7)
     assert rec.final_state.num_plates == 1
     assert rec.final_state.total_olives == 0
-    assert rec.tau == {1: 1}
+    assert rec.final_state.plate_moves == 1  # the one entry into one plate
     assert rec.num_returns == 0
 
 
 def test_trajectory_record_invariants():
     rec = run_trajectory(100_000, 1234, check_identity=True)
-    # tau[1] counts the initial entry as well as every return.
-    assert rec.tau[1] == rec.num_returns + 1
-    assert rec.final_state.plate_moves == sum(rec.tau.values())
+    rec.final_state.check_invariants()
+    # Every merge is a return (from two plates) or a removal at >= 3 plates.
+    assert rec.final_state.c_merge == rec.num_returns + rec.l_ge3_removals
+    assert rec.l_ge3_removals <= rec.plate_moves_at_ge3
 
 
 def test_trajectory_memory_does_not_grow_with_t():
@@ -314,7 +318,7 @@ def test_max_other_olives_tracks_non_first_plates():
             max_other, max((p.olives for p in state.plates if p.id != 1), default=0)
         )
     assert rec.max_other_olives == max_other
-    assert rec.first_plate_olives == state.first_plate_olives
+    assert rec.final_state.first_plate_olives == state.first_plate_olives
 
 
 def test_trajectory_series_and_csv_schema():
@@ -325,7 +329,7 @@ def test_trajectory_series_and_csv_schema():
     final_row = rec.series[-1]
     assert final_row[1] == rec.final_state.total_olives
     assert final_row[2] == rec.final_state.num_plates
-    assert final_row[4] == rec.first_plate_olives
+    assert final_row[4] == rec.final_state.first_plate_olives
     assert final_row[5] == rec.max_other_olives
     buf = io.StringIO()
     write_trajectory_csv(rec, buf)
