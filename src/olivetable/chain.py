@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO
 
+from .process import Z99
 from .rng import make_rng
 
 CHAIN_CSV_HEADER = "t,f_num,f_den,f_paper_num,f_paper_den,cdf_num,cdf_den"
@@ -401,30 +402,27 @@ def verify_gould_identity(x_max: int = 60) -> list[dict]:
     return report
 
 
-def _sqrt_fraction(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, if it is rational."""
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+# The exact values at x = 3/4 that verify_binomial_series checks its four
+# partial sums against.
+_SERIES_CLOSED_FORMS = {
+    "plain_sum": Fraction(2),  # 1 / sqrt(1 - x)
+    "weighted_sum": Fraction(3),  # x / (2 (1 - x)^{3/2})
+    "downstream_12": Fraction(12),
+    "downstream_6": Fraction(6),
+}
 
 
-def verify_binomial_series(
-    x: Fraction = Fraction(3, 4), k_max: int = 200, tol: float = 1e-8
-) -> dict:
-    """Check the central-binomial generating functions at 0 < x < 1.
+def verify_binomial_series(k_max: int = 200) -> dict:
+    """Check the central-binomial generating functions at x = 3/4.
 
     Partial sums of sum k*C(2k,k)*(x/4)^k and sum C(2k,k)*(x/4)^k are
-    compared with x / (2(1-x)^{3/2}) and 1/sqrt(1-x) within ``tol`` plus a
-    certified geometric tail bound (term ratio < x).  At x = 3/4 the closed
-    forms are exactly 3 and 2, and the two downstream sums built from
-    C(2k-1,k) = C(2k,k)/2 -- 8*sum k*(3/16)^k*C(2k-1,k) and
-    4*(1 + sum_{k>=1} (3/16)^k*C(2k-1,k)) -- are checked against 12 and 6.
+    compared with x / (2(1-x)^{3/2}) = 3 and 1/sqrt(1-x) = 2 within 1e-8
+    plus a certified geometric tail bound (term ratio < x).  The two
+    downstream sums built from C(2k-1,k) = C(2k,k)/2 --
+    8*sum k*(3/16)^k*C(2k-1,k) and 4*(1 + sum_{k>=1} (3/16)^k*C(2k-1,k)) --
+    are checked against 12 and 6.
     """
-    x = Fraction(x)
-    if not 0 < x < 1:
-        raise ValueError(f"x must be in (0, 1), got {x}")
+    x = Fraction(3, 4)
     base = x / 4
     s_plain = Fraction(0)
     s_weighted = Fraction(0)
@@ -438,39 +436,26 @@ def verify_binomial_series(
     tail_plain = next_term / (1 - x)
     tail_weighted = next_term * (Fraction(k_max + 1) / (1 - x) + x / (1 - x) ** 2)
 
-    one_minus = 1 - x
-    root = _sqrt_fraction(one_minus)
-    if root is not None:
-        closed_plain = 1 / root
-        closed_weighted = x / (2 * one_minus * root)
-        exact_closed = True
-    else:
-        closed_plain = Fraction(1 / math.sqrt(float(one_minus))).limit_denominator(10**18)
-        closed_weighted = Fraction(
-            float(x) / (2 * float(one_minus) ** 1.5)
-        ).limit_denominator(10**18)
-        exact_closed = False
+    # The downstream constants, built independently from C(2k-1, k).
+    d12 = Fraction(0)
+    d6 = Fraction(4)  # the k = 0 term of 4 * sum, under C(-1,0) = 1
+    for k in range(1, k_max + 1):
+        c = math.comb(2 * k - 1, k)
+        p = Fraction(3, 16) ** k
+        d12 += 8 * k * c * p
+        d6 += 4 * c * p
 
-    checks = {
-        "plain_sum": (s_plain, closed_plain, tail_plain),
-        "weighted_sum": (s_weighted, closed_weighted, tail_weighted),
+    partials = {
+        "plain_sum": (s_plain, tail_plain),
+        "weighted_sum": (s_weighted, tail_weighted),
+        "downstream_12": (d12, 4 * tail_weighted),
+        "downstream_6": (d6, 2 * tail_plain),
     }
-    if x == Fraction(3, 4):
-        # The downstream constants, built independently from C(2k-1, k).
-        d12 = Fraction(0)
-        d6 = Fraction(4)  # the k = 0 term of 4 * sum, under C(-1,0) = 1
-        for k in range(1, k_max + 1):
-            c = math.comb(2 * k - 1, k)
-            p = Fraction(3, 16) ** k
-            d12 += 8 * k * c * p
-            d6 += 4 * c * p
-        checks["downstream_12"] = (d12, Fraction(12), 4 * tail_weighted)
-        checks["downstream_6"] = (d6, Fraction(6), 2 * tail_plain)
-
-    report = {"x": x, "k_max": k_max, "tol": tol, "exact_closed_forms": exact_closed, "checks": {}}
-    for name, (partial, closed, tail) in checks.items():
+    report = {"k_max": k_max, "checks": {}}
+    for name, (partial, tail) in partials.items():
+        closed = _SERIES_CLOSED_FORMS[name]
         gap = abs(closed - partial)
-        ok = gap <= Fraction(tol).limit_denominator(10**18) + tail
+        ok = gap <= Fraction(1, 10**8) + tail
         report["checks"][name] = {
             "partial": partial,
             "closed": closed,
@@ -554,8 +539,7 @@ def chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate_
         var_dur = (n * walk.sum_sq_durations - walk.last_return**2) / (n * (n - 1))
         # Renewal CLT: sd(N/t) ~= sigma / sqrt(t * mu^3).
         rate_se = math.sqrt(var_dur / (walk.steps * mean_dur**3))
-        z = 2.576
-        rate_ci99 = [rate - z * rate_se, rate + z * rate_se]
+        rate_ci99 = [rate - Z99 * rate_se, rate + Z99 * rate_se]
 
     return {
         "pmf_horizon": t_max,

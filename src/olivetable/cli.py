@@ -8,7 +8,6 @@ to entropy, so every emitted number is reproducible from the flags alone.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 import time
@@ -16,18 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO
 
+# ``ensemble`` (numpy-backed) and ``verification``, which imports it, are
+# imported only inside the commands that run them: ``ensemble``, ``sweep``
+# and ``verify``.
 from . import __version__, chain, oracle, process
-
-# ``ensemble`` (numpy-backed) and ``verification``, which imports it, load
-# only inside the commands that run them: ``ensemble``, ``sweep`` and
-# ``verify``.  ``cli.ensemble`` and ``cli.verification`` still resolve.
-_LAZY_MODULES = ("ensemble", "verification")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_MODULES:
-        return importlib.import_module(f".{name}", __package__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Hard bound checks are only enforced (exit 2) at horizons where the
@@ -178,22 +169,23 @@ def _cmd_simulate(args) -> int:
 def _cmd_ensemble(args) -> int:
     from . import ensemble
 
-    deltas = _parse_deltas(args.deltas) if args.deltas else (0.005, 0.01, 0.02, 0.05)
+    # Without --deltas, EnsembleConfig's default deltas apply.
+    given = {} if args.deltas is None else {"deltas": _parse_deltas(args.deltas)}
     try:
         config = ensemble.EnsembleConfig(
             t=args.t,
             replicas=args.replicas,
             master_seed=args.seed,
-            deltas=deltas,
             cadence=args.cadence or 0,
+            **given,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     start = time.perf_counter()
     stats = ensemble.run_ensemble(config, threads=args.threads)
     elapsed = time.perf_counter() - start
-    doc = ensemble.summary_json(stats, elapsed, __version__)
-    doc["provenance"]["flags"] = _provenance(args, elapsed)["flags"]
+    doc = ensemble.summary_json(stats)
+    doc["provenance"] = _provenance(args, elapsed)
     if args.out:
         _write_atomic(Path(args.out + ".csv"), lambda fh: ensemble.write_ensemble_csv(stats, fh))
         _write_json(Path(args.out + ".summary.json"), doc)

@@ -16,19 +16,12 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .process import C_BOUNDS, TrajectoryRecord, run_trajectory
+from .process import C_BOUNDS, Z99, TrajectoryRecord, run_trajectory
 from .rng import derive_seed
-
-ENSEMBLE_CSV_HEADER = (
-    "replica,seed,O,t_plate,tau1,two_to_one,max_other_olives,"
-    "first_plate_olives,L_ge3,plate_moves_ge3"
-)
-
-Z99 = 2.576  # two-sided 99% normal quantile, fixed for every CI here
 
 REPLICA_DTYPE = np.dtype(
     [
@@ -45,6 +38,8 @@ REPLICA_DTYPE = np.dtype(
     ]
 )
 
+ENSEMBLE_CSV_HEADER = ",".join(REPLICA_DTYPE.names)
+
 
 class ConfigMismatchError(ValueError):
     """Attempt to merge stats produced under different configs."""
@@ -54,11 +49,11 @@ class ConfigMismatchError(ValueError):
 class EnsembleConfig:
     """Parameters that fully determine an ensemble run.
 
-    ``c_bounds`` is the (lower, upper) band for the per-replica O/t check,
-    defaulting to the paper's [1/342, 2/3]; ``deltas`` drive the
-    concentration report.  ``cadence`` is carried for provenance (re-running
-    a single replica with it reproduces that replica's time series);
-    ensemble runs themselves do not retain per-replica series.
+    ``deltas`` drive the concentration report; the per-replica O/t check
+    always uses the paper's band, ``process.C_BOUNDS``.  ``cadence`` is
+    carried for provenance (re-running a single replica with it reproduces
+    that replica's time series); ensemble runs themselves do not retain
+    per-replica series.
     """
 
     t: int
@@ -66,7 +61,6 @@ class EnsembleConfig:
     master_seed: int
     deltas: tuple[float, ...] = (0.005, 0.01, 0.02, 0.05)
     cadence: int = 0
-    c_bounds: tuple[Fraction, Fraction] = C_BOUNDS
 
     def __post_init__(self):
         if self.t < 1:
@@ -78,9 +72,6 @@ class EnsembleConfig:
         for d in self.deltas:
             if not 0 < d <= 1:
                 raise ValueError(f"delta must be in (0, 1], got {d}")
-        lo, hi = self.c_bounds
-        if not lo < hi:
-            raise ValueError(f"c_bounds must satisfy lower < upper, got {self.c_bounds}")
 
     def as_dict(self) -> dict:
         return {
@@ -89,7 +80,7 @@ class EnsembleConfig:
             "master_seed": self.master_seed,
             "cadence": self.cadence,
             "deltas": list(self.deltas),
-            "c_bounds": [str(b) for b in self.c_bounds],
+            "c_bounds": [str(b) for b in C_BOUNDS],
         }
 
 
@@ -162,10 +153,14 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
     )
 
 
-# The lockstep kernel runs a chunk when its steps are few and its replicas
-# many: it pays 10-15 ms per block for seeding, so it is the slower kernel
-# below about 500 replicas, and at long horizons numpy's per-call cost
-# makes each of its steps dearer than the scalar kernel's.
+# Which kernel runs a pool chunk: the lockstep kernel (``olivetable._lockstep``)
+# takes a chunk of at least _LOCKSTEP_MIN_REPLICAS replicas of
+# t <= _LOCKSTEP_MAX_T steps run without ``check_identity``.  Every other
+# chunk, and any lockstep lane that runs out of buffered random words, runs
+# on the scalar kernel ``process._advance``.  Lockstep pays 10-15 ms per block
+# for seeding, so it is the slower kernel below about 500 replicas, and at
+# long horizons numpy's per-call cost makes each of its steps dearer than
+# the scalar kernel's.
 _LOCKSTEP_MAX_T = 64
 _LOCKSTEP_MIN_REPLICAS = 1024
 
@@ -335,8 +330,8 @@ LOG_GROWTH_CEILING = 50.0
 SWEEP_GROWTH_REPLICAS = 50
 
 
-def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]] = None) -> dict:
-    """Exceedance frequencies of |O - mean| >= delta * t per delta.
+def concentration_report(stats: EnsembleStats) -> dict:
+    """Exceedance frequencies of |O - mean| >= delta * t per config delta.
 
     Comparisons are exact (|O*R - sum| >= delta * t * R in rationals), made
     once per distinct O and weighted by its replica count; zero counts come
@@ -344,13 +339,11 @@ def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]]
     """
     if stats.n < 1:
         raise ValueError("need at least one replica")
-    deltas = tuple(deltas) if deltas is not None else stats.config.deltas
     n = stats.n
     t = stats.config.t
-    o_counts, total, _ = _olive_moments(stats)
-    est = _stats_estimate(stats)
+    o_counts, total, total_sq = _olive_moments(stats)
     rows = []
-    for d in deltas:
+    for d in stats.config.deltas:
         threshold = Fraction(d) * t * n
         count = sum(c for o, c in o_counts if abs(o * n - total) >= threshold)
         rows.append(
@@ -364,8 +357,8 @@ def concentration_report(stats: EnsembleStats, deltas: Optional[Iterable[float]]
     return {
         "t": t,
         "R": n,
-        "mean_O": est["mean_O"],
-        "sd_O": est["sd_O"],
+        "mean_O": float(Fraction(total, n)),
+        "sd_O": math.sqrt(_sample_variance(total, total_sq, n)) if n > 1 else 0.0,
         "exceedance": rows,
     }
 
@@ -425,7 +418,7 @@ def sweep(
     ensemble per distinct horizon (all horizons t >= 1000).
 
     The estimate has one row per entry of ``t_list``: mean O/t with a 99% CI
-    and whether it lies within the config's ``c_bounds``, plus the largest
+    and whether it lies within the paper's band ``C_BOUNDS``, plus the largest
     pairwise ratio difference as a stability diagnostic.  Every horizon uses
     the same master seed, hence common random numbers across horizons.
 
@@ -449,7 +442,7 @@ def sweep(
     for t in t_list:
         stats = runs[t]
         row = _stats_estimate(stats)
-        lo, hi = stats.config.c_bounds
+        lo, hi = C_BOUNDS
         row["within_bounds"] = lo <= stats.mean_olives() / t <= hi
         c_rows.append(row)
     ratios = [r["ratio"] for r in c_rows]
@@ -492,12 +485,12 @@ def sweep(
 
 
 def bounds_check(stats: EnsembleStats) -> dict:
-    """Per-replica O/t band check against config.c_bounds, exactly.
+    """Per-replica O/t check against the paper's band ``C_BOUNDS``, exactly.
 
     Each distinct O is compared once in exact rationals; ``violations``
     lists the first 20 offending replica indices in replica order.
     """
-    lo, hi = stats.config.c_bounds
+    lo, hi = C_BOUNDS
     t = stats.config.t
     o_counts, _, _ = _olive_moments(stats)
     outside = [o for o, _ in o_counts if not lo * t <= o <= hi * t]
@@ -511,8 +504,9 @@ def bounds_check(stats: EnsembleStats) -> dict:
     }
 
 
-def summary_json(stats: EnsembleStats, elapsed_seconds: float, version: str) -> dict:
-    """The ensemble summary document (schema is stable; see README)."""
+def summary_json(stats: EnsembleStats) -> dict:
+    """The ensemble summary document without its provenance, which the CLI
+    adds (schema is stable; see README)."""
     t = stats.config.t
     est = _stats_estimate(stats)
     conc = concentration_report(stats)
@@ -541,7 +535,6 @@ def summary_json(stats: EnsembleStats, elapsed_seconds: float, version: str) -> 
             "max_other": max_other,
             "B_fit": max_other / math.log(t) if t > 1 else None,
         },
-        "provenance": {"version": version, "elapsed_seconds": elapsed_seconds},
     }
 
 

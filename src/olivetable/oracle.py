@@ -286,8 +286,8 @@ def labeled_olive_distribution(t: int) -> dict[int, Fraction]:
     """Olive pmf from the fully labeled process: no canonicalization.
 
     States are (sorted (id, olives) tuples, next id).  Exponentially larger
-    than the canonical pushforward, so keep t <= 6; used only to guard the
-    lumping assumption.
+    than the canonical pushforward, so t is limited to 0 <= t <= 8 (a
+    ValueError otherwise); used only to guard the lumping assumption.
     """
     if t < 0 or t > 8:
         raise ValueError(f"labeled tree is only tractable for 0 <= t <= 8, got {t}")

@@ -24,11 +24,9 @@ kernel, ``_advance``, holds that code; :func:`run_trajectory` and
 :func:`step` are both one call to it.
 
 The ensemble has a second, lockstep path for short horizons
-(``olivetable._lockstep``): a pool chunk of at least 1,024 replicas of
-t <= 64 steps, run without ``check_identity``, advances a block of replicas
-as numpy lanes with ``_advance``'s positional decode and swap-removal
-order, so every replica row is bit-identical.  Every other run, and any
-lane that runs out of buffered random words, goes through ``_advance``.
+(``olivetable._lockstep``; ``ensemble._run_chunk`` states when it runs).  It
+advances a block of replicas as numpy lanes with ``_advance``'s positional
+decode and swap-removal order, so every replica row is bit-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ MAX_SERIES_ROWS = 2_000_000
 
 # The paper's band for the olive rate: t/342 <= O_t <= 2t/3.
 C_BOUNDS = (Fraction(1, 342), Fraction(2, 3))
+
+Z99 = 2.576  # two-sided 99% normal quantile, fixed for every CI here
 
 TRAJECTORY_CSV_HEADER = "step,olives,plates,nonempty,first_plate_olives,max_other_olives"
 

@@ -10,12 +10,12 @@ of replicas can be re-run in isolation and bit-identically.
 The process kernel draws bounded uniform integers by rejection on
 ``getrandbits`` (never by modulo), so category sampling carries no bias.
 
-The ensemble's lockstep path (``olivetable._lockstep``, taken by pool
-chunks of at least 1,024 replicas of t <= 64 steps without
-``check_identity``) builds no ``random.Random``: it derives a block's seeds
-with a vectorised SplitMix64 and runs MT19937's ``init_by_array`` seeding,
-first twist and tempering across the block, so each replica draws exactly
-the words of ``make_rng(derive_seed(master_seed, i))``.
+The ensemble's lockstep path (``olivetable._lockstep``;
+``ensemble._run_chunk`` states when it runs) builds no ``random.Random``:
+it derives a block's seeds with a vectorised SplitMix64 and runs MT19937's
+``init_by_array`` seeding, first twist and tempering across the block, so
+each replica draws exactly the words of
+``make_rng(derive_seed(master_seed, i))``.
 """
 
 from __future__ import annotations

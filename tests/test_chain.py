@@ -27,6 +27,7 @@ from olivetable.chain import (
     verify_gould_identity,
     write_chain_csv,
 )
+from olivetable.process import Z99
 from olivetable.rng import make_rng
 
 
@@ -76,7 +77,7 @@ def _two_pass_rate_ci99(durations, steps):
     mean = sum(durations) / len(durations)
     var = sum((d - mean) ** 2 for d in durations) / (len(durations) - 1)
     rate = len(durations) / steps
-    half = 2.576 * math.sqrt(var / (steps * mean**3))
+    half = Z99 * math.sqrt(var / (steps * mean**3))
     return [rate - half, rate + half]
 
 
@@ -154,12 +155,12 @@ def test_walk_return_moments_cover_the_validated_pmf(million_returns):
     total, total_sq = million_returns.last_return, million_returns.sum_sq_durations
     mean = total / n
     var = (n * total_sq - total**2) / (n * (n - 1))
-    half_mean = 2.576 * math.sqrt(var / n)
+    half_mean = Z99 * math.sqrt(var / n)
     assert mean - half_mean <= 5 <= mean + half_mean, (mean, half_mean)
     # The sample variance has sd sqrt((mu4 - Var^2) / n); mu4 = E[(D-5)^4]
     # from the validated pmf (the neglected tail is far below float).
     mu4 = float(sum((2 * j - 5) ** 4 * first_return_pmf_closed(j) for j in range(1, 401)))
-    half_var = 2.576 * math.sqrt((mu4 - 24**2) / n)
+    half_var = Z99 * math.sqrt((mu4 - 24**2) / n)
     assert var - half_var <= 24 <= var + half_var, (var, half_var)
 
 
@@ -277,7 +278,7 @@ def test_ergodic_mean_duration_over_a_million_returns(million_returns):
     n = million_returns.n11
     mean = million_returns.last_return / n
     var = million_returns.sum_sq_durations / n - mean * mean
-    half = 2.576 * math.sqrt(var / n)
+    half = Z99 * math.sqrt(var / n)
     target = float(mean_return_time_stationary())
     assert mean - half <= target <= mean + half, (mean, half)
 
@@ -310,9 +311,8 @@ def test_verify_gould_identity():
 
 
 def test_verify_binomial_series_at_three_quarters():
-    report = verify_binomial_series(Fraction(3, 4), k_max=200, tol=1e-8)
+    report = verify_binomial_series(k_max=200)
     checks = report["checks"]
-    assert report["exact_closed_forms"]
     assert checks["plain_sum"]["closed"] == Fraction(2)
     assert checks["weighted_sum"]["closed"] == Fraction(3)
     assert checks["downstream_12"]["closed"] == Fraction(12)
@@ -322,14 +322,14 @@ def test_verify_binomial_series_at_three_quarters():
 
 
 def test_verify_binomial_series_flags_bad_closed_form(monkeypatch):
-    monkeypatch.setattr(chain, "_sqrt_fraction", lambda v: Fraction(1, 3))
-    with pytest.raises(VerificationError):
-        chain.verify_binomial_series(Fraction(3, 4), k_max=50, tol=1e-8)
-
-
-def test_verify_binomial_series_validates_domain():
-    with pytest.raises(ValueError):
-        verify_binomial_series(Fraction(3, 2))
+    wrong = {**chain._SERIES_CLOSED_FORMS, "weighted_sum": Fraction(3) + Fraction(1, 10**6)}
+    monkeypatch.setattr(chain, "_SERIES_CLOSED_FORMS", wrong)
+    with pytest.raises(VerificationError) as caught:
+        chain.verify_binomial_series(k_max=50)
+    checks = caught.value.report["checks"]
+    assert checks["plain_sum"]["pass"]
+    assert checks["weighted_sum"]["closed"] == wrong["weighted_sum"]
+    assert not checks["weighted_sum"]["pass"]
 
 
 def test_chain_csv_schema():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import olivetable
-from olivetable import chain, cli, ensemble
+from olivetable import chain, ensemble
 from olivetable.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -86,9 +86,18 @@ def test_ensemble_bound_failure_exits_two(monkeypatch):
         stats.records["O"][0] = 0  # below t/342 at t >= 1000
         return stats
 
-    monkeypatch.setattr(cli.ensemble, "run_ensemble", corrupt)
+    monkeypatch.setattr(ensemble, "run_ensemble", corrupt)
     code = main(["ensemble", "--t", "1000", "--replicas", "3", "--seed", "5"])
     assert code == EXIT_CHECK_FAILED
+
+
+def test_ensemble_without_deltas_uses_the_config_default(tmp_path):
+    argv = ["ensemble", "--t", "50", "--replicas", "4", "--seed", "5", "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_OK
+    doc = json.loads((tmp_path / "run.summary.json").read_text())
+    default = ensemble.EnsembleConfig(t=1, replicas=1, master_seed=0).deltas
+    assert doc["config"]["deltas"] == list(default)
+    assert [row["delta"] for row in doc["checks"]["exceedance"]] == list(default)
 
 
 def test_ensemble_bounds_not_enforced_below_gate():
@@ -256,8 +265,9 @@ def test_usage_errors_exit_one():
     assert main([]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main(["simulate", "--seed", "1"]) == EXIT_USAGE  # missing --t
-    assert main(["ensemble", "--t", "10", "--replicas", "2", "--seed", "1",
-                 "--deltas", "abc"]) == EXIT_USAGE
+    for deltas in ("abc", ""):
+        assert main(["ensemble", "--t", "10", "--replicas", "2", "--seed", "1",
+                     "--deltas", deltas]) == EXIT_USAGE
 
 
 def test_help_exits_zero(capsys):
