@@ -134,8 +134,9 @@ def _check_transition_mass(n_states: int) -> str:
     return f"one-step law sums to 1 exactly from {n_states} random states"
 
 
-def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
-    rng = make_rng(77)
+def _sampler_states(rng, n_states: int) -> list[list[tuple[int, int]]]:
+    """The sampler check's base states as (plate id, olives) lists: eight
+    fixed ones, then random ones drawn from ``rng``."""
     configs = [
         [(1, 0)],
         [(1, 0), (2, 0)],
@@ -149,24 +150,77 @@ def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
     while len(configs) < n_states:
         l = rng.randrange(1, 6)
         configs.append([(i + 1, rng.randrange(0, 4)) for i in range(l)])
+    return configs[:n_states]
+
+
+class _FixedDraw:
+    """An rng whose one ``getrandbits`` call returns ``u``; it records the
+    k it was asked for and refuses a second call (a rejected u)."""
+
+    def __init__(self, u: int) -> None:
+        self.u = u
+        self.bits: list[int] = []
+
+    def getrandbits(self, k: int) -> int:
+        assert not self.bits, f"the kernel rejected u = {self.u} with {k} bits"
+        self.bits.append(k)
+        return self.u
+
+
+def _sampler_counts(plates, rng, draws: int) -> tuple[int, dict, Counter]:
+    """Decode every u in [0, M) from ``plates`` through the production
+    kernel, then draw ``draws`` values of u from ``rng``.
+
+    The decode must reproduce ``oracle._law`` exactly, multiplicity for
+    multiplicity, and ask for ``M.bit_length()`` bits.  Returns M, the law
+    and the draws counted per canonical successor.
+    """
+    base = process.TableState.from_plates(plates)
+    m_total, law = oracle._law(oracle.canonical_of(base))
+    k = m_total.bit_length()
+    scratch = process.TrajectoryRecord(t_max=base.t + 1, cadence=0, final_state=base)
+    decoded = []
+    for u in range(m_total):
+        stub = _FixedDraw(u)
+        succ = base.copy()
+        process._advance(succ, stub, 1, scratch)
+        assert stub.bits == [k], f"the kernel drew {stub.bits} bits at u = {u} from {plates}, not [{k}]"
+        decoded.append(oracle.canonical_of(succ))
+    table = Counter(decoded)
+    for succ in sorted(table.keys() | law.keys()):
+        assert table[succ] == law.get(succ, 0), (
+            f"kernel decode off from exact law at {plates} -> {succ}: "
+            f"{table[succ]} of {m_total} values of u vs {law.get(succ, 0)}"
+        )
+    # The kernel's rejection draw, word for word.
+    hits = [0] * m_total
+    getrandbits = rng.getrandbits
+    for _ in range(draws):
+        u = getrandbits(k)
+        while u >= m_total:
+            u = getrandbits(k)
+        hits[u] += 1
+    counts: Counter = Counter()
+    for succ, n in zip(decoded, hits):
+        counts[succ] += n
+    return m_total, law, counts
+
+
+def _check_sampler_against_oracle(n_states: int, draws: int) -> str:
+    """The kernel's one-step law against ``oracle._law``, in two parts.
+
+    Exact: every u in [0, M) is decoded once through ``process._advance``
+    (via a stub rng), and the successors must equal the law's multiplicities,
+    so a decode bias of any size fails.  Statistical: ``draws`` values of u
+    come from ``make_rng(77)`` by a 3-line rejection loop that mirrors
+    ``_advance``'s, and each successor's frequency must lie within 4 se of
+    its exact probability.  The stub's recorded k guards that mirror, and
+    ``tests/test_verification.py`` pins its counts to the per-draw kernel's.
+    """
+    rng = make_rng(77)
     worst = 0.0
-    for plates in configs[:n_states]:
-        base = process.TableState.from_plates(plates)
-        m_total, law = oracle._law(oracle.canonical_of(base))
-        # Count raw successors; canonicalise each distinct one once.  Each
-        # draw is one step of the production kernel from a fresh copy; its
-        # diagnostics go to one scratch record per base state.
-        raw: Counter[tuple] = Counter()
-        scratch = process.TrajectoryRecord(t_max=base.t + 1, cadence=0, final_state=base)
-        for _ in range(draws):
-            succ = base.copy()
-            process._advance(succ, rng, 1, scratch)
-            raw[tuple(succ._ids), tuple(succ._olives)] += 1
-        counts = dict.fromkeys(law, 0)
-        for (ids, olives), n in raw.items():
-            canon = oracle.canonical_of(process.TableState.from_plates(zip(ids, olives)))
-            assert canon in counts, f"sampler reached {canon} from {plates}, outside the exact law"
-            counts[canon] += n
+    for plates in _sampler_states(rng, n_states):
+        m_total, law, counts = _sampler_counts(plates, rng, draws)
         for succ, k in law.items():
             pf = k / m_total
             se = (pf * (1 - pf) / draws) ** 0.5

@@ -190,8 +190,9 @@ def test_one_kernel_serves_production_and_checks(monkeypatch):
     run_trajectory(50, 1)
     assert calls == [50]
     calls.clear()
+    # One kernel step per u: M = 2 from [(1, 0)] and M = 4 from [(1, 0), (2, 0)].
     verification._check_sampler_against_oracle(2, 50)
-    assert calls == [1] * 100
+    assert calls == [1] * 6
 
 
 def test_single_move_deltas_are_bounded():

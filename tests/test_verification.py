@@ -1,6 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
-from olivetable import chain, verification
+import pytest
+
+from olivetable import chain, oracle, process, verification
+from olivetable.cli import EXIT_CHECK_FAILED, main
+from olivetable.rng import make_rng
 from olivetable.verification import build_checks, run_suite, suite_report
 
 
@@ -33,9 +38,72 @@ def test_suite_detects_broken_closed_form(monkeypatch):
 
 
 def test_sampler_matches_exact_law_on_twenty_states():
-    # The full-level pairing of the live sampler with the exact one-step law.
-    detail = verification._check_sampler_against_oracle(20, 20_000)
-    assert "20 states" in detail
+    # The full-level pairing of the live sampler with the exact one-step law,
+    # detail string included.
+    assert verification._check_sampler_against_oracle(20, 40_000) == (
+        "sampler matches the exact law on 20 states (worst 2.72 se)"
+    )
+
+
+def _per_draw_counts(plates, rng, draws):
+    # The sampler check as it once ran: one production-kernel step per draw,
+    # each from a fresh copy of the base state.
+    base = process.TableState.from_plates(plates)
+    scratch = process.TrajectoryRecord(t_max=base.t + 1, cadence=0, final_state=base)
+    counts = Counter()
+    for _ in range(draws):
+        succ = base.copy()
+        process._advance(succ, rng, 1, scratch)
+        counts[oracle.canonical_of(succ)] += 1
+    return counts
+
+
+def test_sampler_counts_equal_the_per_draw_kernel():
+    # Decode-then-count reads the same words of the stream as stepping the
+    # kernel once per draw, so every count agrees, state by state.
+    rng, ref_rng = make_rng(77), make_rng(77)
+    states = verification._sampler_states(rng, 20)
+    assert verification._sampler_states(ref_rng, 20) == states
+    for plates in states:
+        _, law, counts = verification._sampler_counts(plates, rng, 3_000)
+        assert +counts == _per_draw_counts(plates, ref_rng, 3_000), plates
+        assert counts.keys() <= law.keys()
+    assert rng.getrandbits(64) == ref_rng.getrandbits(64)
+
+
+@pytest.fixture
+def skewed_law(monkeypatch):
+    # Move one unit of multiplicity between two successors of the eighth
+    # fixed base state; the row still sums to M.
+    target = oracle.canonical_of(process.TableState.from_plates([(1, 5), (2, 1), (3, 1)]))
+    real = oracle._law
+
+    def skewed(state):
+        m_total, law = real(state)
+        if state == target:
+            law = dict(law)
+            donor = next(s for s, k in law.items() if k >= 2)
+            taker = next(s for s in law if s != donor)
+            law[donor] -= 1
+            law[taker] += 1
+        return m_total, law
+
+    monkeypatch.setattr(oracle, "_law", skewed)
+
+
+def test_sampler_check_fails_on_any_decode_bias(skewed_law):
+    # Ten draws cannot see a 1/10 shift at 4 se; the exact decode does.
+    with pytest.raises(AssertionError, match=r"kernel decode off from exact law at \[\(1, 5\)"):
+        verification._check_sampler_against_oracle(8, 10)
+
+
+def test_verify_fails_on_a_skewed_law(skewed_law, capsys):
+    assert main(["verify", "--level", "quick"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL")]
+    # transition_mass checks only that each row sums to M, so it passes.
+    assert failed == ["sampler_vs_oracle"]
+    assert any(line.startswith("PASS") and "transition_mass" in line for line in lines)
 
 
 def test_suite_report_structure():
