@@ -298,6 +298,11 @@ def _cmd_sweep(args) -> int:
         ci = "n/a" if row["ci_low"] is None else f"[{row['ci_low']:.6f}, {row['ci_high']:.6f}]"
         print(f"t={row['t']}: c_hat={row['ratio']:.6f} CI99={ci}", file=stream)
     print(f"max pairwise ratio difference: {c_report['max_ratio_difference']:.6f}", file=stream)
+    # Every sweep horizon is >= BOUND_ENFORCEMENT_MIN_T, so its bounds are hard.
+    held = [row["within_bounds"] for row in c_report["rows"]] + [row["within_ceiling"] for row in growth["rows"]]
+    if not all(held):
+        print("hard bound check failed", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

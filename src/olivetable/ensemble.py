@@ -20,8 +20,9 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .process import C_BOUNDS, Z99, TrajectoryRecord, run_trajectory
-from .rng import derive_seed
+from . import process
+from .process import C_BOUNDS, Z99, TableState, TrajectoryRecord
+from .rng import derive_seed, make_rng
 
 REPLICA_DTYPE = np.dtype(
     [
@@ -135,46 +136,65 @@ def _conservation_error(index: int) -> AssertionError:
 
 
 def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
-    o = rec.final_state.total_olives
-    # The conservation law must hold at the final step of every replica.
-    if o != rec.t_max - rec.final_state.plate_moves - 2 * rec.final_state.c_remove_olive:
+    state = rec.final_state
+    o = state.total_olives
+    # The conservation law must hold at every step, so at every row taken.
+    if o != state.t - state.plate_moves - 2 * state.c_remove_olive:
         raise _conservation_error(index)
     return (
         index,
         seed,
         o,
-        rec.final_state.plate_moves,
+        state.plate_moves,
         rec.num_returns + 1,  # tau1: every return, and the arrival on step 1
         rec.num_returns,
         rec.max_other_olives,
-        rec.final_state.first_plate_olives,
+        state.first_plate_olives,
         rec.l_ge3_removals,
         rec.plate_moves_at_ge3,
     )
 
 
+def _replica_rows(index: int, seed: int, horizons: Sequence[int], check_identity: bool = False) -> list[tuple]:
+    """Replica ``index``'s row at each of the increasing ``horizons``, from
+    one trajectory: the scalar kernel resumes from the state, rng and record
+    it left at the previous horizon, and every record field is cumulative."""
+    state = TableState()
+    record = TrajectoryRecord(t_max=horizons[-1], cadence=0, final_state=state)
+    rng = make_rng(seed)
+    rows = []
+    for t in horizons:
+        process._advance(state, rng, t - state.t, record, check_identity)
+        rows.append(_replica_row(index, seed, record))
+    return rows
+
+
 # Which kernel runs a pool chunk: the lockstep kernel (``olivetable._lockstep``)
-# takes a chunk of at least _LOCKSTEP_MIN_REPLICAS replicas of
-# t <= _LOCKSTEP_MAX_T steps run without ``check_identity``.  Every other
-# chunk, and any lockstep lane that runs out of buffered random words, runs
-# on the scalar kernel ``process._advance``.  Lockstep pays 10-15 ms per block
-# for seeding, so it is the slower kernel below about 500 replicas, and at
-# long horizons numpy's per-call cost makes each of its steps dearer than
-# the scalar kernel's.
+# takes a chunk of at least _LOCKSTEP_MIN_REPLICAS replicas of one horizon
+# t <= _LOCKSTEP_MAX_T run without ``check_identity`` (``sweep``'s horizons
+# are all >= 1000, so it never gets there).  Every other chunk, and any
+# lockstep lane that runs out of buffered random words, runs on the scalar
+# kernel ``process._advance``.  Lockstep pays 10-15 ms per block for
+# seeding, so it is the slower kernel below about 500 replicas, and at long
+# horizons numpy's per-call cost makes each of its steps dearer than the
+# scalar kernel's.
 _LOCKSTEP_MAX_T = 64
 _LOCKSTEP_MIN_REPLICAS = 1024
 
 
 def _run_chunk(args: tuple) -> np.ndarray:
-    config, lo, hi, check_identity = args
-    if not check_identity and config.t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
-        return _lockstep_records(config, lo, hi)
+    """Replicas [lo, hi) of ``configs`` (one master seed, increasing t), as
+    an array of shape (len(configs), hi - lo): row k holds the records of
+    configs[k].  Each replica is simulated once, to the last horizon."""
+    configs, lo, hi, check_identity = args
+    (config, *later) = configs
+    if not (later or check_identity) and config.t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
+        return _lockstep_records(config, lo, hi)[None]
+    horizons = [c.t for c in configs]
     rows = []
     for i in range(lo, hi):
-        seed = derive_seed(config.master_seed, i)
-        rec = run_trajectory(config.t, seed, cadence=0, check_identity=check_identity)
-        rows.append(_replica_row(i, seed, rec))
-    return np.array(rows, dtype=REPLICA_DTYPE)
+        rows.extend(_replica_rows(i, derive_seed(config.master_seed, i), horizons, check_identity))
+    return np.array(rows, dtype=REPLICA_DTYPE).reshape(hi - lo, len(configs)).T
 
 
 def _lockstep_records(config: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
@@ -197,8 +217,7 @@ def _lockstep_records(config: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
         if not held.all():
             raise _conservation_error(a + int(np.flatnonzero(~held)[0]))
         for k in dry.tolist():
-            seed = derive_seed(config.master_seed, a + k)
-            block[k] = _replica_row(a + k, seed, run_trajectory(t, seed))
+            (block[k],) = _replica_rows(a + k, derive_seed(config.master_seed, a + k), (t,))
     return records
 
 
@@ -237,17 +256,31 @@ def run_ensemble(
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     if not 0 <= lo <= hi <= config.replicas:
         raise ValueError(f"bad replica range {replica_range} for R={config.replicas}")
+    (records,) = _run_replicas((config,), lo, hi, threads, check_identity)
+    return EnsembleStats(config=config, records=records)
+
+
+def _run_replicas(
+    configs: tuple[EnsembleConfig, ...],
+    lo: int,
+    hi: int,
+    threads: Optional[int],
+    check_identity: bool,
+) -> np.ndarray:
+    """Replicas [lo, hi) of ``configs`` (one master seed, increasing t) by
+    ``_run_chunk``, pooled when the replica-steps to the last horizon reach
+    10^6; row k of the result holds the records of configs[k]."""
     cpus = _usable_cpus()
     count = hi - lo
     workers = pool_size(cpus if threads is None else threads, cpus, max(count, 1))
     if count == 0:
-        return empty_stats(config)
+        return np.empty((len(configs), 0), dtype=REPLICA_DTYPE)
 
-    if workers > 1 and count * config.t >= 1_000_000:
+    if workers > 1 and count * configs[-1].t >= 1_000_000:
         n_chunks = min(count, workers * 4)
         bounds = [lo + (count * k) // n_chunks for k in range(n_chunks + 1)]
         tasks = [
-            (config, bounds[k], bounds[k + 1], check_identity)
+            (configs, bounds[k], bounds[k + 1], check_identity)
             for k in range(n_chunks)
             if bounds[k] < bounds[k + 1]
         ]
@@ -255,9 +288,9 @@ def run_ensemble(
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_run_chunk, tasks)
     else:
-        parts = [_run_chunk((config, lo, hi, check_identity))]
+        parts = [_run_chunk((configs, lo, hi, check_identity))]
 
-    return EnsembleStats(config=config, records=np.concatenate(parts))
+    return np.concatenate(parts, axis=1)
 
 
 def merge(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
@@ -414,13 +447,18 @@ def sweep(
     master_seed: int,
     threads: Optional[int] = None,
 ) -> tuple[dict, dict]:
-    """The linear-growth estimate and the log-growth check, from one
-    ensemble per distinct horizon (all horizons t >= 1000).
+    """The linear-growth estimate and the log-growth check, at horizons
+    t >= 1000 that share one ensemble.
+
+    Every horizon uses the same master seed, hence common random numbers
+    across horizons: replica i at a shorter horizon is exactly the first
+    steps of replica i at the longest one.  So each replica is simulated
+    once, to max(t_list), and its row at each distinct horizon is taken on
+    the way; the rows equal those of a separate ``run_ensemble`` per horizon.
 
     The estimate has one row per entry of ``t_list``: mean O/t with a 99% CI
     and whether it lies within the paper's band ``C_BOUNDS``, plus the largest
-    pairwise ratio difference as a stability diagnostic.  Every horizon uses
-    the same master seed, hence common random numbers across horizons.
+    pairwise ratio difference as a stability diagnostic.
 
     The log-growth check has one row per distinct horizon, read off the
     first min(replicas, SWEEP_GROWTH_REPLICAS) replicas: the largest olive
@@ -433,10 +471,9 @@ def sweep(
     """
     if any(t < 1000 for t in t_list):
         raise ValueError("sweep expects horizons t >= 1000")
-    runs = {
-        t: run_ensemble(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed), threads=threads)
-        for t in sorted(set(t_list))
-    }
+    configs = tuple(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed) for t in sorted(set(t_list)))
+    records = _run_replicas(configs, 0, replicas, threads, check_identity=False)
+    runs = {config.t: EnsembleStats(config=config, records=recs) for config, recs in zip(configs, records)}
 
     c_rows = []
     for t in t_list:

@@ -21,7 +21,8 @@ The per-step work is O(1): plates live in contiguous parallel lists with
 swap-removal, non-empty plates are tracked in an index list, and the single
 uniform draw in [0, M) is rejection-sampled and decoded positionally.  One
 kernel, ``_advance``, holds that code; :func:`run_trajectory` and
-:func:`step` are both one call to it.
+:func:`step` are both one call to it, and the ensemble's scalar replicas
+call it once per horizon, resuming where the last call stopped.
 
 The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states when it runs).  It
@@ -245,6 +246,7 @@ def _advance(
     extended in place.
     """
     getrandbits = rng.getrandbits
+    bit_length = int.bit_length
     isqrt = math.isqrt
 
     # Hot loop: every list is aliased and every scalar is local; the state
@@ -267,28 +269,54 @@ def _advance(
     plate_moves_ge3 = record.plate_moves_at_ge3
     max_other = record.max_other_olives
 
+    # The decode's boundaries: u in [1, n_merge] merges, u in (n_merge, n_pm]
+    # adds an olive.  Only plate moves change them; M = m_total and its bit
+    # width k change only when a plate is added or removed or a plate's
+    # olive count leaves or reaches zero.
+    n_merge = num_plates * (num_plates - 1) // 2
+    n_pm = n_merge + num_plates
+    m_total = n_pm + 1 + len(ne_pos)
+    k = bit_length(m_total)
+
     for t in range(t0 + 1, t0 + n_steps + 1):
-        n_e = len(ne_pos)
-        n_merge = num_plates * (num_plates - 1) // 2
-        m_total = 1 + n_merge + num_plates + n_e
-        k = m_total.bit_length()
         u = getrandbits(k)
         while u >= m_total:
             u = getrandbits(k)
 
-        if u == 0:
-            # P+: new empty plate
-            if num_plates >= 3:
-                plate_moves_ge3 += 1
-            if next_id == 1:
-                pos1 = num_plates
-            ids.append(next_id)
-            next_id += 1
-            olives.append(0)
-            ne_idx.append(-1)
-            num_plates += 1
-            c_pp += 1
-        elif u <= n_merge:
+        # The olive moves come first: they are about 60% of the steps.
+        if u > n_merge:
+            if u <= n_pm:
+                # O+: add an olive
+                p = u - 1 - n_merge
+                val = olives[p]
+                if val == 0:
+                    ne_idx[p] = len(ne_pos)
+                    ne_pos.append(p)
+                    m_total += 1
+                    k = bit_length(m_total)
+                val += 1
+                olives[p] = val
+                if val > max_other and p != pos1:
+                    max_other = val
+                O += 1
+                c_op += 1
+            else:
+                # O-: remove an olive from a non-empty plate
+                p = ne_pos[u - 1 - n_pm]
+                val = olives[p] - 1
+                olives[p] = val
+                if val == 0:
+                    slot = ne_idx[p]
+                    last = ne_pos.pop()
+                    if last != p:
+                        ne_pos[slot] = last
+                        ne_idx[last] = slot
+                    ne_idx[p] = -1
+                    m_total -= 1
+                    k = bit_length(m_total)
+                O -= 1
+                c_om += 1
+        elif u:
             # P-: merge pair rank u-1; lower id survives
             r = u - 1
             j = (1 + isqrt(1 + 8 * r)) // 2
@@ -302,7 +330,7 @@ def _advance(
                     ne_pos.append(i)
                 merged = olives[i] + moved
                 olives[i] = merged
-                if i != pos1 and merged > max_other:
+                if merged > max_other and i != pos1:
                     max_other = merged
                 slot = ne_idx[j]
                 last = ne_pos.pop()
@@ -328,34 +356,27 @@ def _advance(
             elif num_plates == 2:
                 num_returns += 1
             num_plates -= 1
+            n_merge -= num_plates
+            n_pm = n_merge + num_plates
+            m_total = n_pm + 1 + len(ne_pos)
+            k = bit_length(m_total)
             c_pm += 1
-        elif u <= n_merge + num_plates:
-            # O+: add an olive
-            p = u - 1 - n_merge
-            val = olives[p]
-            if val == 0:
-                ne_idx[p] = len(ne_pos)
-                ne_pos.append(p)
-            val += 1
-            olives[p] = val
-            if p != pos1 and val > max_other:
-                max_other = val
-            O += 1
-            c_op += 1
         else:
-            # O-: remove an olive from a non-empty plate
-            p = ne_pos[u - 1 - n_merge - num_plates]
-            val = olives[p] - 1
-            olives[p] = val
-            if val == 0:
-                slot = ne_idx[p]
-                last = ne_pos.pop()
-                if last != p:
-                    ne_pos[slot] = last
-                    ne_idx[last] = slot
-                ne_idx[p] = -1
-            O -= 1
-            c_om += 1
+            # P+: new empty plate
+            if num_plates >= 3:
+                plate_moves_ge3 += 1
+            if next_id == 1:
+                pos1 = num_plates
+            ids.append(next_id)
+            next_id += 1
+            olives.append(0)
+            ne_idx.append(-1)
+            n_merge += num_plates
+            num_plates += 1
+            n_pm = n_merge + num_plates
+            m_total = n_pm + 1 + len(ne_pos)
+            k = bit_length(m_total)
+            c_pp += 1
 
         if check_identity and O != t - c_pp - c_pm - 2 * c_om:
             raise AssertionError(f"olive conservation violated at step {t}")

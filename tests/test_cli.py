@@ -261,6 +261,50 @@ def test_sweep_outputs(tmp_path, capsys):
     assert main(["sweep", "--t-list", "10", "--replicas", "5", "--seed", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("LOG_GROWTH_CEILING", 0.0), ("C_BOUNDS", (Fraction(0), Fraction(1, 342)))],
+    ids=["log_growth", "c_estimate"],
+)
+def test_sweep_hard_bound_failure_exits_two(name, value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(ensemble, name, value)
+    prefix = tmp_path / "failed"
+    code = main(["sweep", "--t-list", "1000,2000", "--replicas", "5", "--seed", "6", "--out", str(prefix)])
+    assert code == EXIT_CHECK_FAILED
+    assert "hard bound check failed" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "failed.sweep.json").read_text())
+    held = [row["within_ceiling"] for row in doc["log_growth"]["rows"]]
+    held += [row["within_bounds"] for row in doc["c_estimate"]["rows"]]
+    assert not all(held)
+
+
+def test_traced_harness_runs_a_pooled_sweep(tmp_path):
+    # The benchmark's tracer wraps ensemble._run_chunk and unpacks each pool
+    # task as (_, lo, hi, _); its payload must equal an untraced run's.
+    # R * max(t) = 1.2e6, so two threads run a pool.
+    argv = ["sweep", "--t-list", "1000,2000", "--replicas", "600", "--seed", "4", "--threads", "2"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(olivetable.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(trace), "--",
+         *argv, "--out", str(tmp_path / "traced")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    plain, traced = (
+        _strip_volatile(_strict_loads((tmp_path / f"{name}.sweep.json").read_text())) for name in ("plain", "traced")
+    )
+    assert traced == plain
+    if ensemble._usable_cpus() > 1:
+        assert json.loads(trace.read_text())["workers"], "the traced run did not pool"
+
+
 def test_usage_errors_exit_one():
     assert main([]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE

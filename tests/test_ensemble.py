@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import multiprocessing
+import os
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olivetable import ensemble
+from olivetable import ensemble, process
 from olivetable.ensemble import (
     ENSEMBLE_CSV_HEADER,
     ConfigMismatchError,
@@ -261,6 +263,62 @@ def test_sweep_equals_separate_reports():
     )
     with pytest.raises(ValueError):
         sweep([10], replicas=5, master_seed=0)
+
+
+SWEEP_T = [2000, 1000, 2000]  # unsorted, with a duplicate
+SWEEP_R = 500  # R * max(t) = 10^6: pooled when two threads are allowed
+SWEEP_SEED = 8
+
+
+@pytest.fixture(scope="module")
+def separate_ensembles():
+    return {
+        t: run_ensemble(EnsembleConfig(t=t, replicas=SWEEP_R, master_seed=SWEEP_SEED), threads=2)
+        for t in sorted(set(SWEEP_T))
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypatch):
+    # Every step the kernel is asked for, in this process or a forked pool
+    # worker, lands in shared counters.
+    steps = multiprocessing.Value("q", 0)
+    pooled_steps = multiprocessing.Value("q", 0)
+    main_pid = os.getpid()
+    kernel = process._advance
+
+    def counting(state, rng, n_steps, record, check_identity=False):
+        with steps.get_lock():
+            steps.value += n_steps
+        if os.getpid() != main_pid:
+            with pooled_steps.get_lock():
+                pooled_steps.value += n_steps
+        return kernel(state, rng, n_steps, record, check_identity)
+
+    runs = []
+    real_run_replicas = ensemble._run_replicas
+
+    def capture(*args, **kwargs):
+        runs.append(real_run_replicas(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(process, "_advance", counting)
+    monkeypatch.setattr(ensemble, "_run_replicas", capture)
+    c_report, growth = sweep(SWEEP_T, replicas=SWEEP_R, master_seed=SWEEP_SEED, threads=threads)
+
+    assert steps.value == SWEEP_R * max(SWEEP_T)
+    pooled = threads > 1 and ensemble._usable_cpus() > 1
+    assert pooled_steps.value == (steps.value if pooled else 0)
+    (records,) = runs
+    horizons = sorted(set(SWEEP_T))
+    assert len(records) == len(horizons)
+    for t, recs in zip(horizons, records):
+        assert recs.tobytes() == separate_ensembles[t].records.tobytes(), t
+    for t, row in zip(SWEEP_T, c_report["rows"]):
+        assert row == {**ensemble._stats_estimate(separate_ensembles[t]), "within_bounds": True}
+    for t, row in zip(horizons, growth["rows"]):
+        first = separate_ensembles[t].records["max_other_olives"][: ensemble.SWEEP_GROWTH_REPLICAS]
+        assert row["max_other"] == int(first.max())
 
 
 def test_ratio_estimate_single_replica_has_no_ci():

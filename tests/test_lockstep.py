@@ -36,18 +36,18 @@ def outcome(stats) -> tuple[bytes, int, int]:
 def spies(monkeypatch):
     """Record each lockstep block (lo, hi) and each scalar replica run."""
     blocks, scalar = [], []
-    real_block, real_trajectory = _lockstep.run_block, ensemble.run_trajectory
+    real_block, real_rows = _lockstep.run_block, ensemble._replica_rows
 
     def run_block(t, master_seed, lo, hi, rows):
         blocks.append((lo, hi))
         return real_block(t, master_seed, lo, hi, rows)
 
-    def run_trajectory_spy(t_max, seed, **kwargs):
-        scalar.append((seed, kwargs.get("check_identity", False)))
-        return real_trajectory(t_max, seed, **kwargs)
+    def replica_rows_spy(index, seed, horizons, check_identity=False):
+        scalar.append((seed, check_identity))
+        return real_rows(index, seed, horizons, check_identity)
 
     monkeypatch.setattr(_lockstep, "run_block", run_block)
-    monkeypatch.setattr(ensemble, "run_trajectory", run_trajectory_spy)
+    monkeypatch.setattr(ensemble, "_replica_rows", replica_rows_spy)
     return blocks, scalar
 
 

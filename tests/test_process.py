@@ -268,6 +268,57 @@ def test_fast_loop_matches_step_by_step():
         fast.check_invariants()
 
 
+def _layout(state: TableState) -> tuple:
+    """Everything the next step reads, positions included."""
+    return (
+        state._ids,
+        state._olives,
+        state._ne_pos,
+        state._ne_idx,
+        state._pos1,
+        state._next_id,
+        state.total_olives,
+        state.t,
+        state.counters(),
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=6),
+    cadence=st.integers(min_value=0, max_value=9),
+    check_identity=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_resumes_in_segments(seed, cuts, cadence, check_identity):
+    # Snapshots rest on this: _advance cut at any steps (empty segments
+    # included) ends where one call ends, with the same record and series.
+    t = 400
+    whole = run_trajectory(t, seed, cadence=cadence, check_identity=check_identity)
+    state = TableState()
+    record = TrajectoryRecord(t_max=t, cadence=cadence, final_state=state)
+    rng = make_rng(seed)
+    for cut in sorted(cuts) + [t]:
+        process._advance(state, rng, cut - state.t, record, check_identity)
+    assert _layout(state) == _layout(whole.final_state)
+    assert record == whole
+
+
+def test_a_snapshot_row_passes_the_conservation_check():
+    from olivetable import ensemble
+
+    seed = 4242
+    state = TableState()
+    record = TrajectoryRecord(t_max=5000, cadence=0, final_state=state)
+    process._advance(state, make_rng(seed), 1200, record)
+    # Checked against the snapshot's own step count, not the record's t_max.
+    row = ensemble._replica_row(7, seed, record)
+    assert row == ensemble._replica_row(7, seed, run_trajectory(1200, seed))
+    state.total_olives += 1
+    with pytest.raises(AssertionError, match="replica 7"):
+        ensemble._replica_row(7, seed, record)
+
+
 def test_trajectory_determinism_and_seed_sensitivity():
     a = run_trajectory(20_000, 42, cadence=1000)
     b = run_trajectory(20_000, 42, cadence=1000)
