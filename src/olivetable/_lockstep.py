@@ -16,7 +16,9 @@ a time.  Three parts reproduce the scalar path exactly:
 
 A lane that needs a word past its buffer leaves the block; ``run_block``
 returns its index, and the caller re-runs that replica on the scalar
-kernel.  Only ``ensemble`` imports this module.
+kernel.  Only ``ensemble._run_chunk`` imports this module, and it runs one
+block per task; its task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps
+a block's (624, lanes) uint32 seeding state within 10 MiB.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .rng import _GOLDEN_GAMMA, _MASK64
 
 _N, _M = 624, 397  # MT19937 state words and twist offset
 TWIST_WORDS = _N - _M  # outputs of the first twist that read only the seeded state
-MAX_LANES = (10 << 20) // (_N * 4)  # a block's (624, lanes) uint32 state fits in 10 MiB
 
 _U64 = np.uint64
 _U32 = np.uint32

@@ -277,11 +277,9 @@ def _cmd_sweep(args) -> int:
     from . import ensemble
 
     t_list = _parse_t_list(args.t_list)
-    if any(t < 1000 for t in t_list):
-        raise _UsageError("sweep horizons must be >= 1000")
-    if args.replicas < 1:
-        raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
     start = time.perf_counter()
+    # sweep rejects horizons below 1000 and replicas below 1 with a
+    # ValueError before any work, which main maps to exit 1.
     c_report, growth = ensemble.sweep(t_list, args.replicas, args.seed, threads=args.threads)
     elapsed = time.perf_counter() - start
     doc = {

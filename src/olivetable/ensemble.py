@@ -2,11 +2,13 @@
 
 Replica ``i`` of a run is fully determined by the config: its stream seed is
 ``derive_seed(master_seed, i)``, so any subset of replicas can be computed on
-any worker (or re-run alone) and merged back bit-identically.  Each replica
-contributes one row of integer counters, and the rows are the only store:
-every statistic is read off them, with the olive moments summed in Python
-integers (never floats).  ``merge`` is associative and commutative, so
-chunked parallel runs equal monolithic ones.
+any worker (or re-run alone) bit-identically.  A run cuts its replica range
+into tasks and copies their rows into one array in replica order, so a
+pooled run equals an in-process one.  Each replica contributes one row of
+integer counters, and the rows are the only store: every statistic is read
+off them, with the olive moments summed in Python integers (never floats).
+``merge`` is associative and commutative, so runs of disjoint replica
+ranges merge into the run of their union.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
     )
 
 
-def _replica_rows(index: int, seed: int, horizons: Sequence[int], check_identity: bool = False) -> list[tuple]:
+def _replica_rows(index: int, seed: int, horizons: Sequence[int]) -> list[tuple]:
     """Replica ``index``'s row at each of the increasing ``horizons``, from
     one trajectory: the scalar kernel resumes from the state, rng and record
     it left at the previous horizon, and every record field is cumulative."""
@@ -164,61 +166,52 @@ def _replica_rows(index: int, seed: int, horizons: Sequence[int], check_identity
     rng = make_rng(seed)
     rows = []
     for t in horizons:
-        process._advance(state, rng, t - state.t, record, check_identity)
+        process._advance(state, rng, t - state.t, record)
         rows.append(_replica_row(index, seed, record))
     return rows
 
 
-# Which kernel runs a pool chunk: the lockstep kernel (``olivetable._lockstep``)
-# takes a chunk of at least _LOCKSTEP_MIN_REPLICAS replicas of one horizon
-# t <= _LOCKSTEP_MAX_T run without ``check_identity`` (``sweep``'s horizons
-# are all >= 1000, so it never gets there).  Every other chunk, and any
-# lockstep lane that runs out of buffered random words, runs on the scalar
-# kernel ``process._advance``.  Lockstep pays 10-15 ms per block for
-# seeding, so it is the slower kernel below about 500 replicas, and at long
-# horizons numpy's per-call cost makes each of its steps dearer than the
-# scalar kernel's.
+# Which kernel runs a task: the lockstep kernel (``olivetable._lockstep``)
+# takes a task of at least _LOCKSTEP_MIN_REPLICAS replicas of one horizon
+# t <= _LOCKSTEP_MAX_T (``sweep``'s horizons are all >= 1000, so it never
+# gets there).  Every other task, and any lockstep lane that runs out of
+# buffered random words, runs on the scalar kernel ``process._advance``.
+# Lockstep pays 10-15 ms per block for seeding, so it is the slower kernel
+# below about 500 replicas, and at long horizons numpy's per-call cost makes
+# each of its steps dearer than the scalar kernel's.  A task holds at most
+# _LOCKSTEP_MAX_LANES replicas, whose (624, lanes) uint32 MT19937 seeding
+# state fits in 10 MiB; the cap is at least twice the minimum, so cutting an
+# eligible range leaves no task below it.
 _LOCKSTEP_MAX_T = 64
 _LOCKSTEP_MIN_REPLICAS = 1024
+_LOCKSTEP_MAX_LANES = (10 << 20) // (624 * 4)
 
 
-def _run_chunk(args: tuple) -> np.ndarray:
-    """Replicas [lo, hi) of ``configs`` (one master seed, increasing t), as
-    an array of shape (len(configs), hi - lo): row k holds the records of
-    configs[k].  Each replica is simulated once, to the last horizon."""
-    configs, lo, hi, check_identity = args
-    (config, *later) = configs
-    if not (later or check_identity) and config.t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
-        return _lockstep_records(config, lo, hi)[None]
-    horizons = [c.t for c in configs]
-    rows = []
-    for i in range(lo, hi):
-        rows.extend(_replica_rows(i, derive_seed(config.master_seed, i), horizons, check_identity))
-    return np.array(rows, dtype=REPLICA_DTYPE).reshape(hi - lo, len(configs)).T
+def _run_chunk(task: tuple) -> np.ndarray:
+    """Replicas [lo, hi) of one master seed at each of the increasing
+    ``horizons``, as an array of shape (len(horizons), hi - lo): row k holds
+    the records at horizons[k].  Each replica is simulated once, to the
+    last horizon."""
+    horizons, lo, hi, master_seed = task
+    (t, *later) = horizons
+    if not later and t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
+        from . import _lockstep
 
-
-def _lockstep_records(config: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
-    """Replicas [lo, hi) by the lockstep kernel, in blocks of near-equal size
-    within its seeding-buffer cap; a lane that ran out of buffered words is
-    re-run by the scalar kernel."""
-    from . import _lockstep
-
-    t = config.t
-    records = np.empty(hi - lo, dtype=REPLICA_DTYPE)
-    n_blocks = -(-(hi - lo) // _lockstep.MAX_LANES)
-    bounds = [lo + (hi - lo) * k // n_blocks for k in range(n_blocks + 1)]
-    for a, b in zip(bounds, bounds[1:]):
-        block = records[a - lo : b - lo]
-        removals, dry = _lockstep.run_block(t, config.master_seed, a, b, block)
+        records = np.empty(hi - lo, dtype=REPLICA_DTYPE)
+        removals, dry = _lockstep.run_block(t, master_seed, lo, hi, records)
         # _replica_row's conservation check, on every lane at once; the dry
         # lanes get theirs from _replica_row itself.
-        held = block["O"] == t - block["t_plate"] - 2 * removals
+        held = records["O"] == t - records["t_plate"] - 2 * removals
         held[dry] = True
         if not held.all():
-            raise _conservation_error(a + int(np.flatnonzero(~held)[0]))
+            raise _conservation_error(lo + int(np.flatnonzero(~held)[0]))
         for k in dry.tolist():
-            (block[k],) = _replica_rows(a + k, derive_seed(config.master_seed, a + k), (t,))
-    return records
+            (records[k],) = _replica_rows(lo + k, derive_seed(master_seed, lo + k), horizons)
+        return records[None]
+    rows = []
+    for i in range(lo, hi):
+        rows.extend(_replica_rows(i, derive_seed(master_seed, i), horizons))
+    return np.array(rows, dtype=REPLICA_DTYPE).reshape(hi - lo, len(horizons)).T
 
 
 def _usable_cpus() -> int:
@@ -244,53 +237,51 @@ def run_ensemble(
     config: EnsembleConfig,
     threads: Optional[int] = None,
     replica_range: Optional[tuple[int, int]] = None,
-    check_identity: bool = False,
 ) -> EnsembleStats:
     """Run replicas [lo, hi) of ``config`` (default: all of them).
 
     ``threads`` (default: the usable CPUs) caps the worker pool, which
     ``pool_size`` also caps at the usable CPUs and the replica count; the
     result is identical for any thread count because replica seeds are
-    derived from the config and chunks merge by replica index.
+    derived from the config and each task's rows land at their replica index.
     """
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     if not 0 <= lo <= hi <= config.replicas:
         raise ValueError(f"bad replica range {replica_range} for R={config.replicas}")
-    (records,) = _run_replicas((config,), lo, hi, threads, check_identity)
+    (records,) = _run_replicas(config.master_seed, (config.t,), lo, hi, threads)
     return EnsembleStats(config=config, records=records)
 
 
-def _run_replicas(
-    configs: tuple[EnsembleConfig, ...],
-    lo: int,
-    hi: int,
-    threads: Optional[int],
-    check_identity: bool,
-) -> np.ndarray:
-    """Replicas [lo, hi) of ``configs`` (one master seed, increasing t) by
-    ``_run_chunk``, pooled when the replica-steps to the last horizon reach
-    10^6; row k of the result holds the records of configs[k]."""
+def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, threads: Optional[int]) -> np.ndarray:
+    """Replicas [lo, hi) of ``master_seed`` at each of the increasing
+    ``horizons``; row k of the result holds the records at horizons[k].
+
+    The range is cut into near-equal ``_run_chunk`` tasks of at most
+    _LOCKSTEP_MAX_LANES replicas, in replica order: 4 per worker when the
+    replica-steps to the last horizon reach 10^6 and a pool of two or more
+    workers maps them, one otherwise, and more where the cap needs them.
+    """
     cpus = _usable_cpus()
     count = hi - lo
     workers = pool_size(cpus if threads is None else threads, cpus, max(count, 1))
-    if count == 0:
-        return np.empty((len(configs), 0), dtype=REPLICA_DTYPE)
+    pooled = workers > 1 and count * horizons[-1] >= 1_000_000
+    n_tasks = max(min(count, 4 * workers) if pooled else 1, -(-count // _LOCKSTEP_MAX_LANES))
+    bounds = [lo + count * k // n_tasks for k in range(n_tasks + 1)]
+    tasks = [(horizons, a, b, master_seed) for a, b in zip(bounds, bounds[1:])]
+    records = np.empty((len(horizons), count), dtype=REPLICA_DTYPE)
 
-    if workers > 1 and count * configs[-1].t >= 1_000_000:
-        n_chunks = min(count, workers * 4)
-        bounds = [lo + (count * k) // n_chunks for k in range(n_chunks + 1)]
-        tasks = [
-            (configs, bounds[k], bounds[k + 1], check_identity)
-            for k in range(n_chunks)
-            if bounds[k] < bounds[k + 1]
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_run_chunk, tasks)
+    def fill(parts):
+        for (_, a, b, _), part in zip(tasks, parts):
+            records[:, a - lo : b - lo] = part
+
+    if pooled:
+        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            # pool.map's dispatches, but each part is copied out and freed as
+            # it arrives instead of all parts being held for one concatenation.
+            fill(pool.imap(_run_chunk, tasks, -(-len(tasks) // (4 * workers))))
     else:
-        parts = [_run_chunk((configs, lo, hi, check_identity))]
-
-    return np.concatenate(parts, axis=1)
+        fill(map(_run_chunk, tasks))
+    return records
 
 
 def merge(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
@@ -471,8 +462,8 @@ def sweep(
     """
     if any(t < 1000 for t in t_list):
         raise ValueError("sweep expects horizons t >= 1000")
-    configs = tuple(EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed) for t in sorted(set(t_list)))
-    records = _run_replicas(configs, 0, replicas, threads, check_identity=False)
+    configs = [EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed) for t in sorted(set(t_list))]
+    records = _run_replicas(master_seed, [config.t for config in configs], 0, replicas, threads)
     runs = {config.t: EnsembleStats(config=config, records=recs) for config, recs in zip(configs, records)}
 
     c_rows = []

@@ -29,6 +29,10 @@ from typing import Iterator, NamedTuple, TextIO
 from .chain import ReturnTimePMF
 from .process import TableState
 
+# Caps the cumulative state expansions of one pushforward.  It admits
+# t <= 29 (7.5e6 expansions; step 30 would need 1.02e7), which takes 6-8 s
+# and 62 MB peak RSS for ``exact --t 29`` on a 2-vCPU x86-64 box with
+# CPython 3.11, against about 0.4 s and 19 MB at t = 20.
 DEFAULT_STATE_BUDGET = 10_000_000
 
 OLIVE_PMF_CSV_HEADER = "t,O,prob_num,prob_den"
@@ -102,8 +106,8 @@ def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
 
     The process picks one of M equally likely moves and ``k`` counts the
     moves that lead to each successor, so the multiplicities sum to M.  This
-    is the one place that lists successors; ``transitions``, the pushforward
-    and the sampler check all read it.
+    is the one place that lists successors; the pushforward and the sampler
+    check both read it.
     """
     first, others = state
     if first < 0:
@@ -165,12 +169,6 @@ def _num_moves(state: CanonicalState) -> int:
     l = len(others) + 1
     n_e = (first > 0) + len(others) - bisect_right(others, 0)  # counts are >= 0
     return 1 + l * (l - 1) // 2 + l + n_e
-
-
-def transitions(state: CanonicalState) -> dict[CanonicalState, Fraction]:
-    """Exact one-step law from a canonical state; probabilities sum to 1."""
-    m_total, law = _law(state)
-    return {succ: Fraction(k, m_total) for succ, k in law.items()}
 
 
 def _advance(
@@ -245,19 +243,6 @@ def _olive_pmf(dist: dict[CanonicalState, int], den: int) -> dict[int, Fraction]
 def _mean(pmf: dict[int, Fraction]) -> Fraction:
     """Exact mean sum(o * p) of an olive pmf."""
     return sum((o * p for o, p in pmf.items()), Fraction(0))
-
-
-def state_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[CanonicalState, Fraction]:
-    """Exact distribution over canonical states after t steps.
-
-    Raises BudgetExceededError once the cumulative state expansions would
-    pass ``budget``; never truncates silently.  The default budget admits
-    t <= 29 (7.5e6 expansions; step 30 would need 1.02e7), which takes
-    6-8 s and 62 MB peak RSS for ``exact --t 29`` on a 2-vCPU x86-64 box
-    with CPython 3.11, against about 0.4 s and 19 MB at t = 20.
-    """
-    dist, den = _final(t, budget)
-    return {state: Fraction(num, den) for state, num in dist.items()}
 
 
 def exact_olive_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[int, Fraction]:

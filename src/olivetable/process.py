@@ -25,9 +25,10 @@ kernel, ``_advance``, holds that code; :func:`run_trajectory` and
 call it once per horizon, resuming where the last call stopped.
 
 The ensemble has a second, lockstep path for short horizons
-(``olivetable._lockstep``; ``ensemble._run_chunk`` states when it runs).  It
-advances a block of replicas as numpy lanes with ``_advance``'s positional
-decode and swap-removal order, so every replica row is bit-identical.
+(``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
+runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
+positional decode and swap-removal order, so every replica row is
+bit-identical.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ The process kernel draws bounded uniform integers by rejection on
 ``getrandbits`` (never by modulo), so category sampling carries no bias.
 
 The ensemble's lockstep path (``olivetable._lockstep``;
-``ensemble._run_chunk`` states when it runs) builds no ``random.Random``:
-it derives a block's seeds with a vectorised SplitMix64 and runs MT19937's
-``init_by_array`` seeding, first twist and tempering across the block, so
-each replica draws exactly the words of
+``ensemble._run_chunk`` states which tasks it runs) builds no
+``random.Random``: it derives a task's seeds with a vectorised SplitMix64
+and runs MT19937's ``init_by_array`` seeding, first twist and tempering
+across the task's replicas, so each replica draws exactly the words of
 ``make_rng(derive_seed(master_seed, i))``.
 """
 

@@ -23,6 +23,7 @@ from olivetable import (
     mean_return_time_series,
     mean_return_time_stationary,
     oracle,
+    process,
     published_first_return_pmf,
     run_ensemble,
     simulate_walk,
@@ -36,6 +37,7 @@ from olivetable.ensemble import (
     wilson_upper,
     write_ensemble_csv,
 )
+from olivetable.rng import derive_seed
 
 T_LARGE = 100_000
 R_LARGE = 1_000
@@ -216,10 +218,15 @@ def test_criterion_10_log_growth_proxy():
 
 
 def test_criterion_11_engineering_invariants():
-    # (a) The conservation law asserted at every step of 100 trajectories.
+    # (a) The conservation law asserted at every step of 100 trajectories,
+    # which are the ensemble's replicas row for row.
     config = EnsembleConfig(t=T_LARGE, replicas=100, master_seed=MASTER_SEED + 1)
-    checked = run_ensemble(config, check_identity=True)
+    checked = run_ensemble(config)
     assert checked.n == 100
+    for i, row in enumerate(checked.records.tolist()):
+        seed = derive_seed(config.master_seed, i)
+        rec = process.run_trajectory(T_LARGE, seed, check_identity=True)
+        assert ensemble._replica_row(i, seed, rec) == row, i
 
     # (b) Merge laws on a random partition of a small ensemble.
     small = EnsembleConfig(t=500, replicas=10, master_seed=3)
@@ -242,7 +249,7 @@ def test_criterion_11_engineering_invariants():
     # (c) Identical seeds give byte-identical outputs.
     import io
 
-    rerun = run_ensemble(config, check_identity=True)
+    rerun = run_ensemble(config)
     a, b = io.StringIO(), io.StringIO()
     write_ensemble_csv(checked, a)
     write_ensemble_csv(rerun, b)

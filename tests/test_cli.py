@@ -81,7 +81,7 @@ def test_ensemble_merge_of_parts_equals_monolithic(tmp_path):
 def test_ensemble_bound_failure_exits_two(monkeypatch):
     real = ensemble.run_ensemble
 
-    def corrupt(config, threads=None, replica_range=None, check_identity=False):
+    def corrupt(config, threads=None, replica_range=None):
         stats = real(config, threads=threads, replica_range=replica_range)
         stats.records["O"][0] = 0  # below t/342 at t >= 1000
         return stats
@@ -258,7 +258,9 @@ def test_sweep_outputs(tmp_path, capsys):
     assert [row["t"] for row in doc["c_estimate"]["rows"]] == [1000, 2000]
     assert [row["t"] for row in doc["log_growth"]["rows"]] == [1000, 2000]
     assert "c_hat" in capsys.readouterr().out
+    # ensemble.sweep rejects these before any work; main maps that to exit 1.
     assert main(["sweep", "--t-list", "10", "--replicas", "5", "--seed", "1"]) == EXIT_USAGE
+    assert main(["sweep", "--t-list", "1000", "--replicas", "0", "--seed", "1"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -278,11 +280,10 @@ def test_sweep_hard_bound_failure_exits_two(name, value, monkeypatch, tmp_path, 
     assert not all(held)
 
 
-def test_traced_harness_runs_a_pooled_sweep(tmp_path):
-    # The benchmark's tracer wraps ensemble._run_chunk and unpacks each pool
-    # task as (_, lo, hi, _); its payload must equal an untraced run's.
-    # R * max(t) = 1.2e6, so two threads run a pool.
-    argv = ["sweep", "--t-list", "1000,2000", "--replicas", "600", "--seed", "4", "--threads", "2"]
+def _traced_payload_equals_plain(argv, suffix, tmp_path):
+    """Run the CLI plainly and through the benchmark's tracer, which wraps
+    ensemble._run_chunk and unpacks each pool task as (_, lo, hi, _): the
+    payloads must be equal, and with two usable CPUs the traced run pools."""
     assert main([*argv, "--out", str(tmp_path / "plain")]) == EXIT_OK
     root = Path(__file__).resolve().parents[1]
     src = str(Path(olivetable.__file__).resolve().parents[1])
@@ -298,11 +299,25 @@ def test_traced_harness_runs_a_pooled_sweep(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     plain, traced = (
-        _strip_volatile(_strict_loads((tmp_path / f"{name}.sweep.json").read_text())) for name in ("plain", "traced")
+        _strip_volatile(_strict_loads((tmp_path / f"{name}{suffix}").read_text())) for name in ("plain", "traced")
     )
     assert traced == plain
     if ensemble._usable_cpus() > 1:
         assert json.loads(trace.read_text())["workers"], "the traced run did not pool"
+
+
+def test_traced_harness_runs_a_pooled_sweep(tmp_path):
+    # R * max(t) = 1.2e6, so two threads run a pool of scalar tasks.
+    argv = ["sweep", "--t-list", "1000,2000", "--replicas", "600", "--seed", "4", "--threads", "2"]
+    _traced_payload_equals_plain(argv, ".sweep.json", tmp_path)
+
+
+def test_traced_harness_runs_a_pooled_lockstep_ensemble(tmp_path):
+    # R * t = 1.2e6, so two threads run a pool of 24 lockstep tasks, the
+    # benchmark's ens_short workload.
+    argv = ["ensemble", "--t", "12", "--replicas", "100000", "--seed", "4", "--threads", "2"]
+    _traced_payload_equals_plain(argv, ".summary.json", tmp_path)
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_usage_errors_exit_one():

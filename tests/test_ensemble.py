@@ -105,13 +105,15 @@ def test_pool_size_arithmetic():
             pool_size(threads=bad, cpus=2, tasks=10)
 
 
-def test_run_ensemble_clamps_its_pool(monkeypatch):
-    # A recording stand-in for the fork context: no process is started.
-    started = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A recording stand-in for the fork context: no process is started.
+    Records the size of each pool started and the chunksize of each imap."""
+    seen = SimpleNamespace(started=[], chunksizes=[])
 
     class FakePool:
         def __init__(self, processes):
-            started.append(processes)
+            seen.started.append(processes)
 
         def __enter__(self):
             return self
@@ -119,13 +121,20 @@ def test_run_ensemble_clamps_its_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
+        def imap(self, fn, tasks, chunksize=1):
+            seen.chunksizes.append(chunksize)
+            return map(fn, tasks)
 
     fake = SimpleNamespace(get_context=lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(ensemble, "multiprocessing", fake)
+    return seen
+
+
+def test_run_ensemble_clamps_its_pool(fake_pool, monkeypatch):
+    started = fake_pool.started
     config = EnsembleConfig(t=1000, replicas=1000, master_seed=13)
     serial = run_ensemble(config, threads=1)
-    monkeypatch.setattr(ensemble, "multiprocessing", fake)
+    assert started == []
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
     clamped = run_ensemble(config, threads=10**6)
     assert started == [3]
@@ -137,6 +146,46 @@ def test_run_ensemble_clamps_its_pool(monkeypatch):
 
 def _stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
     return a.records.tobytes() == b.records.tobytes() and _sums(a) == _sums(b)
+
+
+@pytest.mark.parametrize(
+    "horizons, lo, hi, threads, chunksizes, sizes",
+    [
+        # ens_short: 24 tasks of 4166-4167, whether pooled (2 workers, 4
+        # tasks each, raised to what the cap needs; pool.map's chunksize 3
+        # keeps 8 dispatches) or in this process.
+        ((12,), 0, 100_000, 2, [3], [4166, 4167, 4167] * 8),
+        ((12,), 0, 100_000, 1, [], [4166, 4167, 4167] * 8),
+        # A pooled scalar sweep: 4 tasks per worker, far below the cap.
+        ((1000, 2000), 0, 600, 2, [1], [75] * 8),
+        # In this process one task, unless the cap needs more.
+        ((1000, 2000), 0, 600, 1, [], [600]),
+        ((12,), 1234, 1234 + 9000, 2, [], [3000] * 3),
+        ((12,), 5, 5, 2, [], [0]),
+    ],
+    ids=["pooled-lockstep", "in-process-lockstep", "pooled-sweep", "in-process-sweep", "in-process-range", "empty"],
+)
+def test_one_task_list_tiles_the_range(horizons, lo, hi, threads, chunksizes, sizes, fake_pool, monkeypatch):
+    # Pooled and in-process runs cut [lo, hi) the same way: near-equal tasks
+    # of at most the lockstep lane cap, in replica order.
+    tasks = []
+
+    def record(task):
+        tasks.append(task)
+        task_horizons, a, b, _ = task
+        return np.zeros((len(task_horizons), b - a), dtype=ensemble.REPLICA_DTYPE)
+
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ensemble, "_run_chunk", record)
+    records = ensemble._run_replicas(77, horizons, lo, hi, threads)
+    assert records.shape == (len(horizons), hi - lo)
+    assert fake_pool.started == ([2] if chunksizes else [])
+    assert fake_pool.chunksizes == chunksizes
+    assert [b - a for _, a, b, _ in tasks] == sizes
+    assert all(b - a <= ensemble._LOCKSTEP_MAX_LANES for _, a, b, _ in tasks)
+    assert [a for _, a, _, _ in tasks] == [lo] + [b for _, _, b, _ in tasks[:-1]]
+    assert tasks[-1][2] == hi
+    assert {(tuple(h), seed) for h, _, _, seed in tasks} == {(horizons, 77)}
 
 
 def test_fold_of_single_replica_parts_equals_full_run(small_stats):

@@ -42,9 +42,9 @@ def spies(monkeypatch):
         blocks.append((lo, hi))
         return real_block(t, master_seed, lo, hi, rows)
 
-    def replica_rows_spy(index, seed, horizons, check_identity=False):
-        scalar.append((seed, check_identity))
-        return real_rows(index, seed, horizons, check_identity)
+    def replica_rows_spy(index, seed, horizons):
+        scalar.append(seed)
+        return real_rows(index, seed, horizons)
 
     monkeypatch.setattr(_lockstep, "run_block", run_block)
     monkeypatch.setattr(ensemble, "_replica_rows", replica_rows_spy)
@@ -95,21 +95,26 @@ def test_rows_equal_the_scalar_kernel(t, spies):
 
 
 def test_blocks_and_replica_ranges(spies, monkeypatch):
-    blocks, _ = spies
-    monkeypatch.setattr(_lockstep, "MAX_LANES", 500)
-    config = EnsembleConfig(t=12, replicas=5000, master_seed=2**64 + 5)
-    lo, hi = 1234, 1234 + 1501
+    blocks, scalar = spies
+    monkeypatch.setattr(ensemble, "_LOCKSTEP_MAX_LANES", MIN_R + 100)
+    config = EnsembleConfig(t=12, replicas=10_000, master_seed=2**64 + 5)
+    lo, hi = 1234, 1234 + 4 * MIN_R + 301
     stats = run_ensemble(config, threads=1, replica_range=(lo, hi))
     assert outcome(stats) == scalar_reference(config, lo, hi)
     # Four near-equal blocks within the cap, tiling the range in order.
-    assert [b - a for a, b in blocks] == [375, 375, 375, 376]
+    assert [b - a for a, b in blocks] == [1099, 1099, 1099, 1100]
     assert blocks[0][0] == lo and blocks[-1][1] == hi
     assert all(a == b for (_, a), (b, _) in zip(blocks, blocks[1:]))
+    assert scalar == []
 
 
 def test_seeding_buffer_stays_within_ten_mib():
-    assert _lockstep.MAX_LANES * 624 * np.dtype(np.uint32).itemsize <= 10 << 20
-    assert _lockstep.MAX_LANES >= 4096
+    cap = ensemble._LOCKSTEP_MAX_LANES
+    assert cap * 624 * np.dtype(np.uint32).itemsize <= 10 << 20
+    assert cap >= 4096
+    # So cutting a range of at least MIN_R replicas into tasks of at most
+    # cap leaves every task at MIN_R or more: it stays on the lockstep path.
+    assert cap >= 2 * MIN_R
 
 
 POOLED = EnsembleConfig(t=40, replicas=25_000, master_seed=5)
@@ -122,9 +127,9 @@ def pooled_reference():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_thread_count_does_not_change_lockstep_results(threads, pooled_reference):
-    # t * R >= 1e6: two threads split the run into pool chunks of 3125
-    # replicas, each on the lockstep path; one thread runs one chunk of
-    # seven blocks.
+    # t * R >= 1e6: two threads split the run into 8 pool tasks of 3125
+    # replicas, each on the lockstep path; one thread runs 6 tasks of
+    # 4166-4167 in this process.
     assert outcome(run_ensemble(POOLED, threads=threads)) == pooled_reference
 
 
@@ -156,7 +161,7 @@ def test_dry_lanes_fall_back_to_the_scalar_kernel(words, spies, monkeypatch):
     assert outcome(stats) == scalar_reference(config, 0, config.replicas)
 
     draws = [_draws_per_step(config.t, derive_seed(config.master_seed, i)) for i in range(config.replicas)]
-    rerun = {seed for seed, _ in scalar}
+    rerun = set(scalar)
     expected = {derive_seed(config.master_seed, i) for i, d in enumerate(draws) if d[-1] > words}
     assert rerun == expected and len(scalar) == len(expected)
     if words == 14:
@@ -179,15 +184,6 @@ def test_selection_rule(spies):
     scalar.clear()
     run_ensemble(EnsembleConfig(t=64, replicas=MIN_R, master_seed=1), threads=1)
     assert blocks == [(0, MIN_R)] and scalar == []
-
-
-def test_check_identity_runs_the_scalar_kernel_at_every_step(spies):
-    blocks, scalar = spies
-    config = EnsembleConfig(t=12, replicas=MIN_R + 10, master_seed=3)
-    checked = run_ensemble(config, threads=1, check_identity=True)
-    assert blocks == []
-    assert scalar == [(derive_seed(3, i), True) for i in range(config.replicas)]
-    assert outcome(checked) == outcome(run_ensemble(config, threads=1))
 
 
 def test_a_corrupted_lane_fails_the_conservation_check(monkeypatch):

@@ -18,14 +18,24 @@ from olivetable.oracle import (
     exact_olive_distribution,
     labeled_olive_distribution,
     olive_distribution_table,
-    state_distribution,
-    transitions,
 )
 from olivetable.process import TableState, step
 from olivetable.rng import make_rng
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+
+
+def _law_fractions(state):
+    """``oracle._law`` as probabilities: {successor: Fraction(k, M)}."""
+    m_total, law = oracle._law(state)
+    return {succ: Fraction(k, m_total) for succ, k in law.items()}
+
+
+def _state_fractions(t):
+    """The exact state distribution after t steps, from ``oracle._final``."""
+    dist, den = oracle._final(t, oracle.DEFAULT_STATE_BUDGET)
+    return {state: Fraction(num, den) for state, num in dist.items()}
 
 
 def test_canonicalization():
@@ -41,11 +51,11 @@ def test_canonicalization():
 
 
 def test_transitions_from_empty_table():
-    assert transitions(EMPTY_TABLE) == {CanonicalState(0, ()): Fraction(1)}
+    assert _law_fractions(EMPTY_TABLE) == {CanonicalState(0, ()): Fraction(1)}
 
 
 def test_transitions_two_empty_plates():
-    law = transitions(CanonicalState(0, (0,)))
+    law = _law_fractions(CanonicalState(0, (0,)))
     assert law == {
         CanonicalState(0, (0, 0)): QUARTER,   # add plate
         CanonicalState(0, ()): QUARTER,       # merge
@@ -60,7 +70,7 @@ def test_transitions_two_empty_plates():
 def test_transitions_weight_multiset_multiplicities():
     # Three plates holding (first=0, others=(1, 1)): merging the two equal
     # others is one pair, merging first with either is two pairs.
-    law = transitions(CanonicalState(0, (1, 1)))
+    law = _law_fractions(CanonicalState(0, (1, 1)))
     m = 1 + 3 + 3 + 2  # M = 9
     assert law[CanonicalState(0, (2,))] == Fraction(1, m)
     assert law[CanonicalState(1, (1,))] == Fraction(2, m)
@@ -75,15 +85,15 @@ def test_transition_mass_sums_to_one_for_random_states():
             rng.randrange(0, 5),
             tuple(sorted(rng.randrange(0, 4) for _ in range(n_others))),
         )
-        law = transitions(state)
+        law = _law_fractions(state)
         assert sum(law.values(), Fraction(0)) == 1
         assert all(p > 0 for p in law.values())
 
 
 def test_transitions_from_table_state():
-    law = transitions(canonical_of(TableState.from_plates([(1, 0), (2, 0)])))
+    law = _law_fractions(canonical_of(TableState.from_plates([(1, 0), (2, 0)])))
     assert law[CanonicalState(0, ())] == QUARTER
-    assert transitions(canonical_of(TableState())) == {CanonicalState(0, ()): Fraction(1)}
+    assert _law_fractions(canonical_of(TableState())) == {CanonicalState(0, ()): Fraction(1)}
 
 
 def test_exact_olive_distribution_small_t():
@@ -115,7 +125,7 @@ def test_expected_olives_monotone_and_mass_one():
 
 
 def test_state_distribution_support_is_reachable():
-    dist = state_distribution(5)
+    dist = _state_fractions(5)
     assert sum(dist.values(), Fraction(0)) == 1
     for state in dist:
         assert state.num_plates >= 1
@@ -159,7 +169,6 @@ def test_integer_law_matches_kernel_on_reachable_states():
         l = state.num_plates
         assert m_total == 1 + l * (l - 1) // 2 + l + state.num_nonempty
         assert sum(law.values()) == m_total and min(law.values()) >= 1
-        assert transitions(state) == {succ: Fraction(k, m_total) for succ, k in law.items()}
         # Every one of the M moves, decoded by the production kernel.
         kernel: dict[CanonicalState, int] = {}
         for u in range(m_total):
@@ -238,11 +247,11 @@ def test_sliced_law_equals_reference_on_drawn_states(first, others):
 
 
 def test_state_distribution_equals_fraction_reference():
-    # A plain Fraction pushforward over ``transitions``, sharing nothing with
+    # A plain Fraction pushforward over ``_law_fractions``, sharing nothing with
     # the integer numerators and common denominator of ``_advance``.
     ref = {EMPTY_TABLE: Fraction(1)}
     for t in range(0, 13):
-        assert state_distribution(t) == ref, t
+        assert _state_fractions(t) == ref, t
         if t <= 6:
             pmf: dict[int, Fraction] = {}
             for state, p in ref.items():
@@ -250,7 +259,7 @@ def test_state_distribution_equals_fraction_reference():
             assert pmf == labeled_olive_distribution(t), t
         nxt: dict[CanonicalState, Fraction] = {}
         for state, p in ref.items():
-            for succ, q in transitions(state).items():
+            for succ, q in _law_fractions(state).items():
                 nxt[succ] = nxt.get(succ, Fraction(0)) + p * q
         ref = nxt
 

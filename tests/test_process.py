@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olivetable import process, verification
-from olivetable.oracle import canonical_of, transitions
+from olivetable.oracle import _law, canonical_of
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
@@ -98,7 +98,8 @@ def test_step_decode_matches_exact_law(plates):
         assert min(p.id for p in trial.plates) == min((i for i, _ in plates), default=1)
         key = canonical_of(trial)
         law[key] = law.get(key, 0) + Fraction(1, m_total)
-    assert law == transitions(canonical_of(base))
+    m_law, counts = _law(canonical_of(base))
+    assert m_law == m_total and law == {succ: Fraction(k, m_total) for succ, k in counts.items()}
 
 
 def test_plate_move_probability_at_least_one_third():
