@@ -149,12 +149,10 @@ def run_block(t: int, master_seed: int, lo: int, hi: int, rows: np.ndarray) -> t
     ids, olives, ne_pos, ne_idx = (np.zeros(junk + 1, dtype=np.int64) for _ in range(4))
     row0 = np.arange(lanes, dtype=np.int64) * t
     pos1 = row0.copy()
-    n_plates, n_e, O, c_pp, c_pm, c_om, returns, l_ge3, pm_ge3, max_other = (
-        np.zeros(lanes, dtype=np.int64) for _ in range(10)
-    )
+    n_e, O, c_pp, c_pm, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(8))
 
     for _ in range(t):
-        l = n_plates.copy()
+        l = c_pp - c_pm
         n_merge = l * (l - 1) // 2
         n_grow = n_merge + l
         m = n_grow + n_e + 1
@@ -254,13 +252,9 @@ def run_block(t: int, master_seed: int, lo: int, hi: int, rows: np.ndarray) -> t
                 ne_idx[last] = slot
                 ne_idx[atk] = -1
 
-        ge3 = l >= 3
-        n_plates += is_pp
-        n_plates -= is_mg
         c_pp += is_pp
         c_pm += is_mg
-        pm_ge3 += (is_pp | is_mg) & ge3
-        l_ge3 += is_mg & ge3
+        pm_ge3 += (is_pp | is_mg) & (l >= 3)
         returns += is_mg & (l == 2)
         O += is_op
         O -= is_om
@@ -274,6 +268,6 @@ def run_block(t: int, master_seed: int, lo: int, hi: int, rows: np.ndarray) -> t
     rows["two_to_one"] = returns
     rows["max_other_olives"] = max_other
     rows["first_plate_olives"] = olives[pos1]
-    rows["L_ge3"] = l_ge3
+    rows["L_ge3"] = c_pm - returns  # every other merge is made at >= 3 plates
     rows["plate_moves_ge3"] = pm_ge3
     return c_om, np.flatnonzero(nxt >= (n_words + 1) * lanes)

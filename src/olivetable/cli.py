@@ -1,8 +1,9 @@
 """Command-line front door: simulations, ensembles, exact oracles, checks.
 
-Exit codes: 0 success, 1 usage or validation problem, 2 a verification or
-hard bound check failed.  Seeds are always explicit; no command falls back
-to entropy, so every emitted number is reproducible from the flags alone.
+Exit codes: 0 success, 1 usage or validation problem or a failed write, 2 a
+verification or hard bound check failed.  Seeds are always explicit; no
+command falls back to entropy, so every emitted number is reproducible from
+the flags alone.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from typing import Callable, Optional, Sequence, TextIO
 # imported only inside the commands that run them: ``ensemble``, ``sweep``
 # and ``verify``.
 from . import __version__, chain, oracle, process
-
-
-#: Hard bound checks are only enforced (exit 2) at horizons where the
-#: asymptotic bands are meaningful; shorter runs still report them.
-BOUND_ENFORCEMENT_MIN_T = 1000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,23 +84,14 @@ def _threads(text: str) -> int:
     return value
 
 
-def _parse_t_list(text: str) -> list[int]:
+def _parse_list(text: str, kind: type, what: str) -> tuple:
+    """A comma list of ``kind`` values, e.g. ``--t-list`` or ``--deltas``."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = tuple(kind(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise _UsageError(f"bad t list {text!r}") from None
+        raise _UsageError(f"bad {what} list {text!r}") from None
     if not values:
-        raise _UsageError("empty t list")
-    return values
-
-
-def _parse_deltas(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise _UsageError(f"bad delta list {text!r}") from None
-    if not values:
-        raise _UsageError("empty delta list")
+        raise _UsageError(f"empty {what} list")
     return values
 
 
@@ -121,8 +108,6 @@ def _report_stream(args) -> TextIO:
 
 
 def _cmd_simulate(args) -> int:
-    if args.t < 1:
-        raise _UsageError(f"--t must be >= 1, got {args.t}")
     cadence = args.cadence if args.cadence is not None else max(1, args.t // 100_000)
     start = time.perf_counter()
     record = process.run_trajectory(args.t, args.seed, cadence=cadence)
@@ -170,17 +155,14 @@ def _cmd_ensemble(args) -> int:
     from . import ensemble
 
     # Without --deltas, EnsembleConfig's default deltas apply.
-    given = {} if args.deltas is None else {"deltas": _parse_deltas(args.deltas)}
-    try:
-        config = ensemble.EnsembleConfig(
-            t=args.t,
-            replicas=args.replicas,
-            master_seed=args.seed,
-            cadence=args.cadence or 0,
-            **given,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    given = {} if args.deltas is None else {"deltas": _parse_list(args.deltas, float, "delta")}
+    config = ensemble.EnsembleConfig(
+        t=args.t,
+        replicas=args.replicas,
+        master_seed=args.seed,
+        cadence=args.cadence,
+        **given,
+    )
     start = time.perf_counter()
     stats = ensemble.run_ensemble(config, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -198,7 +180,7 @@ def _cmd_ensemble(args) -> int:
         f"bounds_pass={checks['bounds_pass']} tau1_pass={checks['tau1_pass']}",
         file=_report_stream(args),
     )
-    if config.t >= BOUND_ENFORCEMENT_MIN_T and not (checks["bounds_pass"] and checks["tau1_pass"]):
+    if config.t >= process.BOUND_ENFORCEMENT_MIN_T and not (checks["bounds_pass"] and checks["tau1_pass"]):
         print("hard bound check failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -207,8 +189,6 @@ def _cmd_ensemble(args) -> int:
 def _cmd_chain(args) -> int:
     if args.t_max < 2:
         raise _UsageError(f"--t-max must be >= 2, got {args.t_max}")
-    if args.simulate_steps < 1:
-        raise _UsageError(f"--simulate-steps must be >= 1, got {args.simulate_steps}")
     start = time.perf_counter()
     rows = chain.first_return_rows(args.t_max)  # for the report and the CSV
     report = chain.chain_report(rows, args.simulate_steps, args.seed)
@@ -238,8 +218,6 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if args.t < 1:
-        raise _UsageError(f"--t must be >= 1, got {args.t}")
     start = time.perf_counter()
     try:
         rows = oracle.olive_distribution_table(args.t, budget=args.budget)
@@ -276,10 +254,10 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import ensemble
 
-    t_list = _parse_t_list(args.t_list)
+    t_list = _parse_list(args.t_list, int, "t")
     start = time.perf_counter()
-    # sweep rejects horizons below 1000 and replicas below 1 with a
-    # ValueError before any work, which main maps to exit 1.
+    # sweep rejects short horizons and replicas below 1 with a ValueError
+    # before any work, which main maps to exit 1.
     c_report, growth = ensemble.sweep(t_list, args.replicas, args.seed, threads=args.threads)
     elapsed = time.perf_counter() - start
     doc = {
@@ -296,7 +274,7 @@ def _cmd_sweep(args) -> int:
         ci = "n/a" if row["ci_low"] is None else f"[{row['ci_low']:.6f}, {row['ci_high']:.6f}]"
         print(f"t={row['t']}: c_hat={row['ratio']:.6f} CI99={ci}", file=stream)
     print(f"max pairwise ratio difference: {c_report['max_ratio_difference']:.6f}", file=stream)
-    # Every sweep horizon is >= BOUND_ENFORCEMENT_MIN_T, so its bounds are hard.
+    # Every sweep horizon is >= process.BOUND_ENFORCEMENT_MIN_T, so its bounds are hard.
     held = [row["within_bounds"] for row in c_report["rows"]] + [row["within_ceiling"] for row in growth["rows"]]
     if not all(held):
         print("hard bound check failed", file=sys.stderr)
@@ -374,7 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help / --version
         code = exc.code or 0
         return EXIT_USAGE if code not in (0,) else EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a range error from the library, or a failed write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import process
-from .process import C_BOUNDS, Z99, TableState, TrajectoryRecord
+from .process import BOUND_ENFORCEMENT_MIN_T, C_BOUNDS, Z99, TableState, TrajectoryRecord
 from .rng import derive_seed, make_rng
 
 REPLICA_DTYPE = np.dtype(
@@ -103,18 +103,6 @@ class EnsembleStats:
     def n(self) -> int:
         return len(self.records)
 
-    def mean_olives(self) -> Fraction:
-        if self.n == 0:
-            raise ValueError("no replicas")
-        _, total, _ = _olive_moments(self)
-        return Fraction(total, self.n)
-
-    def sd_olives(self) -> float:
-        if self.n < 2:
-            return 0.0
-        _, total, total_sq = _olive_moments(self)
-        return math.sqrt(_sample_variance(total, total_sq, self.n))
-
     def check_invariants(self) -> None:
         indices = [int(r) for r in self.records["replica"]]
         assert indices == sorted(set(indices))
@@ -152,7 +140,7 @@ def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
         rec.num_returns,
         rec.max_other_olives,
         state.first_plate_olives,
-        rec.l_ge3_removals,
+        state.c_merge - rec.num_returns,  # L_ge3: every other merge is made at >= 3 plates
         rec.plate_moves_at_ge3,
     )
 
@@ -173,7 +161,7 @@ def _replica_rows(index: int, seed: int, horizons: Sequence[int]) -> list[tuple]
 
 # Which kernel runs a task: the lockstep kernel (``olivetable._lockstep``)
 # takes a task of at least _LOCKSTEP_MIN_REPLICAS replicas of one horizon
-# t <= _LOCKSTEP_MAX_T (``sweep``'s horizons are all >= 1000, so it never
+# t <= _LOCKSTEP_MAX_T (no ``sweep`` horizon is that short, so it never
 # gets there).  Every other task, and any lockstep lane that runs out of
 # buffered random words, runs on the scalar kernel ``process._advance``.
 # Lockstep pays 10-15 ms per block for seeding, so it is the slower kernel
@@ -317,11 +305,13 @@ def _sample_variance(total: int, total_sq: int, n: int) -> float:
 
 
 def _stats_estimate(stats: EnsembleStats) -> dict:
-    """Mean O/t with a 99% normal-approximation CI over the replicas.
+    """Mean O/t with a 99% normal-approximation CI over the replicas, and
+    whether the exact mean O/t lies in the paper's band ``C_BOUNDS``.
 
-    Exact integer sums feed the point estimate; the CI uses the sample sd.
-    Degenerate samples (all equal) get a zero-width interval; a single
-    replica has no CI, so ``ci_low`` and ``ci_high`` are None.
+    Exact integer sums feed the point estimate and the band test; the CI
+    uses the sample sd.  Degenerate samples (all equal) get a zero-width
+    interval; a single replica has no CI, so ``ci_low`` and ``ci_high`` are
+    None.
     """
     n, t = stats.n, stats.config.t
     if n < 1:
@@ -345,6 +335,7 @@ def _stats_estimate(stats: EnsembleStats) -> dict:
         "ci_low": ci_low,
         "ci_high": ci_high,
         "sd_O": sd,
+        "within_bounds": C_BOUNDS[0] <= mean_o / t <= C_BOUNDS[1],
     }
 
 
@@ -439,7 +430,7 @@ def sweep(
     threads: Optional[int] = None,
 ) -> tuple[dict, dict]:
     """The linear-growth estimate and the log-growth check, at horizons
-    t >= 1000 that share one ensemble.
+    t >= BOUND_ENFORCEMENT_MIN_T that share one ensemble.
 
     Every horizon uses the same master seed, hence common random numbers
     across horizons: replica i at a shorter horizon is exactly the first
@@ -460,19 +451,13 @@ def sweep(
     rows do not depend on ``replicas`` once it is at least
     SWEEP_GROWTH_REPLICAS.
     """
-    if any(t < 1000 for t in t_list):
-        raise ValueError("sweep expects horizons t >= 1000")
+    if any(t < BOUND_ENFORCEMENT_MIN_T for t in t_list):
+        raise ValueError(f"sweep expects horizons t >= {BOUND_ENFORCEMENT_MIN_T}")
     configs = [EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed) for t in sorted(set(t_list))]
     records = _run_replicas(master_seed, [config.t for config in configs], 0, replicas, threads)
     runs = {config.t: EnsembleStats(config=config, records=recs) for config, recs in zip(configs, records)}
 
-    c_rows = []
-    for t in t_list:
-        stats = runs[t]
-        row = _stats_estimate(stats)
-        lo, hi = C_BOUNDS
-        row["within_bounds"] = lo <= stats.mean_olives() / t <= hi
-        c_rows.append(row)
+    c_rows = [_stats_estimate(runs[t]) for t in t_list]
     ratios = [r["ratio"] for r in c_rows]
     c_report = {
         "replicas": replicas,

@@ -45,6 +45,10 @@ MAX_SERIES_ROWS = 2_000_000
 # The paper's band for the olive rate: t/342 <= O_t <= 2t/3.
 C_BOUNDS = (Fraction(1, 342), Fraction(2, 3))
 
+#: Hard bound checks are only enforced (exit 2) at horizons where the
+#: asymptotic bands are meaningful; shorter runs still report them.
+BOUND_ENFORCEMENT_MIN_T = 1000
+
 Z99 = 2.576  # two-sided 99% normal quantile, fixed for every CI here
 
 TRAJECTORY_CSV_HEADER = "step,olives,plates,nonempty,first_plate_olives,max_other_olives"
@@ -213,18 +217,19 @@ class TrajectoryRecord:
     ``num_returns`` counts the merges that took the plate count from 2 to 1
     (the returns to one plate).  The entries into the one-plate level are
     these returns plus the forced arrival on step 1, so a run's ``tau1`` is
-    ``num_returns + 1``.  ``max_other_olives`` is the maximum, over the
-    whole run and over every plate other than plate 1, of that plate's
-    olive count.  ``series`` holds the cadence rows, capped at
-    ``MAX_SERIES_ROWS``.  Everything else, plate 1's olives included, is
-    read off ``final_state``.
+    ``num_returns + 1``.  Every other merge is made at >= 3 plates, so the
+    removals at >= 3 plates are ``final_state.c_merge - num_returns``;
+    ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
+    >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run
+    and over every plate other than plate 1, of that plate's olive count.
+    ``series`` holds the cadence rows, capped at ``MAX_SERIES_ROWS``.
+    Everything else, plate 1's olives included, is read off ``final_state``.
     """
 
     t_max: int
     cadence: int
     final_state: TableState
     num_returns: int = 0
-    l_ge3_removals: int = 0
     plate_moves_at_ge3: int = 0
     max_other_olives: int = 0
     series: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
@@ -266,7 +271,6 @@ def _advance(
     cadence = record.cadence
     num_returns = record.num_returns
     series = record.series
-    l_ge3_removals = record.l_ge3_removals
     plate_moves_ge3 = record.plate_moves_at_ge3
     max_other = record.max_other_olives
 
@@ -353,7 +357,6 @@ def _advance(
             ne_idx.pop()
             if num_plates >= 3:
                 plate_moves_ge3 += 1
-                l_ge3_removals += 1
             elif num_plates == 2:
                 num_returns += 1
             num_plates -= 1
@@ -394,7 +397,6 @@ def _advance(
     state.c_remove_olive = c_om
 
     record.num_returns = num_returns
-    record.l_ge3_removals = l_ge3_removals
     record.plate_moves_at_ge3 = plate_moves_ge3
     record.max_other_olives = max_other
 

@@ -243,9 +243,9 @@ def _check_oracle_vs_mc(replicas: int) -> str:
     t = 12
     exact_mean = oracle.exact_expected_olives(t)
     config = ensemble.EnsembleConfig(t=t, replicas=replicas, master_seed=97531)
-    stats = ensemble.run_ensemble(config)
-    mc_mean = stats.mean_olives()
-    se = stats.sd_olives() / replicas**0.5
+    est = ensemble._stats_estimate(ensemble.run_ensemble(config))
+    mc_mean = Fraction(est["mean_O_exact"])
+    se = est["sd_O"] / replicas**0.5
     dev = abs(float(mc_mean - exact_mean))
     assert dev <= 4 * se, f"MC mean {float(mc_mean)} vs exact {float(exact_mean)}: {dev / se:.1f} se"
     return (

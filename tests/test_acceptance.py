@@ -130,9 +130,9 @@ def test_criterion_05_oracle_vs_monte_carlo():
     assert exact_expected_olives(3) == Fraction(3, 4)
     exact12 = exact_expected_olives(12)
     config = EnsembleConfig(t=12, replicas=1_000_000, master_seed=MASTER_SEED)
-    stats = run_ensemble(config)
-    mc_mean = stats.mean_olives()
-    se = stats.sd_olives() / math.sqrt(stats.n)
+    est = ensemble._stats_estimate(run_ensemble(config))
+    mc_mean = Fraction(est["mean_O_exact"])
+    se = est["sd_O"] / math.sqrt(est["n"])
     dev = abs(float(mc_mean - exact12))
     assert dev <= 4 * se, f"|MC - exact| = {dev} > 4 se = {4 * se}"
     elapsed = time.perf_counter() - start

@@ -411,6 +411,21 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
     assert (tmp_path / "run.csv").read_text() == "earlier\n"
 
 
+def test_write_error_is_one_error_line_and_exit_one(tmp_path):
+    # --out names an existing directory, so the rename over it fails.
+    target = tmp_path / "D"
+    target.mkdir()
+    (target / "kept.txt").write_text("earlier\n")
+    argv = ["simulate", "--t", "10", "--seed", "1", "--out", str(target)]
+    proc = _fresh_interpreter(f"import sys\nfrom olivetable.cli import main\nsys.exit(main({argv!r}))")
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["D"]  # no temp file left beside it
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "earlier\n"
+
+
 def _strip_volatile(node):
     if isinstance(node, dict):
         return {

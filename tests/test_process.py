@@ -242,7 +242,9 @@ def test_fast_loop_matches_step_by_step():
     # steps that take the plate count from 2 to 1, and ends equal to the
     # record of one run_trajectory call.  Every plate move enters a new
     # plate-count level, and the entries into one plate are the returns and
-    # the arrival on step 1 (the tau1 of the ensemble CSV).
+    # the arrival on step 1 (the tau1 of the ensemble CSV).  The merges and
+    # plate moves made at >= 3 plates, counted here step by step, are the
+    # ensemble's L_ge3 (merges less returns) and plate_moves_ge3.
     t = 5000
     for seed in (0, 1, 910, 2**63):
         record = run_trajectory(t, seed)
@@ -250,12 +252,15 @@ def test_fast_loop_matches_step_by_step():
         state = TableState()
         stepped = TrajectoryRecord(t_max=t, cadence=0, final_state=state)
         entries = {}
-        returns = 0
+        returns = merges_ge3 = moves_ge3 = 0
         for _ in range(t):
             before = state.num_plates
             process._advance(state, rng, 1, stepped)
             if state.num_plates != before:
                 entries[state.num_plates] = entries.get(state.num_plates, 0) + 1
+                if before >= 3:
+                    moves_ge3 += 1
+                    merges_ge3 += state.num_plates < before
             if before == 2 and state.num_plates == 1:
                 returns += 1
             assert stepped.num_returns == returns, state.t
@@ -265,6 +270,8 @@ def test_fast_loop_matches_step_by_step():
         assert entries[1] == record.num_returns + 1
         assert sum(entries.values()) == fast.plate_moves
         assert record.num_returns == returns > 0
+        assert fast.c_merge - record.num_returns == merges_ge3 > 0
+        assert record.plate_moves_at_ge3 == moves_ge3 > merges_ge3
         assert record == stepped
         fast.check_invariants()
 
@@ -341,9 +348,10 @@ def test_trajectory_t1_conventions():
 def test_trajectory_record_invariants():
     rec = run_trajectory(100_000, 1234, check_identity=True)
     rec.final_state.check_invariants()
-    # Every merge is a return (from two plates) or a removal at >= 3 plates.
-    assert rec.final_state.c_merge == rec.num_returns + rec.l_ge3_removals
-    assert rec.l_ge3_removals <= rec.plate_moves_at_ge3
+    # Every merge is a return (from two plates) or a removal at >= 3 plates,
+    # and those removals are among the plate moves made at >= 3 plates.
+    assert 0 < rec.num_returns <= rec.final_state.c_merge
+    assert 0 < rec.final_state.c_merge - rec.num_returns <= rec.plate_moves_at_ge3
 
 
 def test_trajectory_memory_does_not_grow_with_t():
