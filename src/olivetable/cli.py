@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
         "olives_over_t": float(ratio),
         "olives_over_t_exact": f"{ratio.numerator}/{ratio.denominator}",
         "bounds_band": [str(lo), str(hi)],
-        "within_bounds": lo <= ratio <= hi,
+        "within_bounds": process._in_band(state.total_olives, args.t),
         "t_plate": state.plate_moves,
         "tau1": record.num_returns + 1,
         "two_to_one": record.num_returns,

@@ -1,4 +1,4 @@
-"""Replicated Monte Carlo experiments with mergeable, exactly-aggregated stats.
+"""Replicated Monte Carlo experiments with exactly-aggregated stats.
 
 Replica ``i`` of a run is fully determined by the config: its stream seed is
 ``derive_seed(master_seed, i)``, so any subset of replicas can be computed on
@@ -7,8 +7,6 @@ into tasks and copies their rows into one array in replica order, so a
 pooled run equals an in-process one.  Each replica contributes one row of
 integer counters, and the rows are the only store: every statistic is read
 off them, with the olive moments summed in Python integers (never floats).
-``merge`` is associative and commutative, so runs of disjoint replica
-ranges merge into the run of their union.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import process
-from .process import BOUND_ENFORCEMENT_MIN_T, C_BOUNDS, Z99, TableState, TrajectoryRecord
+from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState, TrajectoryRecord
 from .rng import derive_seed, make_rng
 
 REPLICA_DTYPE = np.dtype(
@@ -42,10 +40,6 @@ REPLICA_DTYPE = np.dtype(
 )
 
 ENSEMBLE_CSV_HEADER = ",".join(REPLICA_DTYPE.names)
-
-
-class ConfigMismatchError(ValueError):
-    """Attempt to merge stats produced under different configs."""
 
 
 @dataclass(frozen=True)
@@ -83,17 +77,17 @@ class EnsembleConfig:
             "master_seed": self.master_seed,
             "cadence": self.cadence,
             "deltas": list(self.deltas),
-            "c_bounds": [str(b) for b in C_BOUNDS],
+            "c_bounds": [str(b) for b in process.C_BOUNDS],
         }
 
 
 @dataclass
 class EnsembleStats:
-    """Mergeable aggregate over a set of replicas of one config.
+    """Aggregate over a set of replicas of one config.
 
     ``records`` holds one row per replica (sorted by replica index) with
     exactly the ensemble CSV columns.  It is the whole state: every
-    statistic is read off it, so merging is lossless.
+    statistic is read off it.
     """
 
     config: EnsembleConfig
@@ -102,15 +96,6 @@ class EnsembleStats:
     @property
     def n(self) -> int:
         return len(self.records)
-
-    def check_invariants(self) -> None:
-        indices = [int(r) for r in self.records["replica"]]
-        assert indices == sorted(set(indices))
-
-
-def empty_stats(config: EnsembleConfig) -> EnsembleStats:
-    """The merge identity: zero replicas of ``config``."""
-    return EnsembleStats(config=config, records=np.empty(0, dtype=REPLICA_DTYPE))
 
 
 def _olive_moments(stats: EnsembleStats) -> tuple[list[tuple[int, int]], int, int]:
@@ -272,18 +257,6 @@ def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, t
     return records
 
 
-def merge(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
-    """Exact, associative, commutative merge of disjoint replica sets."""
-    if a.config != b.config:
-        raise ConfigMismatchError(f"configs differ: {a.config} vs {b.config}")
-    seen = set(int(r) for r in a.records["replica"])
-    if any(int(r) in seen for r in b.records["replica"]):
-        raise ConfigMismatchError("overlapping replica indices")
-    records = np.concatenate([a.records, b.records])
-    records = records[np.argsort(records["replica"], kind="stable")]
-    return EnsembleStats(config=a.config, records=records)
-
-
 # -- statistics helpers -------------------------------------------------------
 
 
@@ -298,15 +271,9 @@ def wilson_upper(successes: int, n: int) -> float:
     return (center + half) / denom
 
 
-def _sample_variance(total: int, total_sq: int, n: int) -> float:
-    """Sample variance (n >= 2) from the exact sums of O and O^2: an integer
-    quotient, so the float is correctly rounded."""
-    return (n * total_sq - total**2) / (n * (n - 1))
-
-
 def _stats_estimate(stats: EnsembleStats) -> dict:
     """Mean O/t with a 99% normal-approximation CI over the replicas, and
-    whether the exact mean O/t lies in the paper's band ``C_BOUNDS``.
+    whether the exact mean O/t lies in the paper's band ``process.C_BOUNDS``.
 
     Exact integer sums feed the point estimate and the band test; the CI
     uses the sample sd.  Degenerate samples (all equal) get a zero-width
@@ -320,7 +287,9 @@ def _stats_estimate(stats: EnsembleStats) -> dict:
     mean_o = Fraction(total, n)
     ratio = float(mean_o / t)
     if n > 1:
-        var = _sample_variance(total, total_sq, n)
+        # The sample variance from the exact sums of O and O^2: an integer
+        # quotient, so the float is correctly rounded.
+        var = (n * total_sq - total**2) / (n * (n - 1))
         half = Z99 * (math.sqrt(var / n) / t)
         ci_low, ci_high, sd = ratio - half, ratio + half, math.sqrt(var)
     else:
@@ -335,7 +304,7 @@ def _stats_estimate(stats: EnsembleStats) -> dict:
         "ci_low": ci_low,
         "ci_high": ci_high,
         "sd_O": sd,
-        "within_bounds": C_BOUNDS[0] <= mean_o / t <= C_BOUNDS[1],
+        "within_bounds": process._in_band(mean_o, t),
     }
 
 
@@ -352,11 +321,9 @@ def concentration_report(stats: EnsembleStats) -> dict:
     once per distinct O and weighted by its replica count; zero counts come
     with Wilson 99% upper bounds.
     """
-    if stats.n < 1:
-        raise ValueError("need at least one replica")
-    n = stats.n
-    t = stats.config.t
-    o_counts, total, total_sq = _olive_moments(stats)
+    est = _stats_estimate(stats)
+    n, t = est["n"], est["t"]
+    o_counts, total, _ = _olive_moments(stats)
     rows = []
     for d in stats.config.deltas:
         threshold = Fraction(d) * t * n
@@ -372,8 +339,8 @@ def concentration_report(stats: EnsembleStats) -> dict:
     return {
         "t": t,
         "R": n,
-        "mean_O": float(Fraction(total, n)),
-        "sd_O": math.sqrt(_sample_variance(total, total_sq, n)) if n > 1 else 0.0,
+        "mean_O": est["mean_O"],
+        "sd_O": est["sd_O"],
         "exceedance": rows,
     }
 
@@ -439,7 +406,7 @@ def sweep(
     the way; the rows equal those of a separate ``run_ensemble`` per horizon.
 
     The estimate has one row per entry of ``t_list``: mean O/t with a 99% CI
-    and whether it lies within the paper's band ``C_BOUNDS``, plus the largest
+    and whether it lies within the paper's band ``process.C_BOUNDS``, plus the largest
     pairwise ratio difference as a stability diagnostic.
 
     The log-growth check has one row per distinct horizon, read off the
@@ -498,15 +465,15 @@ def sweep(
 
 
 def bounds_check(stats: EnsembleStats) -> dict:
-    """Per-replica O/t check against the paper's band ``C_BOUNDS``, exactly.
+    """Per-replica O/t check against the paper's band ``process.C_BOUNDS``, exactly.
 
     Each distinct O is compared once in exact rationals; ``violations``
     lists the first 20 offending replica indices in replica order.
     """
-    lo, hi = C_BOUNDS
+    lo, hi = process.C_BOUNDS
     t = stats.config.t
     o_counts, _, _ = _olive_moments(stats)
-    outside = [o for o, _ in o_counts if not lo * t <= o <= hi * t]
+    outside = [o for o, _ in o_counts if not process._in_band(o, t)]
     violations = stats.records["replica"][np.isin(stats.records["O"], outside)]
     return {
         "lower": str(lo),

@@ -323,12 +323,11 @@ def enumerate_chain_paths(t_max: int) -> ReturnTimePMF:
     Sums the probability of each path 1 -> 2 -> ... -> 2 -> 1 of length
     2t <= 2*t_max that avoids state 1 in the interior.  Path probabilities
     are products of 1/2, 3/4 and 1/4, tracked as exact 3^a / 2^b pairs.
-    Exponential in t_max; refuses t_max > 10.
+    Exponential in t_max, so t_max is limited to 1 <= t_max <= 10 (a
+    ValueError otherwise).
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if t_max > 10:
-        raise BudgetExceededError(t_max, 2 ** (2 * t_max), 2**20)
+    if not 1 <= t_max <= 10:
+        raise ValueError(f"path enumeration is only tractable for 1 <= t_max <= 10, got {t_max}")
     horizon = 2 * t_max
     totals: dict[int, Fraction] = {}
 

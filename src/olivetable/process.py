@@ -54,6 +54,13 @@ Z99 = 2.576  # two-sided 99% normal quantile, fixed for every CI here
 TRAJECTORY_CSV_HEADER = "step,olives,plates,nonempty,first_plate_olives,max_other_olives"
 
 
+def _in_band(olives, t: int) -> bool:
+    """Whether ``olives`` (an int or a ``Fraction``) lies in the paper's band
+    at horizon ``t``, exactly and ends included."""
+    lo, hi = C_BOUNDS
+    return lo * t <= olives <= hi * t
+
+
 class Plate(NamedTuple):
     """Immutable snapshot of one plate: birth id and olive count."""
 

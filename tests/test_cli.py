@@ -8,10 +8,11 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import olivetable
-from olivetable import chain, ensemble
+from olivetable import chain, ensemble, process
 from olivetable.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -264,12 +265,12 @@ def test_sweep_outputs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, value",
-    [("LOG_GROWTH_CEILING", 0.0), ("C_BOUNDS", (Fraction(0), Fraction(1, 342)))],
+    "module, name, value",
+    [(ensemble, "LOG_GROWTH_CEILING", 0.0), (process, "C_BOUNDS", (Fraction(0), Fraction(1, 342)))],
     ids=["log_growth", "c_estimate"],
 )
-def test_sweep_hard_bound_failure_exits_two(name, value, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(ensemble, name, value)
+def test_sweep_hard_bound_failure_exits_two(module, name, value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(module, name, value)
     prefix = tmp_path / "failed"
     code = main(["sweep", "--t-list", "1000,2000", "--replicas", "5", "--seed", "6", "--out", str(prefix)])
     assert code == EXIT_CHECK_FAILED
@@ -278,6 +279,24 @@ def test_sweep_hard_bound_failure_exits_two(name, value, monkeypatch, tmp_path, 
     held = [row["within_ceiling"] for row in doc["log_growth"]["rows"]]
     held += [row["within_bounds"] for row in doc["c_estimate"]["rows"]]
     assert not all(held)
+
+
+@pytest.mark.parametrize("olives, inside", [(2, False), (3, True), (684, True), (685, False)])
+def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
+    # At t = 1026 the band t/342 <= O <= 2t/3 is exactly 3 <= O <= 684.
+    t = 1026
+    assert process._in_band(olives, t) is inside
+    stats = ensemble.EnsembleStats(
+        ensemble.EnsembleConfig(t=t, replicas=1, master_seed=0),
+        np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble.REPLICA_DTYPE),
+    )
+    assert ensemble._stats_estimate(stats)["within_bounds"] is inside
+    assert ensemble.bounds_check(stats)["bounds_pass"] is inside
+    state = process.TableState.from_plates([(1, olives)])
+    record = process.TrajectoryRecord(t_max=t, cadence=0, final_state=state)
+    monkeypatch.setattr(process, "run_trajectory", lambda *args, **kwargs: record)
+    assert main(["simulate", "--t", str(t), "--seed", "1", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["summary"]["within_bounds"] is inside
 
 
 def _traced_payload_equals_plain(argv, suffix, tmp_path):

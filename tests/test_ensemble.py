@@ -8,19 +8,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from olivetable import ensemble, process
 from olivetable.ensemble import (
     ENSEMBLE_CSV_HEADER,
-    ConfigMismatchError,
     EnsembleConfig,
     EnsembleStats,
     bounds_check,
     concentration_report,
-    empty_stats,
-    merge,
     plate_move_stats,
     pool_size,
     run_ensemble,
@@ -188,42 +183,9 @@ def test_one_task_list_tiles_the_range(horizons, lo, hi, threads, chunksizes, si
     assert {(tuple(h), seed) for h, _, _, seed in tasks} == {(horizons, 77)}
 
 
-def test_fold_of_single_replica_parts_equals_full_run(small_stats):
-    parts = [run_ensemble(CFG, replica_range=(i, i + 1)) for i in range(CFG.replicas)]
-    folded = empty_stats(CFG)
-    for part in parts:
-        folded = merge(folded, part)
-    assert _stats_equal(folded, small_stats)
-
-
-def test_merge_identity_and_exactness(small_stats):
-    assert _stats_equal(merge(small_stats, empty_stats(CFG)), small_stats)
-    assert _stats_equal(merge(empty_stats(CFG), small_stats), small_stats)
-    small_stats.check_invariants()
-
-
-@given(st.permutations(list(range(6))), st.integers(min_value=1, max_value=5))
-@settings(max_examples=20, deadline=None)
-def test_merge_is_order_independent(order, split):
-    config = EnsembleConfig(t=300, replicas=6, master_seed=5)
-    full = run_ensemble(config)
-    parts = [run_ensemble(config, replica_range=(i, i + 1)) for i in order]
-    left = empty_stats(config)
-    for part in parts[:split]:
-        left = merge(left, part)
-    right = empty_stats(config)
-    for part in parts[split:]:
-        right = merge(right, part)
-    assert _stats_equal(merge(left, right), full)
-    assert _stats_equal(merge(right, left), full)
-
-
-def test_merge_rejects_mismatch_and_overlap(small_stats):
-    other = run_ensemble(EnsembleConfig(t=2000, replicas=2, master_seed=100))
-    with pytest.raises(ConfigMismatchError):
-        merge(small_stats, other)
-    with pytest.raises(ConfigMismatchError):
-        merge(small_stats, small_stats)
+def test_single_replica_runs_concatenate_to_the_full_run(small_stats):
+    parts = [run_ensemble(CFG, replica_range=(i, i + 1)).records for i in range(CFG.replicas)]
+    assert np.concatenate(parts).tobytes() == small_stats.records.tobytes()
 
 
 def test_replica_range_validation():

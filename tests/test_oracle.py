@@ -305,7 +305,6 @@ def test_enumerate_chain_paths_matches_dp():
 
 
 def test_enumerate_chain_paths_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_chain_paths(11)
-    with pytest.raises(ValueError):
-        enumerate_chain_paths(0)
+    for t_max in (0, 11):
+        with pytest.raises(ValueError, match=rf"^path enumeration is only tractable for 1 <= t_max <= 10, got {t_max}$"):
+            enumerate_chain_paths(t_max)
