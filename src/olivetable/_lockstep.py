@@ -14,11 +14,14 @@ a time.  Three parts reproduce the scalar path exactly:
   u and its swap-removal order of the plates and of the non-empty index,
   on padded (lanes, t) plate arrays.
 
-A lane that needs a word past its buffer leaves the block; ``run_block``
-returns its index, and the caller re-runs that replica on the scalar
-kernel.  Only ``ensemble._run_chunk`` imports this module, and it runs one
-block per task; its task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps
-a block's (624, lanes) uint32 seeding state within 10 MiB.
+``run_block`` hands each lane's counters over as the scalar kernel leaves
+them on a ``TableState``, in ``ensemble._COUNTERS`` order, and the ensemble
+builds every row from them.  A lane that needs a word past its buffer
+leaves the block; ``run_block`` returns its index, and the caller refills
+that lane's counters from the scalar kernel.  Only ``ensemble._run_chunk``
+imports this module, and it runs one block per task; its task size cap,
+``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624, lanes) uint32
+seeding state within 10 MiB.
 """
 
 from __future__ import annotations
@@ -115,15 +118,15 @@ def _buffer_words(t: int) -> int:
     return min(TWIST_WORDS, 2 * t + 32)
 
 
-def run_block(t: int, master_seed: int, lo: int, hi: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run replicas [lo, hi) for t steps in lockstep.
+def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run one lane per uint64 seed (from ``derive_seeds``) for t steps in
+    lockstep.
 
-    Fills ``rows`` (the ensemble's replica rows for that range) and returns
-    each lane's O- count and the indices, relative to ``lo``, of the lanes
-    that ran out of buffered words, whose entries are not valid.
+    Returns the lanes' counters, one int64 row per name in
+    ``ensemble._COUNTERS`` and one column per lane, and the indices of the
+    lanes that ran out of buffered words, whose columns are not valid.
     """
-    lanes = hi - lo
-    seeds = derive_seeds(master_seed, lo, hi)
+    lanes = len(seeds)
     n_words = _buffer_words(t)
     # Word c of lane k at c * lanes + k.  The t padding words (-1) after a
     # lane's buffer are accepted by any rejection test and decode to no
@@ -260,14 +263,5 @@ def run_block(t: int, master_seed: int, lo: int, hi: int, rows: np.ndarray) -> t
         O -= is_om
         c_om += is_om
 
-    rows["replica"] = np.arange(lo, hi)
-    rows["seed"] = seeds
-    rows["O"] = O
-    rows["t_plate"] = c_pp + c_pm
-    rows["tau1"] = returns + 1  # the arrival at one plate on step 1, then each return
-    rows["two_to_one"] = returns
-    rows["max_other_olives"] = max_other
-    rows["first_plate_olives"] = olives[pos1]
-    rows["L_ge3"] = c_pm - returns  # every other merge is made at >= 3 plates
-    rows["plate_moves_ge3"] = pm_ge3
-    return c_om, np.flatnonzero(nxt >= (n_words + 1) * lanes)
+    counters = np.stack((O, c_pp, c_pm, c_om, returns, pm_ge3, max_other, olives[pos1]))
+    return counters, np.flatnonzero(nxt >= (n_words + 1) * lanes)

@@ -124,9 +124,9 @@ def _cmd_simulate(args) -> int:
         "bounds_band": [str(lo), str(hi)],
         "within_bounds": process._in_band(state.total_olives, args.t),
         "t_plate": state.plate_moves,
-        "tau1": record.num_returns + 1,
-        "two_to_one": record.num_returns,
-        "max_other_olives": record.max_other_olives,
+        "tau1": state.num_returns + 1,
+        "two_to_one": state.num_returns,
+        "max_other_olives": state.max_other_olives,
         "first_plate_olives": state.first_plate_olives,
         "series_rows": len(record.series),
     }

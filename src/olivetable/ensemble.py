@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import process
-from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState, TrajectoryRecord
+from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState
 from .rng import derive_seed, make_rng
 
 REPLICA_DTYPE = np.dtype(
@@ -106,42 +107,53 @@ def _olive_moments(stats: EnsembleStats) -> tuple[list[tuple[int, int]], int, in
     return o_counts, sum(o * c for o, c in o_counts), sum(o * o * c for o, c in o_counts)
 
 
-def _conservation_error(index: int) -> AssertionError:
-    return AssertionError(f"olive conservation violated in replica {index}")
+# A replica row's counters, by TableState attribute name: the scalar kernel
+# reads them off its state and the lockstep kernel hands its lanes over in
+# this order.
+_COUNTERS = (
+    "total_olives", "c_add_plate", "c_merge", "c_remove_olive",
+    "num_returns", "plate_moves_at_ge3", "max_other_olives", "first_plate_olives",
+)
+_read_counters = operator.attrgetter(*_COUNTERS)
 
 
-def _replica_row(index: int, seed: int, rec: TrajectoryRecord) -> tuple:
-    state = rec.final_state
-    o = state.total_olives
+def _rows(t: int, lo: int, seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The rows of replicas lo, lo + 1, ... at horizon t, from their uint64
+    seeds and their counters (one row per name in _COUNTERS, one column per
+    replica); the one place a replica row is built."""
+    c = dict(zip(_COUNTERS, counters))
+    o, merges, returns = c["total_olives"], c["c_merge"], c["num_returns"]
+    t_plate = c["c_add_plate"] + merges
     # The conservation law must hold at every step, so at every row taken.
-    if o != state.t - state.plate_moves - 2 * state.c_remove_olive:
-        raise _conservation_error(index)
-    return (
-        index,
-        seed,
-        o,
-        state.plate_moves,
-        rec.num_returns + 1,  # tau1: every return, and the arrival on step 1
-        rec.num_returns,
-        rec.max_other_olives,
-        state.first_plate_olives,
-        state.c_merge - rec.num_returns,  # L_ge3: every other merge is made at >= 3 plates
-        rec.plate_moves_at_ge3,
-    )
-
-
-def _replica_rows(index: int, seed: int, horizons: Sequence[int]) -> list[tuple]:
-    """Replica ``index``'s row at each of the increasing ``horizons``, from
-    one trajectory: the scalar kernel resumes from the state, rng and record
-    it left at the previous horizon, and every record field is cumulative."""
-    state = TableState()
-    record = TrajectoryRecord(t_max=horizons[-1], cadence=0, final_state=state)
-    rng = make_rng(seed)
-    rows = []
-    for t in horizons:
-        process._advance(state, rng, t - state.t, record)
-        rows.append(_replica_row(index, seed, record))
+    broken = np.flatnonzero(o != t - t_plate - 2 * c["c_remove_olive"])
+    if broken.size:
+        raise AssertionError(f"olive conservation violated in replica {lo + int(broken[0])}")
+    rows = np.empty(len(seeds), dtype=REPLICA_DTYPE)
+    rows["replica"] = np.arange(lo, lo + len(seeds))
+    rows["seed"] = seeds
+    rows["O"] = o
+    rows["t_plate"] = t_plate
+    rows["tau1"] = returns + 1  # every return, and the arrival on step 1
+    rows["two_to_one"] = returns
+    rows["max_other_olives"] = c["max_other_olives"]
+    rows["first_plate_olives"] = c["first_plate_olives"]
+    rows["L_ge3"] = merges - returns  # every other merge is made at >= 3 plates
+    rows["plate_moves_ge3"] = c["plate_moves_at_ge3"]
     return rows
+
+
+def _replica_counters(seed: int, horizons: Sequence[int]) -> list[tuple]:
+    """One replica's counters, in _COUNTERS order, at each of the increasing
+    ``horizons``, from one trajectory: the scalar kernel resumes from the
+    state and rng it left at the previous horizon, and every counter is
+    cumulative."""
+    state = TableState()
+    rng = make_rng(seed)
+    counters = []
+    for t in horizons:
+        process._advance(state, rng, t - state.t)
+        counters.append(_read_counters(state))
+    return counters
 
 
 # Which kernel runs a task: the lockstep kernel (``olivetable._lockstep``)
@@ -149,6 +161,7 @@ def _replica_rows(index: int, seed: int, horizons: Sequence[int]) -> list[tuple]
 # t <= _LOCKSTEP_MAX_T (no ``sweep`` horizon is that short, so it never
 # gets there).  Every other task, and any lockstep lane that runs out of
 # buffered random words, runs on the scalar kernel ``process._advance``.
+# Both kernels hand over the same counters, and ``_rows`` builds every row.
 # Lockstep pays 10-15 ms per block for seeding, so it is the slower kernel
 # below about 500 replicas, and at long horizons numpy's per-call cost makes
 # each of its steps dearer than the scalar kernel's.  A task holds at most
@@ -170,21 +183,16 @@ def _run_chunk(task: tuple) -> np.ndarray:
     if not later and t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
         from . import _lockstep
 
-        records = np.empty(hi - lo, dtype=REPLICA_DTYPE)
-        removals, dry = _lockstep.run_block(t, master_seed, lo, hi, records)
-        # _replica_row's conservation check, on every lane at once; the dry
-        # lanes get theirs from _replica_row itself.
-        held = records["O"] == t - records["t_plate"] - 2 * removals
-        held[dry] = True
-        if not held.all():
-            raise _conservation_error(lo + int(np.flatnonzero(~held)[0]))
+        seeds = _lockstep.derive_seeds(master_seed, lo, hi)
+        counters, dry = _lockstep.run_block(t, seeds)
         for k in dry.tolist():
-            (records[k],) = _replica_rows(lo + k, derive_seed(master_seed, lo + k), horizons)
-        return records[None]
-    rows = []
-    for i in range(lo, hi):
-        rows.extend(_replica_rows(i, derive_seed(master_seed, i), horizons))
-    return np.array(rows, dtype=REPLICA_DTYPE).reshape(hi - lo, len(horizons)).T
+            (counters[:, k],) = _replica_counters(int(seeds[k]), horizons)
+        return _rows(t, lo, seeds, counters)[None]
+    seeds = [derive_seed(master_seed, i) for i in range(lo, hi)]
+    counters = np.array([_replica_counters(seed, horizons) for seed in seeds], dtype=np.int64)
+    counters = counters.reshape(hi - lo, len(horizons), len(_COUNTERS))
+    seeds = np.array(seeds, dtype=np.uint64)
+    return np.stack([_rows(t, lo, seeds, counters[:, k].T) for k, t in enumerate(horizons)])
 
 
 def _usable_cpus() -> int:

@@ -22,19 +22,21 @@ swap-removal, non-empty plates are tracked in an index list, and the single
 uniform draw in [0, M) is rejection-sampled and decoded positionally.  One
 kernel, ``_advance``, holds that code; :func:`run_trajectory` and
 :func:`step` are both one call to it, and the ensemble's scalar replicas
-call it once per horizon, resuming where the last call stopped.
+call it once per horizon, resuming where the last call stopped.  Every
+count a trajectory reports lives on its :class:`TableState`, so resuming
+needs nothing else.
 
 The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
 runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
-positional decode and swap-removal order, so every replica row is
-bit-identical.
+positional decode and swap-removal order, and hands over the same counters,
+so the ensemble's one row builder gives bit-identical rows either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, TextIO
 
@@ -71,28 +73,29 @@ class Plate(NamedTuple):
 class TableState:
     """Full mutable process state.
 
-    Tracks the plates, the per-kind move counters, the step count ``t`` and
-    the running olive total.  The exact conservation law
+    Tracks the plates, the per-kind move counters, the step count ``t``, the
+    running olive total and the run's diagnostics.  ``num_returns`` counts
+    the merges that took the plate count from 2 to 1 (the returns to one
+    plate): the entries into the one-plate level are these returns plus the
+    forced arrival on step 1, so a run's ``tau1`` is ``num_returns + 1``.
+    Every other merge is made at >= 3 plates, so the removals at >= 3 plates
+    are ``c_merge - num_returns``; ``plate_moves_at_ge3`` counts the plate
+    moves (adds and merges) made at >= 3 plates.  ``max_other_olives`` is
+    the maximum, over the whole run and over every plate other than plate
+    1, of that plate's olive count.  The exact conservation law
 
         total_olives == t - (plate moves) - 2 * (olive removals)
 
     holds after every step and is asserted by :meth:`check_invariants`.
     """
 
-    __slots__ = (
-        "_ids",
-        "_olives",
-        "_ne_pos",
-        "_ne_idx",
-        "_pos1",
-        "_next_id",
-        "total_olives",
-        "t",
-        "c_add_plate",
-        "c_merge",
-        "c_add_olive",
-        "c_remove_olive",
+    # Every count the state keeps: each starts at 0, and copy() and __eq__
+    # cover them all.
+    _COUNTS = (
+        "total_olives", "t", "c_add_plate", "c_merge", "c_add_olive", "c_remove_olive",
+        "num_returns", "plate_moves_at_ge3", "max_other_olives",
     )
+    __slots__ = ("_ids", "_olives", "_ne_pos", "_ne_idx", "_pos1", "_next_id") + _COUNTS
 
     def __init__(self) -> None:
         self._ids: list[int] = []
@@ -101,12 +104,8 @@ class TableState:
         self._ne_idx: list[int] = []
         self._pos1 = -1
         self._next_id = 1
-        self.total_olives = 0
-        self.t = 0
-        self.c_add_plate = 0
-        self.c_merge = 0
-        self.c_add_olive = 0
-        self.c_remove_olive = 0
+        for name in self._COUNTS:
+            setattr(self, name, 0)
 
     # -- read-only views -------------------------------------------------
 
@@ -139,12 +138,8 @@ class TableState:
         dup._ne_idx = self._ne_idx[:]
         dup._pos1 = self._pos1
         dup._next_id = self._next_id
-        dup.total_olives = self.total_olives
-        dup.t = self.t
-        dup.c_add_plate = self.c_add_plate
-        dup.c_merge = self.c_merge
-        dup.c_add_olive = self.c_add_olive
-        dup.c_remove_olive = self.c_remove_olive
+        for name in self._COUNTS:
+            setattr(dup, name, getattr(self, name))
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -153,8 +148,7 @@ class TableState:
         return (
             sorted(zip(self._ids, self._olives)) == sorted(zip(other._ids, other._olives))
             and self._next_id == other._next_id
-            and self.t == other.t
-            and self.counters() == other.counters()
+            and all(getattr(self, name) == getattr(other, name) for name in self._COUNTS)
         )
 
     def counters(self) -> tuple[int, int, int, int]:
@@ -165,8 +159,8 @@ class TableState:
     def from_plates(cls, plates: Iterable[tuple[int, int]]) -> "TableState":
         """Build a frozen test state from (plate id, olive count) pairs.
 
-        The move counters are set to one invariant-consistent history
-        (all plates added, all olives added); the sampling distribution
+        The counters are set to one invariant-consistent history (all
+        plates added, then all olives added); the sampling distribution
         only depends on the plate configuration.
         """
         state = cls()
@@ -192,6 +186,8 @@ class TableState:
         state.c_add_plate = len(state._ids)
         state.c_add_olive = state.total_olives
         state.t = state.c_add_plate + state.c_add_olive
+        state.plate_moves_at_ge3 = max(0, state.c_add_plate - 3)
+        state.max_other_olives = max((o for i, o in zip(state._ids, state._olives) if i != 1), default=0)
         return state
 
     # -- invariants --------------------------------------------------------
@@ -215,38 +211,30 @@ class TableState:
             assert self._ids[self._pos1] == 1
         if self.t >= 1:
             assert l >= 1, "the table can never re-empty"
+        assert 0 <= self.num_returns <= self.c_merge
+        assert self.c_merge - self.num_returns <= self.plate_moves_at_ge3 <= self.plate_moves
+        assert all(o <= self.max_other_olives for i, o in zip(self._ids, self._olives) if i != 1)
 
 
 @dataclass
 class TrajectoryRecord:
     """Everything one trajectory run reports, in O(1) memory in ``t_max``.
 
-    ``num_returns`` counts the merges that took the plate count from 2 to 1
-    (the returns to one plate).  The entries into the one-plate level are
-    these returns plus the forced arrival on step 1, so a run's ``tau1`` is
-    ``num_returns + 1``.  Every other merge is made at >= 3 plates, so the
-    removals at >= 3 plates are ``final_state.c_merge - num_returns``;
-    ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
-    >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run
-    and over every plate other than plate 1, of that plate's olive count.
+    Every count, plate 1's olives included, is read off ``final_state``;
     ``series`` holds the cadence rows, capped at ``MAX_SERIES_ROWS``.
-    Everything else, plate 1's olives included, is read off ``final_state``.
     """
 
     t_max: int
-    cadence: int
     final_state: TableState
-    num_returns: int = 0
-    plate_moves_at_ge3: int = 0
-    max_other_olives: int = 0
-    series: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
+    series: list[tuple[int, int, int, int, int, int]]
 
 
 def _advance(
     state: TableState,
     rng,
     n_steps: int,
-    record: TrajectoryRecord,
+    series: list | None = None,
+    cadence: int = 0,
     check_identity: bool = False,
 ) -> None:
     """Advance ``state`` in place by ``n_steps`` moves; the only transition code.
@@ -255,15 +243,17 @@ def _advance(
     positionally: 0 adds a plate, the next C(l,2) values pick an unordered
     plate pair by rank in the order (0,1),(0,2),(1,2),..., the next l values
     pick a plate for an olive, the last n_e values pick a non-empty plate
-    for a removal.  It resumes from any state; ``record``'s diagnostics are
-    extended in place.
+    for a removal.  It resumes from any state, and every count it keeps is
+    on the state.  ``cadence`` > 0 appends a row to ``series`` at every
+    step divisible by it; ``check_identity`` asserts olive conservation
+    after every step.
     """
     getrandbits = rng.getrandbits
     bit_length = int.bit_length
     isqrt = math.isqrt
 
     # Hot loop: every list is aliased and every scalar is local; the state
-    # and the record are synced at the end.
+    # is synced at the end.
     ids = state._ids
     olives = state._olives
     ne_pos = state._ne_pos
@@ -274,12 +264,9 @@ def _advance(
     num_plates = len(ids)
     c_pp, c_pm, c_op, c_om = state.counters()
     t0 = state.t
-
-    cadence = record.cadence
-    num_returns = record.num_returns
-    series = record.series
-    plate_moves_ge3 = record.plate_moves_at_ge3
-    max_other = record.max_other_olives
+    num_returns = state.num_returns
+    plate_moves_ge3 = state.plate_moves_at_ge3
+    max_other = state.max_other_olives
 
     # The decode's boundaries: u in [1, n_merge] merges, u in (n_merge, n_pm]
     # adds an olive.  Only plate moves change them; M = m_total and its bit
@@ -402,10 +389,9 @@ def _advance(
     state.c_merge = c_pm
     state.c_add_olive = c_op
     state.c_remove_olive = c_om
-
-    record.num_returns = num_returns
-    record.plate_moves_at_ge3 = plate_moves_ge3
-    record.max_other_olives = max_other
+    state.num_returns = num_returns
+    state.plate_moves_at_ge3 = plate_moves_ge3
+    state.max_other_olives = max_other
 
 
 def run_trajectory(
@@ -431,19 +417,14 @@ def run_trajectory(
             f"cadence {cadence} over {t_max} steps would record "
             f"{t_max // cadence} rows (cap {MAX_SERIES_ROWS})"
         )
-    state = TableState()
-    record = TrajectoryRecord(t_max=t_max, cadence=cadence, final_state=state)
-    _advance(state, make_rng(seed), t_max, record, check_identity)
+    record = TrajectoryRecord(t_max=t_max, final_state=TableState(), series=[])
+    _advance(record.final_state, make_rng(seed), t_max, record.series, cadence, check_identity)
     return record
 
 
 def step(state: TableState, rng) -> TableState:
-    """Advance ``state`` in place by one uniformly chosen move and return it.
-
-    The step's diagnostics go to a scratch record and are dropped.
-    """
-    scratch = TrajectoryRecord(t_max=state.t + 1, cadence=0, final_state=state)
-    _advance(state, rng, 1, scratch)
+    """Advance ``state`` in place by one uniformly chosen move and return it."""
+    _advance(state, rng, 1)
     return state
 
 

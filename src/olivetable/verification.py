@@ -178,12 +178,11 @@ def _sampler_counts(plates, rng, draws: int) -> tuple[int, dict, Counter]:
     base = process.TableState.from_plates(plates)
     m_total, law = oracle._law(oracle.canonical_of(base))
     k = m_total.bit_length()
-    scratch = process.TrajectoryRecord(t_max=base.t + 1, cadence=0, final_state=base)
     decoded = []
     for u in range(m_total):
         stub = _FixedDraw(u)
         succ = base.copy()
-        process._advance(succ, stub, 1, scratch)
+        process._advance(succ, stub, 1)
         assert stub.bits == [k], f"the kernel drew {stub.bits} bits at u = {u} from {plates}, not [{k}]"
         decoded.append(oracle.canonical_of(succ))
     table = Counter(decoded)
@@ -322,6 +321,8 @@ def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None
             detail = str(exc) or exc.__class__.__name__
             report = getattr(exc, "report", None)
             passed = False
+        except Exception as exc:  # a check that crashed: its type and message
+            detail, report, passed = f"{exc.__class__.__name__}: {exc}", None, False
         check = CheckResult(name, passed, detail, time.perf_counter() - start, report)
         if emit is not None:
             emit(check.line())
@@ -332,19 +333,20 @@ def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None
 def suite_report(results: list[CheckResult], level: str) -> dict:
     """Structured JSON document: per-check pass/fail plus the identity rows
     and the first-return pmf discrepancy table, as the checks computed them
-    (a failed check contributes the rows it had reached)."""
+    (a failed check contributes the rows it had reached, or null if none)."""
 
     def frac(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
 
     computed = {r.name: r.report for r in results}
     t1 = {name: frac(v) for name, v in chain.published_pmf_t1_conventions().items()}
-    discrepancy = [
+    discrepancy = computed["pmf_published_ratio"] and [
         {"t": t, "f_validated": frac(f), "f_published_conventions": t1}
         if fp is None
         else {"t": t, "f_validated": frac(f), "f_published": frac(fp), "ratio": frac(fp / f)}
         for t, f, fp in computed["pmf_published_ratio"]
     ]
+    series = computed["binomial_series"]
     return {
         "level": level,
         "all_passed": all(r.passed for r in results),
@@ -355,14 +357,14 @@ def suite_report(results: list[CheckResult], level: str) -> dict:
         "identities": {
             "catalan_convolution": computed["catalan_convolution"],
             "binomial_partial_sum": computed["gould_identity"],
-            "binomial_series": {
+            "binomial_series": series and {
                 name: {
                     "partial": frac(c["partial"]),
                     "closed": frac(c["closed"]),
                     "tail_bound": c["tail_bound"],
                     "pass": c["pass"],
                 }
-                for name, c in computed["binomial_series"]["checks"].items()
+                for name, c in series["checks"].items()
             },
         },
         "pmf_discrepancy_table": discrepancy,

@@ -224,8 +224,12 @@ def test_criterion_11_engineering_invariants():
     assert checked.n == 100
     for i, row in enumerate(checked.records.tolist()):
         seed = derive_seed(config.master_seed, i)
-        rec = process.run_trajectory(T_LARGE, seed, check_identity=True)
-        assert ensemble._replica_row(i, seed, rec) == row, i
+        s = process.run_trajectory(T_LARGE, seed, check_identity=True).final_state
+        returns = s.num_returns
+        assert row == (
+            i, seed, s.total_olives, s.plate_moves, returns + 1, returns, s.max_other_olives,
+            s.first_plate_olives, s.c_merge - returns, s.plate_moves_at_ge3,
+        ), i
 
     # (b) Each replica re-run alone gives its row of the full run, so the
     # single-replica runs, concatenated in replica order, are the full run.

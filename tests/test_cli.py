@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import olivetable
-from olivetable import chain, ensemble, process
+from olivetable import chain, ensemble, oracle, process, verification
 from olivetable.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -224,6 +224,45 @@ def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
     assert all(row["pass"] for row in rows[:-1])
 
 
+@pytest.mark.parametrize(
+    "module, name, error",
+    [(oracle, "_law", ValueError("broken law")), (chain, "catalan", IndexError("broken catalan"))],
+    ids=["law-ValueError", "catalan-IndexError"],
+)
+def test_verify_out_reports_a_raising_check(module, name, error, monkeypatch, tmp_path, capsys):
+    # A check that raises something other than an AssertionError is one FAIL
+    # row: every other check still runs and the JSON report is written.
+    real, calls, reached = getattr(module, name), [], set()
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def emit(line):
+        if calls:
+            reached.add(line.split()[1])
+            calls.clear()
+
+    monkeypatch.setattr(module, name, spy)
+    clean = verification.run_suite("quick", emit=emit)
+    assert all(r.passed for r in clean) and reached
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, broken)
+    prefix = tmp_path / "report"
+    assert main(["verify", "--level", "quick", "--out", str(prefix)]) == EXIT_CHECK_FAILED
+    capsys.readouterr()
+    doc = _strict_loads((tmp_path / "report.verify.json").read_text())
+    assert [c["name"] for c in doc["checks"]] == [r.name for r in clean]
+    assert len(doc["checks"]) == 17
+    assert {c["name"] for c in doc["checks"] if not c["pass"]} == reached
+    expected = f"{type(error).__name__}: {error}"
+    for check, before in zip(doc["checks"], clean):
+        assert check["detail"] == (before.detail if check["pass"] else expected)
+
+
 def test_verify_out_computes_each_result_once(monkeypatch, tmp_path, capsys):
     calls = Counter()
 
@@ -293,7 +332,7 @@ def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
     assert ensemble._stats_estimate(stats)["within_bounds"] is inside
     assert ensemble.bounds_check(stats)["bounds_pass"] is inside
     state = process.TableState.from_plates([(1, olives)])
-    record = process.TrajectoryRecord(t_max=t, cadence=0, final_state=state)
+    record = process.TrajectoryRecord(t_max=t, final_state=state, series=[])
     monkeypatch.setattr(process, "run_trajectory", lambda *args, **kwargs: record)
     assert main(["simulate", "--t", str(t), "--seed", "1", "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["summary"]["within_bounds"] is inside

@@ -62,16 +62,16 @@ def test_config_validation():
 
 
 def test_single_replica_reduces_to_trajectory(small_stats):
-    rec = run_trajectory(CFG.t, derive_seed(CFG.master_seed, 0))
+    state = run_trajectory(CFG.t, derive_seed(CFG.master_seed, 0)).final_state
     row = small_stats.records[0]
-    assert int(row["O"]) == rec.final_state.total_olives
-    assert int(row["t_plate"]) == rec.final_state.plate_moves
-    assert int(row["tau1"]) == rec.num_returns + 1
-    assert int(row["two_to_one"]) == rec.num_returns
-    assert int(row["max_other_olives"]) == rec.max_other_olives
-    assert int(row["first_plate_olives"]) == rec.final_state.first_plate_olives
-    assert int(row["L_ge3"]) == rec.final_state.c_merge - rec.num_returns
-    assert int(row["plate_moves_ge3"]) == rec.plate_moves_at_ge3
+    assert int(row["O"]) == state.total_olives
+    assert int(row["t_plate"]) == state.plate_moves
+    assert int(row["tau1"]) == state.num_returns + 1
+    assert int(row["two_to_one"]) == state.num_returns
+    assert int(row["max_other_olives"]) == state.max_other_olives
+    assert int(row["first_plate_olives"]) == state.first_plate_olives
+    assert int(row["L_ge3"]) == state.c_merge - state.num_returns
+    assert int(row["plate_moves_ge3"]) == state.plate_moves_at_ge3
     assert int(row["seed"]) == derive_seed(CFG.master_seed, 0)
 
 
@@ -298,13 +298,13 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
     main_pid = os.getpid()
     kernel = process._advance
 
-    def counting(state, rng, n_steps, record, check_identity=False):
+    def counting(state, rng, n_steps, series=None, cadence=0, check_identity=False):
         with steps.get_lock():
             steps.value += n_steps
         if os.getpid() != main_pid:
             with pooled_steps.get_lock():
                 pooled_steps.value += n_steps
-        return kernel(state, rng, n_steps, record, check_identity)
+        return kernel(state, rng, n_steps, series, cadence, check_identity)
 
     runs = []
     real_run_replicas = ensemble._run_replicas

@@ -1,8 +1,8 @@
 """The lockstep ensemble kernel against the scalar one it must reproduce.
 
 Every comparison is with a test-local reference built from the scalar
-kernel (``run_trajectory`` and ``_replica_row``), replica by replica, with
-exact Python-int sums.
+kernel, replica by replica: each row is written by hand from
+``run_trajectory``'s final state, and the sums are exact Python ints.
 """
 
 import random
@@ -18,11 +18,19 @@ from olivetable.rng import derive_seed, make_rng
 MIN_R = ensemble._LOCKSTEP_MIN_REPLICAS
 
 
+def seeds_of(config: EnsembleConfig, lo: int, hi: int) -> list[int]:
+    return [derive_seed(config.master_seed, i) for i in range(lo, hi)]
+
+
 def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, int, int]:
     rows = []
-    for i in range(lo, hi):
-        seed = derive_seed(config.master_seed, i)
-        rows.append(ensemble._replica_row(i, seed, run_trajectory(config.t, seed)))
+    for i, seed in zip(range(lo, hi), seeds_of(config, lo, hi)):
+        s = run_trajectory(config.t, seed).final_state
+        returns = s.num_returns
+        rows.append((
+            i, seed, s.total_olives, s.plate_moves, returns + 1, returns, s.max_other_olives,
+            s.first_plate_olives, s.c_merge - returns, s.plate_moves_at_ge3,
+        ))
     o = [row[2] for row in rows]
     return np.array(rows, dtype=REPLICA_DTYPE).tobytes(), sum(o), sum(v * v for v in o)
 
@@ -34,20 +42,20 @@ def outcome(stats) -> tuple[bytes, int, int]:
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Record each lockstep block (lo, hi) and each scalar replica run."""
+    """Record the seeds of each lockstep block and each scalar replica run."""
     blocks, scalar = [], []
-    real_block, real_rows = _lockstep.run_block, ensemble._replica_rows
+    real_block, real_counters = _lockstep.run_block, ensemble._replica_counters
 
-    def run_block(t, master_seed, lo, hi, rows):
-        blocks.append((lo, hi))
-        return real_block(t, master_seed, lo, hi, rows)
+    def run_block(t, seeds):
+        blocks.append(seeds.tolist())
+        return real_block(t, seeds)
 
-    def replica_rows_spy(index, seed, horizons):
+    def replica_counters_spy(seed, horizons):
         scalar.append(seed)
-        return real_rows(index, seed, horizons)
+        return real_counters(seed, horizons)
 
     monkeypatch.setattr(_lockstep, "run_block", run_block)
-    monkeypatch.setattr(ensemble, "_replica_rows", replica_rows_spy)
+    monkeypatch.setattr(ensemble, "_replica_counters", replica_counters_spy)
     return blocks, scalar
 
 
@@ -90,7 +98,7 @@ def test_rows_equal_the_scalar_kernel(t, spies):
     blocks, scalar = spies
     config = EnsembleConfig(t=t, replicas=MIN_R + 300, master_seed=t * 7919 + 1)
     assert outcome(run_ensemble(config, threads=1)) == scalar_reference(config, 0, config.replicas)
-    assert blocks == [(0, config.replicas)]
+    assert blocks == [seeds_of(config, 0, config.replicas)]
     assert scalar == []  # no lane ran dry at the default buffer
 
 
@@ -102,9 +110,8 @@ def test_blocks_and_replica_ranges(spies, monkeypatch):
     stats = run_ensemble(config, threads=1, replica_range=(lo, hi))
     assert outcome(stats) == scalar_reference(config, lo, hi)
     # Four near-equal blocks within the cap, tiling the range in order.
-    assert [b - a for a, b in blocks] == [1099, 1099, 1099, 1100]
-    assert blocks[0][0] == lo and blocks[-1][1] == hi
-    assert all(a == b for (_, a), (b, _) in zip(blocks, blocks[1:]))
+    assert [len(seeds) for seeds in blocks] == [1099, 1099, 1099, 1100]
+    assert sum(blocks, []) == seeds_of(config, lo, hi)
     assert scalar == []
 
 
@@ -182,17 +189,18 @@ def test_selection_rule(spies):
     run_ensemble(EnsembleConfig(t=12, replicas=MIN_R - 1, master_seed=1), threads=1)
     assert blocks == [] and len(scalar) == 2 * MIN_R - 1
     scalar.clear()
-    run_ensemble(EnsembleConfig(t=64, replicas=MIN_R, master_seed=1), threads=1)
-    assert blocks == [(0, MIN_R)] and scalar == []
+    config = EnsembleConfig(t=64, replicas=MIN_R, master_seed=1)
+    run_ensemble(config, threads=1)
+    assert blocks == [seeds_of(config, 0, MIN_R)] and scalar == []
 
 
 def test_a_corrupted_lane_fails_the_conservation_check(monkeypatch):
     real = _lockstep.run_block
 
-    def corrupt(t, master_seed, lo, hi, rows):
-        removals, dry = real(t, master_seed, lo, hi, rows)
-        removals[37] += 1
-        return removals, dry
+    def corrupt(t, seeds):
+        counters, dry = real(t, seeds)
+        counters[ensemble._COUNTERS.index("c_remove_olive"), 37] += 1  # one extra O-
+        return counters, dry
 
     monkeypatch.setattr(_lockstep, "run_block", corrupt)
     config = EnsembleConfig(t=12, replicas=2 * MIN_R, master_seed=9)

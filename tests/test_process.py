@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from olivetable.oracle import _law, canonical_of
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
-    TrajectoryRecord,
     run_trajectory,
     step,
     write_trajectory_csv,
@@ -238,24 +238,24 @@ def test_accounting_identity_and_structure_hold(seed, t):
 
 
 def test_fast_loop_matches_step_by_step():
-    # One record advanced a step at a time: it counts a return exactly on the
-    # steps that take the plate count from 2 to 1, and ends equal to the
-    # record of one run_trajectory call.  Every plate move enters a new
-    # plate-count level, and the entries into one plate are the returns and
-    # the arrival on step 1 (the tau1 of the ensemble CSV).  The merges and
-    # plate moves made at >= 3 plates, counted here step by step, are the
-    # ensemble's L_ge3 (merges less returns) and plate_moves_ge3.
+    # One state advanced a step at a time by step(): it counts a return
+    # exactly on the steps that take the plate count from 2 to 1, and ends
+    # equal, every counter included, to the state of one run_trajectory
+    # call.  Every plate move enters a new plate-count level, and the entries
+    # into one plate are the returns and the arrival on step 1 (the tau1 of
+    # the ensemble CSV).  The merges and plate moves made at >= 3 plates,
+    # counted here step by step, are the ensemble's L_ge3 (merges less
+    # returns) and plate_moves_ge3.
     t = 5000
     for seed in (0, 1, 910, 2**63):
-        record = run_trajectory(t, seed)
+        fast = run_trajectory(t, seed).final_state
         rng = make_rng(seed)
         state = TableState()
-        stepped = TrajectoryRecord(t_max=t, cadence=0, final_state=state)
         entries = {}
         returns = merges_ge3 = moves_ge3 = 0
         for _ in range(t):
             before = state.num_plates
-            process._advance(state, rng, 1, stepped)
+            step(state, rng)
             if state.num_plates != before:
                 entries[state.num_plates] = entries.get(state.num_plates, 0) + 1
                 if before >= 3:
@@ -263,16 +263,14 @@ def test_fast_loop_matches_step_by_step():
                     merges_ge3 += state.num_plates < before
             if before == 2 and state.num_plates == 1:
                 returns += 1
-            assert stepped.num_returns == returns, state.t
-        fast = record.final_state
+            assert state.num_returns == returns, state.t
         assert fast == state
         assert fast.counters() == state.counters()
-        assert entries[1] == record.num_returns + 1
+        assert entries[1] == fast.num_returns + 1
         assert sum(entries.values()) == fast.plate_moves
-        assert record.num_returns == returns > 0
-        assert fast.c_merge - record.num_returns == merges_ge3 > 0
-        assert record.plate_moves_at_ge3 == moves_ge3 > merges_ge3
-        assert record == stepped
+        assert fast.num_returns == returns > 0
+        assert fast.c_merge - fast.num_returns == merges_ge3 > 0
+        assert fast.plate_moves_at_ge3 == moves_ge3 > merges_ge3
         fast.check_invariants()
 
 
@@ -288,6 +286,9 @@ def _layout(state: TableState) -> tuple:
         state.total_olives,
         state.t,
         state.counters(),
+        state.num_returns,
+        state.plate_moves_at_ge3,
+        state.max_other_olives,
     )
 
 
@@ -300,31 +301,38 @@ def _layout(state: TableState) -> tuple:
 @settings(max_examples=40, deadline=None)
 def test_kernel_resumes_in_segments(seed, cuts, cadence, check_identity):
     # Snapshots rest on this: _advance cut at any steps (empty segments
-    # included) ends where one call ends, with the same record and series.
+    # included) ends where one call ends, with the same state and series.
     t = 400
     whole = run_trajectory(t, seed, cadence=cadence, check_identity=check_identity)
     state = TableState()
-    record = TrajectoryRecord(t_max=t, cadence=cadence, final_state=state)
+    series = []
     rng = make_rng(seed)
     for cut in sorted(cuts) + [t]:
-        process._advance(state, rng, cut - state.t, record, check_identity)
+        process._advance(state, rng, cut - state.t, series, cadence, check_identity)
     assert _layout(state) == _layout(whole.final_state)
-    assert record == whole
+    assert state == whole.final_state
+    assert series == whole.series
 
 
 def test_a_snapshot_row_passes_the_conservation_check():
     from olivetable import ensemble
 
     seed = 4242
-    state = TableState()
-    record = TrajectoryRecord(t_max=5000, cadence=0, final_state=state)
-    process._advance(state, make_rng(seed), 1200, record)
-    # Checked against the snapshot's own step count, not the record's t_max.
-    row = ensemble._replica_row(7, seed, record)
-    assert row == ensemble._replica_row(7, seed, run_trajectory(1200, seed))
-    state.total_olives += 1
+    seeds = np.array([seed], dtype=np.uint64)
+    # One trajectory read at 1200 steps on its way to 5000, as the scalar
+    # kernel reads a replica at each sweep horizon: the snapshot is the state
+    # of a 1200-step run, and each row is checked against its own t.
+    snapshot, final = ensemble._replica_counters(seed, (1200, 5000))
+    assert snapshot == ensemble._read_counters(run_trajectory(1200, seed).final_state)
+    snapshot, final = (np.array([c]).T for c in (snapshot, final))
+    olives = ensemble._COUNTERS.index("total_olives")
+    assert ensemble._rows(1200, 7, seeds, snapshot)["O"] == snapshot[olives]
+    assert ensemble._rows(5000, 7, seeds, final)["O"] == final[olives]
     with pytest.raises(AssertionError, match="replica 7"):
-        ensemble._replica_row(7, seed, record)
+        ensemble._rows(5000, 7, seeds, snapshot)
+    snapshot[olives] += 1
+    with pytest.raises(AssertionError, match="replica 7"):
+        ensemble._rows(1200, 7, seeds, snapshot)
 
 
 def test_trajectory_determinism_and_seed_sensitivity():
@@ -342,16 +350,16 @@ def test_trajectory_t1_conventions():
     assert rec.final_state.num_plates == 1
     assert rec.final_state.total_olives == 0
     assert rec.final_state.plate_moves == 1  # the one entry into one plate
-    assert rec.num_returns == 0
+    assert rec.final_state.num_returns == 0
 
 
 def test_trajectory_record_invariants():
-    rec = run_trajectory(100_000, 1234, check_identity=True)
-    rec.final_state.check_invariants()
+    state = run_trajectory(100_000, 1234, check_identity=True).final_state
+    state.check_invariants()
     # Every merge is a return (from two plates) or a removal at >= 3 plates,
     # and those removals are among the plate moves made at >= 3 plates.
-    assert 0 < rec.num_returns <= rec.final_state.c_merge
-    assert 0 < rec.final_state.c_merge - rec.num_returns <= rec.plate_moves_at_ge3
+    assert 0 < state.num_returns <= state.c_merge
+    assert 0 < state.c_merge - state.num_returns <= state.plate_moves_at_ge3
 
 
 def test_trajectory_memory_does_not_grow_with_t():
@@ -378,7 +386,7 @@ def test_max_other_olives_tracks_non_first_plates():
         max_other = max(
             max_other, max((p.olives for p in state.plates if p.id != 1), default=0)
         )
-    assert rec.max_other_olives == max_other
+    assert rec.final_state.max_other_olives == state.max_other_olives == max_other
     assert rec.final_state.first_plate_olives == state.first_plate_olives
 
 
@@ -391,7 +399,7 @@ def test_trajectory_series_and_csv_schema():
     assert final_row[1] == rec.final_state.total_olives
     assert final_row[2] == rec.final_state.num_plates
     assert final_row[4] == rec.final_state.first_plate_olives
-    assert final_row[5] == rec.max_other_olives
+    assert final_row[5] == rec.final_state.max_other_olives
     buf = io.StringIO()
     write_trajectory_csv(rec, buf)
     text = buf.getvalue()

@@ -49,11 +49,10 @@ def _per_draw_counts(plates, rng, draws):
     # The sampler check as it once ran: one production-kernel step per draw,
     # each from a fresh copy of the base state.
     base = process.TableState.from_plates(plates)
-    scratch = process.TrajectoryRecord(t_max=base.t + 1, cadence=0, final_state=base)
     counts = Counter()
     for _ in range(draws):
         succ = base.copy()
-        process._advance(succ, rng, 1, scratch)
+        process._advance(succ, rng, 1)
         counts[oracle.canonical_of(succ)] += 1
     return counts
 
