@@ -7,6 +7,8 @@ into tasks and copies their rows into one array in replica order, so a
 pooled run equals an in-process one.  Each replica contributes one row of
 integer counters, and the rows are the only store: every statistic is read
 off them, with the olive moments summed in Python integers (never floats).
+``summary_json`` is the one report of a run: it sorts the O column once and
+reads every other figure straight off the columns.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ ENSEMBLE_CSV_HEADER = ",".join(REPLICA_DTYPE.names)
 class EnsembleConfig:
     """Parameters that fully determine an ensemble run.
 
-    ``deltas`` drive the concentration report; the per-replica O/t check
+    ``deltas`` drive the summary's exceedance rows; the per-replica O/t check
     always uses the paper's band, ``process.C_BOUNDS``.  ``cadence`` is
     carried for provenance (re-running a single replica with it reproduces
     that replica's time series); ensemble runs themselves do not retain
@@ -99,10 +101,11 @@ class EnsembleStats:
         return len(self.records)
 
 
-def _olive_moments(stats: EnsembleStats) -> tuple[list[tuple[int, int]], int, int]:
-    """The distinct olive totals with their replica counts (at most t + 1
-    pairs, in increasing O), and the exact sums of O and O^2 in Python ints."""
-    values, counts = np.unique(stats.records["O"], return_counts=True)
+def _olive_moments(o: np.ndarray) -> tuple[list[tuple[int, int]], int, int]:
+    """The distinct values of the O column with their replica counts (at
+    most t + 1 pairs, in increasing O), and the exact sums of O and O^2 in
+    Python ints."""
+    values, counts = np.unique(o, return_counts=True)
     o_counts = list(zip(values.tolist(), counts.tolist()))
     return o_counts, sum(o * c for o, c in o_counts), sum(o * o * c for o, c in o_counts)
 
@@ -279,19 +282,20 @@ def wilson_upper(successes: int, n: int) -> float:
     return (center + half) / denom
 
 
-def _stats_estimate(stats: EnsembleStats) -> dict:
+def _stats_estimate(moments: tuple[list[tuple[int, int]], int, int], t: int) -> dict:
     """Mean O/t with a 99% normal-approximation CI over the replicas, and
-    whether the exact mean O/t lies in the paper's band ``process.C_BOUNDS``.
+    whether the exact mean O/t lies in the paper's band ``process.C_BOUNDS``,
+    from the ``_olive_moments`` of the O column at horizon t.
 
     Exact integer sums feed the point estimate and the band test; the CI
     uses the sample sd.  Degenerate samples (all equal) get a zero-width
     interval; a single replica has no CI, so ``ci_low`` and ``ci_high`` are
     None.
     """
-    n, t = stats.n, stats.config.t
+    o_counts, total, total_sq = moments
+    n = sum(c for _, c in o_counts)
     if n < 1:
         raise ValueError("need at least one replica")
-    _, total, total_sq = _olive_moments(stats)
     mean_o = Fraction(total, n)
     ratio = float(mean_o / t)
     if n > 1:
@@ -320,82 +324,6 @@ def _stats_estimate(stats: EnsembleStats) -> dict:
 
 LOG_GROWTH_CEILING = 50.0
 SWEEP_GROWTH_REPLICAS = 50
-
-
-def concentration_report(stats: EnsembleStats) -> dict:
-    """Exceedance frequencies of |O - mean| >= delta * t per config delta.
-
-    Comparisons are exact (|O*R - sum| >= delta * t * R in rationals), made
-    once per distinct O and weighted by its replica count; zero counts come
-    with Wilson 99% upper bounds.
-    """
-    est = _stats_estimate(stats)
-    n, t = est["n"], est["t"]
-    o_counts, total, _ = _olive_moments(stats)
-    rows = []
-    for d in stats.config.deltas:
-        threshold = Fraction(d) * t * n
-        count = sum(c for o, c in o_counts if abs(o * n - total) >= threshold)
-        rows.append(
-            {
-                "delta": d,
-                "exceed_count": count,
-                "freq": count / n,
-                "wilson_hi": wilson_upper(count, n),
-            }
-        )
-    return {
-        "t": t,
-        "R": n,
-        "mean_O": est["mean_O"],
-        "sd_O": est["sd_O"],
-        "exceedance": rows,
-    }
-
-
-def plate_move_stats(stats: EnsembleStats) -> dict:
-    """Plate-move diagnostics, each bound checked per replica.
-
-    Checks per replica: t_plate/t >= 0.30, tau1 >= t/76 (exact integer
-    comparisons), and removal fraction among plate moves at >= 3 plates at
-    least 3/4 minus four binomial standard errors.
-    """
-    if stats.n < 1:
-        raise ValueError("need at least one replica")
-    t = stats.config.t
-    recs = stats.records
-    t_plate = recs["t_plate"]
-    tau1 = recs["tau1"]
-    removals = recs["L_ge3"]
-    moves = recs["plate_moves_ge3"]
-
-    plate_ratio_min = float(t_plate.min()) / t
-    plate_ratio_ok = bool((t_plate * 10 >= 3 * t).all())
-    tau1_ok = bool((tau1 * 76 >= t).all())
-    counted = moves > 0
-    fracs = removals[counted] / moves[counted]
-    slack = 4 * np.sqrt(0.75 * 0.25 / moves[counted])
-    removal_ok = not (fracs < 0.75 - slack).any()
-    removal_min = float(fracs.min()) if fracs.size else None
-    pooled_moves = int(moves.sum())
-    pooled_removals = int(removals.sum())
-    return {
-        "t": t,
-        "R": stats.n,
-        "plate_move_ratio_min": plate_ratio_min,
-        "plate_move_ratio_mean": float(t_plate.mean()) / t,
-        "plate_move_ratio_ok": plate_ratio_ok,
-        "tau1_min": int(tau1.min()),
-        "tau1_over_t_min": float(tau1.min()) / t,
-        "tau1_threshold": t / 76,
-        "tau1_ok": tau1_ok,
-        "two_to_one_rate_mean": float(recs["two_to_one"].mean()) / t,
-        "removal_fraction_pooled": (pooled_removals / pooled_moves) if pooled_moves else None,
-        "removal_fraction_min": removal_min,
-        "removal_fraction_ok": removal_ok,
-        "tau1_counts_initial_entry": True,
-        "returns_excluding_initial_min": int(recs["two_to_one"].min()),
-    }
 
 
 def sweep(
@@ -428,11 +356,12 @@ def sweep(
     """
     if any(t < BOUND_ENFORCEMENT_MIN_T for t in t_list):
         raise ValueError(f"sweep expects horizons t >= {BOUND_ENFORCEMENT_MIN_T}")
-    configs = [EnsembleConfig(t=t, replicas=replicas, master_seed=master_seed) for t in sorted(set(t_list))]
-    records = _run_replicas(master_seed, [config.t for config in configs], 0, replicas, threads)
-    runs = {config.t: EnsembleStats(config=config, records=recs) for config, recs in zip(configs, records)}
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    horizons = sorted(set(t_list))
+    runs = dict(zip(horizons, _run_replicas(master_seed, horizons, 0, replicas, threads)))
 
-    c_rows = [_stats_estimate(runs[t]) for t in t_list]
+    c_rows = [_stats_estimate(_olive_moments(runs[t]["O"]), t) for t in t_list]
     ratios = [r["ratio"] for r in c_rows]
     c_report = {
         "replicas": replicas,
@@ -443,8 +372,8 @@ def sweep(
 
     n_growth = min(replicas, SWEEP_GROWTH_REPLICAS)
     growth_rows = []
-    for t, stats in runs.items():
-        max_other = int(stats.records["max_other_olives"][:n_growth].max())
+    for t, records in runs.items():
+        max_other = int(records["max_other_olives"][:n_growth].max())
         ceiling = LOG_GROWTH_CEILING * math.log(t)
         growth_rows.append(
             {
@@ -469,40 +398,38 @@ def sweep(
     return c_report, growth_report
 
 
-# -- bound checks and serialization -------------------------------------------
-
-
-def bounds_check(stats: EnsembleStats) -> dict:
-    """Per-replica O/t check against the paper's band ``process.C_BOUNDS``, exactly.
-
-    Each distinct O is compared once in exact rationals; ``violations``
-    lists the first 20 offending replica indices in replica order.
-    """
-    lo, hi = process.C_BOUNDS
-    t = stats.config.t
-    o_counts, _, _ = _olive_moments(stats)
-    outside = [o for o, _ in o_counts if not process._in_band(o, t)]
-    violations = stats.records["replica"][np.isin(stats.records["O"], outside)]
-    return {
-        "lower": str(lo),
-        "upper": str(hi),
-        "violations": violations[:20].tolist(),
-        "violation_count": violations.size,
-        "bounds_pass": violations.size == 0,
-    }
+# -- the summary and the CSV --------------------------------------------------
 
 
 def summary_json(stats: EnsembleStats) -> dict:
     """The ensemble summary document without its provenance, which the CLI
-    adds (schema is stable; see README)."""
-    t = stats.config.t
-    est = _stats_estimate(stats)
-    conc = concentration_report(stats)
-    pms = plate_move_stats(stats)
-    bc = bounds_check(stats)
-    max_other = int(stats.records["max_other_olives"].max())
+    adds (schema is stable; see README).
+
+    This is the one ensemble report.  The O column is sorted once, by
+    ``_olive_moments``; the estimates come from ``_stats_estimate``, and the
+    band and exceedance tests are made once per distinct O in exact
+    rationals, weighted by its replica count (exceedance is |O - mean| >=
+    delta * t, compared as |O*R - sum| >= delta * t * R).  Zero counts come
+    with Wilson 99% upper bounds.  ``tau1_pass`` is tau1 >= t/76 for every
+    replica, and ``removal_fraction`` is pooled over the plate moves made
+    at >= 3 plates.
+    """
+    config, records = stats.config, stats.records
+    t = config.t
+    moments = _olive_moments(records["O"])
+    est = _stats_estimate(moments, t)
+    o_counts, total, _ = moments
+    n = est["n"]
+    outside = sum(c for o, c in o_counts if not process._in_band(o, t))
+    exceedance = []
+    for d in config.deltas:
+        threshold = Fraction(d) * t * n
+        count = sum(c for o, c in o_counts if abs(o * n - total) >= threshold)
+        exceedance.append({"delta": d, "freq": count / n, "wilson_hi": wilson_upper(count, n)})
+    moves = int(records["plate_moves_ge3"].sum())
+    max_other = int(records["max_other_olives"].max())
     return {
-        "config": stats.config.as_dict(),
+        "config": config.as_dict(),
         "estimates": {
             "mean_O": est["mean_O"],
             "ratio": est["ratio"],
@@ -511,15 +438,12 @@ def summary_json(stats: EnsembleStats) -> dict:
             "c_hat": est["ratio"],
         },
         "checks": {
-            "bounds_pass": bc["bounds_pass"],
-            "bounds_violations": bc["violation_count"],
-            "tau1_pass": pms["tau1_ok"],
-            "removal_fraction": pms["removal_fraction_pooled"],
-            "sd": conc["sd_O"],
-            "exceedance": [
-                {"delta": r["delta"], "freq": r["freq"], "wilson_hi": r["wilson_hi"]}
-                for r in conc["exceedance"]
-            ],
+            "bounds_pass": outside == 0,
+            "bounds_violations": outside,
+            "tau1_pass": bool((records["tau1"] * 76 >= t).all()),
+            "removal_fraction": int(records["L_ge3"].sum()) / moves if moves else None,
+            "sd": est["sd_O"],
+            "exceedance": exceedance,
             "max_other": max_other,
             "B_fit": max_other / math.log(t) if t > 1 else None,
         },

@@ -329,8 +329,8 @@ def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
         ensemble.EnsembleConfig(t=t, replicas=1, master_seed=0),
         np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble.REPLICA_DTYPE),
     )
-    assert ensemble._stats_estimate(stats)["within_bounds"] is inside
-    assert ensemble.bounds_check(stats)["bounds_pass"] is inside
+    assert ensemble._stats_estimate(ensemble._olive_moments(stats.records["O"]), t)["within_bounds"] is inside
+    assert ensemble.summary_json(stats)["checks"]["bounds_pass"] is inside
     state = process.TableState.from_plates([(1, olives)])
     record = process.TrajectoryRecord(t_max=t, final_state=state, series=[])
     monkeypatch.setattr(process, "run_trajectory", lambda *args, **kwargs: record)

@@ -14,9 +14,6 @@ from olivetable.ensemble import (
     ENSEMBLE_CSV_HEADER,
     EnsembleConfig,
     EnsembleStats,
-    bounds_check,
-    concentration_report,
-    plate_move_stats,
     pool_size,
     run_ensemble,
     summary_json,
@@ -31,8 +28,12 @@ CFG = EnsembleConfig(t=2000, replicas=12, master_seed=99)
 
 
 def _sums(stats: EnsembleStats) -> tuple[int, int]:
-    _, total, total_sq = ensemble._olive_moments(stats)
+    _, total, total_sq = ensemble._olive_moments(stats.records["O"])
     return total, total_sq
+
+
+def _estimate(stats: EnsembleStats) -> dict:
+    return ensemble._stats_estimate(ensemble._olive_moments(stats.records["O"]), stats.config.t)
 
 
 def _hand_built(o_values: list[int], t: int) -> EnsembleStats:
@@ -197,7 +198,7 @@ def test_replica_range_validation():
 
 
 def test_ratio_estimate_synthetic_injection():
-    est = ensemble._stats_estimate(_hand_built([100] * 50, t=1000))
+    est = _estimate(_hand_built([100] * 50, t=1000))
     assert est["ratio"] == pytest.approx(0.1)
     assert est["ci_low"] == pytest.approx(0.1)
     assert est["ci_high"] == pytest.approx(0.1)
@@ -215,23 +216,25 @@ def test_wilson_upper_bounds():
 
 def test_concentration_report(mid_stats):
     config = dataclasses.replace(mid_stats.config, deltas=(0.02, 1.0))
-    report = concentration_report(EnsembleStats(config, mid_stats.records))
-    rows = {r["delta"]: r for r in report["exceedance"]}
-    assert rows[1.0]["exceed_count"] == 0  # |O - mean| >= t is impossible here
+    checks = summary_json(EnsembleStats(config, mid_stats.records))["checks"]
+    rows = {r["delta"]: r for r in checks["exceedance"]}
+    assert rows[1.0]["freq"] == 0  # |O - mean| >= t is impossible here
     assert rows[1.0]["wilson_hi"] < 0.3
-    assert report["sd_O"] > 0
+    assert checks["sd"] > 0
     assert set(rows) == {0.02, 1.0}
 
 
 def test_plate_move_diagnostics(mid_stats):
-    report = plate_move_stats(mid_stats)
-    assert report["plate_move_ratio_ok"]
-    assert report["plate_move_ratio_min"] >= 0.30
-    assert report["tau1_ok"]
-    assert report["tau1_min"] * 76 >= mid_stats.config.t
-    assert report["removal_fraction_ok"]
-    assert 0.70 <= report["removal_fraction_pooled"] <= 1.0
-    assert report["two_to_one_rate_mean"] > 0
+    t, recs = mid_stats.config.t, mid_stats.records
+    checks = summary_json(mid_stats)["checks"]
+    assert checks["tau1_pass"]
+    assert (recs["tau1"] * 76 >= t).all()
+    assert (recs["t_plate"] * 10 >= 3 * t).all()
+    moves = recs["plate_moves_ge3"]
+    assert (moves > 0).all()
+    assert (recs["L_ge3"] / moves >= 0.75 - 4 * np.sqrt(3 / 16 / moves)).all()
+    assert 0.70 <= checks["removal_fraction"] <= 1.0
+    assert (recs["two_to_one"] > 0).all()
 
 
 def test_estimate_c_runs_and_validates():
@@ -326,7 +329,7 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
     for t, recs in zip(horizons, records):
         assert recs.tobytes() == separate_ensembles[t].records.tobytes(), t
     for t, row in zip(SWEEP_T, c_report["rows"]):
-        assert row == ensemble._stats_estimate(separate_ensembles[t])
+        assert row == _estimate(separate_ensembles[t])
         assert row["within_bounds"] is True
     for t, row in zip(horizons, growth["rows"]):
         first = separate_ensembles[t].records["max_other_olives"][: ensemble.SWEEP_GROWTH_REPLICAS]
@@ -334,20 +337,33 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
 
 
 def test_ratio_estimate_single_replica_has_no_ci():
-    est = ensemble._stats_estimate(_hand_built([7], t=100))
+    est = _estimate(_hand_built([7], t=100))
     assert est["ci_low"] is None and est["ci_high"] is None
     assert est["ratio"] == 0.07 and est["sd_O"] == 0.0
 
 
 def test_bounds_check_exact(mid_stats):
-    report = bounds_check(mid_stats)
-    assert report["bounds_pass"]
+    checks = summary_json(mid_stats)["checks"]
+    assert checks["bounds_pass"] and checks["bounds_violations"] == 0
     corrupted = EnsembleStats(mid_stats.config, mid_stats.records.copy())
     corrupted.records["O"][0] = 0
-    bad = bounds_check(corrupted)
+    bad = summary_json(corrupted)["checks"]
     assert not bad["bounds_pass"]
-    assert bad["violation_count"] == 1
-    assert bad["violations"] == [int(corrupted.records["replica"][0])]
+    assert bad["bounds_violations"] == 1
+
+
+def test_summary_sorts_the_olive_column_once(mid_stats, monkeypatch):
+    calls = []
+    real_unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble.np, "unique", spy)
+    summary_json(mid_stats)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == mid_stats.records["O"].tobytes()
 
 
 def test_summary_json_schema(mid_stats):
@@ -380,6 +396,6 @@ def test_ensemble_csv_schema(small_stats):
 def test_exact_integer_aggregation(small_stats):
     o_vals = [int(v) for v in small_stats.records["O"]]
     assert _sums(small_stats) == (sum(o_vals), sum(v * v for v in o_vals))
-    assert Fraction(ensemble._stats_estimate(small_stats)["mean_O_exact"]) == Fraction(sum(o_vals), len(o_vals))
+    assert Fraction(_estimate(small_stats)["mean_O_exact"]) == Fraction(sum(o_vals), len(o_vals))
     # tau1 counts the initial entry to one plate as well as every return.
     assert (small_stats.records["tau1"] == small_stats.records["two_to_one"] + 1).all()

@@ -36,7 +36,7 @@ def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, i
 
 
 def outcome(stats) -> tuple[bytes, int, int]:
-    _, total, total_sq = ensemble._olive_moments(stats)
+    _, total, total_sq = ensemble._olive_moments(stats.records["O"])
     return stats.records.tobytes(), total, total_sq
 
 
