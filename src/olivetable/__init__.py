@@ -35,7 +35,7 @@ from .rng import derive_seed, make_rng
 
 # The ensemble layer needs numpy, which nothing else loads; its names
 # resolve on first access, so the other layers import without it.
-_ENSEMBLE_NAMES = frozenset({"EnsembleConfig", "EnsembleStats", "run_ensemble"})
+_ENSEMBLE_NAMES = frozenset({"EnsembleConfig", "run_ensemble"})
 
 
 def __getattr__(name: str):
@@ -66,7 +66,6 @@ __all__ = [
     "published_first_return_pmf",
     "simulate_walk",
     "EnsembleConfig",
-    "EnsembleStats",
     "run_ensemble",
     "BudgetExceededError",
     "CanonicalState",

@@ -15,13 +15,16 @@ a time.  Three parts reproduce the scalar path exactly:
   on padded (lanes, t) plate arrays.
 
 ``run_block`` hands each lane's counters over as the scalar kernel leaves
-them on a ``TableState``, in ``ensemble._COUNTERS`` order, and the ensemble
-builds every row from them.  A lane that needs a word past its buffer
-leaves the block; ``run_block`` returns its index, and the caller refills
-that lane's counters from the scalar kernel.  Only ``ensemble._run_chunk``
-imports this module, and it runs one block per task; its task size cap,
-``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624, lanes) uint32
-seeding state within 10 MiB.
+them on a ``TableState``, in ``ensemble._COUNTERS`` order: the independent
+counts of ``TableState._COUNTS``, then plate 1's olives.  Like the scalar
+kernel it keeps no olive total or step count; both follow from the four
+move counts.  The ensemble builds every row from these counters.  A lane
+that needs a word past its buffer leaves the block; ``run_block`` returns
+its index, and the caller refills that lane's counters from the scalar
+kernel.  Only ``ensemble._run_chunk`` imports this module: every task takes
+its seeds from ``derive_seeds``, and an eligible task runs one block.  Its
+task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624,
+lanes) uint32 seeding state within 10 MiB.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids, olives, ne_pos, ne_idx = (np.zeros(junk + 1, dtype=np.int64) for _ in range(4))
     row0 = np.arange(lanes, dtype=np.int64) * t
     pos1 = row0.copy()
-    n_e, O, c_pp, c_pm, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(8))
+    n_e, c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(8))
 
     for _ in range(t):
         l = c_pp - c_pm
@@ -259,9 +262,9 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c_pm += is_mg
         pm_ge3 += (is_pp | is_mg) & (l >= 3)
         returns += is_mg & (l == 2)
-        O += is_op
-        O -= is_om
+        c_op += is_op
         c_om += is_om
 
-    counters = np.stack((O, c_pp, c_pm, c_om, returns, pm_ge3, max_other, olives[pos1]))
+    # In ensemble._COUNTERS order.
+    counters = np.stack((c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other, olives[pos1]))
     return counters, np.flatnonzero(nxt >= (n_words + 1) * lanes)

@@ -164,12 +164,12 @@ def _cmd_ensemble(args) -> int:
         **given,
     )
     start = time.perf_counter()
-    stats = ensemble.run_ensemble(config, threads=args.threads)
+    records = ensemble.run_ensemble(config, threads=args.threads)
     elapsed = time.perf_counter() - start
-    doc = ensemble.summary_json(stats)
+    doc = ensemble.summary_json(config, records)
     doc["provenance"] = _provenance(args, elapsed)
     if args.out:
-        _write_atomic(Path(args.out + ".csv"), lambda fh: ensemble.write_ensemble_csv(stats, fh))
+        _write_atomic(Path(args.out + ".csv"), lambda fh: ensemble.write_ensemble_csv(records, fh))
         _write_json(Path(args.out + ".summary.json"), doc)
     else:
         sys.stdout.write(_dumps(doc))

@@ -5,10 +5,11 @@ Replica ``i`` of a run is fully determined by the config: its stream seed is
 any worker (or re-run alone) bit-identically.  A run cuts its replica range
 into tasks and copies their rows into one array in replica order, so a
 pooled run equals an in-process one.  Each replica contributes one row of
-integer counters, and the rows are the only store: every statistic is read
-off them, with the olive moments summed in Python integers (never floats).
-``summary_json`` is the one report of a run: it sorts the O column once and
-reads every other figure straight off the columns.
+integer counters, and that record array, which ``run_ensemble`` returns, is
+the only store: every statistic is read off it, with the olive moments
+summed in Python integers (never floats).  ``summary_json(config,
+records)`` is the one report of a run: it sorts the O column once and reads
+every other figure straight off the columns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import process
 from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState
-from .rng import derive_seed, make_rng
+from .rng import make_rng
 
 REPLICA_DTYPE = np.dtype(
     [
@@ -84,23 +85,6 @@ class EnsembleConfig:
         }
 
 
-@dataclass
-class EnsembleStats:
-    """Aggregate over a set of replicas of one config.
-
-    ``records`` holds one row per replica (sorted by replica index) with
-    exactly the ensemble CSV columns.  It is the whole state: every
-    statistic is read off it.
-    """
-
-    config: EnsembleConfig
-    records: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.records)
-
-
 def _olive_moments(o: np.ndarray) -> tuple[list[tuple[int, int]], int, int]:
     """The distinct values of the O column with their replica counts (at
     most t + 1 pairs, in increasing O), and the exact sums of O and O^2 in
@@ -113,10 +97,7 @@ def _olive_moments(o: np.ndarray) -> tuple[list[tuple[int, int]], int, int]:
 # A replica row's counters, by TableState attribute name: the scalar kernel
 # reads them off its state and the lockstep kernel hands its lanes over in
 # this order.
-_COUNTERS = (
-    "total_olives", "c_add_plate", "c_merge", "c_remove_olive",
-    "num_returns", "plate_moves_at_ge3", "max_other_olives", "first_plate_olives",
-)
+_COUNTERS = TableState._COUNTS + ("first_plate_olives",)
 _read_counters = operator.attrgetter(*_COUNTERS)
 
 
@@ -125,16 +106,18 @@ def _rows(t: int, lo: int, seeds: np.ndarray, counters: np.ndarray) -> np.ndarra
     seeds and their counters (one row per name in _COUNTERS, one column per
     replica); the one place a replica row is built."""
     c = dict(zip(_COUNTERS, counters))
-    o, merges, returns = c["total_olives"], c["c_merge"], c["num_returns"]
+    merges, returns = c["c_merge"], c["num_returns"]
     t_plate = c["c_add_plate"] + merges
-    # The conservation law must hold at every step, so at every row taken.
-    broken = np.flatnonzero(o != t - t_plate - 2 * c["c_remove_olive"])
+    # Every step makes one move, so the move counts sum to t at every row
+    # taken: olive conservation, O = t - t_plate - 2 * removals.  A lockstep
+    # lane that ran dry and was not refilled falls short.
+    broken = np.flatnonzero(t_plate + c["c_add_olive"] + c["c_remove_olive"] != t)
     if broken.size:
         raise AssertionError(f"olive conservation violated in replica {lo + int(broken[0])}")
     rows = np.empty(len(seeds), dtype=REPLICA_DTYPE)
     rows["replica"] = np.arange(lo, lo + len(seeds))
     rows["seed"] = seeds
-    rows["O"] = o
+    rows["O"] = c["c_add_olive"] - c["c_remove_olive"]
     rows["t_plate"] = t_plate
     rows["tau1"] = returns + 1  # every return, and the arrival on step 1
     rows["two_to_one"] = returns
@@ -180,22 +163,20 @@ def _run_chunk(task: tuple) -> np.ndarray:
     """Replicas [lo, hi) of one master seed at each of the increasing
     ``horizons``, as an array of shape (len(horizons), hi - lo): row k holds
     the records at horizons[k].  Each replica is simulated once, to the
-    last horizon."""
+    last horizon: an eligible task runs one lockstep block, and the scalar
+    kernel runs every replica the block did not finish."""
+    from . import _lockstep
+
     horizons, lo, hi, master_seed = task
+    seeds = _lockstep.derive_seeds(master_seed, lo, hi)
+    counters = np.empty((len(horizons), len(_COUNTERS), hi - lo), dtype=np.int64)
+    todo = range(hi - lo)
     (t, *later) = horizons
     if not later and t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
-        from . import _lockstep
-
-        seeds = _lockstep.derive_seeds(master_seed, lo, hi)
-        counters, dry = _lockstep.run_block(t, seeds)
-        for k in dry.tolist():
-            (counters[:, k],) = _replica_counters(int(seeds[k]), horizons)
-        return _rows(t, lo, seeds, counters)[None]
-    seeds = [derive_seed(master_seed, i) for i in range(lo, hi)]
-    counters = np.array([_replica_counters(seed, horizons) for seed in seeds], dtype=np.int64)
-    counters = counters.reshape(hi - lo, len(horizons), len(_COUNTERS))
-    seeds = np.array(seeds, dtype=np.uint64)
-    return np.stack([_rows(t, lo, seeds, counters[:, k].T) for k, t in enumerate(horizons)])
+        counters[0], todo = _lockstep.run_block(t, seeds)
+    for k in todo:
+        counters[:, :, k] = _replica_counters(int(seeds[k]), horizons)
+    return np.stack([_rows(t, lo, seeds, c) for t, c in zip(horizons, counters)])
 
 
 def _usable_cpus() -> int:
@@ -221,8 +202,10 @@ def run_ensemble(
     config: EnsembleConfig,
     threads: Optional[int] = None,
     replica_range: Optional[tuple[int, int]] = None,
-) -> EnsembleStats:
-    """Run replicas [lo, hi) of ``config`` (default: all of them).
+) -> np.ndarray:
+    """The records of replicas [lo, hi) of ``config`` (default: all of
+    them), one row per replica in replica order, with exactly the ensemble
+    CSV columns.
 
     ``threads`` (default: the usable CPUs) caps the worker pool, which
     ``pool_size`` also caps at the usable CPUs and the replica count; the
@@ -233,7 +216,7 @@ def run_ensemble(
     if not 0 <= lo <= hi <= config.replicas:
         raise ValueError(f"bad replica range {replica_range} for R={config.replicas}")
     (records,) = _run_replicas(config.master_seed, (config.t,), lo, hi, threads)
-    return EnsembleStats(config=config, records=records)
+    return records
 
 
 def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, threads: Optional[int]) -> np.ndarray:
@@ -401,9 +384,10 @@ def sweep(
 # -- the summary and the CSV --------------------------------------------------
 
 
-def summary_json(stats: EnsembleStats) -> dict:
-    """The ensemble summary document without its provenance, which the CLI
-    adds (schema is stable; see README).
+def summary_json(config: EnsembleConfig, records: np.ndarray) -> dict:
+    """The summary document of ``run_ensemble(config)``'s ``records``,
+    without its provenance, which the CLI adds (schema is stable; see
+    README).
 
     This is the one ensemble report.  The O column is sorted once, by
     ``_olive_moments``; the estimates come from ``_stats_estimate``, and the
@@ -414,7 +398,6 @@ def summary_json(stats: EnsembleStats) -> dict:
     replica, and ``removal_fraction`` is pooled over the plate moves made
     at >= 3 plates.
     """
-    config, records = stats.config, stats.records
     t = config.t
     moments = _olive_moments(records["O"])
     est = _stats_estimate(moments, t)
@@ -454,13 +437,13 @@ _CSV_ROW = ",".join(["%d"] * len(REPLICA_DTYPE.names)) + "\n"
 _CSV_BLOCK_ROWS = 8192
 
 
-def write_ensemble_csv(stats: EnsembleStats, out: TextIO) -> None:
-    """Per-replica rows, sorted by replica index; LF endings, no quoting.
+def write_ensemble_csv(records: np.ndarray, out: TextIO) -> None:
+    """Per-replica rows, in the order of ``records`` (replica order for a
+    ``run_ensemble`` result); LF endings, no quoting.
 
     Rows are formatted and written a block at a time, so the text of the
     whole table is never held in memory.
     """
     out.write(ENSEMBLE_CSV_HEADER + "\n")
-    records = stats.records
     for lo in range(0, len(records), _CSV_BLOCK_ROWS):
         out.write("".join(map(_CSV_ROW.__mod__, records[lo : lo + _CSV_BLOCK_ROWS].tolist())))

@@ -24,13 +24,17 @@ kernel, ``_advance``, holds that code; :func:`run_trajectory` and
 :func:`step` are both one call to it, and the ensemble's scalar replicas
 call it once per horizon, resuming where the last call stopped.  Every
 count a trajectory reports lives on its :class:`TableState`, so resuming
-needs nothing else.
+needs nothing else.  The state stores only independent counts
+(``TableState._COUNTS``: the move counts P+, P-, O+ and O- and the run's
+diagnostics); the step count ``t`` (their sum) and the olive total
+(O+ - O-) are derived, so no kernel keeps them in step.
 
 The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
 runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
-positional decode and swap-removal order, and hands over the same counters,
-so the ensemble's one row builder gives bit-identical rows either way.
+positional decode and swap-removal order, and hands over the same counters
+(``ensemble._COUNTERS``: ``TableState._COUNTS`` and plate 1's olives), so
+the ensemble's one row builder gives bit-identical rows either way.
 """
 
 from __future__ import annotations
@@ -73,26 +77,24 @@ class Plate(NamedTuple):
 class TableState:
     """Full mutable process state.
 
-    Tracks the plates, the per-kind move counters, the step count ``t``, the
-    running olive total and the run's diagnostics.  ``num_returns`` counts
-    the merges that took the plate count from 2 to 1 (the returns to one
-    plate): the entries into the one-plate level are these returns plus the
-    forced arrival on step 1, so a run's ``tau1`` is ``num_returns + 1``.
-    Every other merge is made at >= 3 plates, so the removals at >= 3 plates
-    are ``c_merge - num_returns``; ``plate_moves_at_ge3`` counts the plate
-    moves (adds and merges) made at >= 3 plates.  ``max_other_olives`` is
-    the maximum, over the whole run and over every plate other than plate
-    1, of that plate's olive count.  The exact conservation law
-
-        total_olives == t - (plate moves) - 2 * (olive removals)
-
-    holds after every step and is asserted by :meth:`check_invariants`.
+    Tracks the plates, the per-kind move counters and the run's diagnostics;
+    the step count ``t`` (the sum of the move counts) and ``total_olives``
+    (olive adds minus olive removals) are read off the counters, never
+    stored.  ``num_returns`` counts the merges that took the plate count
+    from 2 to 1 (the returns to one plate): the entries into the one-plate
+    level are these returns plus the forced arrival on step 1, so a run's
+    ``tau1`` is ``num_returns + 1``.  Every other merge is made at >= 3
+    plates, so the removals at >= 3 plates are ``c_merge - num_returns``;
+    ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
+    >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run
+    and over every plate other than plate 1, of that plate's olive count.
+    :meth:`check_invariants` asserts that the plates hold ``total_olives``.
     """
 
-    # Every count the state keeps: each starts at 0, and copy() and __eq__
-    # cover them all.
+    # Every count the state keeps, all independent: each starts at 0, and
+    # copy() and __eq__ cover them all.
     _COUNTS = (
-        "total_olives", "t", "c_add_plate", "c_merge", "c_add_olive", "c_remove_olive",
+        "c_add_plate", "c_merge", "c_add_olive", "c_remove_olive",
         "num_returns", "plate_moves_at_ge3", "max_other_olives",
     )
     __slots__ = ("_ids", "_olives", "_ne_pos", "_ne_idx", "_pos1", "_next_id") + _COUNTS
@@ -129,6 +131,15 @@ class TableState:
     @property
     def plate_moves(self) -> int:
         return self.c_add_plate + self.c_merge
+
+    @property
+    def t(self) -> int:
+        """Steps taken: every step makes exactly one move."""
+        return sum(self.counters())
+
+    @property
+    def total_olives(self) -> int:
+        return self.c_add_olive - self.c_remove_olive
 
     def copy(self) -> "TableState":
         dup = TableState.__new__(TableState)
@@ -182,10 +193,8 @@ class TableState:
             if plate_id == 1:
                 state._pos1 = pos
         state._next_id = max(seen, default=0) + 1
-        state.total_olives = sum(state._olives)
         state.c_add_plate = len(state._ids)
-        state.c_add_olive = state.total_olives
-        state.t = state.c_add_plate + state.c_add_olive
+        state.c_add_olive = sum(state._olives)
         state.plate_moves_at_ge3 = max(0, state.c_add_plate - 3)
         state.max_other_olives = max((o for i, o in zip(state._ids, state._olives) if i != 1), default=0)
         return state
@@ -196,9 +205,6 @@ class TableState:
         """Assert every structural invariant; raises AssertionError on a bug."""
         l = len(self._ids)
         assert l == self.c_add_plate - self.c_merge
-        assert self.total_olives == self.c_add_olive - self.c_remove_olive
-        assert self.t == sum(self.counters())
-        assert self.total_olives == self.t - self.plate_moves - 2 * self.c_remove_olive
         assert self.total_olives == sum(self._olives)
         assert sorted(self._ne_pos) == [p for p, o in enumerate(self._olives) if o > 0]
         for pos in range(l):
@@ -260,10 +266,9 @@ def _advance(
     ne_idx = state._ne_idx
     pos1 = state._pos1
     next_id = state._next_id
-    O = state.total_olives
     num_plates = len(ids)
     c_pp, c_pm, c_op, c_om = state.counters()
-    t0 = state.t
+    t0 = c_pp + c_pm + c_op + c_om
     num_returns = state.num_returns
     plate_moves_ge3 = state.plate_moves_at_ge3
     max_other = state.max_other_olives
@@ -297,7 +302,6 @@ def _advance(
                 olives[p] = val
                 if val > max_other and p != pos1:
                     max_other = val
-                O += 1
                 c_op += 1
             else:
                 # O-: remove an olive from a non-empty plate
@@ -313,7 +317,6 @@ def _advance(
                     ne_idx[p] = -1
                     m_total -= 1
                     k = bit_length(m_total)
-                O -= 1
                 c_om += 1
         elif u:
             # P-: merge pair rank u-1; lower id survives
@@ -376,15 +379,13 @@ def _advance(
             k = bit_length(m_total)
             c_pp += 1
 
-        if check_identity and O != t - c_pp - c_pm - 2 * c_om:
+        if check_identity and c_op - c_om != t - c_pp - c_pm - 2 * c_om:
             raise AssertionError(f"olive conservation violated at step {t}")
         if cadence and t % cadence == 0:
-            series.append((t, O, num_plates, len(ne_pos), olives[pos1], max_other))
+            series.append((t, c_op - c_om, num_plates, len(ne_pos), olives[pos1], max_other))
 
     state._pos1 = pos1
     state._next_id = next_id
-    state.total_olives = O
-    state.t = t0 + n_steps
     state.c_add_plate = c_pp
     state.c_merge = c_pm
     state.c_add_olive = c_op

@@ -242,7 +242,7 @@ def _check_oracle_vs_mc(replicas: int) -> str:
     t = 12
     exact_mean = oracle.exact_expected_olives(t)
     config = ensemble.EnsembleConfig(t=t, replicas=replicas, master_seed=97531)
-    records = ensemble.run_ensemble(config).records
+    records = ensemble.run_ensemble(config)
     est = ensemble._stats_estimate(ensemble._olive_moments(records["O"]), t)
     mc_mean = Fraction(est["mean_O_exact"])
     se = est["sd_O"] / replicas**0.5

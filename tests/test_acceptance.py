@@ -46,11 +46,13 @@ def _report(number: int, detail: str) -> None:
     print(f"\nACCEPTANCE {number:02d} PASS: {detail}")
 
 
+CONFIG_1E5 = EnsembleConfig(t=T_LARGE, replicas=R_LARGE, master_seed=MASTER_SEED)
+
+
 @pytest.fixture(scope="module")
-def stats_1e5():
+def records_1e5():
     """Shared t=1e5, R=1e3 ensemble for criteria 8 and 9."""
-    config = EnsembleConfig(t=T_LARGE, replicas=R_LARGE, master_seed=MASTER_SEED)
-    return run_ensemble(config)
+    return run_ensemble(CONFIG_1E5)
 
 
 def test_criterion_01_pmf_triple_agreement():
@@ -128,7 +130,7 @@ def test_criterion_05_oracle_vs_monte_carlo():
     assert exact_expected_olives(3) == Fraction(3, 4)
     exact12 = exact_expected_olives(12)
     config = EnsembleConfig(t=12, replicas=1_000_000, master_seed=MASTER_SEED)
-    est = ensemble._stats_estimate(ensemble._olive_moments(run_ensemble(config).records["O"]), 12)
+    est = ensemble._stats_estimate(ensemble._olive_moments(run_ensemble(config)["O"]), 12)
     mc_mean = Fraction(est["mean_O_exact"])
     se = est["sd_O"] / math.sqrt(est["n"])
     dev = abs(float(mc_mean - exact12))
@@ -146,9 +148,9 @@ def test_criterion_06_linear_bounds_every_replica():
     # Reduced scale for a pure-Python build, per the criterion's alternate.
     start = time.perf_counter()
     t, r = 10_000, 300
-    stats = run_ensemble(EnsembleConfig(t=t, replicas=r, master_seed=MASTER_SEED))
+    records = run_ensemble(EnsembleConfig(t=t, replicas=r, master_seed=MASTER_SEED))
     lo, hi = Fraction(1, 342), Fraction(2, 3)
-    o_vals = [int(v) for v in stats.records["O"]]
+    o_vals = [int(v) for v in records["O"]]
     assert all(lo * t <= o <= hi * t for o in o_vals)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
@@ -173,8 +175,8 @@ def test_criterion_07_linearity_constant():
     )
 
 
-def test_criterion_08_concentration_proxy(stats_1e5):
-    checks = summary_json(stats_1e5)["checks"]
+def test_criterion_08_concentration_proxy(records_1e5):
+    checks = summary_json(CONFIG_1E5, records_1e5)["checks"]
     sd = checks["sd"]
     assert sd < T_LARGE**0.75, f"sd {sd} vs t^0.75 = {T_LARGE ** 0.75:.0f}"
     row = next(r for r in checks["exceedance"] if r["delta"] == 0.05)
@@ -188,14 +190,14 @@ def test_criterion_08_concentration_proxy(stats_1e5):
     )
 
 
-def test_criterion_09_structural_diagnostics(stats_1e5):
-    recs = stats_1e5.records
+def test_criterion_09_structural_diagnostics(records_1e5):
+    recs = records_1e5
     tau1_min = int(recs["tau1"].min())
     plate_ratio_min = float(recs["t_plate"].min()) / T_LARGE
     counted = recs["plate_moves_ge3"] > 0
     moves = recs["plate_moves_ge3"][counted]
     fracs = recs["L_ge3"][counted] / moves
-    assert summary_json(stats_1e5)["checks"]["tau1_pass"], f"tau1 min {tau1_min} < t/76 = {T_LARGE / 76:.0f}"
+    assert summary_json(CONFIG_1E5, recs)["checks"]["tau1_pass"], f"tau1 min {tau1_min} < t/76 = {T_LARGE / 76:.0f}"
     assert (recs["t_plate"] * 10 >= 3 * T_LARGE).all(), f"t_plate/t min {plate_ratio_min}"
     assert (fracs >= 0.75 - 4 * np.sqrt(3 / 16 / moves)).all(), f"removal min {fracs.min()}"
     _report(
@@ -225,8 +227,8 @@ def test_criterion_11_engineering_invariants():
     # which are the ensemble's replicas row for row.
     config = EnsembleConfig(t=T_LARGE, replicas=100, master_seed=MASTER_SEED + 1)
     checked = run_ensemble(config)
-    assert checked.n == 100
-    for i, row in enumerate(checked.records.tolist()):
+    assert len(checked) == 100
+    for i, row in enumerate(checked.tolist()):
         seed = derive_seed(config.master_seed, i)
         s = process.run_trajectory(T_LARGE, seed, check_identity=True).final_state
         returns = s.num_returns
@@ -239,8 +241,8 @@ def test_criterion_11_engineering_invariants():
     # single-replica runs, concatenated in replica order, are the full run.
     small = EnsembleConfig(t=500, replicas=10, master_seed=3)
     full = run_ensemble(small)
-    parts = [run_ensemble(small, replica_range=(i, i + 1)).records for i in range(10)]
-    assert np.concatenate(parts).tobytes() == full.records.tobytes()
+    parts = [run_ensemble(small, replica_range=(i, i + 1)) for i in range(10)]
+    assert np.concatenate(parts).tobytes() == full.tobytes()
 
     # (c) Identical seeds give byte-identical outputs.
     import io

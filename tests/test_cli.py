@@ -83,9 +83,9 @@ def test_ensemble_bound_failure_exits_two(monkeypatch):
     real = ensemble.run_ensemble
 
     def corrupt(config, threads=None, replica_range=None):
-        stats = real(config, threads=threads, replica_range=replica_range)
-        stats.records["O"][0] = 0  # below t/342 at t >= 1000
-        return stats
+        records = real(config, threads=threads, replica_range=replica_range)
+        records["O"][0] = 0  # below t/342 at t >= 1000
+        return records
 
     monkeypatch.setattr(ensemble, "run_ensemble", corrupt)
     code = main(["ensemble", "--t", "1000", "--replicas", "3", "--seed", "5"])
@@ -325,12 +325,10 @@ def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
     # At t = 1026 the band t/342 <= O <= 2t/3 is exactly 3 <= O <= 684.
     t = 1026
     assert process._in_band(olives, t) is inside
-    stats = ensemble.EnsembleStats(
-        ensemble.EnsembleConfig(t=t, replicas=1, master_seed=0),
-        np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble.REPLICA_DTYPE),
-    )
-    assert ensemble._stats_estimate(ensemble._olive_moments(stats.records["O"]), t)["within_bounds"] is inside
-    assert ensemble.summary_json(stats)["checks"]["bounds_pass"] is inside
+    config = ensemble.EnsembleConfig(t=t, replicas=1, master_seed=0)
+    records = np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble.REPLICA_DTYPE)
+    assert ensemble._stats_estimate(ensemble._olive_moments(records["O"]), t)["within_bounds"] is inside
+    assert ensemble.summary_json(config, records)["checks"]["bounds_pass"] is inside
     state = process.TableState.from_plates([(1, olives)])
     record = process.TrajectoryRecord(t_max=t, final_state=state, series=[])
     monkeypatch.setattr(process, "run_trajectory", lambda *args, **kwargs: record)
@@ -452,7 +450,7 @@ def test_threads_below_one_exit_one(capsys):
 
 
 def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
-    def write_then_fail(stats, out):
+    def write_then_fail(records, out):
         out.write(ensemble.ENSEMBLE_CSV_HEADER + "\n")
         raise RuntimeError("disk gone")
 

@@ -13,7 +13,6 @@ from olivetable import ensemble, process
 from olivetable.ensemble import (
     ENSEMBLE_CSV_HEADER,
     EnsembleConfig,
-    EnsembleStats,
     pool_size,
     run_ensemble,
     summary_json,
@@ -25,32 +24,33 @@ from olivetable.process import run_trajectory
 from olivetable.rng import derive_seed
 
 CFG = EnsembleConfig(t=2000, replicas=12, master_seed=99)
+MID = EnsembleConfig(t=10_000, replicas=24, master_seed=7)
 
 
-def _sums(stats: EnsembleStats) -> tuple[int, int]:
-    _, total, total_sq = ensemble._olive_moments(stats.records["O"])
+def _sums(records: np.ndarray) -> tuple[int, int]:
+    _, total, total_sq = ensemble._olive_moments(records["O"])
     return total, total_sq
 
 
-def _estimate(stats: EnsembleStats) -> dict:
-    return ensemble._stats_estimate(ensemble._olive_moments(stats.records["O"]), stats.config.t)
+def _estimate(records: np.ndarray, t: int) -> dict:
+    return ensemble._stats_estimate(ensemble._olive_moments(records["O"]), t)
 
 
-def _hand_built(o_values: list[int], t: int) -> EnsembleStats:
+def _hand_built(o_values: list[int]) -> np.ndarray:
     records = np.zeros(len(o_values), dtype=ensemble.REPLICA_DTYPE)
     records["replica"] = np.arange(len(o_values))
     records["O"] = o_values
-    return EnsembleStats(EnsembleConfig(t=t, replicas=len(o_values), master_seed=0), records)
+    return records
 
 
 @pytest.fixture(scope="module")
-def small_stats():
+def small_records():
     return run_ensemble(CFG)
 
 
 @pytest.fixture(scope="module")
-def mid_stats():
-    return run_ensemble(EnsembleConfig(t=10_000, replicas=24, master_seed=7))
+def mid_records():
+    return run_ensemble(MID)
 
 
 def test_config_validation():
@@ -62,9 +62,9 @@ def test_config_validation():
         EnsembleConfig(t=1, replicas=1, master_seed=0, deltas=(1.5,))
 
 
-def test_single_replica_reduces_to_trajectory(small_stats):
+def test_single_replica_reduces_to_trajectory(small_records):
     state = run_trajectory(CFG.t, derive_seed(CFG.master_seed, 0)).final_state
-    row = small_stats.records[0]
+    row = small_records[0]
     assert int(row["O"]) == state.total_olives
     assert int(row["t_plate"]) == state.plate_moves
     assert int(row["tau1"]) == state.num_returns + 1
@@ -76,17 +76,17 @@ def test_single_replica_reduces_to_trajectory(small_stats):
     assert int(row["seed"]) == derive_seed(CFG.master_seed, 0)
 
 
-def test_determinism_bitwise(small_stats):
+def test_determinism_bitwise(small_records):
     again = run_ensemble(CFG)
-    assert small_stats.records.tobytes() == again.records.tobytes()
-    assert _sums(small_stats) == _sums(again)
+    assert small_records.tobytes() == again.tobytes()
+    assert _sums(small_records) == _sums(again)
 
 
 def test_thread_count_does_not_change_results():
     config = EnsembleConfig(t=2000, replicas=600, master_seed=31)
     serial = run_ensemble(config, threads=1)
     pooled = run_ensemble(config, threads=2)
-    assert serial.records.tobytes() == pooled.records.tobytes()
+    assert serial.tobytes() == pooled.tobytes()
     assert _sums(serial) == _sums(pooled)
 
 
@@ -134,14 +134,14 @@ def test_run_ensemble_clamps_its_pool(fake_pool, monkeypatch):
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
     clamped = run_ensemble(config, threads=10**6)
     assert started == [3]
-    assert _stats_equal(clamped, serial)
+    assert _records_equal(clamped, serial)
     with pytest.raises(ValueError):
         run_ensemble(config, threads=0)
     assert started == [3]
 
 
-def _stats_equal(a: EnsembleStats, b: EnsembleStats) -> bool:
-    return a.records.tobytes() == b.records.tobytes() and _sums(a) == _sums(b)
+def _records_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.tobytes() == b.tobytes() and _sums(a) == _sums(b)
 
 
 @pytest.mark.parametrize(
@@ -184,9 +184,18 @@ def test_one_task_list_tiles_the_range(horizons, lo, hi, threads, chunksizes, si
     assert {(tuple(h), seed) for h, _, _, seed in tasks} == {(horizons, 77)}
 
 
-def test_single_replica_runs_concatenate_to_the_full_run(small_stats):
-    parts = [run_ensemble(CFG, replica_range=(i, i + 1)).records for i in range(CFG.replicas)]
-    assert np.concatenate(parts).tobytes() == small_stats.records.tobytes()
+def test_single_replica_runs_concatenate_to_the_full_run(small_records):
+    parts = [run_ensemble(CFG, replica_range=(i, i + 1)) for i in range(CFG.replicas)]
+    assert np.concatenate(parts).tobytes() == small_records.tobytes()
+    # The CSV of replica i run alone is the header and row i of the full
+    # run's CSV.
+    full = io.StringIO()
+    write_ensemble_csv(small_records, full)
+    header, *rows = full.getvalue().splitlines(keepends=True)
+    for row, part in zip(rows, parts, strict=True):
+        alone = io.StringIO()
+        write_ensemble_csv(part, alone)
+        assert alone.getvalue() == header + row
 
 
 def test_replica_range_validation():
@@ -194,11 +203,11 @@ def test_replica_range_validation():
         run_ensemble(CFG, replica_range=(3, 2))
     with pytest.raises(ValueError):
         run_ensemble(CFG, replica_range=(0, CFG.replicas + 1))
-    assert run_ensemble(CFG, replica_range=(4, 4)).n == 0
+    assert len(run_ensemble(CFG, replica_range=(4, 4))) == 0
 
 
 def test_ratio_estimate_synthetic_injection():
-    est = _estimate(_hand_built([100] * 50, t=1000))
+    est = _estimate(_hand_built([100] * 50), 1000)
     assert est["ratio"] == pytest.approx(0.1)
     assert est["ci_low"] == pytest.approx(0.1)
     assert est["ci_high"] == pytest.approx(0.1)
@@ -214,9 +223,9 @@ def test_wilson_upper_bounds():
         wilson_upper(0, 0)
 
 
-def test_concentration_report(mid_stats):
-    config = dataclasses.replace(mid_stats.config, deltas=(0.02, 1.0))
-    checks = summary_json(EnsembleStats(config, mid_stats.records))["checks"]
+def test_concentration_report(mid_records):
+    config = dataclasses.replace(MID, deltas=(0.02, 1.0))
+    checks = summary_json(config, mid_records)["checks"]
     rows = {r["delta"]: r for r in checks["exceedance"]}
     assert rows[1.0]["freq"] == 0  # |O - mean| >= t is impossible here
     assert rows[1.0]["wilson_hi"] < 0.3
@@ -224,9 +233,9 @@ def test_concentration_report(mid_stats):
     assert set(rows) == {0.02, 1.0}
 
 
-def test_plate_move_diagnostics(mid_stats):
-    t, recs = mid_stats.config.t, mid_stats.records
-    checks = summary_json(mid_stats)["checks"]
+def test_plate_move_diagnostics(mid_records):
+    t, recs = MID.t, mid_records
+    checks = summary_json(MID, recs)["checks"]
     assert checks["tau1_pass"]
     assert (recs["tau1"] * 76 >= t).all()
     assert (recs["t_plate"] * 10 >= 3 * t).all()
@@ -273,7 +282,7 @@ def test_sweep_equals_separate_reports():
     _, few = sweep([1000], replicas=7, master_seed=21)
     assert few["replicas"] == 7
     assert few["rows"][0]["max_other"] == int(
-        run_ensemble(EnsembleConfig(t=1000, replicas=7, master_seed=21)).records["max_other_olives"].max()
+        run_ensemble(EnsembleConfig(t=1000, replicas=7, master_seed=21))["max_other_olives"].max()
     )
     with pytest.raises(ValueError):
         sweep([10], replicas=5, master_seed=0)
@@ -327,32 +336,32 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
     horizons = sorted(set(SWEEP_T))
     assert len(records) == len(horizons)
     for t, recs in zip(horizons, records):
-        assert recs.tobytes() == separate_ensembles[t].records.tobytes(), t
+        assert recs.tobytes() == separate_ensembles[t].tobytes(), t
     for t, row in zip(SWEEP_T, c_report["rows"]):
-        assert row == _estimate(separate_ensembles[t])
+        assert row == _estimate(separate_ensembles[t], t)
         assert row["within_bounds"] is True
     for t, row in zip(horizons, growth["rows"]):
-        first = separate_ensembles[t].records["max_other_olives"][: ensemble.SWEEP_GROWTH_REPLICAS]
+        first = separate_ensembles[t]["max_other_olives"][: ensemble.SWEEP_GROWTH_REPLICAS]
         assert row["max_other"] == int(first.max())
 
 
 def test_ratio_estimate_single_replica_has_no_ci():
-    est = _estimate(_hand_built([7], t=100))
+    est = _estimate(_hand_built([7]), 100)
     assert est["ci_low"] is None and est["ci_high"] is None
     assert est["ratio"] == 0.07 and est["sd_O"] == 0.0
 
 
-def test_bounds_check_exact(mid_stats):
-    checks = summary_json(mid_stats)["checks"]
+def test_bounds_check_exact(mid_records):
+    checks = summary_json(MID, mid_records)["checks"]
     assert checks["bounds_pass"] and checks["bounds_violations"] == 0
-    corrupted = EnsembleStats(mid_stats.config, mid_stats.records.copy())
-    corrupted.records["O"][0] = 0
-    bad = summary_json(corrupted)["checks"]
+    corrupted = mid_records.copy()
+    corrupted["O"][0] = 0
+    bad = summary_json(MID, corrupted)["checks"]
     assert not bad["bounds_pass"]
     assert bad["bounds_violations"] == 1
 
 
-def test_summary_sorts_the_olive_column_once(mid_stats, monkeypatch):
+def test_summary_sorts_the_olive_column_once(mid_records, monkeypatch):
     calls = []
     real_unique = np.unique
 
@@ -361,13 +370,13 @@ def test_summary_sorts_the_olive_column_once(mid_stats, monkeypatch):
         return real_unique(*args, **kwargs)
 
     monkeypatch.setattr(ensemble.np, "unique", spy)
-    summary_json(mid_stats)
+    summary_json(MID, mid_records)
     assert len(calls) == 1
-    assert calls[0].tobytes() == mid_stats.records["O"].tobytes()
+    assert calls[0].tobytes() == mid_records["O"].tobytes()
 
 
-def test_summary_json_schema(mid_stats):
-    doc = summary_json(mid_stats)
+def test_summary_json_schema(mid_records):
+    doc = summary_json(MID, mid_records)
     assert set(doc) == {"config", "estimates", "checks"}  # the CLI adds the provenance
     assert set(doc["config"]) >= {"t", "R", "master_seed", "cadence", "deltas"}
     assert set(doc["estimates"]) == {"mean_O", "ratio", "ci_low", "ci_high", "c_hat"}
@@ -380,9 +389,9 @@ def test_summary_json_schema(mid_stats):
     assert doc["estimates"]["c_hat"] == doc["estimates"]["ratio"]
 
 
-def test_ensemble_csv_schema(small_stats):
+def test_ensemble_csv_schema(small_records):
     buf = io.StringIO()
-    write_ensemble_csv(small_stats, buf)
+    write_ensemble_csv(small_records, buf)
     text = buf.getvalue()
     lines = text.split("\n")
     assert lines[0] == ENSEMBLE_CSV_HEADER
@@ -393,9 +402,9 @@ def test_ensemble_csv_schema(small_stats):
     assert int(first[1]) == derive_seed(CFG.master_seed, 0)
 
 
-def test_exact_integer_aggregation(small_stats):
-    o_vals = [int(v) for v in small_stats.records["O"]]
-    assert _sums(small_stats) == (sum(o_vals), sum(v * v for v in o_vals))
-    assert Fraction(_estimate(small_stats)["mean_O_exact"]) == Fraction(sum(o_vals), len(o_vals))
+def test_exact_integer_aggregation(small_records):
+    o_vals = [int(v) for v in small_records["O"]]
+    assert _sums(small_records) == (sum(o_vals), sum(v * v for v in o_vals))
+    assert Fraction(_estimate(small_records, CFG.t)["mean_O_exact"]) == Fraction(sum(o_vals), len(o_vals))
     # tau1 counts the initial entry to one plate as well as every return.
-    assert (small_stats.records["tau1"] == small_stats.records["two_to_one"] + 1).all()
+    assert (small_records["tau1"] == small_records["two_to_one"] + 1).all()

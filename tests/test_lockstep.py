@@ -35,9 +35,9 @@ def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, i
     return np.array(rows, dtype=REPLICA_DTYPE).tobytes(), sum(o), sum(v * v for v in o)
 
 
-def outcome(stats) -> tuple[bytes, int, int]:
-    _, total, total_sq = ensemble._olive_moments(stats.records["O"])
-    return stats.records.tobytes(), total, total_sq
+def outcome(records) -> tuple[bytes, int, int]:
+    _, total, total_sq = ensemble._olive_moments(records["O"])
+    return records.tobytes(), total, total_sq
 
 
 @pytest.fixture
@@ -107,8 +107,8 @@ def test_blocks_and_replica_ranges(spies, monkeypatch):
     monkeypatch.setattr(ensemble, "_LOCKSTEP_MAX_LANES", MIN_R + 100)
     config = EnsembleConfig(t=12, replicas=10_000, master_seed=2**64 + 5)
     lo, hi = 1234, 1234 + 4 * MIN_R + 301
-    stats = run_ensemble(config, threads=1, replica_range=(lo, hi))
-    assert outcome(stats) == scalar_reference(config, lo, hi)
+    records = run_ensemble(config, threads=1, replica_range=(lo, hi))
+    assert outcome(records) == scalar_reference(config, lo, hi)
     # Four near-equal blocks within the cap, tiling the range in order.
     assert [len(seeds) for seeds in blocks] == [1099, 1099, 1099, 1100]
     assert sum(blocks, []) == seeds_of(config, lo, hi)
@@ -164,8 +164,8 @@ def test_dry_lanes_fall_back_to_the_scalar_kernel(words, spies, monkeypatch):
     blocks, scalar = spies
     monkeypatch.setattr(_lockstep, "_buffer_words", lambda t: words)
     config = EnsembleConfig(t=12, replicas=MIN_R + 76, master_seed=77)
-    stats = run_ensemble(config, threads=1)
-    assert outcome(stats) == scalar_reference(config, 0, config.replicas)
+    records = run_ensemble(config, threads=1)
+    assert outcome(records) == scalar_reference(config, 0, config.replicas)
 
     draws = [_draws_per_step(config.t, derive_seed(config.master_seed, i)) for i in range(config.replicas)]
     rerun = set(scalar)

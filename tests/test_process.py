@@ -323,14 +323,14 @@ def test_a_snapshot_row_passes_the_conservation_check():
     # kernel reads a replica at each sweep horizon: the snapshot is the state
     # of a 1200-step run, and each row is checked against its own t.
     snapshot, final = ensemble._replica_counters(seed, (1200, 5000))
-    assert snapshot == ensemble._read_counters(run_trajectory(1200, seed).final_state)
+    short, long = (run_trajectory(t, seed).final_state for t in (1200, 5000))
+    assert snapshot == ensemble._read_counters(short)
     snapshot, final = (np.array([c]).T for c in (snapshot, final))
-    olives = ensemble._COUNTERS.index("total_olives")
-    assert ensemble._rows(1200, 7, seeds, snapshot)["O"] == snapshot[olives]
-    assert ensemble._rows(5000, 7, seeds, final)["O"] == final[olives]
+    assert ensemble._rows(1200, 7, seeds, snapshot)["O"] == short.total_olives
+    assert ensemble._rows(5000, 7, seeds, final)["O"] == long.total_olives
     with pytest.raises(AssertionError, match="replica 7"):
         ensemble._rows(5000, 7, seeds, snapshot)
-    snapshot[olives] += 1
+    snapshot[ensemble._COUNTERS.index("c_add_olive")] += 1
     with pytest.raises(AssertionError, match="replica 7"):
         ensemble._rows(1200, 7, seeds, snapshot)
 

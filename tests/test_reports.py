@@ -18,7 +18,6 @@ from olivetable import ensemble
 from olivetable.ensemble import (
     ENSEMBLE_CSV_HEADER,
     EnsembleConfig,
-    EnsembleStats,
     run_ensemble,
     summary_json,
     wilson_upper,
@@ -27,31 +26,31 @@ from olivetable.ensemble import (
 from olivetable.process import C_BOUNDS, Z99
 
 
-def ref_violations(stats):
+def ref_violations(config, records):
     lo, hi = C_BOUNDS
-    t = stats.config.t
-    return sum(1 for r in stats.records if not (lo * t <= int(r["O"]) <= hi * t))
+    t = config.t
+    return sum(1 for r in records if not (lo * t <= int(r["O"]) <= hi * t))
 
 
-def ref_moments(stats):
-    o_vals = [int(v) for v in stats.records["O"]]
+def ref_moments(records):
+    o_vals = [int(v) for v in records["O"]]
     return len(o_vals), sum(o_vals), sum(o * o for o in o_vals)
 
 
-def ref_exceedance(stats):
-    n, total, _ = ref_moments(stats)
-    t = stats.config.t
+def ref_exceedance(config, records):
+    n, total, _ = ref_moments(records)
+    t = config.t
     rows = []
-    for d in stats.config.deltas:
+    for d in config.deltas:
         threshold = Fraction(d) * t * n
-        count = sum(1 for r in stats.records if abs(int(r["O"]) * n - total) >= threshold)
+        count = sum(1 for r in records if abs(int(r["O"]) * n - total) >= threshold)
         rows.append({"delta": d, "freq": count / n, "wilson_hi": wilson_upper(count, n)})
     return rows
 
 
-def ref_estimates(stats):
-    n, total, total_sq = ref_moments(stats)
-    t = stats.config.t
+def ref_estimates(config, records):
+    n, total, total_sq = ref_moments(records)
+    t = config.t
     mean_o = Fraction(total, n)
     ratio = float(mean_o / t)
     if n > 1:
@@ -63,35 +62,34 @@ def ref_estimates(stats):
     return {"mean_O": float(mean_o), "ratio": ratio, "ci_low": ci_low, "ci_high": ci_high, "c_hat": ratio}
 
 
-def ref_summary_json(stats):
-    n, total, total_sq = ref_moments(stats)
-    t = stats.config.t
-    recs = stats.records
-    violations = ref_violations(stats)
-    pooled_moves = sum(int(m) for m in recs["plate_moves_ge3"])
-    pooled_removals = sum(int(x) for x in recs["L_ge3"])
-    max_other = max(int(v) for v in recs["max_other_olives"])
+def ref_summary_json(config, records):
+    n, total, total_sq = ref_moments(records)
+    t = config.t
+    violations = ref_violations(config, records)
+    pooled_moves = sum(int(m) for m in records["plate_moves_ge3"])
+    pooled_removals = sum(int(x) for x in records["L_ge3"])
+    max_other = max(int(v) for v in records["max_other_olives"])
     return {
-        "config": stats.config.as_dict(),
-        "estimates": ref_estimates(stats),
+        "config": config.as_dict(),
+        "estimates": ref_estimates(config, records),
         "checks": {
             "bounds_pass": violations == 0,
             "bounds_violations": violations,
-            "tau1_pass": all(int(v) * 76 >= t for v in recs["tau1"]),
+            "tau1_pass": all(int(v) * 76 >= t for v in records["tau1"]),
             "removal_fraction": (pooled_removals / pooled_moves) if pooled_moves else None,
             "sd": math.sqrt(float((total_sq - Fraction(total**2, n)) / (n - 1))) if n > 1 else 0.0,
-            "exceedance": ref_exceedance(stats),
+            "exceedance": ref_exceedance(config, records),
             "max_other": max_other,
             "B_fit": max_other / math.log(t) if t > 1 else None,
         },
     }
 
 
-def ref_csv(stats):
+def ref_csv(records):
     out = io.StringIO()
     out.write(ENSEMBLE_CSV_HEADER + "\n")
-    for r in stats.records:
-        out.write(",".join(str(int(r[name])) for name in stats.records.dtype.names) + "\n")
+    for r in records:
+        out.write(",".join(str(int(r[name])) for name in records.dtype.names) + "\n")
     return out.getvalue()
 
 
@@ -100,16 +98,24 @@ def _same(a, b):
     return json.dumps(a, sort_keys=True, allow_nan=False) == json.dumps(b, sort_keys=True, allow_nan=False)
 
 
-def _with_deltas(stats, deltas):
-    return EnsembleStats(dataclasses.replace(stats.config, deltas=deltas), stats.records)
+def _with_deltas(run, deltas):
+    config, records = run
+    return dataclasses.replace(config, deltas=deltas), records
 
 
-def _with_columns(stats, **columns):
-    """A copy of ``stats`` whose named columns repeat the given values."""
-    records = stats.records.copy()
+def _with_columns(run, **columns):
+    """A copy of the ``(config, records)`` run whose named columns repeat
+    the given values."""
+    config, records = run
+    records = records.copy()
     for name, values in columns.items():
         records[name] = np.resize(values, len(records))
-    return EnsembleStats(stats.config, records)
+    return config, records
+
+
+def _tau1_bound(t):
+    """The least tau1 that passes at horizon t: ceil(t / 76)."""
+    return -(-t // 76)
 
 
 CASES = {
@@ -121,78 +127,89 @@ CASES = {
     "t500_single": EnsembleConfig(t=500, replicas=1, master_seed=8),
     # the first move adds a plate, so O_1 = 0: every replica is below the band
     "t1_band": EnsembleConfig(t=1, replicas=5, master_seed=3),
+    # ceil(t/75) > ceil(t/76): tau1 on the bound t/76 is below t/75
+    "t76": EnsembleConfig(t=76, replicas=50, master_seed=6),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
-def stats(request):
-    return run_ensemble(CASES[request.param], threads=1)
+def run(request):
+    config = CASES[request.param]
+    return config, run_ensemble(config, threads=1)
 
 
 def test_cases_cover_the_edge_cases():
-    by_name = {name: run_ensemble(config, threads=1) for name, config in CASES.items()}
-    assert ref_violations(by_name["t12_default"]) > 20
-    assert ref_violations(by_name["t2000"]) == 0
-    assert ref_violations(by_name["t1_band"]) == by_name["t1_band"].n
-    moves = by_name["t12_default"].records["plate_moves_ge3"]
+    by_name = {name: (config, run_ensemble(config, threads=1)) for name, config in CASES.items()}
+    assert ref_violations(*by_name["t12_default"]) > 20
+    assert ref_violations(*by_name["t2000"]) == 0
+    assert ref_violations(*by_name["t1_band"]) == len(by_name["t1_band"][1])
+    moves = by_name["t12_default"][1]["plate_moves_ge3"]
     assert (moves == 0).any() and (moves > 0).any()
-    assert (by_name["t12_single"].records["plate_moves_ge3"] == 0).all()
-    assert by_name["t500_single"].n == 1
+    assert (by_name["t12_single"][1]["plate_moves_ge3"] == 0).all()
+    assert len(by_name["t500_single"][1]) == 1
+    assert [name for name, config in CASES.items() if -(-config.t // 75) > _tau1_bound(config.t)] == ["t76"]
 
 
-def test_bounds_check_matches_reference(stats):
+def test_bounds_check_matches_reference(run):
     # Replicas on and just outside each end of the band t/342 <= O <= 2t/3,
     # in unequal numbers, so a band shifted by one olive changes the count.
-    t = stats.config.t
+    t = run[0].t
     low, high = -(-t // 342), 2 * t // 3
-    edges = _with_columns(stats, O=[low - 1] + [low] * 2 + [high] * 3 + [high + 1] * 4)
-    assert _same(summary_json(edges), ref_summary_json(edges))
+    edges = _with_columns(run, O=[low - 1] + [low] * 2 + [high] * 3 + [high + 1] * 4)
+    assert _same(summary_json(*edges), ref_summary_json(*edges))
 
 
-def test_concentration_report_matches_reference(stats):
-    other = _with_deltas(stats, (0.0001, 0.5))
-    assert _same(summary_json(other), ref_summary_json(other))
+def test_concentration_report_matches_reference(run):
+    other = _with_deltas(run, (0.0001, 0.5))
+    assert _same(summary_json(*other), ref_summary_json(*other))
 
 
-def test_plate_move_stats_matches_reference(stats):
+def test_plate_move_stats_matches_reference(run):
     # tau1 on the bound t/76 and one below it; replicas with and without
     # plate moves at >= 3 plates.
-    tau1 = -(-stats.config.t // 76)
-    edges = _with_columns(stats, tau1=[tau1, tau1 - 1], plate_moves_ge3=[4, 0, 7], L_ge3=[3, 0, 7])
-    assert _same(summary_json(edges), ref_summary_json(edges))
+    tau1 = _tau1_bound(run[0].t)
+    edges = _with_columns(run, tau1=[tau1, tau1 - 1], plate_moves_ge3=[4, 0, 7], L_ge3=[3, 0, 7])
+    assert _same(summary_json(*edges), ref_summary_json(*edges))
+    # Every replica on the bound passes, which pins the threshold to t/76
+    # where ceil(t/75) > ceil(t/76).
+    on_bound = _with_columns(run, tau1=[tau1])
+    assert summary_json(*on_bound)["checks"]["tau1_pass"] is True
+    assert _same(summary_json(*on_bound), ref_summary_json(*on_bound))
 
 
-def test_summary_json_matches_reference(stats):
-    assert _same(summary_json(stats), ref_summary_json(stats))
+def test_summary_json_matches_reference(run):
+    assert _same(summary_json(*run), ref_summary_json(*run))
 
 
-def test_csv_matches_reference(stats):
+def test_csv_matches_reference(run):
     out = io.StringIO()
-    write_ensemble_csv(stats, out)
-    assert out.getvalue() == ref_csv(stats)
+    write_ensemble_csv(run[1], out)
+    assert out.getvalue() == ref_csv(run[1])
 
 
 def test_csv_blocks_join_seamlessly(monkeypatch):
-    stats = run_ensemble(CASES["t12_default"], threads=1)
+    records = run_ensemble(CASES["t12_default"], threads=1)
     monkeypatch.setattr(ensemble, "_CSV_BLOCK_ROWS", 7)  # 400 rows: 57 full blocks and a partial one
     out = io.StringIO()
-    write_ensemble_csv(stats, out)
-    assert out.getvalue() == ref_csv(stats)
+    write_ensemble_csv(records, out)
+    assert out.getvalue() == ref_csv(records)
 
 
 def test_reports_read_the_exact_sums():
     # Squares of O near 2^32 overflow nothing: the sums are Python ints.
-    stats = run_ensemble(CASES["t12_default"], threads=1)
+    config = CASES["t12_default"]
+    records = run_ensemble(config, threads=1)
     big = 3 * 2**31
-    stats.records["O"] += big
-    assert ref_moments(stats)[2] > np.iinfo(np.int64).max
-    assert _same(summary_json(stats), ref_summary_json(stats))
+    records["O"] += big
+    assert ref_moments(records)[2] > np.iinfo(np.int64).max
+    assert _same(summary_json(config, records), ref_summary_json(config, records))
 
 
 def test_exceedance_counts_the_boundary():
     # |O - mean| == delta * t for every replica: ">=" counts them all.
-    stats = _with_deltas(run_ensemble(CASES["t12_default"], threads=1), (0.25,))
-    stats.records["O"] = np.resize([0, 6], stats.n)
-    doc = summary_json(stats)
+    config = dataclasses.replace(CASES["t12_default"], deltas=(0.25,))
+    records = run_ensemble(config, threads=1)
+    records["O"] = np.resize([0, 6], len(records))
+    doc = summary_json(config, records)
     assert doc["checks"]["exceedance"][0]["freq"] == 1.0
-    assert _same(doc, ref_summary_json(stats))
+    assert _same(doc, ref_summary_json(config, records))
