@@ -21,10 +21,13 @@ kernel it keeps no olive total or step count; both follow from the four
 move counts.  The ensemble builds every row from these counters.  A lane
 that needs a word past its buffer leaves the block; ``run_block`` returns
 its index, and the caller refills that lane's counters from the scalar
-kernel.  Only ``ensemble._run_chunk`` imports this module: every task takes
-its seeds from ``derive_seeds``, and an eligible task runs one block.  Its
-task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624,
-lanes) uint32 seeding state within 10 MiB.
+kernel.  ``ensemble._run_chunk`` runs this module: every task takes its
+seeds from ``derive_seeds``, and an eligible task runs one block.  The
+``seed_derivation`` check in ``olivetable.verification`` holds
+``derive_seeds`` and ``first_words`` to ``rng.derive_seed`` and
+``make_rng``.  The ensemble's task size cap,
+``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624, lanes) uint32
+seeding state within 10 MiB.
 """
 
 from __future__ import annotations

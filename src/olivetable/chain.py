@@ -383,15 +383,15 @@ def verify_gould_identity(x_max: int = 60) -> list[dict]:
     """Exact check of sum_{k<=n} C(x+k,k) * (x-k)/(x+k) * 2^(n-k) = C(x+n,n).
 
     Sweeps all integer pairs 0 <= n < x <= x_max in rational arithmetic.
+    The sum is carried from n - 1 to n in Horner form: doubling it doubles
+    every 2^(n-k), so lhs(n) = 2 lhs(n-1) + the k = n term.
     """
     report = []
     for x in range(1, x_max + 1):
+        lhs = Fraction(0)
         for n in range(0, x):
-            lhs = sum(
-                Fraction(math.comb(x + k, k) * (x - k), x + k) * (1 << (n - k))
-                for k in range(0, n + 1)
-            )
             rhs = math.comb(x + n, n)
+            lhs = 2 * lhs + Fraction(rhs * (x - n), x + n)
             ok = lhs == rhs
             report.append({"x": x, "n": n, "value": rhs, "pass": ok})
             if not ok:

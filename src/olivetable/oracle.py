@@ -2,21 +2,29 @@
 
 Two independent exact engines:
 
-* a rational pushforward over canonical table states (the first plate's
-  olive count plus the sorted multiset of the other plates' counts), which
-  yields the exact law of the olive total for small step counts; it carries
-  integer numerators over one common denominator and builds a ``Fraction``
-  only for what it returns, and
+* a rational pushforward over the multiset of plate olive counts (an
+  ascending tuple of every plate's count), which yields the exact law of
+  the olive total for small step counts; it carries integer numerators
+  over one common denominator and builds a ``Fraction`` only for what it
+  returns, and
 * exhaustive path enumeration for the auxiliary walk's first-return time,
   deliberately sharing no code with the dynamic program in
   :mod:`olivetable.chain` that it cross-checks.
 
-Lumping non-first plates is sound because the uniform move choice treats
-them exchangeably; ``labeled_olive_distribution`` re-derives the same olive
-law from the fully labeled process (no lumping) to guard that assumption.
-Each successor's multiplicity counts the moves that reach it: a merge of
-plates holding counts v and w counts every unordered pair of plate positions
-holding them, so multiplicities in the multiset are weighted correctly.
+The one-step law ``_law`` is written on canonical states (the first
+plate's count plus the sorted multiset of the others), which the sampler
+check and anything that follows plate 1 need.  Lumping non-first plates is
+sound because the uniform move choice treats them exchangeably.  The
+pushforward lumps once more, onto the multiset of all counts: a merge
+leaves the combined pile on the table whichever plate survives, and M
+reads only l and n_e, so every canonical state of one multiset has the
+same projected law (an exactly lumpable chain; Kemeny & Snell, *Finite
+Markov Chains*, 1960, section 6.3).  ``labeled_olive_distribution``
+re-derives the same olive law from the fully labeled process (no lumping)
+to guard both steps.  Each successor's multiplicity counts the moves that
+reach it: a merge of plates holding counts v and w counts every unordered
+pair of plate positions holding them, so multiplicities in the multiset are
+weighted correctly.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from .chain import ReturnTimePMF
 from .process import TableState
 
 # Caps the cumulative state expansions of one pushforward.  It admits
-# t <= 29 (7.5e6 expansions; step 30 would need 1.02e7), which takes 6-8 s
-# and 62 MB peak RSS for ``exact --t 29`` on a 2-vCPU x86-64 box with
-# CPython 3.11, against about 0.4 s and 19 MB at t = 20.
+# t <= 34 (8.5e6 expansions; step 35 would need 1.10e7), which takes 11-12 s
+# and 63 MB peak RSS for ``exact --t 34`` on a 2-vCPU x86-64 box with
+# CPython 3.11, against about 0.14 s and 17 MB at t = 20.
 DEFAULT_STATE_BUDGET = 10_000_000
 
 OLIVE_PMF_CSV_HEADER = "t,O,prob_num,prob_den"
@@ -171,34 +179,43 @@ def _num_moves(state: CanonicalState) -> int:
     return 1 + l * (l - 1) // 2 + l + n_e
 
 
+def _representative(key: tuple[int, ...]) -> CanonicalState:
+    """A canonical state in the multiset ``key``: its lowest count stands in
+    for the first plate.  Any plate may, because a merge keeps the combined
+    pile whichever plate survives, so the law of the multiset is the same."""
+    return _new(CanonicalState, (key[0], key[1:])) if key else EMPTY_TABLE
+
+
 def _advance(
-    dist: dict[CanonicalState, int], den: int, step: int, work_done: int, budget: int
-) -> tuple[dict[CanonicalState, int], int, int]:
+    dist: dict[tuple[int, ...], int], den: int, step: int, work_done: int, budget: int
+) -> tuple[dict[tuple[int, ...], int], int, int]:
     """One exact pushforward step under a cumulative work budget.
 
-    ``dist`` maps each state to the integer numerator of its probability
-    over the common denominator ``den``; it is consumed (left empty).
-    Returns the next step's numerators, denominator and the work done so
-    far.  The projected work for the step (sum of branching factors M,
-    computable without listing a successor) is charged before the step
-    runs.  Each state's numerator is scaled to the lcm of the live Ms, and
-    one gcd is divided out at the end.
+    ``dist`` maps each multiset of plate counts (an ascending tuple) to the
+    integer numerator of its probability over the common denominator
+    ``den``; it is consumed (left empty).  Returns the next step's
+    numerators, denominator and the work done so far.  The projected work
+    for the step (sum of branching factors M, computable without listing a
+    successor) is charged before the step runs.  Each state's numerator is
+    scaled to the lcm of the live Ms, and one gcd is divided out at the end.
     """
     projected = work_done
     live = set()
-    for state in dist:
-        m_total = _num_moves(state)
+    for key in dist:
+        m_total = _num_moves(_representative(key))
         projected += m_total
         live.add(m_total)
     if projected > budget:
         raise BudgetExceededError(step, projected, budget)
     lcm = math.lcm(*live)
-    nxt: dict[CanonicalState, int] = {}
+    nxt: dict[tuple[int, ...], int] = {}
     while dist:  # emptied as it is read, so old and new numerators never both peak
-        state, num = dist.popitem()
-        m_total, law = _law(state)
+        key, num = dist.popitem()
+        m_total, law = _law(_representative(key))
         scaled = num * (lcm // m_total)
-        for succ, k in law.items():
+        for (first, others), k in law.items():  # first rejoins the others
+            p = bisect_left(others, first)
+            succ = others[:p] + (first,) + others[p:]
             nxt[succ] = nxt.get(succ, 0) + scaled * k
     den *= lcm
     g = math.gcd(den, *nxt.values())
@@ -209,11 +226,12 @@ def _advance(
     return nxt, den, projected
 
 
-def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[CanonicalState, int], int]]:
-    """The exact state distribution after steps 0, 1, ..., t, in turn, each
-    as (integer numerators, common denominator).  A yielded dict is emptied
-    when the next step is computed, so read it before advancing."""
-    dist: dict[CanonicalState, int] = {EMPTY_TABLE: 1}
+def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[tuple[int, ...], int], int]]:
+    """The exact law of the plate-count multiset after steps 0, 1, ..., t,
+    in turn, each as (integer numerators, common denominator).  A yielded
+    dict is emptied when the next step is computed, so read it before
+    advancing."""
+    dist: dict[tuple[int, ...], int] = {(): 1}
     den = 1
     yield dist, den
     work = 0
@@ -222,8 +240,8 @@ def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[CanonicalState, int
         yield dist, den
 
 
-def _final(t: int, budget: int) -> tuple[dict[CanonicalState, int], int]:
-    """Numerators and common denominator of the state distribution at t."""
+def _final(t: int, budget: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """Numerators and common denominator of the multiset law at t."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     for dist, den in _pushforward(t, budget):
@@ -231,11 +249,11 @@ def _final(t: int, budget: int) -> tuple[dict[CanonicalState, int], int]:
     return dist, den
 
 
-def _olive_pmf(dist: dict[CanonicalState, int], den: int) -> dict[int, Fraction]:
-    """Olive-total pmf of a state distribution, in ascending olive count."""
+def _olive_pmf(dist: dict[tuple[int, ...], int], den: int) -> dict[int, Fraction]:
+    """Olive-total pmf of a multiset law, in ascending olive count."""
     nums: dict[int, int] = {}
-    for state, num in dist.items():
-        o = state.total_olives
+    for key, num in dist.items():
+        o = sum(key)
         nums[o] = nums.get(o, 0) + num
     return {o: Fraction(nums[o], den) for o in sorted(nums)}
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, NamedTuple, TextIO
 
 from .rng import make_rng
@@ -282,103 +283,116 @@ def _advance(
     m_total = n_pm + 1 + len(ne_pos)
     k = bit_length(m_total)
 
-    for t in range(t0 + 1, t0 + n_steps + 1):
-        u = getrandbits(k)
-        while u >= m_total:
+    # Steps run in segments that end only where a flag can fire: after
+    # every step under check_identity, else at the next cadence row, else
+    # at the end; the inner loop tests neither flag.
+    t = t0
+    end = t0 + n_steps
+    while t < end:
+        if check_identity:
+            stop = t + 1
+        elif cadence:
+            stop = min(end, t - t % cadence + cadence)
+        else:
+            stop = end
+        for _ in repeat(None, stop - t):
             u = getrandbits(k)
+            while u >= m_total:
+                u = getrandbits(k)
 
-        # The olive moves come first: they are about 60% of the steps.
-        if u > n_merge:
-            if u <= n_pm:
-                # O+: add an olive
-                p = u - 1 - n_merge
-                val = olives[p]
-                if val == 0:
-                    ne_idx[p] = len(ne_pos)
-                    ne_pos.append(p)
-                    m_total += 1
-                    k = bit_length(m_total)
-                val += 1
-                olives[p] = val
-                if val > max_other and p != pos1:
-                    max_other = val
-                c_op += 1
-            else:
-                # O-: remove an olive from a non-empty plate
-                p = ne_pos[u - 1 - n_pm]
-                val = olives[p] - 1
-                olives[p] = val
-                if val == 0:
-                    slot = ne_idx[p]
+            # The olive moves come first: they are about 60% of the steps.
+            if u > n_merge:
+                if u <= n_pm:
+                    # O+: add an olive
+                    p = u - 1 - n_merge
+                    val = olives[p]
+                    if val == 0:
+                        ne_idx[p] = len(ne_pos)
+                        ne_pos.append(p)
+                        m_total += 1
+                        k = bit_length(m_total)
+                    val += 1
+                    olives[p] = val
+                    if val > max_other and p != pos1:
+                        max_other = val
+                    c_op += 1
+                else:
+                    # O-: remove an olive from a non-empty plate
+                    p = ne_pos[u - 1 - n_pm]
+                    val = olives[p] - 1
+                    olives[p] = val
+                    if val == 0:
+                        slot = ne_idx[p]
+                        last = ne_pos.pop()
+                        if last != p:
+                            ne_pos[slot] = last
+                            ne_idx[last] = slot
+                        ne_idx[p] = -1
+                        m_total -= 1
+                        k = bit_length(m_total)
+                    c_om += 1
+            elif u:
+                # P-: merge pair rank u-1; lower id survives
+                r = u - 1
+                j = (1 + isqrt(1 + 8 * r)) // 2
+                i = r - j * (j - 1) // 2
+                if ids[i] > ids[j]:
+                    i, j = j, i
+                moved = olives[j]
+                if moved:
+                    if olives[i] == 0:
+                        ne_idx[i] = len(ne_pos)
+                        ne_pos.append(i)
+                    merged = olives[i] + moved
+                    olives[i] = merged
+                    if merged > max_other and i != pos1:
+                        max_other = merged
+                    slot = ne_idx[j]
                     last = ne_pos.pop()
-                    if last != p:
+                    if last != j:
                         ne_pos[slot] = last
                         ne_idx[last] = slot
-                    ne_idx[p] = -1
-                    m_total -= 1
-                    k = bit_length(m_total)
-                c_om += 1
-        elif u:
-            # P-: merge pair rank u-1; lower id survives
-            r = u - 1
-            j = (1 + isqrt(1 + 8 * r)) // 2
-            i = r - j * (j - 1) // 2
-            if ids[i] > ids[j]:
-                i, j = j, i
-            moved = olives[j]
-            if moved:
-                if olives[i] == 0:
-                    ne_idx[i] = len(ne_pos)
-                    ne_pos.append(i)
-                merged = olives[i] + moved
-                olives[i] = merged
-                if merged > max_other and i != pos1:
-                    max_other = merged
-                slot = ne_idx[j]
-                last = ne_pos.pop()
-                if last != j:
-                    ne_pos[slot] = last
-                    ne_idx[last] = slot
-            last_pos = num_plates - 1
-            if j != last_pos:
-                ids[j] = ids[last_pos]
-                olives[j] = olives[last_pos]
-                slot = ne_idx[last_pos]
-                ne_idx[j] = slot
-                if slot >= 0:
-                    ne_pos[slot] = j
-                if pos1 == last_pos:
-                    pos1 = j
-            ids.pop()
-            olives.pop()
-            ne_idx.pop()
-            if num_plates >= 3:
-                plate_moves_ge3 += 1
-            elif num_plates == 2:
-                num_returns += 1
-            num_plates -= 1
-            n_merge -= num_plates
-            n_pm = n_merge + num_plates
-            m_total = n_pm + 1 + len(ne_pos)
-            k = bit_length(m_total)
-            c_pm += 1
-        else:
-            # P+: new empty plate
-            if num_plates >= 3:
-                plate_moves_ge3 += 1
-            if next_id == 1:
-                pos1 = num_plates
-            ids.append(next_id)
-            next_id += 1
-            olives.append(0)
-            ne_idx.append(-1)
-            n_merge += num_plates
-            num_plates += 1
-            n_pm = n_merge + num_plates
-            m_total = n_pm + 1 + len(ne_pos)
-            k = bit_length(m_total)
-            c_pp += 1
+                last_pos = num_plates - 1
+                if j != last_pos:
+                    ids[j] = ids[last_pos]
+                    olives[j] = olives[last_pos]
+                    slot = ne_idx[last_pos]
+                    ne_idx[j] = slot
+                    if slot >= 0:
+                        ne_pos[slot] = j
+                    if pos1 == last_pos:
+                        pos1 = j
+                ids.pop()
+                olives.pop()
+                ne_idx.pop()
+                if num_plates >= 3:
+                    plate_moves_ge3 += 1
+                elif num_plates == 2:
+                    num_returns += 1
+                num_plates -= 1
+                n_merge -= num_plates
+                n_pm = n_merge + num_plates
+                m_total = n_pm + 1 + len(ne_pos)
+                k = bit_length(m_total)
+                c_pm += 1
+            else:
+                # P+: new empty plate
+                if num_plates >= 3:
+                    plate_moves_ge3 += 1
+                if next_id == 1:
+                    pos1 = num_plates
+                ids.append(next_id)
+                next_id += 1
+                olives.append(0)
+                ne_idx.append(-1)
+                n_merge += num_plates
+                num_plates += 1
+                n_pm = n_merge + num_plates
+                m_total = n_pm + 1 + len(ne_pos)
+                k = bit_length(m_total)
+                c_pp += 1
 
+        t = stop
         if check_identity and c_op - c_om != t - c_pp - c_pm - 2 * c_om:
             raise AssertionError(f"olive conservation violated at step {t}")
         if cadence and t % cadence == 0:

@@ -1,7 +1,7 @@
 """Cross-cutting verification suite: every exact identity and oracle pairing.
 
 Each check pits an independent derivation against the implementation it
-guards (dynamic program vs closed form vs path enumeration, canonical vs
+guards (dynamic program vs closed form vs path enumeration, multiset vs
 labeled pushforward, exact transition law vs the live sampler, ...).  The
 suite is what ``olivetable verify`` runs; checks resolve their targets
 through module attributes so a deliberately broken constant is caught.
@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+import numpy as np
+
 __all__ = ["CheckResult", "build_checks", "run_suite", "suite_report"]
 
-from . import chain, ensemble, oracle, process
+from . import _lockstep, chain, ensemble, oracle, process
 from .rng import derive_seed, make_rng
 
 
@@ -264,11 +266,26 @@ def _check_walk_structure(steps: int) -> str:
     return f"walk parity and support hold over {steps} steps ({stats.n11} returns)"
 
 
+def _sample(n: int) -> list[int]:
+    """About 50 evenly spaced indices in [0, n), the first and last included."""
+    return sorted({*range(0, n, max(1, n // 50)), n - 1})
+
+
 def _check_seed_derivation(n: int) -> str:
-    seeds = [derive_seed(123, i) for i in range(n)]
-    assert len(set(seeds)) == n, "derived seeds collide"
-    first = [tuple(make_rng(s).getrandbits(32) for _ in range(8)) for s in seeds[:1000]]
-    assert len(set(first)) == len(first), "replica streams overlap"
+    """The seeds and first words that every ensemble task uses, from
+    ``_lockstep.derive_seeds`` and ``_lockstep.first_words``: all distinct,
+    and equal to ``rng.derive_seed`` and ``make_rng``'s first draws on a
+    fixed sample of replicas that includes the first and the last."""
+    seeds = _lockstep.derive_seeds(123, 0, n)
+    assert np.unique(seeds).size == n, "derived seeds collide"
+    for i in _sample(n):
+        assert int(seeds[i]) == derive_seed(123, i), f"derive_seeds differs from derive_seed at replica {i}"
+    words = _lockstep.first_words(seeds[:1000], 8)  # column i: stream i's first 8 words
+    assert np.unique(words, axis=1).shape[1] == words.shape[1], "replica streams overlap"
+    for i in _sample(words.shape[1]):
+        rng = make_rng(int(seeds[i]))
+        first = [rng.getrandbits(32) for _ in range(8)]
+        assert words[:, i].tolist() == first, f"first_words differs from make_rng at replica {i}"
     return f"{n} derived seeds distinct; first draws of 1000 streams all differ"
 
 

@@ -1,6 +1,7 @@
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +34,14 @@ def _law_fractions(state):
 
 
 def _state_fractions(t):
-    """The exact state distribution after t steps, from ``oracle._final``."""
+    """The exact law of the plate-count multiset after t steps, from ``oracle._final``."""
     dist, den = oracle._final(t, oracle.DEFAULT_STATE_BUDGET)
-    return {state: Fraction(num, den) for state, num in dist.items()}
+    return {key: Fraction(num, den) for key, num in dist.items()}
+
+
+def _multiset(state):
+    """The ascending tuple of every plate's count in a canonical state."""
+    return () if state == EMPTY_TABLE else tuple(sorted((state.first,) + state.others))
 
 
 def test_canonicalization():
@@ -125,12 +131,13 @@ def test_expected_olives_monotone_and_mass_one():
 
 
 def test_state_distribution_support_is_reachable():
+    assert _state_fractions(0) == {(): Fraction(1)}
     dist = _state_fractions(5)
     assert sum(dist.values(), Fraction(0)) == 1
-    for state in dist:
-        assert state.num_plates >= 1
-        assert state.total_olives <= 5
-        assert state.others == tuple(sorted(state.others))
+    for key in dist:
+        assert type(key) is tuple and len(key) >= 1
+        assert sum(key) <= 5
+        assert list(key) == sorted(key) and min(key) >= 0
 
 
 def test_budget_error_reports_counts():
@@ -160,9 +167,11 @@ def _table_of(state):
 
 
 def test_integer_law_matches_kernel_on_reachable_states():
-    reached = set()
-    for dist, _ in oracle._pushforward(10, oracle.DEFAULT_STATE_BUDGET):
-        reached.update(dist)
+    reached = {EMPTY_TABLE}
+    frontier = [EMPTY_TABLE]
+    for _ in range(10):  # every canonical state the process can reach in 10 steps
+        frontier = [s for s in {succ for state in frontier for succ in oracle._law(state)[1]} if s not in reached]
+        reached.update(frontier)
     assert len(reached) == 285
     for state in reached:
         m_total, law = oracle._law(state)
@@ -247,11 +256,17 @@ def test_sliced_law_equals_reference_on_drawn_states(first, others):
 
 
 def test_state_distribution_equals_fraction_reference():
-    # A plain Fraction pushforward over ``_law_fractions``, sharing nothing with
-    # the integer numerators and common denominator of ``_advance``.
+    # A plain Fraction pushforward of canonical states over ``_law_fractions``,
+    # sharing nothing with the integer numerators and common denominator of
+    # ``_advance``, then projected onto multisets: a check across the two
+    # lumpings.
     ref = {EMPTY_TABLE: Fraction(1)}
     for t in range(0, 13):
-        assert _state_fractions(t) == ref, t
+        projected: dict[tuple, Fraction] = {}
+        for state, p in ref.items():
+            key = _multiset(state)
+            projected[key] = projected.get(key, Fraction(0)) + p
+        assert _state_fractions(t) == projected, t
         if t <= 6:
             pmf: dict[int, Fraction] = {}
             for state, p in ref.items():
@@ -264,10 +279,37 @@ def test_state_distribution_equals_fraction_reference():
         ref = nxt
 
 
+def _multiset_successors(key):
+    """Every multiset one move reaches from ``key``, each made by editing a
+    list of all the counts and sorting it; shares no code with ``oracle``."""
+    out = {tuple(sorted(key + (0,)))}
+    for a, b in combinations(range(len(key)), 2):
+        rest = [v for i, v in enumerate(key) if i not in (a, b)]
+        out.add(tuple(sorted(rest + [key[a] + key[b]])))
+    for a, v in enumerate(key):
+        out.add(tuple(sorted(key[:a] + (v + 1,) + key[a + 1 :])))
+        if v:
+            out.add(tuple(sorted(key[:a] + (v - 1,) + key[a + 1 :])))
+    return out
+
+
+def _budget_overrun(budget):
+    """(step, work) at which the summed move count M over each step's
+    reachable multisets first passes ``budget``, from a plain support BFS."""
+    support, work, step = {()}, 0, 0
+    while True:
+        step += 1
+        work += sum(1 + len(key) * (len(key) + 1) // 2 + sum(v > 0 for v in key) for key in support)
+        if work > budget:
+            return step, work
+        support = set().union(*map(_multiset_successors, support))
+
+
 @pytest.mark.parametrize(
-    "budget, fail_step, state_count", [(100, 6, 206), (20_000, 14, 27_649), (10**6, 23, 1_066_612)]
+    "budget, fail_step, state_count", [(100, 6, 143), (20_000, 16, 28_133), (10**6, 27, 1_222_590)]
 )
 def test_budget_is_charged_before_any_successor_is_listed(budget, fail_step, state_count, monkeypatch):
+    assert _budget_overrun(budget) == (fail_step, state_count)
     expanded = sum(len(dist) for dist, _ in oracle._pushforward(fail_step - 2, budget))
     calls = []
     law = oracle._law

@@ -1,9 +1,10 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from olivetable import chain, oracle, process, verification
+from olivetable import _lockstep, chain, oracle, process, verification
 from olivetable.cli import EXIT_CHECK_FAILED, main
 from olivetable.rng import make_rng
 from olivetable.verification import build_checks, run_suite, suite_report
@@ -35,6 +36,32 @@ def test_suite_detects_broken_closed_form(monkeypatch):
     results = run_suite("quick")
     failed = {r.name for r in results if not r.passed}
     assert "pmf_triple_agreement" in failed
+
+
+def test_seed_derivation_fails_on_a_shifted_derive_seeds(monkeypatch):
+    # The check reads the seeds the ensemble uses, so seeds shifted by one
+    # replica fail it, though they are still distinct.
+    real = _lockstep.derive_seeds
+    monkeypatch.setattr(_lockstep, "derive_seeds", lambda master, lo, hi: real(master, lo + 1, hi + 1))
+    checks = build_checks
+    monkeypatch.setattr(
+        verification, "build_checks", lambda level: [c for c in checks(level) if c[0] == "seed_derivation"]
+    )
+    [result] = run_suite("quick")
+    assert not result.passed
+    assert result.detail == "derive_seeds differs from derive_seed at replica 0"
+
+
+def test_gould_identity_names_a_perturbed_term(monkeypatch):
+    # The k = n term at x = 12, n = 5 (unreduced 7 C(17, 5) / 17) is off by 1.
+    real = Fraction
+    monkeypatch.setattr(
+        chain, "Fraction", lambda num=0, den=1: real(num, den) + (num == 7 * math.comb(17, 5) and den == 17)
+    )
+    with pytest.raises(chain.VerificationError, match=r"^binomial sum identity failed at x=12, n=5: ") as info:
+        chain.verify_gould_identity(20)
+    assert info.value.report[-1] == {"x": 12, "n": 5, "value": math.comb(17, 5), "pass": False}
+    assert all(row["pass"] for row in info.value.report[:-1])
 
 
 def test_sampler_matches_exact_law_on_twenty_states():
