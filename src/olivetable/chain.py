@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, TextIO
 
 from .process import Z99
-from .rng import make_rng
+from .rng import _RangeError, make_rng
 
 CHAIN_CSV_HEADER = "t,f_num,f_den,f_paper_num,f_paper_den,cdf_num,cdf_den"
 
@@ -127,7 +127,7 @@ class WalkRunStats:
 def catalan(k: int) -> int:
     """Exact k-th Catalan number C(2k, k) / (k + 1)."""
     if k < 0:
-        raise ValueError(f"catalan needs k >= 0, got {k}")
+        raise _RangeError(f"catalan needs k >= 0, got {k}")
     return math.comb(2 * k, k) // (k + 1)
 
 
@@ -141,7 +141,7 @@ def first_return_pmf_dp(t_max: int) -> ReturnTimePMF:
     This is the module's ground truth.
     """
     if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+        raise _RangeError(f"t_max must be >= 1, got {t_max}")
     half = Fraction(1, 2)
     down = Fraction(3, 4)
     up = Fraction(1, 4)
@@ -179,7 +179,7 @@ def first_return_pmf_closed(t: int) -> Fraction:
     (1/2) * (3/16)^(t-1) * C(2(t-1), t-1), which certifies normalization.
     """
     if t < 1:
-        raise ValueError(f"return-time index must be >= 1, got {t}")
+        raise _RangeError(f"return-time index must be >= 1, got {t}")
     if t == 1:
         return Fraction(1, 2)
     return Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
@@ -193,7 +193,7 @@ def published_first_return_pmf(t: int) -> Fraction:
     where C(-1, 0) needs a convention; see published_pmf_t1_conventions.
     """
     if t < 2:
-        raise ValueError(f"published closed form needs t >= 2, got {t}")
+        raise _RangeError(f"published closed form needs t >= 2, got {t}")
     return 4 * Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
 
 
@@ -225,7 +225,7 @@ def first_return_pmf_convolution(t: int) -> Fraction:
     t-i-2, which is the factor-of-4 discrepancy).
     """
     if t < 2:
-        raise ValueError(f"convolution form needs t >= 2, got {t}")
+        raise _RangeError(f"convolution form needs t >= 2, got {t}")
     total = Fraction(0)
     powers_half = Fraction(1, 2)
     for i in range(1, t):
@@ -260,7 +260,7 @@ def catalan_convolution_brute(t: int, i: int) -> int:
 def first_return_cdf(t: int) -> Fraction:
     """F(t) = Pr(T <= t), summed from the validated pmf."""
     if t < 0:
-        raise ValueError(f"cdf argument must be >= 0, got {t}")
+        raise _RangeError(f"cdf argument must be >= 0, got {t}")
     return sum(
         (first_return_pmf_closed(j) for j in range(1, t // 2 + 1)),
         Fraction(0),
@@ -282,7 +282,7 @@ def mean_return_time_series(t_max: int) -> tuple[Fraction, Fraction]:
     [value, value + tail_bound]; at t_max = 200 the bound is below 1e-15.
     """
     if t_max < 2:
-        raise ValueError(f"t_max must be >= 2, got {t_max}")
+        raise _RangeError(f"t_max must be >= 2, got {t_max}")
     one = Fraction(1)
     total = one  # the leading 1
     cdf = Fraction(0)
@@ -303,7 +303,7 @@ def stationary_distribution(k_max: int) -> StationaryDist:
     the normalization is pi_1 * (1 + 2 + (4/3) * (3/2)) = 5 pi_1 = 1.
     """
     if k_max < 3:
-        raise ValueError(f"k_max must be >= 3, got {k_max}")
+        raise _RangeError(f"k_max must be >= 3, got {k_max}")
     pi1 = 1 / (1 + 2 + Fraction(4, 3) * Fraction(3, 2))
     pi = {1: pi1, 2: 2 * pi1, 3: Fraction(4, 3) * pi1}
     for k in range(4, k_max + 1):
@@ -327,7 +327,7 @@ def simulate_walk(t: int, seed: int) -> WalkRunStats:
     them exactly.
     """
     if t < 1:
-        raise ValueError(f"step count must be >= 1, got {t}")
+        raise _RangeError(f"step count must be >= 1, got {t}")
     rng = make_rng(seed)
     getrandbits = rng.getrandbits
     k = 1
@@ -514,7 +514,7 @@ def chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate_
     discrepancy table."""
     t_max = len(rows)
     if t_max < 2:
-        raise ValueError(f"t_max must be >= 2, got {t_max}")
+        raise _RangeError(f"t_max must be >= 2, got {t_max}")
     series_value, series_tail = mean_return_time_series(max(t_max, 200))
     stationary = mean_return_time_stationary()
     table = [

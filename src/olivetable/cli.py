@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, TextIO
 # imported only inside the commands that run them: ``ensemble``, ``sweep``
 # and ``verify``.
 from . import __version__, chain, oracle, process
+from .rng import _RangeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -256,7 +257,7 @@ def _cmd_sweep(args) -> int:
 
     t_list = _parse_list(args.t_list, int, "t")
     start = time.perf_counter()
-    # sweep rejects short horizons and replicas below 1 with a ValueError
+    # sweep rejects short horizons and replicas below 1 with a _RangeError
     # before any work, which main maps to exit 1.
     c_report, growth = ensemble.sweep(t_list, args.replicas, args.seed, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -352,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help / --version
         code = exc.code or 0
         return EXIT_USAGE if code not in (0,) else EXIT_OK
-    except (ValueError, OSError) as exc:  # a range error from the library, or a failed write
+    except (_RangeError, OSError) as exc:  # an argument the library refused, or a failed write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

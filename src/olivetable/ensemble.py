@@ -26,7 +26,7 @@ import numpy as np
 
 from . import process
 from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState
-from .rng import make_rng
+from .rng import _RangeError, make_rng
 
 REPLICA_DTYPE = np.dtype(
     [
@@ -65,14 +65,14 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
+            raise _RangeError(f"t must be >= 1, got {self.t}")
         if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+            raise _RangeError(f"replicas must be >= 1, got {self.replicas}")
         if self.cadence < 0:
-            raise ValueError(f"cadence must be >= 0, got {self.cadence}")
+            raise _RangeError(f"cadence must be >= 0, got {self.cadence}")
         for d in self.deltas:
             if not 0 < d <= 1:
-                raise ValueError(f"delta must be in (0, 1], got {d}")
+                raise _RangeError(f"delta must be in (0, 1], got {d}")
 
     def as_dict(self) -> dict:
         return {
@@ -194,7 +194,7 @@ def pool_size(threads: int, cpus: int, tasks: int) -> int:
     more processes than those; ``threads`` < 1 is an error.
     """
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise _RangeError(f"threads must be >= 1, got {threads}")
     return max(1, min(threads, cpus, tasks))
 
 
@@ -214,7 +214,7 @@ def run_ensemble(
     """
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     if not 0 <= lo <= hi <= config.replicas:
-        raise ValueError(f"bad replica range {replica_range} for R={config.replicas}")
+        raise _RangeError(f"bad replica range {replica_range} for R={config.replicas}")
     (records,) = _run_replicas(config.master_seed, (config.t,), lo, hi, threads)
     return records
 
@@ -257,7 +257,7 @@ def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, t
 def wilson_upper(successes: int, n: int) -> float:
     """Upper end of the 99% Wilson score interval for a binomial proportion."""
     if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+        raise _RangeError(f"n must be positive, got {n}")
     phat = successes / n
     denom = 1 + Z99 * Z99 / n
     center = phat + Z99 * Z99 / (2 * n)
@@ -338,9 +338,9 @@ def sweep(
     SWEEP_GROWTH_REPLICAS.
     """
     if any(t < BOUND_ENFORCEMENT_MIN_T for t in t_list):
-        raise ValueError(f"sweep expects horizons t >= {BOUND_ENFORCEMENT_MIN_T}")
+        raise _RangeError(f"sweep expects horizons t >= {BOUND_ENFORCEMENT_MIN_T}")
     if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+        raise _RangeError(f"replicas must be >= 1, got {replicas}")
     horizons = sorted(set(t_list))
     runs = dict(zip(horizons, _run_replicas(master_seed, horizons, 0, replicas, threads)))
 

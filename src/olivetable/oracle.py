@@ -11,20 +11,22 @@ Two independent exact engines:
   deliberately sharing no code with the dynamic program in
   :mod:`olivetable.chain` that it cross-checks.
 
-The one-step law ``_law`` is written on canonical states (the first
-plate's count plus the sorted multiset of the others), which the sampler
-check and anything that follows plate 1 need.  Lumping non-first plates is
-sound because the uniform move choice treats them exchangeably.  The
-pushforward lumps once more, onto the multiset of all counts: a merge
-leaves the combined pile on the table whichever plate survives, and M
-reads only l and n_e, so every canonical state of one multiset has the
-same projected law (an exactly lumpable chain; Kemeny & Snell, *Finite
-Markov Chains*, 1960, section 6.3).  ``labeled_olive_distribution``
-re-derives the same olive law from the fully labeled process (no lumping)
-to guard both steps.  Each successor's multiplicity counts the moves that
-reach it: a merge of plates holding counts v and w counts every unordered
-pair of plate positions holding them, so multiplicities in the multiset are
-weighted correctly.
+One function lists moves: ``_pile_moves`` takes an ascending tuple of
+plate counts and lists every move among those plates.  The pushforward runs
+it on the multiset of all counts.  A merge leaves the combined pile on the
+table whichever plate survives, and M reads only l and n_e, so that is the
+whole one-step law of the multiset and the chain on multisets is exactly
+lumpable (Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3).
+``_law`` runs it on the non-first plates and adds plate 1's own moves,
+which gives the law of canonical states (the first plate's count plus the
+sorted multiset of the others) that the sampler check and anything that
+follows plate 1 need.  Lumping non-first plates is sound because the
+uniform move choice treats them exchangeably.
+``labeled_olive_distribution`` re-derives the same olive law from the
+fully labeled process (no lumping) to guard both lumpings.  Each
+successor's multiplicity counts the moves that reach it: a merge of plates
+holding counts v and w counts every unordered pair of plate positions
+holding them, so multiplicities in the multiset are weighted correctly.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from typing import Iterator, NamedTuple, TextIO
 
 from .chain import ReturnTimePMF
 from .process import TableState
+from .rng import _RangeError
 
 # Caps the cumulative state expansions of one pushforward.  It admits
-# t <= 34 (8.5e6 expansions; step 35 would need 1.10e7), which takes 11-12 s
-# and 63 MB peak RSS for ``exact --t 34`` on a 2-vCPU x86-64 box with
-# CPython 3.11, against about 0.14 s and 17 MB at t = 20.
+# t <= 34 (8.5e6 expansions; step 35 would need 1.10e7), which takes 6.4-7.1 s
+# CPU and 63 MB peak RSS for ``exact --t 34`` on a 2-vCPU x86-64 box with
+# CPython 3.11, against about 0.17-0.23 s and 17 MB at t = 20.
 DEFAULT_STATE_BUDGET = 10_000_000
 
 OLIVE_PMF_CSV_HEADER = "t,O,prob_num,prob_den"
@@ -109,81 +112,90 @@ def canonical_of(state: TableState) -> CanonicalState:
     return CanonicalState(olives[p], tuple(sorted(olives[:p] + olives[p + 1 :])))
 
 
-def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
-    """Exact one-step law from a canonical state as ``(M, {successor: k})``.
+def _pile_moves(piles: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Every move among the ascending tuple of counts ``piles``, as
+    ``{successor: k}`` with k the number of moves that reach it: a new
+    plate, a merge of two piles, or an olive added to or taken from one.
 
-    The process picks one of M equally likely moves and ``k`` counts the
-    moves that lead to each successor, so the multiplicities sum to M.  This
-    is the one place that lists successors; the pushforward and the sampler
-    check both read it.
+    This is the one place that lists successors.  On every plate's count it
+    is the whole law of the multiset and the ks sum to M (a merge keeps the
+    combined pile whichever plate survives), so ``_pile_moves(())`` is
+    ``{(0,): 1}``.  ``_law`` adds plate 1's own moves to it.
     """
-    first, others = state
-    if first < 0:
-        return 1, {CanonicalState(0, ()): 1}
-    # Plates of equal count lead to the same successor, so the non-first
-    # plates are walked by distinct count v, held by others[lo:hi].  Each
-    # successor is built by slicing the sorted tuple, so it stays sorted.
-    n = len(others)
+    # Piles of equal count lead to the same successor, so they are walked by
+    # distinct count v, held by piles[lo:hi].  Each successor is built by
+    # slicing the sorted tuple, so it stays sorted.
+    n = len(piles)
     groups = []
     lo = 0
     while lo < n:
-        v = others[lo]
-        hi = bisect_right(others, v, lo)
+        v = piles[lo]
+        hi = bisect_right(piles, v, lo)
         groups.append((v, lo, hi))
         lo = hi
     zeros = groups[0][2] if groups and groups[0][0] == 0 else 0
     nonzero = groups[1:] if zeros else groups
-    S = CanonicalState
-    # P+: one new empty plate (never the first plate).
-    out = {_new(S, (first, (0,) + others)): 1}
-    # P-: one way per unordered plate pair.  The first plate has the lowest
-    # id and survives any merge it joins; a merge of two non-first plates
-    # keeps the combined count among the others either way.  Every merge
-    # with an empty plate just drops it, so all of them lead to one
-    # successor; every other move leads to a successor of its own.
-    if zeros:
-        # z empty plates: z merges with the first plate, C(z, 2) among
-        # themselves and z (n - z) with the non-empty others
-        out[_new(S, (first, others[1:]))] = zeros * (zeros + 1) // 2 + zeros * (n - zeros)
+    # P+: one new empty plate.
+    out = {(0,) + piles: 1}
+    # P-: one way per unordered pair of piles.  Every merge with an empty
+    # pile just drops it, so all of them lead to one successor: C(z, 2) among
+    # the z empty piles and z (n - z) with the non-empty ones.  Every other
+    # merge leads to a successor of its own.
+    if zeros and n > 1:
+        out[piles[1:]] = zeros * (zeros - 1) // 2 + zeros * (n - zeros)
     for i, (v, lo, hi) in enumerate(nonzero):
         c = hi - lo
-        out[_new(S, (first + v, others[:lo] + others[lo + 1 :]))] = c
         if c > 1:
             s = 2 * v
-            p = bisect_left(others, s, hi)
-            out[_new(S, (first, others[:lo] + others[lo + 2 : p] + (s,) + others[p:]))] = c * (c - 1) // 2
+            p = bisect_left(piles, s, hi)
+            out[piles[:lo] + piles[lo + 2 : p] + (s,) + piles[p:]] = c * (c - 1) // 2
         for w, lo2, hi2 in nonzero[i + 1 :]:
             s = v + w
-            p = bisect_left(others, s, hi2)
-            succ = others[:lo] + others[lo + 1 : lo2] + others[lo2 + 1 : p] + (s,) + others[p:]
-            out[_new(S, (first, succ))] = c * (hi2 - lo2)
-    # O+: one way per plate; a count's last plate is the one raised.
-    out[_new(S, (first + 1, others))] = 1
+            p = bisect_left(piles, s, hi2)
+            out[piles[:lo] + piles[lo + 1 : lo2] + piles[lo2 + 1 : p] + (s,) + piles[p:]] = c * (hi2 - lo2)
+    # O+: one way per pile; a count's last pile is the one raised.
     for v, lo, hi in groups:
-        out[_new(S, (first, others[: hi - 1] + (v + 1,) + others[hi:]))] = hi - lo
-    # O-: one way per non-empty plate; a count's first plate is the one lowered.
-    if first > 0:
-        out[_new(S, (first - 1, others))] = 1
+        out[piles[: hi - 1] + (v + 1,) + piles[hi:]] = hi - lo
+    # O-: one way per non-empty pile; a count's first pile is the one lowered.
     for v, lo, hi in nonzero:
-        out[_new(S, (first, others[:lo] + (v - 1,) + others[lo + 1 :]))] = hi - lo
-    return _num_moves(state), out
+        out[piles[:lo] + (v - 1,) + piles[lo + 1 :]] = hi - lo
+    return out
 
 
-def _num_moves(state: CanonicalState) -> int:
-    """M = 1 + C(l, 2) + l + n_e, the number of equally likely moves."""
-    first, others = state
-    if first < 0:
-        return 1
-    l = len(others) + 1
-    n_e = (first > 0) + len(others) - bisect_right(others, 0)  # counts are >= 0
+def _num_moves(l: int, n_e: int) -> int:
+    """M = 1 + C(l, 2) + l + n_e, the number of equally likely moves from a
+    table of l plates, n_e of them non-empty."""
     return 1 + l * (l - 1) // 2 + l + n_e
 
 
-def _representative(key: tuple[int, ...]) -> CanonicalState:
-    """A canonical state in the multiset ``key``: its lowest count stands in
-    for the first plate.  Any plate may, because a merge keeps the combined
-    pile whichever plate survives, so the law of the multiset is the same."""
-    return _new(CanonicalState, (key[0], key[1:])) if key else EMPTY_TABLE
+def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
+    """Exact one-step law from a canonical state as ``(M, {successor: k})``.
+
+    The process picks one of M equally likely moves and ``k`` counts the
+    moves that lead to each successor, so the multiplicities sum to M.  It
+    is ``_pile_moves`` on the non-first plates plus plate 1's own moves; the
+    sampler and transition-mass checks read it.
+    """
+    first, others = state
+    if first < 0:
+        return 1, {CanonicalState(0, ()): 1}
+    S = CanonicalState
+    out = {_new(S, (first, succ)): k for succ, k in _pile_moves(others).items()}
+    # Plate 1 has the lowest id, so it survives every merge it joins: one
+    # way per plate holding count v.  With v = 0 that is the successor the
+    # merges among the others with an empty plate already reach.
+    n = len(others)
+    lo = 0
+    while lo < n:
+        v = others[lo]
+        hi = bisect_right(others, v, lo)
+        succ = _new(S, (first + v, others[:lo] + others[lo + 1 :]))
+        out[succ] = out.get(succ, 0) + hi - lo
+        lo = hi
+    out[_new(S, (first + 1, others))] = 1
+    if first > 0:
+        out[_new(S, (first - 1, others))] = 1
+    return _num_moves(n + 1, (first > 0) + n - bisect_right(others, 0)), out
 
 
 def _advance(
@@ -195,28 +207,23 @@ def _advance(
     integer numerator of its probability over the common denominator
     ``den``; it is consumed (left empty).  Returns the next step's
     numerators, denominator and the work done so far.  The projected work
-    for the step (sum of branching factors M, computable without listing a
-    successor) is charged before the step runs.  Each state's numerator is
-    scaled to the lcm of the live Ms, and one gcd is divided out at the end.
+    for the step (the sum of each key's M, read off its length and its
+    zeros) is charged before any successor is listed.  Each key's successors
+    come from ``_pile_moves`` on the key itself, its numerator scaled to the
+    lcm of the live Ms; one gcd is divided out at the end.
     """
-    projected = work_done
-    live = set()
-    for key in dist:
-        m_total = _num_moves(_representative(key))
-        projected += m_total
-        live.add(m_total)
+    moves = [_num_moves(len(key), len(key) - bisect_right(key, 0)) for key in dist]
+    projected = work_done + sum(moves)
     if projected > budget:
         raise BudgetExceededError(step, projected, budget)
-    lcm = math.lcm(*live)
+    lcm = math.lcm(*set(moves))
     nxt: dict[tuple[int, ...], int] = {}
+    get = nxt.get
     while dist:  # emptied as it is read, so old and new numerators never both peak
         key, num = dist.popitem()
-        m_total, law = _law(_representative(key))
-        scaled = num * (lcm // m_total)
-        for (first, others), k in law.items():  # first rejoins the others
-            p = bisect_left(others, first)
-            succ = others[:p] + (first,) + others[p:]
-            nxt[succ] = nxt.get(succ, 0) + scaled * k
+        scaled = num * (lcm // moves.pop())  # popitem is LIFO, so this is key's M
+        for succ, k in _pile_moves(key).items():
+            nxt[succ] = get(succ, 0) + scaled * k
     den *= lcm
     g = math.gcd(den, *nxt.values())
     if g > 1:
@@ -243,7 +250,7 @@ def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[tuple[int, ...], in
 def _final(t: int, budget: int) -> tuple[dict[tuple[int, ...], int], int]:
     """Numerators and common denominator of the multiset law at t."""
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise _RangeError(f"t must be >= 0, got {t}")
     for dist, den in _pushforward(t, budget):
         pass
     return dist, den
@@ -278,7 +285,7 @@ def olive_distribution_table(
 ) -> list[tuple[int, dict[int, Fraction]]]:
     """Exact olive pmf at every step 1..t_max from one incremental pushforward."""
     if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+        raise _RangeError(f"t_max must be >= 1, got {t_max}")
     return [(s, _olive_pmf(*step)) for s, step in enumerate(_pushforward(t_max, budget)) if s > 0]
 
 
@@ -293,7 +300,7 @@ def labeled_olive_distribution(t: int) -> dict[int, Fraction]:
     ValueError otherwise); used only to guard the lumping assumption.
     """
     if t < 0 or t > 8:
-        raise ValueError(f"labeled tree is only tractable for 0 <= t <= 8, got {t}")
+        raise _RangeError(f"labeled tree is only tractable for 0 <= t <= 8, got {t}")
     start = ((), 1)
     dist: dict[tuple, Fraction] = {start: Fraction(1)}
     for _ in range(t):
@@ -304,9 +311,7 @@ def labeled_olive_distribution(t: int) -> dict[int, Fraction]:
 
         for (plates, next_id), p in dist.items():
             l = len(plates)
-            n_e = sum(1 for _, o in plates if o > 0)
-            m_total = 1 + l * (l - 1) // 2 + l + n_e
-            w = p / m_total
+            w = p / _num_moves(l, sum(1 for _, o in plates if o > 0))
             add((tuple(sorted(plates + ((next_id, 0),))), next_id + 1), w)
             for a in range(l):
                 for b in range(a + 1, l):
@@ -345,7 +350,7 @@ def enumerate_chain_paths(t_max: int) -> ReturnTimePMF:
     ValueError otherwise).
     """
     if not 1 <= t_max <= 10:
-        raise ValueError(f"path enumeration is only tractable for 1 <= t_max <= 10, got {t_max}")
+        raise _RangeError(f"path enumeration is only tractable for 1 <= t_max <= 10, got {t_max}")
     horizon = 2 * t_max
     totals: dict[int, Fraction] = {}
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, TextIO
 
-from .rng import make_rng
+from .rng import _RangeError, make_rng
 
 MAX_SERIES_ROWS = 2_000_000
 
@@ -179,9 +179,9 @@ class TableState:
         seen: set[int] = set()
         for plate_id, olives in plates:
             if plate_id in seen:
-                raise ValueError(f"duplicate plate id {plate_id}")
+                raise _RangeError(f"duplicate plate id {plate_id}")
             if plate_id < 1 or olives < 0:
-                raise ValueError(f"bad plate ({plate_id}, {olives})")
+                raise _RangeError(f"bad plate ({plate_id}, {olives})")
             seen.add(plate_id)
             pos = len(state._ids)
             state._ids.append(plate_id)
@@ -424,11 +424,11 @@ def run_trajectory(
     Identical (t_max, seed, cadence) always reproduce the identical record.
     """
     if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+        raise _RangeError(f"t_max must be >= 1, got {t_max}")
     if cadence < 0:
-        raise ValueError(f"cadence must be >= 0, got {cadence}")
+        raise _RangeError(f"cadence must be >= 0, got {cadence}")
     if cadence and t_max // cadence > MAX_SERIES_ROWS:
-        raise ValueError(
+        raise _RangeError(
             f"cadence {cadence} over {t_max} steps would record "
             f"{t_max // cadence} rows (cap {MAX_SERIES_ROWS})"
         )

@@ -26,6 +26,15 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
+class _RangeError(ValueError):
+    """An argument outside the range a library function accepts.
+
+    The CLI maps this ``ValueError``, and no other, to its usage exit code,
+    so a fault inside the library is not reported as bad flags.  It is
+    defined here because ``rng`` imports no other module of the package.
+    """
+
+
 def splitmix64(x: int) -> int:
     """SplitMix64 finalizer: a bijective 64-bit mix of ``x``."""
     z = (x + _GOLDEN_GAMMA) & _MASK64
@@ -42,7 +51,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     so distinct replicas always receive distinct seeds.
     """
     if index < 0:
-        raise ValueError(f"replica index must be >= 0, got {index}")
+        raise _RangeError(f"replica index must be >= 0, got {index}")
     return splitmix64((master_seed + index * _GOLDEN_GAMMA) & _MASK64)
 
 

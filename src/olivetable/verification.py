@@ -20,7 +20,7 @@ import numpy as np
 __all__ = ["CheckResult", "build_checks", "run_suite", "suite_report"]
 
 from . import _lockstep, chain, ensemble, oracle, process
-from .rng import derive_seed, make_rng
+from .rng import _RangeError, derive_seed, make_rng
 
 
 @dataclass
@@ -292,7 +292,7 @@ def _check_seed_derivation(n: int) -> str:
 def build_checks(level: str) -> list[tuple[str, Callable[[], str | tuple[str, object]]]]:
     """(name, check) pairs; a check returns its detail, or (detail, report)."""
     if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+        raise _RangeError(f"level must be 'quick' or 'full', got {level!r}")
     full = level == "full"
     return [
         ("catalan_values", _check_catalan_values),

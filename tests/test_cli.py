@@ -385,6 +385,25 @@ def test_usage_errors_exit_one():
                      "--deltas", deltas]) == EXIT_USAGE
 
 
+def test_only_a_refused_argument_exits_one(monkeypatch, capsys):
+    assert main(["exact", "--t", "0"]) == EXIT_USAGE
+    assert main(["ensemble", "--t", "0", "--replicas", "3", "--seed", "1"]) == EXIT_USAGE
+    assert main(["sweep", "--t-list", "1000", "--replicas", "0", "--seed", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: t_max must be >= 1, got 0",
+        "error: t must be >= 1, got 0",
+        "error: replicas must be >= 1, got 0",
+    ]
+
+    # A ValueError from inside the library is a fault, not bad flags.
+    def broken(piles):
+        raise ValueError("broken pile moves")
+
+    monkeypatch.setattr(oracle, "_pile_moves", broken)
+    with pytest.raises(ValueError, match="^broken pile moves$"):
+        main(["exact", "--t", "5"])
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "olivetable" in capsys.readouterr().out

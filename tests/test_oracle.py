@@ -229,17 +229,24 @@ def _reference_law(state):
 def _assert_law_matches_reference(state):
     m_total, law = oracle._law(state)
     assert (m_total, law) == _reference_law(state), state
-    assert oracle._num_moves(state) == m_total, state
+    assert oracle._num_moves(state.num_plates, state.num_nonempty) == m_total, state
     for succ in law:
         assert type(succ) is CanonicalState and list(succ.others) == sorted(succ.others), (state, succ)
 
 
-def test_sliced_law_equals_reference_on_reachable_states():
+def _reachable_states(steps):
+    """Every canonical state the process can reach in ``steps`` steps, by
+    a BFS over ``_reference_law``."""
     reached = {EMPTY_TABLE}
     frontier = [EMPTY_TABLE]
-    for _ in range(14):  # every state the process can reach in 14 steps
+    for _ in range(steps):
         frontier = [s for s in {succ for state in frontier for succ in _reference_law(state)[1]} if s not in reached]
         reached.update(frontier)
+    return reached
+
+
+def test_sliced_law_equals_reference_on_reachable_states():
+    reached = _reachable_states(14)
     assert len(reached) == 1264
     for state in reached:
         _assert_law_matches_reference(state)
@@ -253,6 +260,39 @@ def test_sliced_law_equals_reference_on_reachable_states():
 def test_sliced_law_equals_reference_on_drawn_states(first, others):
     # Small counts make repeated and zero counts common.
     _assert_law_matches_reference(CanonicalState(first, tuple(sorted(others))))
+
+
+def _assert_pile_moves_match_reference(key):
+    """``_pile_moves(key)`` is the reference law of the multiset ``key``:
+    the law of a canonical state holding those counts, projected onto sorted
+    tuples with multiplicities kept, whichever count stands for plate 1."""
+    moves = oracle._pile_moves(key)
+    l = len(key)
+    assert sum(moves.values()) == 1 + l * (l - 1) // 2 + l + sum(v > 0 for v in key), key
+    assert min(moves.values()) >= 1, key
+    states = {CanonicalState(v, key[:i] + key[i + 1 :]) for i, v in enumerate(key)} or {EMPTY_TABLE}
+    for state in states:
+        projected: dict[tuple, int] = {}
+        for succ, k in _reference_law(state)[1].items():
+            projected[_multiset(succ)] = projected.get(_multiset(succ), 0) + k
+        assert moves == projected, (key, state)
+
+
+def test_pile_moves_equal_projected_reference_on_reachable_multisets():
+    assert oracle._pile_moves(()) == {(0,): 1}
+    # One empty plate has no pair to merge, so no merge entry at all.
+    assert oracle._pile_moves((0,)) == {(0, 0): 1, (1,): 1}
+    keys = {_multiset(state) for state in _reachable_states(14)}
+    assert len(keys) == 508 and () in keys and (0,) in keys
+    for key in keys:
+        _assert_pile_moves_match_reference(key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 30)), max_size=11))
+def test_pile_moves_equal_projected_reference_on_drawn_multisets(counts):
+    # Small counts make repeated and zero counts common.
+    _assert_pile_moves_match_reference(tuple(sorted(counts)))
 
 
 def test_state_distribution_equals_fraction_reference():
@@ -312,8 +352,8 @@ def test_budget_is_charged_before_any_successor_is_listed(budget, fail_step, sta
     assert _budget_overrun(budget) == (fail_step, state_count)
     expanded = sum(len(dist) for dist, _ in oracle._pushforward(fail_step - 2, budget))
     calls = []
-    law = oracle._law
-    monkeypatch.setattr(oracle, "_law", lambda state: calls.append(state) or law(state))
+    moves = oracle._pile_moves
+    monkeypatch.setattr(oracle, "_pile_moves", lambda key: calls.append(key) or moves(key))
     with pytest.raises(BudgetExceededError) as info:
         exact_olive_distribution(40, budget=budget)
     assert (info.value.step, info.value.state_count, info.value.budget) == (fail_step, state_count, budget)
