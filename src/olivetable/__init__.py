@@ -4,7 +4,6 @@ plates-and-olives process."""
 __version__ = "0.1.0"
 
 from .process import (
-    Plate,
     TableState,
     TrajectoryRecord,
     run_trajectory,
@@ -26,7 +25,6 @@ from .chain import (
 )
 from .oracle import (
     BudgetExceededError,
-    CanonicalState,
     enumerate_chain_paths,
     exact_expected_olives,
     exact_olive_distribution,
@@ -48,7 +46,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "__version__",
-    "Plate",
     "TableState",
     "TrajectoryRecord",
     "run_trajectory",
@@ -68,7 +65,6 @@ __all__ = [
     "EnsembleConfig",
     "run_ensemble",
     "BudgetExceededError",
-    "CanonicalState",
     "enumerate_chain_paths",
     "exact_expected_olives",
     "exact_olive_distribution",

@@ -219,7 +219,7 @@ def first_return_pmf_convolution(t: int) -> Fraction:
 
     Sums over i = number of gaps between consecutive visits to state 2:
     the excursion shapes contribute the Catalan i-fold convolution
-    [i/(2t-i-2)] * C(2t-i-2, t-1), the probabilities contribute
+    ``catalan_convolution_closed(t, i)``, the probabilities contribute
     (1/2)^(i+1) * (1/4)^(t-i-1) * (3/4)^(t-1).  The up-step exponent
     t-i-1 is validated against the DP (the published derivation prints
     t-i-2, which is the factor-of-4 discrepancy).
@@ -229,9 +229,8 @@ def first_return_pmf_convolution(t: int) -> Fraction:
     total = Fraction(0)
     powers_half = Fraction(1, 2)
     for i in range(1, t):
-        shapes = Fraction(i, 2 * t - i - 2) * math.comb(2 * t - i - 2, t - 1)
         prob = powers_half ** (i + 1) * Fraction(1, 4) ** (t - i - 1)
-        total += shapes * prob
+        total += catalan_convolution_closed(t, i) * prob
     return total * Fraction(3, 4) ** (t - 1)
 
 

@@ -337,6 +337,8 @@ def sweep(
     rows do not depend on ``replicas`` once it is at least
     SWEEP_GROWTH_REPLICAS.
     """
+    if not t_list:
+        raise _RangeError("sweep expects at least one horizon")
     if any(t < BOUND_ENFORCEMENT_MIN_T for t in t_list):
         raise _RangeError(f"sweep expects horizons t >= {BOUND_ENFORCEMENT_MIN_T}")
     if replicas < 1:

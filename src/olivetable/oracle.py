@@ -18,10 +18,13 @@ table whichever plate survives, and M reads only l and n_e, so that is the
 whole one-step law of the multiset and the chain on multisets is exactly
 lumpable (Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3).
 ``_law`` runs it on the non-first plates and adds plate 1's own moves,
-which gives the law of canonical states (the first plate's count plus the
-sorted multiset of the others) that the sampler check and anything that
-follows plate 1 need.  Lumping non-first plates is sound because the
-uniform move choice treats them exchangeably.
+which gives the law of canonical states that the sampler check and
+anything that follows plate 1 need.  A canonical state is the plain tuple
+``(first, others)`` of a table with at least one plate: the first plate's
+count and the ascending tuple of the others' counts.  The empty table needs
+no canonical form, because only the multiset layer starts from it.  Lumping
+non-first plates is sound because the uniform move choice treats them
+exchangeably.
 ``labeled_olive_distribution`` re-derives the same olive law from the
 fully labeled process (no lumping) to guard both lumpings.  Each
 successor's multiplicity counts the moves that reach it: a merge of plates
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterator, TextIO
 
 from .chain import ReturnTimePMF
 from .process import TableState
@@ -68,48 +71,15 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-class CanonicalState(NamedTuple):
-    """Process state up to relabeling of the non-first plates.
-
-    ``first`` is the olive count of the first plate (-1 encodes the empty
-    table, which only occurs at step 0); ``others`` is the ascending tuple
-    of the remaining plates' olive counts.
-    """
-
-    first: int
-    others: tuple[int, ...]
-
-    @property
-    def num_plates(self) -> int:
-        return (1 if self.first >= 0 else 0) + len(self.others)
-
-    @property
-    def total_olives(self) -> int:
-        return max(self.first, 0) + sum(self.others)
-
-    @property
-    def num_nonempty(self) -> int:
-        return (1 if self.first > 0 else 0) + sum(1 for o in self.others if o > 0)
-
-
-EMPTY_TABLE = CanonicalState(-1, ())
-
-# Builds a CanonicalState without the NamedTuple constructor's call overhead.
-_new = tuple.__new__
-
-
-def canonical_of(state: TableState) -> CanonicalState:
-    """Canonical form of a full process state.
-
-    The distinguished plate is the minimum-id plate (plate 1 in any state
-    evolved from the empty table).
-    """
+def canonical_of(state: TableState) -> tuple[int, tuple[int, ...]]:
+    """Canonical form ``(first, others)`` of a table with at least one plate:
+    the olive count of the distinguished plate, the minimum-id plate (plate
+    1 in any state evolved from the empty table), and the ascending tuple of
+    the other plates' counts."""
     ids = state._ids
-    if not ids:
-        return EMPTY_TABLE
     olives = state._olives
     p = ids.index(min(ids))
-    return CanonicalState(olives[p], tuple(sorted(olives[:p] + olives[p + 1 :])))
+    return olives[p], tuple(sorted(olives[:p] + olives[p + 1 :]))
 
 
 def _pile_moves(piles: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -168,8 +138,9 @@ def _num_moves(l: int, n_e: int) -> int:
     return 1 + l * (l - 1) // 2 + l + n_e
 
 
-def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
-    """Exact one-step law from a canonical state as ``(M, {successor: k})``.
+def _law(state: tuple[int, tuple[int, ...]]) -> tuple[int, dict[tuple[int, tuple[int, ...]], int]]:
+    """Exact one-step law from a canonical state ``(first, others)`` as
+    ``(M, {successor: k})``.
 
     The process picks one of M equally likely moves and ``k`` counts the
     moves that lead to each successor, so the multiplicities sum to M.  It
@@ -177,10 +148,7 @@ def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
     sampler and transition-mass checks read it.
     """
     first, others = state
-    if first < 0:
-        return 1, {CanonicalState(0, ()): 1}
-    S = CanonicalState
-    out = {_new(S, (first, succ)): k for succ, k in _pile_moves(others).items()}
+    out = {(first, succ): k for succ, k in _pile_moves(others).items()}
     # Plate 1 has the lowest id, so it survives every merge it joins: one
     # way per plate holding count v.  With v = 0 that is the successor the
     # merges among the others with an empty plate already reach.
@@ -189,12 +157,12 @@ def _law(state: CanonicalState) -> tuple[int, dict[CanonicalState, int]]:
     while lo < n:
         v = others[lo]
         hi = bisect_right(others, v, lo)
-        succ = _new(S, (first + v, others[:lo] + others[lo + 1 :]))
+        succ = (first + v, others[:lo] + others[lo + 1 :])
         out[succ] = out.get(succ, 0) + hi - lo
         lo = hi
-    out[_new(S, (first + 1, others))] = 1
+    out[first + 1, others] = 1
     if first > 0:
-        out[_new(S, (first - 1, others))] = 1
+        out[first - 1, others] = 1
     return _num_moves(n + 1, (first > 0) + n - bisect_right(others, 0)), out
 
 
@@ -296,7 +264,7 @@ def labeled_olive_distribution(t: int) -> dict[int, Fraction]:
     """Olive pmf from the fully labeled process: no canonicalization.
 
     States are (sorted (id, olives) tuples, next id).  Exponentially larger
-    than the canonical pushforward, so t is limited to 0 <= t <= 8 (a
+    than the multiset pushforward, so t is limited to 0 <= t <= 8 (a
     ValueError otherwise); used only to guard the lumping assumption.
     """
     if t < 0 or t > 8:

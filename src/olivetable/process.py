@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, TextIO
 
 from .rng import _RangeError, make_rng
 
@@ -66,13 +66,6 @@ def _in_band(olives, t: int) -> bool:
     at horizon ``t``, exactly and ends included."""
     lo, hi = C_BOUNDS
     return lo * t <= olives <= hi * t
-
-
-class Plate(NamedTuple):
-    """Immutable snapshot of one plate: birth id and olive count."""
-
-    id: int
-    olives: int
 
 
 class TableState:
@@ -121,8 +114,9 @@ class TableState:
         return len(self._ne_pos)
 
     @property
-    def plates(self) -> list[Plate]:
-        return [Plate(i, o) for i, o in zip(self._ids, self._olives)]
+    def plates(self) -> list[tuple[int, int]]:
+        """Every plate as an (id, olives) pair, in storage order."""
+        return list(zip(self._ids, self._olives))
 
     @property
     def first_plate_olives(self) -> int:

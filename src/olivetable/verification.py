@@ -126,11 +126,12 @@ def _check_transition_mass(n_states: int) -> str:
     rng = make_rng(20240917)
     for _ in range(n_states):
         n_others = rng.randrange(0, 6)
-        state = oracle.CanonicalState(
-            rng.randrange(0, 5), tuple(sorted(rng.randrange(0, 4) for _ in range(n_others)))
-        )
+        first = rng.randrange(0, 5)
+        others = tuple(sorted(rng.randrange(0, 4) for _ in range(n_others)))
+        state = (first, others)
         m_total, law = oracle._law(state)
-        l, n_e = state.num_plates, state.num_nonempty
+        # l and n_e from the state itself, not from oracle._num_moves.
+        l, n_e = 1 + n_others, (first > 0) + sum(o > 0 for o in others)
         assert m_total == 1 + l * (l - 1) // 2 + l + n_e, f"M = {m_total} is not the move count of {state}"
         assert sum(law.values()) == m_total, f"mass != 1 from {state}"
     return f"one-step law sums to 1 exactly from {n_states} random states"

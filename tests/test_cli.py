@@ -207,18 +207,20 @@ def test_verify_detects_a_broken_walk(monkeypatch, capsys, field):
 
 
 def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
-    # One wrong value of the Catalan convolution closed form fails that check;
-    # the JSON report is still written and holds the failing row.
+    # One wrong value of the Catalan convolution closed form fails that check,
+    # and the convolution route of the pmf, which is built on it, fails the
+    # triple agreement; the JSON report is still written and holds the
+    # failing row.
     real = chain.catalan_convolution_closed
     monkeypatch.setattr(
         chain, "catalan_convolution_closed", lambda t, i: real(t, i) + ((t, i) == (5, 2))
     )
     prefix = tmp_path / "report"
     assert main(["verify", "--level", "quick", "--out", str(prefix)]) == EXIT_CHECK_FAILED
-    assert "16/17 checks passed" in capsys.readouterr().out
+    assert "15/17 checks passed" in capsys.readouterr().out
     doc = _strict_loads((tmp_path / "report.verify.json").read_text())
     assert doc["all_passed"] is False
-    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["catalan_convolution"]
+    assert sorted(c["name"] for c in doc["checks"] if not c["pass"]) == ["catalan_convolution", "pmf_triple_agreement"]
     rows = doc["identities"]["catalan_convolution"]
     assert rows[-1] == {"t": 5, "i": 2, "value": chain.catalan_convolution_brute(5, 2), "pass": False}
     assert all(row["pass"] for row in rows[:-1])

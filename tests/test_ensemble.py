@@ -21,7 +21,7 @@ from olivetable.ensemble import (
     write_ensemble_csv,
 )
 from olivetable.process import run_trajectory
-from olivetable.rng import derive_seed
+from olivetable.rng import _RangeError, derive_seed
 
 CFG = EnsembleConfig(t=2000, replicas=12, master_seed=99)
 MID = EnsembleConfig(t=10_000, replicas=24, master_seed=7)
@@ -286,6 +286,14 @@ def test_sweep_equals_separate_reports():
     )
     with pytest.raises(ValueError):
         sweep([10], replicas=5, master_seed=0)
+
+
+def test_sweep_rejects_an_empty_horizon_list(monkeypatch):
+    # Refused with the library's range error before any replica is run.
+    monkeypatch.setattr(ensemble, "_run_replicas", lambda *args: pytest.fail("replicas were run"))
+    with pytest.raises(ValueError, match=r"^sweep expects at least one horizon$") as info:
+        sweep([], 3, 1)
+    assert type(info.value) is _RangeError
 
 
 SWEEP_T = [2000, 1000, 2000]  # unsorted, with a duplicate

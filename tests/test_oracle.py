@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from olivetable import oracle
 from olivetable.chain import first_return_pmf_dp
 from olivetable.oracle import (
-    EMPTY_TABLE,
     BudgetExceededError,
-    CanonicalState,
     canonical_of,
     enumerate_chain_paths,
     exact_expected_olives,
@@ -41,45 +39,53 @@ def _state_fractions(t):
 
 def _multiset(state):
     """The ascending tuple of every plate's count in a canonical state."""
-    return () if state == EMPTY_TABLE else tuple(sorted((state.first,) + state.others))
+    first, others = state
+    return tuple(sorted((first,) + others))
+
+
+def _plates_and_nonempty(state):
+    """(l, n_e): the plates and the non-empty plates of a canonical state."""
+    first, others = state
+    return 1 + len(others), (first > 0) + sum(o > 0 for o in others)
 
 
 def test_canonicalization():
-    assert canonical_of(TableState()) == EMPTY_TABLE
     state = TableState.from_plates([(1, 2), (2, 0), (3, 5), (4, 0)])
     canon = canonical_of(state)
-    assert canon == CanonicalState(2, (0, 0, 5))
-    assert canon.num_plates == 4
-    assert canon.total_olives == 7
-    assert canon.num_nonempty == 2
+    assert canon == (2, (0, 0, 5))
+    assert _plates_and_nonempty(canon) == (4, 2)
+    assert sum(_multiset(canon)) == 7
     # Without plate 1 the lowest id present is the distinguished plate.
-    assert canonical_of(TableState.from_plates([(3, 2), (2, 0), (5, 1)])) == CanonicalState(0, (1, 2))
+    assert canonical_of(TableState.from_plates([(3, 2), (2, 0), (5, 1)])) == (0, (1, 2))
 
 
 def test_transitions_from_empty_table():
-    assert _law_fractions(EMPTY_TABLE) == {CanonicalState(0, ()): Fraction(1)}
+    # The empty table's one move is the multiset layer's; from the one empty
+    # plate it leads to, M = 2: add a plate, or an olive onto plate 1.
+    assert oracle._pile_moves(()) == {(0,): 1}
+    assert oracle._law((0, ())) == (2, {(0, (0,)): 1, (1, ()): 1})
 
 
 def test_transitions_two_empty_plates():
-    law = _law_fractions(CanonicalState(0, (0,)))
+    law = _law_fractions((0, (0,)))
     assert law == {
-        CanonicalState(0, (0, 0)): QUARTER,   # add plate
-        CanonicalState(0, ()): QUARTER,       # merge
-        CanonicalState(1, (0,)): QUARTER,     # olive onto the first plate
-        CanonicalState(0, (1,)): QUARTER,     # olive onto the other plate
+        (0, (0, 0)): QUARTER,   # add plate
+        (0, ()): QUARTER,       # merge
+        (1, (0,)): QUARTER,     # olive onto the first plate
+        (0, (1,)): QUARTER,     # olive onto the other plate
     }
     # Aggregated over the first-plate distinction: one olive somewhere = 1/2.
-    one_olive = sum(p for s, p in law.items() if s.total_olives == 1)
+    one_olive = sum(p for s, p in law.items() if sum(_multiset(s)) == 1)
     assert one_olive == HALF
 
 
 def test_transitions_weight_multiset_multiplicities():
     # Three plates holding (first=0, others=(1, 1)): merging the two equal
     # others is one pair, merging first with either is two pairs.
-    law = _law_fractions(CanonicalState(0, (1, 1)))
+    law = _law_fractions((0, (1, 1)))
     m = 1 + 3 + 3 + 2  # M = 9
-    assert law[CanonicalState(0, (2,))] == Fraction(1, m)
-    assert law[CanonicalState(1, (1,))] == Fraction(2, m)
+    assert law[0, (2,)] == Fraction(1, m)
+    assert law[1, (1,)] == Fraction(2, m)
     assert sum(law.values(), Fraction(0)) == 1
 
 
@@ -87,7 +93,7 @@ def test_transition_mass_sums_to_one_for_random_states():
     rng = make_rng(864)
     for _ in range(300):
         n_others = rng.randrange(0, 6)
-        state = CanonicalState(
+        state = (
             rng.randrange(0, 5),
             tuple(sorted(rng.randrange(0, 4) for _ in range(n_others))),
         )
@@ -98,8 +104,8 @@ def test_transition_mass_sums_to_one_for_random_states():
 
 def test_transitions_from_table_state():
     law = _law_fractions(canonical_of(TableState.from_plates([(1, 0), (2, 0)])))
-    assert law[CanonicalState(0, ())] == QUARTER
-    assert _law_fractions(canonical_of(TableState())) == {CanonicalState(0, ()): Fraction(1)}
+    assert law[0, ()] == QUARTER
+    assert _law_fractions(canonical_of(TableState.from_plates([(1, 0)]))) == {(0, (0,)): HALF, (1, ()): HALF}
 
 
 def test_exact_olive_distribution_small_t():
@@ -161,25 +167,24 @@ class _Draw:
 
 def _table_of(state):
     """A labeled table in the canonical state: plate 1 first, then the others."""
-    if state == EMPTY_TABLE:
-        return TableState()
-    return TableState.from_plates([(1, state.first)] + [(i + 2, o) for i, o in enumerate(state.others)])
+    first, others = state
+    return TableState.from_plates([(1, first)] + [(i + 2, o) for i, o in enumerate(others)])
 
 
 def test_integer_law_matches_kernel_on_reachable_states():
-    reached = {EMPTY_TABLE}
-    frontier = [EMPTY_TABLE]
-    for _ in range(10):  # every canonical state the process can reach in 10 steps
+    reached = {(0, ())}
+    frontier = [(0, ())]
+    for _ in range(9):  # every canonical state the process can reach in 1..10 steps
         frontier = [s for s in {succ for state in frontier for succ in oracle._law(state)[1]} if s not in reached]
         reached.update(frontier)
-    assert len(reached) == 285
+    assert len(reached) == 284
     for state in reached:
         m_total, law = oracle._law(state)
-        l = state.num_plates
-        assert m_total == 1 + l * (l - 1) // 2 + l + state.num_nonempty
+        l, n_e = _plates_and_nonempty(state)
+        assert m_total == 1 + l * (l - 1) // 2 + l + n_e
         assert sum(law.values()) == m_total and min(law.values()) >= 1
         # Every one of the M moves, decoded by the production kernel.
-        kernel: dict[CanonicalState, int] = {}
+        kernel: dict[tuple, int] = {}
         for u in range(m_total):
             succ = canonical_of(step(_table_of(state), _Draw(u)))
             kernel[succ] = kernel.get(succ, 0) + 1
@@ -191,8 +196,6 @@ def _reference_law(state):
     successor from a list copy with ``list.remove`` and ``insort``, equal
     successors merged through a dict.  Shares no code with ``oracle._law``."""
     first, others = state
-    if first < 0:
-        return 1, {CanonicalState(0, ()): 1}
     out = {}
 
     def add(succ, k=1):
@@ -207,39 +210,39 @@ def _reference_law(state):
         return tuple(rest)
 
     groups = list(Counter(others).items())
-    add(CanonicalState(first, (0,) + others))
+    add((first, (0,) + others))
     for i, (v, c) in enumerate(groups):
-        add(CanonicalState(first + v, swap((v,))), c)
+        add((first + v, swap((v,))), c)
         if c > 1:
-            add(CanonicalState(first, swap((v, v), 2 * v)), c * (c - 1) // 2)
+            add((first, swap((v, v), 2 * v)), c * (c - 1) // 2)
         for w, d in groups[i + 1 :]:
-            add(CanonicalState(first, swap((v, w), v + w)), c * d)
-    add(CanonicalState(first + 1, others))
+            add((first, swap((v, w), v + w)), c * d)
+    add((first + 1, others))
     for v, c in groups:
-        add(CanonicalState(first, swap((v,), v + 1)), c)
+        add((first, swap((v,), v + 1)), c)
     if first > 0:
-        add(CanonicalState(first - 1, others))
+        add((first - 1, others))
     for v, c in groups:
         if v > 0:
-            add(CanonicalState(first, swap((v,), v - 1)), c)
-    l = state.num_plates
-    return 1 + l * (l - 1) // 2 + l + state.num_nonempty, out
+            add((first, swap((v,), v - 1)), c)
+    l, n_e = _plates_and_nonempty(state)
+    return 1 + l * (l - 1) // 2 + l + n_e, out
 
 
 def _assert_law_matches_reference(state):
     m_total, law = oracle._law(state)
     assert (m_total, law) == _reference_law(state), state
-    assert oracle._num_moves(state.num_plates, state.num_nonempty) == m_total, state
+    assert oracle._num_moves(*_plates_and_nonempty(state)) == m_total, state
     for succ in law:
-        assert type(succ) is CanonicalState and list(succ.others) == sorted(succ.others), (state, succ)
+        assert type(succ) is tuple and len(succ) == 2 and list(succ[1]) == sorted(succ[1]), (state, succ)
 
 
 def _reachable_states(steps):
-    """Every canonical state the process can reach in ``steps`` steps, by
-    a BFS over ``_reference_law``."""
-    reached = {EMPTY_TABLE}
-    frontier = [EMPTY_TABLE]
-    for _ in range(steps):
+    """Every canonical state the process can reach in 1..``steps`` steps, by
+    a BFS over ``_reference_law`` from the one empty plate of step 1."""
+    reached = {(0, ())}
+    frontier = [(0, ())]
+    for _ in range(steps - 1):
         frontier = [s for s in {succ for state in frontier for succ in _reference_law(state)[1]} if s not in reached]
         reached.update(frontier)
     return reached
@@ -247,7 +250,7 @@ def _reachable_states(steps):
 
 def test_sliced_law_equals_reference_on_reachable_states():
     reached = _reachable_states(14)
-    assert len(reached) == 1264
+    assert len(reached) == 1263
     for state in reached:
         _assert_law_matches_reference(state)
 
@@ -259,7 +262,7 @@ def test_sliced_law_equals_reference_on_reachable_states():
 )
 def test_sliced_law_equals_reference_on_drawn_states(first, others):
     # Small counts make repeated and zero counts common.
-    _assert_law_matches_reference(CanonicalState(first, tuple(sorted(others))))
+    _assert_law_matches_reference((first, tuple(sorted(others))))
 
 
 def _assert_pile_moves_match_reference(key):
@@ -270,7 +273,10 @@ def _assert_pile_moves_match_reference(key):
     l = len(key)
     assert sum(moves.values()) == 1 + l * (l - 1) // 2 + l + sum(v > 0 for v in key), key
     assert min(moves.values()) >= 1, key
-    states = {CanonicalState(v, key[:i] + key[i + 1 :]) for i, v in enumerate(key)} or {EMPTY_TABLE}
+    if not key:
+        # The empty table has no canonical state: its one move is a new plate.
+        assert moves == {(0,): 1}
+    states = {(v, key[:i] + key[i + 1 :]) for i, v in enumerate(key)}
     for state in states:
         projected: dict[tuple, int] = {}
         for succ, k in _reference_law(state)[1].items():
@@ -283,7 +289,7 @@ def test_pile_moves_equal_projected_reference_on_reachable_multisets():
     # One empty plate has no pair to merge, so no merge entry at all.
     assert oracle._pile_moves((0,)) == {(0, 0): 1, (1,): 1}
     keys = {_multiset(state) for state in _reachable_states(14)}
-    assert len(keys) == 508 and () in keys and (0,) in keys
+    assert len(keys) == 507 and (0,) in keys
     for key in keys:
         _assert_pile_moves_match_reference(key)
 
@@ -299,9 +305,11 @@ def test_state_distribution_equals_fraction_reference():
     # A plain Fraction pushforward of canonical states over ``_law_fractions``,
     # sharing nothing with the integer numerators and common denominator of
     # ``_advance``, then projected onto multisets: a check across the two
-    # lumpings.
-    ref = {EMPTY_TABLE: Fraction(1)}
-    for t in range(0, 13):
+    # lumpings.  Step 0 is the empty table; step 1 its one empty plate.
+    assert _state_fractions(0) == {(): Fraction(1)}
+    assert labeled_olive_distribution(0) == {0: Fraction(1)}
+    ref = {(0, ()): Fraction(1)}
+    for t in range(1, 13):
         projected: dict[tuple, Fraction] = {}
         for state, p in ref.items():
             key = _multiset(state)
@@ -310,9 +318,10 @@ def test_state_distribution_equals_fraction_reference():
         if t <= 6:
             pmf: dict[int, Fraction] = {}
             for state, p in ref.items():
-                pmf[state.total_olives] = pmf.get(state.total_olives, Fraction(0)) + p
+                o = sum(_multiset(state))
+                pmf[o] = pmf.get(o, Fraction(0)) + p
             assert pmf == labeled_olive_distribution(t), t
-        nxt: dict[CanonicalState, Fraction] = {}
+        nxt: dict[tuple, Fraction] = {}
         for state, p in ref.items():
             for succ, q in _law_fractions(state).items():
                 nxt[succ] = nxt.get(succ, Fraction(0)) + p * q

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olivetable import process, verification
-from olivetable.oracle import _law, canonical_of
+from olivetable.oracle import _law, _pile_moves, canonical_of
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
@@ -89,16 +89,22 @@ def test_move_counts_formula(plates, expected):
 def test_step_decode_matches_exact_law(plates):
     # Every u in [0, M) through the kernel: the successors, weighted 1/M each,
     # are exactly the lumped one-step law, and the lowest id always survives.
+    # The empty table has no canonical state, so its successors are lumped
+    # onto sorted plate counts and compared with the multiset layer's law.
     base = TableState.from_plates(plates)
     m_total = 1 + base.num_plates * (base.num_plates - 1) // 2 + base.num_plates + base.num_nonempty
     law = {}
     for u in range(m_total):
         trial = _step_with(base.copy(), u)
         trial.check_invariants()
-        assert min(p.id for p in trial.plates) == min((i for i, _ in plates), default=1)
-        key = canonical_of(trial)
+        assert min(i for i, _ in trial.plates) == min((i for i, _ in plates), default=1)
+        key = canonical_of(trial) if plates else tuple(sorted(o for _, o in trial.plates))
         law[key] = law.get(key, 0) + Fraction(1, m_total)
-    m_law, counts = _law(canonical_of(base))
+    if plates:
+        m_law, counts = _law(canonical_of(base))
+    else:
+        counts = _pile_moves(())
+        m_law = sum(counts.values())
     assert m_law == m_total and law == {succ: Fraction(k, m_total) for succ, k in counts.items()}
 
 
@@ -233,7 +239,7 @@ def test_accounting_identity_and_structure_hold(seed, t):
         state = step(state, rng)
         assert state.total_olives == state.t - state.plate_moves - 2 * state.c_remove_olive
         assert state.num_plates >= 1, "table re-emptied"
-        assert min(p.id for p in state.plates) == 1, "first plate lost"
+        assert min(i for i, _ in state.plates) == 1, "first plate lost"
     state.check_invariants()
 
 
@@ -384,7 +390,7 @@ def test_max_other_olives_tracks_non_first_plates():
     for _ in range(t):
         state = step(state, rng)
         max_other = max(
-            max_other, max((p.olives for p in state.plates if p.id != 1), default=0)
+            max_other, max((o for i, o in state.plates if i != 1), default=0)
         )
     assert rec.final_state.max_other_olives == state.max_other_olives == max_other
     assert rec.final_state.first_plate_olives == state.first_plate_olives

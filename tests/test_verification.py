@@ -132,6 +132,34 @@ def test_verify_fails_on_a_skewed_law(skewed_law, capsys):
     assert any(line.startswith("PASS") and "transition_mass" in line for line in lines)
 
 
+def _over_counted(m_total, law):
+    # One move too many in M; the multiplicities are untouched.
+    return m_total + 1, law
+
+
+def _one_move_dropped(m_total, law):
+    # One unit of multiplicity gone from the first successor; M is untouched.
+    law = dict(law)
+    succ = next(iter(law))
+    law[succ] -= 1
+    return m_total, law
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_over_counted, r"^M = \d+ is not the move count of "), (_one_move_dropped, r"^mass != 1 from ")],
+    ids=["M-plus-one", "one-move-dropped"],
+)
+def test_transition_mass_fails_on_a_corrupt_law(corrupt, message, monkeypatch, capsys):
+    real = oracle._law
+    monkeypatch.setattr(oracle, "_law", lambda state: corrupt(*real(state)))
+    with pytest.raises(AssertionError, match=message):
+        verification._check_transition_mass(50)
+    assert main(["verify", "--level", "quick"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL") and line.split()[1] == "transition_mass" for line in lines)
+
+
 def test_suite_report_structure():
     results = run_suite("quick")
     doc = suite_report(results, "quick")
