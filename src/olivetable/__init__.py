@@ -10,8 +10,6 @@ from .process import (
     step,
 )
 from .chain import (
-    ReturnTimePMF,
-    StationaryDist,
     WalkRunStats,
     catalan,
     first_return_cdf,
@@ -50,8 +48,6 @@ __all__ = [
     "TrajectoryRecord",
     "run_trajectory",
     "step",
-    "ReturnTimePMF",
-    "StationaryDist",
     "WalkRunStats",
     "catalan",
     "first_return_cdf",

@@ -26,9 +26,8 @@ N11(t) >= t/19, which the validated values satisfy a fortiori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import NamedTuple, Optional, TextIO
 
 from .process import Z99
 from .rng import _RangeError, make_rng
@@ -51,65 +50,7 @@ class VerificationError(AssertionError):
         self.report = report
 
 
-@dataclass
-class ReturnTimePMF:
-    """Exact first-return-time mass: entries[2t] = Pr(T = 2t), 2t <= horizon.
-
-    ``horizon`` is the largest even return time computed.  Odd times carry
-    no mass (the walk changes parity every step), every entry lies in
-    (0, 1) and the partial sums increase strictly toward 1.
-    """
-
-    entries: dict[int, Fraction]
-    horizon: int
-
-    def mass(self, time: int) -> Fraction:
-        return self.entries.get(time, Fraction(0))
-
-    def check_invariants(self) -> None:
-        total = Fraction(0)
-        for time in sorted(self.entries):
-            assert time % 2 == 0 and time >= 2, f"mass at bad time {time}"
-            p = self.entries[time]
-            assert 0 < p < 1
-            total += p
-            assert total <= 1
-        assert self.horizon % 2 == 0
-        assert max(self.entries, default=0) <= self.horizon
-
-
-@dataclass
-class StationaryDist:
-    """Truncated exact stationary distribution of the walk.
-
-    The tail beyond k_max is geometric with ratio 1/3, so
-    sum(pi) + tail_mass == 1 exactly.
-    """
-
-    pi: dict[int, Fraction]
-    k_max: int
-
-    @property
-    def tail_mass(self) -> Fraction:
-        # sum_{k > k_max} pi[k] = pi[k_max] * (1/3) / (1 - 1/3)
-        return self.pi[self.k_max] / 2
-
-    def check_invariants(self) -> None:
-        assert all(p > 0 for p in self.pi.values())
-        assert sum(self.pi.values(), Fraction(0)) + self.tail_mass == 1
-        # Balance equations at every interior state (needs pi[k_max + 1]
-        # from the geometric tail for the last one).
-        pi = dict(self.pi)
-        pi[self.k_max + 1] = pi[self.k_max] / 3
-        assert pi[1] == pi[2] / 2
-        assert pi[2] == pi[1] + Fraction(3, 4) * pi[3]
-        assert pi[3] == pi[2] / 2 + Fraction(3, 4) * pi[4]
-        for k in range(4, self.k_max):
-            assert pi[k] == Fraction(1, 4) * pi[k - 1] + Fraction(3, 4) * pi[k + 1]
-
-
-@dataclass
-class WalkRunStats:
+class WalkRunStats(NamedTuple):
     """Outcome of one simulated walk of ``steps`` moves from state 1.
 
     The return durations d_1..d_n11 are kept only as exact integer moments:
@@ -131,14 +72,16 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def first_return_pmf_dp(t_max: int) -> ReturnTimePMF:
+def first_return_pmf_dp(t_max: int) -> dict[int, Fraction]:
     """Exact rational f(2t) for t = 1..t_max by forward dynamic programming.
 
-    Propagates the sub-probability distribution over states >= 2 of walks
-    that have not yet returned; the mass flowing into state 1 at step 2t is
-    f(2t).  States that cannot reach 1 within the horizon are pruned, which
-    keeps the state space within 2..t_max+2 without any approximation.
-    This is the module's ground truth.
+    Returns ``{2t: Pr(T = 2t)}`` for 1 <= t <= t_max in increasing order of
+    time: odd times carry no mass (the walk changes parity every step), so
+    they have no key.  Propagates the sub-probability distribution over
+    states >= 2 of walks that have not yet returned; the mass flowing into
+    state 1 at step 2t is f(2t).  States that cannot reach 1 within the
+    horizon are pruned, which keeps the state space within 2..t_max+2
+    without any approximation.  This is the module's ground truth.
     """
     if t_max < 1:
         raise _RangeError(f"t_max must be >= 1, got {t_max}")
@@ -167,7 +110,7 @@ def first_return_pmf_dp(t_max: int) -> ReturnTimePMF:
         if returned:
             entries[s] = returned
         dist = nxt
-    return ReturnTimePMF(entries=entries, horizon=horizon)
+    return entries
 
 
 def first_return_pmf_closed(t: int) -> Fraction:
@@ -295,11 +238,14 @@ def mean_return_time_series(t_max: int) -> tuple[Fraction, Fraction]:
     return total, tail_bound
 
 
-def stationary_distribution(k_max: int) -> StationaryDist:
+def stationary_distribution(k_max: int) -> dict[int, Fraction]:
     """Exact stationary vector by detailed balance, truncated at k_max.
 
-    pi_2 = 2 pi_1, pi_3 = (4/3) pi_1, and pi_{k+1} = pi_k / 3 for k >= 3;
-    the normalization is pi_1 * (1 + 2 + (4/3) * (3/2)) = 5 pi_1 = 1.
+    Returns ``{k: pi_k}`` for 1 <= k <= k_max.  pi_2 = 2 pi_1,
+    pi_3 = (4/3) pi_1, and pi_{k+1} = pi_k / 3 for k >= 3; the
+    normalization is pi_1 * (1 + 2 + (4/3) * (3/2)) = 5 pi_1 = 1.  The tail
+    beyond k_max is geometric with ratio 1/3, so it holds pi[k_max] / 2 and
+    the returned values sum to 1 - pi[k_max] / 2.
     """
     if k_max < 3:
         raise _RangeError(f"k_max must be >= 3, got {k_max}")
@@ -307,7 +253,7 @@ def stationary_distribution(k_max: int) -> StationaryDist:
     pi = {1: pi1, 2: 2 * pi1, 3: Fraction(4, 3) * pi1}
     for k in range(4, k_max + 1):
         pi[k] = pi[k - 1] / 3
-    return StationaryDist(pi=pi, k_max=k_max)
+    return pi
 
 
 def mean_return_time_stationary() -> Fraction:
@@ -316,7 +262,7 @@ def mean_return_time_stationary() -> Fraction:
     Evaluates to exactly 5.  The published claim of 19 is reported beside
     this value (see chain_report), never asserted.
     """
-    return 1 / stationary_distribution(3).pi[1]
+    return 1 / stationary_distribution(3)[1]
 
 
 def simulate_walk(t: int, seed: int) -> WalkRunStats:

@@ -239,6 +239,11 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # The checks are assert statements, which python -O strips: every check
+    # would pass whatever the code computes.
+    if not __debug__:
+        print("error: verify needs assert statements; run it without python -O", file=sys.stderr)
+        return EXIT_USAGE
     from . import verification
 
     start = time.perf_counter()

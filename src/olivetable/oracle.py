@@ -8,8 +8,9 @@ Two independent exact engines:
   over one common denominator and builds a ``Fraction`` only for what it
   returns, and
 * exhaustive path enumeration for the auxiliary walk's first-return time,
-  deliberately sharing no code with the dynamic program in
-  :mod:`olivetable.chain` that it cross-checks.
+  deliberately sharing neither code nor types with the dynamic program in
+  :mod:`olivetable.chain` that it cross-checks: both return a plain
+  ``{2t: Fraction}`` dict, and this module imports nothing from ``chain``.
 
 One function lists moves: ``_pile_moves`` takes an ascending tuple of
 plate counts and lists every move among those plates.  The pushforward runs
@@ -39,7 +40,6 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterator, TextIO
 
-from .chain import ReturnTimePMF
 from .process import TableState
 from .rng import _RangeError
 
@@ -308,10 +308,12 @@ def labeled_olive_distribution(t: int) -> dict[int, Fraction]:
 # -- walk path enumeration ---------------------------------------------------
 
 
-def enumerate_chain_paths(t_max: int) -> ReturnTimePMF:
+def enumerate_chain_paths(t_max: int) -> dict[int, Fraction]:
     """First-return pmf by explicit enumeration of every walk path.
 
-    Sums the probability of each path 1 -> 2 -> ... -> 2 -> 1 of length
+    Returns ``{2t: Pr(T = 2t)}`` for 1 <= t <= t_max in increasing order of
+    time, the same shape as ``chain.first_return_pmf_dp``.  Sums the
+    probability of each path 1 -> 2 -> ... -> 2 -> 1 of length
     2t <= 2*t_max that avoids state 1 in the interior.  Path probabilities
     are products of 1/2, 3/4 and 1/4, tracked as exact 3^a / 2^b pairs.
     Exponential in t_max, so t_max is limited to 1 <= t_max <= 10 (a
@@ -342,8 +344,7 @@ def enumerate_chain_paths(t_max: int) -> ReturnTimePMF:
             up = state + 1
             if up - 1 <= remaining - 1:
                 stack.append((up, step_count + 1, pow3, pow2 + 2))
-    entries = dict(sorted(totals.items()))
-    return ReturnTimePMF(entries=entries, horizon=horizon)
+    return dict(sorted(totals.items()))
 
 
 # -- CSV emission -------------------------------------------------------------

@@ -40,10 +40,9 @@ the ensemble's one row builder gives bit-identical rows either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .rng import _RangeError, make_rng
 
@@ -217,8 +216,7 @@ class TableState:
         assert all(o <= self.max_other_olives for i, o in zip(self._ids, self._olives) if i != 1)
 
 
-@dataclass
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Everything one trajectory run reports, in O(1) memory in ``t_max``.
 
     Every count, plate 1's olives included, is read off ``final_state``;

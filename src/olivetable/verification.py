@@ -51,18 +51,49 @@ def _check_catalan_values() -> str:
     return "closed form matches the convolution recurrence to k = 30"
 
 
+def _assert_return_pmf(pmf: dict[int, Fraction], horizon: int) -> None:
+    """A first-return pmf ``{2t: Pr(T = 2t)}`` computed up to time ``horizon``:
+    mass only at even times 2 <= 2t <= horizon, every entry in (0, 1), and
+    partial sums that never pass 1."""
+    total = Fraction(0)
+    for time in sorted(pmf):
+        assert time % 2 == 0 and time >= 2, f"mass at bad time {time}"
+        p = pmf[time]
+        assert 0 < p < 1
+        total += p
+        assert total <= 1
+    assert horizon % 2 == 0
+    assert max(pmf, default=0) <= horizon
+
+
+def _assert_stationary(pi: dict[int, Fraction], k_max: int) -> None:
+    """The walk's stationary vector truncated at ``k_max``: positive, summing
+    to 1 with its geometric tail pi[k_max] / 2, and balanced at every
+    interior state."""
+    assert all(p > 0 for p in pi.values())
+    assert sum(pi.values(), Fraction(0)) + pi[k_max] / 2 == 1
+    # Balance equations at every interior state (needs pi[k_max + 1]
+    # from the geometric tail for the last one).
+    pi = {**pi, k_max + 1: pi[k_max] / 3}
+    assert pi[1] == pi[2] / 2
+    assert pi[2] == pi[1] + Fraction(3, 4) * pi[3]
+    assert pi[3] == pi[2] / 2 + Fraction(3, 4) * pi[4]
+    for k in range(4, k_max):
+        assert pi[k] == Fraction(1, 4) * pi[k - 1] + Fraction(3, 4) * pi[k + 1]
+
+
 def _check_pmf_triple(t_hi: int) -> str:
     pmf = chain.first_return_pmf_dp(t_hi)
-    pmf.check_invariants()
-    assert pmf.mass(2) == Fraction(1, 2)
-    assert pmf.mass(4) == Fraction(3, 16)
-    assert pmf.mass(6) == Fraction(27, 256)
+    _assert_return_pmf(pmf, 2 * t_hi)
+    assert pmf.get(2, 0) == Fraction(1, 2)
+    assert pmf.get(4, 0) == Fraction(3, 16)
+    assert pmf.get(6, 0) == Fraction(27, 256)
     for t in range(1, t_hi + 1):
         closed = chain.first_return_pmf_closed(t)
-        assert closed == pmf.mass(2 * t), f"closed form != DP at t={t}"
+        assert closed == pmf.get(2 * t, 0), f"closed form != DP at t={t}"
         if t >= 2:
             conv = chain.first_return_pmf_convolution(t)
-            assert conv == pmf.mass(2 * t), f"convolution != DP at t={t}"
+            assert conv == pmf.get(2 * t, 0), f"convolution != DP at t={t}"
     return f"DP = closed form = convolution exactly for t <= {t_hi}"
 
 
@@ -77,9 +108,8 @@ def _check_pmf_published_ratio(t_hi: int) -> tuple[str, list]:
 
 def _check_path_enumeration(t_hi: int) -> str:
     enum = oracle.enumerate_chain_paths(t_hi)
-    enum.check_invariants()
-    dp = chain.first_return_pmf_dp(t_hi)
-    assert enum.entries == dp.entries, "path enumeration disagrees with DP"
+    _assert_return_pmf(enum, 2 * t_hi)
+    assert enum == chain.first_return_pmf_dp(t_hi), "path enumeration disagrees with DP"
     return f"exhaustive path enumeration matches the DP for t <= {t_hi}"
 
 
@@ -97,8 +127,7 @@ def _check_mean_return(t_hi: int) -> str:
     value, tail = chain.mean_return_time_series(t_hi)
     stationary = chain.mean_return_time_stationary()
     assert value <= stationary <= value + tail, "stationary value not in series interval"
-    dist = chain.stationary_distribution(60)
-    dist.check_invariants()
+    _assert_stationary(chain.stationary_distribution(60), 60)
     return (
         f"series interval width {float(tail):.2e} contains 1/pi_1 = {stationary} "
         f"(published claim: {chain.PUBLISHED_MEAN_RETURN})"

@@ -59,11 +59,11 @@ def test_criterion_01_pmf_triple_agreement():
     start = time.perf_counter()
     dp = first_return_pmf_dp(30)
     for t in range(2, 31):
-        assert first_return_pmf_closed(t) == dp.mass(2 * t), f"closed != DP at t={t}"
-        assert first_return_pmf_convolution(t) == dp.mass(2 * t), f"conv != DP at t={t}"
+        assert first_return_pmf_closed(t) == dp.get(2 * t, 0), f"closed != DP at t={t}"
+        assert first_return_pmf_convolution(t) == dp.get(2 * t, 0), f"conv != DP at t={t}"
     enum = enumerate_chain_paths(10)
     for t in range(1, 11):
-        assert enum.mass(2 * t) == dp.mass(2 * t), f"paths != DP at t={t}"
+        assert enum.get(2 * t, 0) == dp.get(2 * t, 0), f"paths != DP at t={t}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(1, f"DP = closed = convolution (t <= 30) = path enumeration (t <= 10), {elapsed:.2f}s")

@@ -28,6 +28,7 @@ from olivetable.chain import (
     write_chain_csv,
 )
 from olivetable.process import Z99
+from olivetable.verification import _assert_return_pmf, _assert_stationary
 from olivetable.rng import make_rng
 
 
@@ -166,19 +167,19 @@ def test_walk_return_moments_cover_the_validated_pmf(million_returns):
 
 def test_dp_pmf_hand_values():
     pmf = first_return_pmf_dp(10)
-    pmf.check_invariants()
-    assert pmf.mass(2) == Fraction(1, 2)
-    assert pmf.mass(4) == Fraction(3, 16)   # the single path 1-2-3-2-1
-    assert pmf.mass(6) == Fraction(27, 256)  # 9/128 + 9/256
+    _assert_return_pmf(pmf, 20)
+    assert pmf.get(2, 0) == Fraction(1, 2)
+    assert pmf.get(4, 0) == Fraction(3, 16)   # the single path 1-2-3-2-1
+    assert pmf.get(6, 0) == Fraction(27, 256)  # 9/128 + 9/256
     assert Fraction(9, 128) + Fraction(9, 256) == Fraction(27, 256)
-    assert pmf.mass(3) == 0 and pmf.mass(5) == 0  # parity
-    assert all(t % 2 == 0 for t in pmf.entries)
+    assert pmf.get(3, 0) == 0 and pmf.get(5, 0) == 0  # parity
+    assert all(t % 2 == 0 for t in pmf)
 
 
 def test_closed_form_matches_dp_exactly():
     pmf = first_return_pmf_dp(30)
     for t in range(1, 31):
-        assert first_return_pmf_closed(t) == pmf.mass(2 * t), t
+        assert first_return_pmf_closed(t) == pmf.get(2 * t, 0), t
     with pytest.raises(ValueError):
         first_return_pmf_closed(0)
 
@@ -186,7 +187,7 @@ def test_closed_form_matches_dp_exactly():
 def test_convolution_matches_dp_exactly():
     pmf = first_return_pmf_dp(30)
     for t in range(2, 31):
-        assert first_return_pmf_convolution(t) == pmf.mass(2 * t), t
+        assert first_return_pmf_convolution(t) == pmf.get(2 * t, 0), t
     with pytest.raises(ValueError):
         first_return_pmf_convolution(1)
 
@@ -233,9 +234,8 @@ def test_mean_return_series_and_stationary_agree():
 
 
 def test_stationary_distribution_structure():
-    dist = stationary_distribution(40)
-    dist.check_invariants()
-    pi = dist.pi
+    pi = stationary_distribution(40)
+    _assert_stationary(pi, 40)
     assert pi[1] == Fraction(1, 5)
     assert pi[2] == 2 * pi[1]
     assert pi[3] == Fraction(4, 3) * pi[1]

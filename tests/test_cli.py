@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -198,12 +197,14 @@ def test_verify_detects_a_broken_walk(monkeypatch, capsys, field):
 
     def broken(t, seed):
         stats = real(t, seed)
-        return dataclasses.replace(stats, **{field: getattr(stats, field) + 1})
+        return stats._replace(**{field: getattr(stats, field) + 1})
 
     monkeypatch.setattr(chain, "simulate_walk", broken)
     assert main(["verify", "--level", "quick"]) == EXIT_CHECK_FAILED
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and "walk_structure" in failed[0]
+    # A parity assert failed; the check did not crash on the patched stats.
+    assert failed[0].endswith(")  AssertionError"), failed[0]
 
 
 def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
@@ -338,10 +339,11 @@ def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["within_bounds"] is inside
 
 
-def _traced_payload_equals_plain(argv, suffix, tmp_path):
+def _traced_payload_equals_plain(argv, suffix, tmp_path, pools=True):
     """Run the CLI plainly and through the benchmark's tracer, which wraps
     ensemble._run_chunk and unpacks each pool task as (_, lo, hi, _): the
-    payloads must be equal, and with two usable CPUs the traced run pools."""
+    payloads must be equal, and with two usable CPUs a command that
+    ``pools`` must start a pool in the traced run.  Returns the trace."""
     assert main([*argv, "--out", str(tmp_path / "plain")]) == EXIT_OK
     root = Path(__file__).resolve().parents[1]
     src = str(Path(olivetable.__file__).resolve().parents[1])
@@ -360,8 +362,10 @@ def _traced_payload_equals_plain(argv, suffix, tmp_path):
         _strip_volatile(_strict_loads((tmp_path / f"{name}{suffix}").read_text())) for name in ("plain", "traced")
     )
     assert traced == plain
-    if ensemble._usable_cpus() > 1:
-        assert json.loads(trace.read_text())["workers"], "the traced run did not pool"
+    doc = json.loads(trace.read_text())
+    if pools and ensemble._usable_cpus() > 1:
+        assert doc["workers"], "the traced run did not pool"
+    return doc
 
 
 def test_traced_harness_runs_a_pooled_sweep(tmp_path):
@@ -376,6 +380,21 @@ def test_traced_harness_runs_a_pooled_lockstep_ensemble(tmp_path):
     argv = ["ensemble", "--t", "12", "--replicas", "100000", "--seed", "4", "--threads", "2"]
     _traced_payload_equals_plain(argv, ".summary.json", tmp_path)
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_traced_harness_runs_chain(tmp_path):
+    # The tracer reads the walk's step count off simulate_walk's result.
+    argv = ["chain", "--t-max", "8", "--simulate-steps", "1000", "--seed", "1"]
+    trace = _traced_payload_equals_plain(argv, ".report.json", tmp_path, pools=False)
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert trace["counters"]["chain.walk_steps"] == 1000
+
+
+def test_traced_harness_runs_simulate(tmp_path):
+    # The tracer reads the step count off run_trajectory's record.
+    argv = ["simulate", "--t", "1000", "--seed", "1", "--format", "json"]
+    trace = _traced_payload_equals_plain(argv, "", tmp_path, pools=False)
+    assert trace["counters"]["process.steps"] == 1000
 
 
 def test_usage_errors_exit_one():
@@ -588,12 +607,13 @@ def test_golden_payload_digest(argv, tmp_path):
     assert h.hexdigest() == digest
 
 
-def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this olivetable."""
+def _fresh_interpreter(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter, started with ``flags``, that
+    imports this olivetable."""
     src = str(Path(olivetable.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -612,11 +632,29 @@ assert main(["exact", "--t", "3"]) == 0
 assert main(["simulate", "--t", "100", "--seed", "1"]) == 0
 assert main(["chain", "--t-max", "3", "--simulate-steps", "100", "--seed", "1"]) == 0
 assert "numpy" not in sys.modules, "exact, simulate or chain loaded numpy"
+assert "dataclasses" not in sys.modules, "exact, simulate or chain loaded dataclasses"
+assert "inspect" not in sys.modules, "exact, simulate or chain loaded inspect"
 assert main(["ensemble", "--t", "12", "--replicas", "10", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
 """
     proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_refuses_to_run_without_asserts(tmp_path):
+    # python -O strips assert statements, so every check would pass.
+    code = f"""
+import sys
+if __debug__:
+    sys.exit("the interpreter was not started with -O")
+from olivetable.cli import main
+sys.exit(main(["verify", "--out", {str(tmp_path / "run")!r}]))
+"""
+    proc = _fresh_interpreter(code, "-O")
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_public_name_resolves():

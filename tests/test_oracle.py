@@ -20,6 +20,7 @@ from olivetable.oracle import (
 )
 from olivetable.process import TableState, step
 from olivetable.rng import make_rng
+from olivetable.verification import _assert_return_pmf
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -379,20 +380,20 @@ def test_lumping_soundness_against_labeled_tree():
 
 def test_enumerate_chain_paths_hand_values():
     pmf = enumerate_chain_paths(3)
-    assert pmf.entries == {
+    assert pmf == {
         2: HALF,
         4: Fraction(3, 16),
         6: Fraction(27, 256),
     }
     # The two length-6 interior paths: 1232321 and 1234321.
     assert Fraction(9, 128) + Fraction(9, 256) == Fraction(27, 256)
-    pmf.check_invariants()
+    _assert_return_pmf(pmf, 6)
 
 
 def test_enumerate_chain_paths_matches_dp():
     enum = enumerate_chain_paths(10)
     dp = first_return_pmf_dp(10)
-    assert enum.entries == dp.entries
+    assert enum == dp
 
 
 def test_enumerate_chain_paths_budget():

@@ -160,6 +160,61 @@ def test_transition_mass_fails_on_a_corrupt_law(corrupt, message, monkeypatch, c
     assert any(line.startswith("FAIL") and line.split()[1] == "transition_mass" for line in lines)
 
 
+def _odd_time(pmf):
+    return {**pmf, 3: Fraction(1, 64)}
+
+
+def _past_horizon(pmf):
+    return {**pmf, 22: Fraction(1, 10**9)}
+
+
+def _over_one(pmf):
+    # Every entry stays in (0, 1), but the partial sums pass 1.
+    return {**pmf, 20: Fraction(3, 4)}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_odd_time, r"^mass at bad time 3$"), (_past_horizon, r"^$"), (_over_one, r"^$")],
+    ids=["odd-time", "past-horizon", "partial-sum-over-one"],
+)
+def test_assert_return_pmf_rejects_a_corrupt_pmf(corrupt, message):
+    pmf = chain.first_return_pmf_dp(10)
+    verification._assert_return_pmf(pmf, 20)
+    with pytest.raises(AssertionError, match=message):
+        verification._assert_return_pmf(corrupt(pmf), 20)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["one-entry", "mass-moved"])
+def test_assert_stationary_rejects_a_perturbed_entry(moved):
+    pi = chain.stationary_distribution(20)
+    verification._assert_stationary(pi, 20)
+    eps = pi[8] / 7
+    bad = {**pi, 7: pi[7] + eps}
+    if moved:  # the sum stays 1, so only a balance equation can fail
+        bad[8] -= eps
+        assert sum(bad.values()) == sum(pi.values())
+    with pytest.raises(AssertionError):
+        verification._assert_stationary(bad, 20)
+
+
+def test_verify_fails_on_a_perturbed_stationary_distribution(monkeypatch, capsys):
+    real = chain.stationary_distribution
+
+    def perturbed(k_max):
+        pi = real(k_max)
+        if k_max >= 10:
+            pi[9] += pi[10]
+        return pi
+
+    monkeypatch.setattr(chain, "stationary_distribution", perturbed)
+    assert chain.mean_return_time_stationary() == 5  # reads only pi_1
+    assert main(["verify", "--level", "quick"]) == EXIT_CHECK_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == ["mean_return_time"]
+    assert failed[0].endswith(")  AssertionError"), failed[0]
+
+
 def test_suite_report_structure():
     results = run_suite("quick")
     doc = suite_report(results, "quick")
