@@ -53,12 +53,13 @@ OLIVE_PMF_CSV_HEADER = "t,O,prob_num,prob_den"
 EXPECTED_OLIVES_CSV_HEADER = "t,mean_num,mean_den"
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(_RangeError, RuntimeError):
     """The exact pushforward grew past the configured state-count budget.
 
     The budget caps the cumulative number of successor states enumerated
     over all steps (the pushforward's total work), so infeasible horizons
     fail loudly instead of grinding; nothing is ever truncated silently.
+    A refusal (``_RangeError``: the CLI exits 1), still a ``RuntimeError``.
     """
 
     def __init__(self, step: int, state_count: int, budget: int):
@@ -215,11 +216,11 @@ def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[tuple[int, ...], in
         yield dist, den
 
 
-def _final(t: int, budget: int) -> tuple[dict[tuple[int, ...], int], int]:
+def _final(t: int) -> tuple[dict[tuple[int, ...], int], int]:
     """Numerators and common denominator of the multiset law at t."""
     if t < 0:
         raise _RangeError(f"t must be >= 0, got {t}")
-    for dist, den in _pushforward(t, budget):
+    for dist, den in _pushforward(t, DEFAULT_STATE_BUDGET):
         pass
     return dist, den
 
@@ -238,14 +239,14 @@ def _mean(pmf: dict[int, Fraction]) -> Fraction:
     return sum((o * p for o, p in pmf.items()), Fraction(0))
 
 
-def exact_olive_distribution(t: int, budget: int = DEFAULT_STATE_BUDGET) -> dict[int, Fraction]:
+def exact_olive_distribution(t: int) -> dict[int, Fraction]:
     """Exact pmf of the olive total after t steps; masses sum to 1."""
-    return _olive_pmf(*_final(t, budget))
+    return _olive_pmf(*_final(t))
 
 
-def exact_expected_olives(t: int, budget: int = DEFAULT_STATE_BUDGET) -> Fraction:
+def exact_expected_olives(t: int) -> Fraction:
     """Exact expected olive total after t steps."""
-    return _mean(exact_olive_distribution(t, budget))
+    return _mean(exact_olive_distribution(t))
 
 
 def olive_distribution_table(

@@ -81,6 +81,8 @@ class TableState:
     ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
     >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run
     and over every plate other than plate 1, of that plate's olive count.
+    A plate's id is its place among the adds: the next plate gets id
+    ``c_add_plate + 1``.
     :meth:`check_invariants` asserts that the plates hold ``total_olives``.
     """
 
@@ -90,7 +92,7 @@ class TableState:
         "c_add_plate", "c_merge", "c_add_olive", "c_remove_olive",
         "num_returns", "plate_moves_at_ge3", "max_other_olives",
     )
-    __slots__ = ("_ids", "_olives", "_ne_pos", "_ne_idx", "_pos1", "_next_id") + _COUNTS
+    __slots__ = ("_ids", "_olives", "_ne_pos", "_ne_idx", "_pos1") + _COUNTS
 
     def __init__(self) -> None:
         self._ids: list[int] = []
@@ -98,7 +100,6 @@ class TableState:
         self._ne_pos: list[int] = []
         self._ne_idx: list[int] = []
         self._pos1 = -1
-        self._next_id = 1
         for name in self._COUNTS:
             setattr(self, name, 0)
 
@@ -142,7 +143,6 @@ class TableState:
         dup._ne_pos = self._ne_pos[:]
         dup._ne_idx = self._ne_idx[:]
         dup._pos1 = self._pos1
-        dup._next_id = self._next_id
         for name in self._COUNTS:
             setattr(dup, name, getattr(self, name))
         return dup
@@ -152,7 +152,6 @@ class TableState:
             return NotImplemented
         return (
             sorted(zip(self._ids, self._olives)) == sorted(zip(other._ids, other._olives))
-            and self._next_id == other._next_id
             and all(getattr(self, name) == getattr(other, name) for name in self._COUNTS)
         )
 
@@ -164,9 +163,11 @@ class TableState:
     def from_plates(cls, plates: Iterable[tuple[int, int]]) -> "TableState":
         """Build a frozen test state from (plate id, olive count) pairs.
 
-        The counters are set to one invariant-consistent history (all
-        plates added, then all olives added); the sampling distribution
-        only depends on the plate configuration.
+        The counters are set to the history the ids imply: plates 1..max(id)
+        added, the missing ids merged away (at >= 3 plates, except that a
+        merge from 2 plates to 1 is a return), then all olives added; so
+        the next plate added gets id max(id) + 1.  The sampling
+        distribution only depends on the plate configuration.
         """
         state = cls()
         seen: set[int] = set()
@@ -186,10 +187,12 @@ class TableState:
                 state._ne_idx.append(-1)
             if plate_id == 1:
                 state._pos1 = pos
-        state._next_id = max(seen, default=0) + 1
-        state.c_add_plate = len(state._ids)
+        added = max(seen, default=0)
+        state.c_add_plate = added
+        state.c_merge = added - len(seen)
+        state.num_returns = int(len(seen) == 1 and added > 1)
         state.c_add_olive = sum(state._olives)
-        state.plate_moves_at_ge3 = max(0, state.c_add_plate - 3)
+        state.plate_moves_at_ge3 = max(0, added - 3) + state.c_merge - state.num_returns
         state.max_other_olives = max((o for i, o in zip(state._ids, state._olives) if i != 1), default=0)
         return state
 
@@ -258,7 +261,6 @@ def _advance(
     ne_pos = state._ne_pos
     ne_idx = state._ne_idx
     pos1 = state._pos1
-    next_id = state._next_id
     num_plates = len(ids)
     c_pp, c_pm, c_op, c_om = state.counters()
     t0 = c_pp + c_pm + c_op + c_om
@@ -368,13 +370,12 @@ def _advance(
                 k = bit_length(m_total)
                 c_pm += 1
             else:
-                # P+: new empty plate
+                # P+: new empty plate, whose id is its place among the adds
                 if num_plates >= 3:
                     plate_moves_ge3 += 1
-                if next_id == 1:
+                if c_pp == 0:
                     pos1 = num_plates
-                ids.append(next_id)
-                next_id += 1
+                ids.append(c_pp + 1)
                 olives.append(0)
                 ne_idx.append(-1)
                 n_merge += num_plates
@@ -391,7 +392,6 @@ def _advance(
             series.append((t, c_op - c_om, num_plates, len(ne_pos), olives[pos1], max_other))
 
     state._pos1 = pos1
-    state._next_id = next_id
     state.c_add_plate = c_pp
     state.c_merge = c_pm
     state.c_add_olive = c_op

@@ -27,7 +27,8 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 class _RangeError(ValueError):
-    """An argument outside the range a library function accepts.
+    """A call the library refuses: an argument out of range, a state
+    budget used up, or checks run where ``python -O`` strips them.
 
     The CLI maps this ``ValueError``, and no other, to its usage exit code,
     so a fault inside the library is not reported as bad flags.  It is

@@ -357,7 +357,14 @@ def build_checks(level: str) -> list[tuple[str, Callable[[], str | tuple[str, ob
 
 
 def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
-    """Run every check at the given level; never raises on check failure."""
+    """Run every check at the given level; never raises on check failure.
+
+    The checks are assert statements, which ``python -O`` strips, so that
+    every check would pass whatever the code computes: under ``-O`` it
+    refuses to run (a ``_RangeError``) before any check.
+    """
+    if not __debug__:
+        raise _RangeError("the checks need assert statements; run them without python -O")
     results = []
     for name, fn in build_checks(level):
         start = time.perf_counter()

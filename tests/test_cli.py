@@ -160,7 +160,10 @@ def test_exact_prints_exact_mean(tmp_path, capsys):
 
 def test_exact_budget_error_exits_one(capsys):
     assert main(["exact", "--t", "40", "--budget", "20000"]) == EXIT_USAGE
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: exact pushforward exceeded its state budget at step 16: "
+        "28133 successor states enumerated > budget 20000\n"
+    )
 
 
 def test_verify_quick_passes(capsys):
@@ -483,10 +486,16 @@ def test_stdout_is_one_json_document_without_out(argv, report, capsys):
 
 
 def test_threads_below_one_exit_one(capsys):
+    # ensemble.pool_size owns the rule; main reports its refusal.
     for threads in ("0", "-4"):
-        assert main(["ensemble", "--t", "12", "--replicas", "3", "--seed", "1", "--threads", threads]) == EXIT_USAGE
-        assert main(["sweep", "--t-list", "1000", "--replicas", "2", "--seed", "1", "--threads", threads]) == EXIT_USAGE
-    assert "--threads" in capsys.readouterr().err
+        for argv in (
+            ["ensemble", "--t", "12", "--replicas", "3", "--seed", "1", "--threads", threads],
+            ["sweep", "--t-list", "1000", "--replicas", "2", "--seed", "1", "--threads", threads],
+        ):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: threads must be >= 1, got {threads}\n"
 
 
 def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
@@ -655,6 +664,27 @@ sys.exit(main(["verify", "--out", {str(tmp_path / "run")!r}]))
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_suite_refuses_to_run_without_asserts():
+    # The refusal belongs to the suite, so a caller from Python gets it too.
+    code = """
+import sys
+if __debug__:
+    sys.exit("the interpreter was not started with -O")
+from olivetable import verification
+from olivetable.rng import _RangeError
+lines = []
+try:
+    results = verification.run_suite("quick", emit=lines.append)
+except _RangeError as exc:
+    assert "-O" in str(exc), exc
+else:
+    sys.exit(f"run_suite returned {len(results)} results under -O")
+assert lines == [], lines
+"""
+    proc = _fresh_interpreter(code, "-O")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_public_name_resolves():

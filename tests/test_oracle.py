@@ -34,7 +34,7 @@ def _law_fractions(state):
 
 def _state_fractions(t):
     """The exact law of the plate-count multiset after t steps, from ``oracle._final``."""
-    dist, den = oracle._final(t, oracle.DEFAULT_STATE_BUDGET)
+    dist, den = oracle._final(t)
     return {key: Fraction(num, den) for key, num in dist.items()}
 
 
@@ -149,7 +149,7 @@ def test_state_distribution_support_is_reachable():
 
 def test_budget_error_reports_counts():
     with pytest.raises(BudgetExceededError) as info:
-        exact_olive_distribution(12, budget=100)
+        olive_distribution_table(12, 100)
     assert info.value.budget == 100
     assert info.value.state_count > 100
     assert "budget" in str(info.value)
@@ -365,7 +365,7 @@ def test_budget_is_charged_before_any_successor_is_listed(budget, fail_step, sta
     moves = oracle._pile_moves
     monkeypatch.setattr(oracle, "_pile_moves", lambda key: calls.append(key) or moves(key))
     with pytest.raises(BudgetExceededError) as info:
-        exact_olive_distribution(40, budget=budget)
+        olive_distribution_table(40, budget)
     assert (info.value.step, info.value.state_count, info.value.budget) == (fail_step, state_count, budget)
     # Only the states of the steps that completed were expanded.
     assert len(calls) == expanded

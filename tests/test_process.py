@@ -175,6 +175,22 @@ def test_merge_of_non_first_plates_keeps_lower_id():
     state.check_invariants()
 
 
+def test_from_plates_writes_the_history_its_ids_imply():
+    # Plates 1..5 added, ids 3 and 4 merged away at 5 and 4 plates.
+    state = TableState.from_plates([(1, 0), (2, 1), (5, 4)])
+    state.check_invariants()
+    assert state.counters() == (5, 2, 5, 0)
+    assert (state.num_returns, state.plate_moves_at_ge3) == (0, 4)
+    _step_with(state, 0)  # P+: the sixth plate added gets id 6
+    assert sorted(state.plates) == [(1, 0), (2, 1), (5, 4), (6, 0)]
+    state.check_invariants()
+    # Plates 1..3 added, then merges at 3 plates and from 2 plates to 1.
+    state = TableState.from_plates([(3, 2)])
+    state.check_invariants()
+    assert state.counters() == (3, 2, 2, 0)
+    assert (state.num_returns, state.plate_moves_at_ge3) == (1, 1)
+
+
 def test_remove_last_olive_updates_nonempty():
     # l=2, n_e=2: u = 1 + 1 + 2 = 4 removes from the first non-empty plate.
     state = TableState.from_plates([(1, 1), (2, 3)])
@@ -288,7 +304,6 @@ def _layout(state: TableState) -> tuple:
         state._ne_pos,
         state._ne_idx,
         state._pos1,
-        state._next_id,
         state.total_olives,
         state.t,
         state.counters(),
