@@ -142,7 +142,10 @@ def published_first_return_pmf(t: int) -> Fraction:
 
 def first_return_rows(t_max: int) -> list[tuple[int, Fraction, Optional[Fraction]]]:
     """(t, validated f(2t), published form or None at t = 1) for t = 1..t_max:
-    the rows of every pmf discrepancy table and of the chain CSV."""
+    the rows of every pmf discrepancy table and of the chain CSV.  A table
+    needs a published row, so t_max < 2 is refused."""
+    if t_max < 2:
+        raise _RangeError(f"t_max must be >= 2, got {t_max}")
     return [
         (t, first_return_pmf_closed(t), published_first_return_pmf(t) if t >= 2 else None)
         for t in range(1, t_max + 1)
@@ -458,8 +461,6 @@ def chain_report(rows: list[tuple[int, Fraction, Optional[Fraction]]], simulate_
     validated values, published claims, simulation, and the pmf
     discrepancy table."""
     t_max = len(rows)
-    if t_max < 2:
-        raise _RangeError(f"t_max must be >= 2, got {t_max}")
     series_value, series_tail = mean_return_time_series(max(t_max, 200))
     stationary = mean_return_time_stationary()
     table = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -48,8 +49,6 @@ def _write_atomic(path: Path, write: Callable[[TextIO], None]) -> None:
     over ``path`` only once ``write`` has returned; if it raises, the temp
     file is removed and ``path`` is left as it was.
     """
-    import os
-
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -103,6 +102,7 @@ def _cmd_simulate(args) -> int:
     record = process.run_trajectory(args.t, args.seed, cadence=cadence)
     elapsed = time.perf_counter() - start
     state = record.final_state
+    derived = process._derived_counts(state.c_add_plate, state.c_merge, state.num_returns)
     ratio = Fraction(state.total_olives, args.t)
     lo, hi = process.C_BOUNDS
     summary = {
@@ -113,9 +113,9 @@ def _cmd_simulate(args) -> int:
         "olives_over_t_exact": f"{ratio.numerator}/{ratio.denominator}",
         "bounds_band": [str(lo), str(hi)],
         "within_bounds": process._in_band(state.total_olives, args.t),
-        "t_plate": state.plate_moves,
-        "tau1": state.num_returns + 1,
-        "two_to_one": state.num_returns,
+        "t_plate": derived["t_plate"],
+        "tau1": derived["tau1"],
+        "two_to_one": derived["two_to_one"],
         "max_other_olives": state.max_other_olives,
         "first_plate_olives": state.first_plate_olives,
         "series_rows": len(record.series),
@@ -177,8 +177,6 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    if args.t_max < 2:
-        raise _UsageError(f"--t-max must be >= 2, got {args.t_max}")
     start = time.perf_counter()
     rows = chain.first_return_rows(args.t_max)  # for the report and the CSV
     report = chain.chain_report(rows, args.simulate_steps, args.seed)
@@ -327,6 +325,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Importing numpy starts OpenBLAS helper threads (one per extra CPU)
+    # that busy-wait and burn CPU time, and no command makes a BLAS call.
+    # This must run before a command imports numpy; a value the user
+    # exported wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -106,24 +106,21 @@ def _rows(t: int, lo: int, seeds: np.ndarray, counters: np.ndarray) -> np.ndarra
     seeds and their counters (one row per name in _COUNTERS, one column per
     replica); the one place a replica row is built."""
     c = dict(zip(_COUNTERS, counters))
-    merges, returns = c["c_merge"], c["num_returns"]
-    t_plate = c["c_add_plate"] + merges
+    derived = process._derived_counts(c["c_add_plate"], c["c_merge"], c["num_returns"])
     # Every step makes one move, so the move counts sum to t at every row
     # taken: olive conservation, O = t - t_plate - 2 * removals.  A lockstep
     # lane that ran dry and was not refilled falls short.
-    broken = np.flatnonzero(t_plate + c["c_add_olive"] + c["c_remove_olive"] != t)
+    broken = np.flatnonzero(derived["t_plate"] + c["c_add_olive"] + c["c_remove_olive"] != t)
     if broken.size:
         raise AssertionError(f"olive conservation violated in replica {lo + int(broken[0])}")
     rows = np.empty(len(seeds), dtype=REPLICA_DTYPE)
     rows["replica"] = np.arange(lo, lo + len(seeds))
     rows["seed"] = seeds
     rows["O"] = c["c_add_olive"] - c["c_remove_olive"]
-    rows["t_plate"] = t_plate
-    rows["tau1"] = returns + 1  # every return, and the arrival on step 1
-    rows["two_to_one"] = returns
+    for name, column in derived.items():
+        rows[name] = column
     rows["max_other_olives"] = c["max_other_olives"]
     rows["first_plate_olives"] = c["first_plate_olives"]
-    rows["L_ge3"] = merges - returns  # every other merge is made at >= 3 plates
     rows["plate_moves_ge3"] = c["plate_moves_at_ge3"]
     return rows
 
@@ -435,8 +432,29 @@ def summary_json(config: EnsembleConfig, records: np.ndarray) -> dict:
     }
 
 
-_CSV_ROW = ",".join(["%d"] * len(REPLICA_DTYPE.names)) + "\n"
 _CSV_BLOCK_ROWS = 8192
+_COMMA, _NEWLINE, _ZERO = b",\n0"  # ASCII codes
+_TEN = np.uint64(10)
+
+
+def _decimal(column: np.ndarray, name: str) -> np.ndarray:
+    """The decimal digits of a count column as ASCII bytes, one row per
+    value, right-aligned in a uint8 matrix as wide as the largest value;
+    the cells left of a value's leading digit are 0."""
+    if column.dtype.kind == "i" and column.min() < 0:
+        raise ValueError(f"negative count in CSV column {name}: {int(column.min())}")
+    value = column.astype(np.uint64)
+    width = len(str(int(value.max())))
+    cells = np.empty((len(value), width), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):
+        # Floor division and a multiply-subtract: np.divmod skips numpy's
+        # fast division by a scalar and costs several times as much.
+        quotient = value // _TEN
+        cells[:, k] = value - quotient * _TEN + _ZERO
+        if k < width - 1:
+            cells[:, k] *= value > 0  # units always print, 0 included
+        value = quotient
+    return cells
 
 
 def write_ensemble_csv(records: np.ndarray, out: TextIO) -> None:
@@ -444,8 +462,19 @@ def write_ensemble_csv(records: np.ndarray, out: TextIO) -> None:
     ``run_ensemble`` result); LF endings, no quoting.
 
     Rows are formatted and written a block at a time, so the text of the
-    whole table is never held in memory.
+    whole table is never held in memory.  A block is formatted column by
+    column in numpy: each column's digits come from repeated division by 10
+    into a right-aligned uint8 matrix (``_decimal``), the matrices are
+    joined side by side with ``,`` and ``\\n`` columns, and the 0 bytes of
+    the padding are deleted from the flat bytes.  Every column is a
+    non-negative count; a negative one raises ``ValueError`` instead of
+    wrapping.
     """
     out.write(ENSEMBLE_CSV_HEADER + "\n")
     for lo in range(0, len(records), _CSV_BLOCK_ROWS):
-        out.write("".join(map(_CSV_ROW.__mod__, records[lo : lo + _CSV_BLOCK_ROWS].tolist())))
+        block = records[lo : lo + _CSV_BLOCK_ROWS]
+        parts = []
+        for name in REPLICA_DTYPE.names:
+            parts += [_decimal(block[name], name), np.full((len(block), 1), _COMMA, dtype=np.uint8)]
+        parts[-1][:] = _NEWLINE
+        out.write(np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii"))

@@ -67,6 +67,18 @@ def _in_band(olives, t: int) -> bool:
     return lo * t <= olives <= hi * t
 
 
+def _derived_counts(c_add_plate, c_merge, num_returns) -> dict:
+    """The report columns that no kernel stores, from a run's move and
+    return counts: ints for one trajectory or numpy count columns for an
+    ensemble's rows alike.  The one place each is derived."""
+    return {
+        "t_plate": c_add_plate + c_merge,
+        "tau1": num_returns + 1,  # every return, and the arrival on step 1
+        "two_to_one": num_returns,
+        "L_ge3": c_merge - num_returns,  # every other merge is made at >= 3 plates
+    }
+
+
 class TableState:
     """Full mutable process state.
 

@@ -360,5 +360,5 @@ def test_chain_report_contents():
     assert ci_lo <= sim["n11_over_t"] <= ci_hi
     conventions = report["published_pmf_at_t1"]
     assert {v["exact"] for v in conventions.values()} == {"0/1", "4/1"}
-    with pytest.raises(ValueError):
-        chain_report(first_return_rows(1), 10, seed=1)
+    with pytest.raises(ValueError, match="^t_max must be >= 2, got 1$"):
+        first_return_rows(1)

@@ -142,8 +142,14 @@ def test_chain_out_builds_the_pmf_rows_once(monkeypatch, tmp_path, capsys):
     assert calls == {t: 1 for t in range(2, 13)}
 
 
-def test_chain_rejects_small_horizon():
+def test_chain_rejects_small_horizon(capsys):
+    # The library refuses the horizon as given, not a count of rows.
     assert main(["chain", "--t-max", "1", "--seed", "2"]) == EXIT_USAGE
+    assert main(["chain", "--t-max", "-5", "--seed", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: t_max must be >= 2, got 1",
+        "error: t_max must be >= 2, got -5",
+    ]
 
 
 def test_exact_prints_exact_mean(tmp_path, capsys):
@@ -645,6 +651,33 @@ assert "dataclasses" not in sys.modules, "exact, simulate or chain loaded datacl
 assert "inspect" not in sys.modules, "exact, simulate or chain loaded inspect"
 assert main(["ensemble", "--t", "12", "--replicas", "10", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
+"""
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_pins_openblas_to_one_thread_unless_set(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["exact", "--t", "2"]) == EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")  # the user's own setting wins
+    assert main(["exact", "--t", "2"]) == EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_ensemble_leaves_no_idle_blas_thread(tmp_path):
+    # Without the pin, numpy's OpenBLAS keeps a busy-waiting helper thread
+    # per extra CPU alive after an in-process (unpooled) ensemble.
+    code = f"""
+import os
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.pop(name, None)
+from olivetable.cli import main
+argv = ["ensemble", "--t", "12", "--replicas", "3000", "--seed", "1", "--threads", "1"]
+assert main([*argv, "--out", {str(tmp_path / "run")!r}]) == 0
+threads = len(os.listdir("/proc/self/task"))
+assert threads == 1, f"{{threads}} threads left"
 """
     proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olivetable import ensemble
 from olivetable.ensemble import (
@@ -193,6 +195,44 @@ def test_csv_blocks_join_seamlessly(monkeypatch):
     out = io.StringIO()
     write_ensemble_csv(records, out)
     assert out.getvalue() == ref_csv(records)
+
+
+def _near_digit_boundaries(top):
+    """Counts in [0, top], drawn often at 0, top and each side of every
+    power of ten, where the writer's digit count changes."""
+    edges = [0, top] + [10**k + d for k in range(1, len(str(top))) for d in (-1, 0)]
+    return st.sampled_from(edges) | st.integers(0, top)
+
+
+_counts = _near_digit_boundaries(int(np.iinfo(np.int64).max))
+_seeds = _near_digit_boundaries(int(np.iinfo(np.uint64).max))
+_records = st.lists(st.tuples(_counts, _seeds, *[_counts] * (len(ensemble.REPLICA_DTYPE) - 2)), max_size=20)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, ensemble._CSV_BLOCK_ROWS])
+@settings(max_examples=60, deadline=None)
+@given(rows=_records)
+def test_csv_matches_reference_at_digit_boundaries(block_rows, rows):
+    records = np.array(rows, dtype=ensemble.REPLICA_DTYPE)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "_CSV_BLOCK_ROWS", block_rows)
+        write_ensemble_csv(records, out)
+    assert out.getvalue() == ref_csv(records)
+
+
+def test_csv_of_no_rows_is_the_header():
+    out = io.StringIO()
+    write_ensemble_csv(np.empty(0, dtype=ensemble.REPLICA_DTYPE), out)
+    assert out.getvalue() == ENSEMBLE_CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("name", ["replica", "O", "plate_moves_ge3"])
+def test_csv_refuses_a_negative_count(name):
+    records = run_ensemble(CASES["t12_single"], threads=1)
+    records[name] = -1
+    with pytest.raises(ValueError, match=f"column {name}: -1$"):
+        write_ensemble_csv(records, io.StringIO())
 
 
 def test_reports_read_the_exact_sums():
