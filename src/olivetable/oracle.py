@@ -323,7 +323,10 @@ def enumerate_chain_paths(t_max: int) -> dict[int, Fraction]:
     if not 1 <= t_max <= 10:
         raise _RangeError(f"path enumeration is only tractable for 1 <= t_max <= 10, got {t_max}")
     horizon = 2 * t_max
-    totals: dict[int, Fraction] = {}
+    # Every path probability is a multiple of 1 / 2^den_bits, so the sums
+    # are kept as integer numerators over that one denominator.
+    den_bits = 2 * horizon + 1
+    totals: dict[int, int] = {}
 
     # Depth-first over (state, step, pow3, pow2) with p = 3^pow3 / 2^pow2;
     # the walk sits at `state` after `step` steps, having left from 1.
@@ -335,7 +338,7 @@ def enumerate_chain_paths(t_max: int) -> dict[int, Fraction]:
             # return now (probability 1/2)
             time = step_count + 1
             if time <= horizon:
-                totals[time] = totals.get(time, Fraction(0)) + Fraction(3**pow3, 2 ** (pow2 + 1))
+                totals[time] = totals.get(time, 0) + (3**pow3 << (den_bits - pow2 - 1))
             if remaining >= 3:  # go up to 3 and still be able to return in time
                 stack.append((3, step_count + 1, pow3, pow2 + 1))
         else:
@@ -345,7 +348,7 @@ def enumerate_chain_paths(t_max: int) -> dict[int, Fraction]:
             up = state + 1
             if up - 1 <= remaining - 1:
                 stack.append((up, step_count + 1, pow3, pow2 + 2))
-    return dict(sorted(totals.items()))
+    return {time: Fraction(totals[time], 1 << den_bits) for time in sorted(totals)}
 
 
 # -- CSV emission -------------------------------------------------------------

@@ -136,10 +136,6 @@ class TableState:
         return self._olives[self._pos1] if self._pos1 >= 0 else 0
 
     @property
-    def plate_moves(self) -> int:
-        return self.c_add_plate + self.c_merge
-
-    @property
     def t(self) -> int:
         """Steps taken: every step makes exactly one move."""
         return sum(self.counters())
@@ -227,7 +223,8 @@ class TableState:
         if self.t >= 1:
             assert l >= 1, "the table can never re-empty"
         assert 0 <= self.num_returns <= self.c_merge
-        assert self.c_merge - self.num_returns <= self.plate_moves_at_ge3 <= self.plate_moves
+        t_plate = _derived_counts(self.c_add_plate, self.c_merge, self.num_returns)["t_plate"]
+        assert self.c_merge - self.num_returns <= self.plate_moves_at_ge3 <= t_plate
         assert all(o <= self.max_other_olives for i, o in zip(self._ids, self._olives) if i != 1)
 
 

@@ -5,12 +5,18 @@ guards (dynamic program vs closed form vs path enumeration, multiset vs
 labeled pushforward, exact transition law vs the live sampler, ...).  The
 suite is what ``olivetable verify`` runs; checks resolve their targets
 through module attributes so a deliberately broken constant is caught.
+
+``run_suite`` runs the checks concurrently in forked worker processes and
+reports them in list order; each check's elapsed time is measured in its
+worker, so it includes CPU time shared with the other checks.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -223,16 +229,19 @@ def _sampler_counts(plates, rng, draws: int) -> tuple[int, dict, Counter]:
             f"kernel decode off from exact law at {plates} -> {succ}: "
             f"{table[succ]} of {m_total} values of u vs {law.get(succ, 0)}"
         )
-    # The kernel's rejection draw, word for word.
-    hits = [0] * m_total
-    getrandbits = rng.getrandbits
-    for _ in range(draws):
-        u = getrandbits(k)
-        while u >= m_total:
-            u = getrandbits(k)
-        hits[u] += 1
+    # The kernel's rejection draw, word for word: getrandbits(k) is the top
+    # k bits of one 32-bit word, and getrandbits(32 n) is the next n words,
+    # least significant first.  No batch asks for more words than draws
+    # still missing, so the stream is left where the per-draw loop leaves it.
+    hits = np.zeros(m_total, dtype=np.int64)
+    need = draws
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4") >> (32 - k)
+        u = words[words < m_total]
+        hits += np.bincount(u, minlength=m_total)
+        need -= u.size
     counts: Counter = Counter()
-    for succ, n in zip(decoded, hits):
+    for succ, n in zip(decoded, hits.tolist()):
         counts[succ] += n
     return m_total, law, counts
 
@@ -356,32 +365,57 @@ def build_checks(level: str) -> list[tuple[str, Callable[[], str | tuple[str, ob
     ]
 
 
+def _run_check(level: str, index: int) -> CheckResult:
+    """Run check ``index`` of ``build_checks(level)``; a failed assert or a
+    crash is a failed result, never an exception."""
+    name, fn = build_checks(level)[index]
+    start = time.perf_counter()
+    try:
+        out = fn()
+        detail, report = out if isinstance(out, tuple) else (out, None)
+        passed = True
+    except AssertionError as exc:  # chain.VerificationError included
+        detail = str(exc) or exc.__class__.__name__
+        report = getattr(exc, "report", None)
+        passed = False
+    except Exception as exc:  # a check that crashed: its type and message
+        detail, report, passed = f"{exc.__class__.__name__}: {exc}", None, False
+    return CheckResult(name, passed, detail, time.perf_counter() - start, report)
+
+
 def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
     """Run every check at the given level; never raises on check failure.
 
+    The checks run concurrently on a pool of forked worker processes, one
+    per usable CPU at most, and each worker sees this process's modules,
+    patched ones included.  Results are emitted and returned in list order,
+    each as it arrives; a check's ``elapsed_seconds`` is its own wall time
+    in its worker, so it includes CPU time shared with the other checks.  A
+    worker that dies fails its check with the pool's exception.
+
     The checks are assert statements, which ``python -O`` strips, so that
     every check would pass whatever the code computes: under ``-O`` it
-    refuses to run (a ``_RangeError``) before any check.
+    refuses to run (a ``_RangeError``) before any worker starts.
     """
     if not __debug__:
         raise _RangeError("the checks need assert statements; run them without python -O")
+    checks = build_checks(level)
+    cpus = ensemble._usable_cpus()
     results = []
-    for name, fn in build_checks(level):
-        start = time.perf_counter()
-        try:
-            out = fn()
-            detail, report = out if isinstance(out, tuple) else (out, None)
-            passed = True
-        except AssertionError as exc:  # chain.VerificationError included
-            detail = str(exc) or exc.__class__.__name__
-            report = getattr(exc, "report", None)
-            passed = False
-        except Exception as exc:  # a check that crashed: its type and message
-            detail, report, passed = f"{exc.__class__.__name__}: {exc}", None, False
-        check = CheckResult(name, passed, detail, time.perf_counter() - start, report)
-        if emit is not None:
-            emit(check.line())
-        results.append(check)
+    # Fork, so that workers see this process's modules as they are; the
+    # executor forks every worker before it starts its own thread.
+    with ProcessPoolExecutor(
+        ensemble.pool_size(cpus, cpus, len(checks)), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        futures = [pool.submit(_run_check, level, index) for index in range(len(checks))]
+        for (name, _), future in zip(checks, futures):
+            try:
+                check = future.result()
+            except Exception as exc:  # the worker died, or its result did not pickle
+                check = CheckResult(name, False, f"{exc.__class__.__name__}: {exc}", 0.0)
+            if emit is not None:
+                emit(check.line())
+            results.append(check)
     return results
 
 

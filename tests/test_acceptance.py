@@ -233,7 +233,7 @@ def test_criterion_11_engineering_invariants():
         s = process.run_trajectory(T_LARGE, seed, check_identity=True).final_state
         returns = s.num_returns
         assert row == (
-            i, seed, s.total_olives, s.plate_moves, returns + 1, returns, s.max_other_olives,
+            i, seed, s.total_olives, s.c_add_plate + s.c_merge, returns + 1, returns, s.max_other_olives,
             s.first_plate_olives, s.c_merge - returns, s.plate_moves_at_ge3,
         ), i
 

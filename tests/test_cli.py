@@ -236,6 +236,21 @@ def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
     assert all(row["pass"] for row in rows[:-1])
 
 
+def _spy(real, log, line):
+    # Checks run in forked workers, so each call appends ``line()`` to a
+    # file that every process shares.
+    def spy(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{line()}\n")
+        return real(*args, **kwargs)
+
+    return spy
+
+
+def _logged(log) -> list[str]:
+    return log.read_text().split() if log.exists() else []
+
+
 @pytest.mark.parametrize(
     "module, name, error",
     [(oracle, "_law", ValueError("broken law")), (chain, "catalan", IndexError("broken catalan"))],
@@ -244,19 +259,22 @@ def test_verify_out_reports_a_failed_check(monkeypatch, tmp_path, capsys):
 def test_verify_out_reports_a_raising_check(module, name, error, monkeypatch, tmp_path, capsys):
     # A check that raises something other than an AssertionError is one FAIL
     # row: every other check still runs and the JSON report is written.
-    real, calls, reached = getattr(module, name), [], set()
+    # Each check names itself in its worker before it runs, and the spy logs
+    # the name of the check that called it.
+    running, checks = [None], verification.build_checks
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def named(name, fn):
+        def run():
+            running[0] = name
+            return fn()
 
-    def emit(line):
-        if calls:
-            reached.add(line.split()[1])
-            calls.clear()
+        return run
 
-    monkeypatch.setattr(module, name, spy)
-    clean = verification.run_suite("quick", emit=emit)
+    monkeypatch.setattr(verification, "build_checks", lambda level: [(n, named(n, fn)) for n, fn in checks(level)])
+    log = tmp_path / "calls"
+    monkeypatch.setattr(module, name, _spy(getattr(module, name), log, lambda: running[0]))
+    clean = verification.run_suite("quick")
+    reached = set(_logged(log))
     assert all(r.passed for r in clean) and reached
 
     def broken(*args, **kwargs):
@@ -276,25 +294,17 @@ def test_verify_out_reports_a_raising_check(module, name, error, monkeypatch, tm
 
 
 def test_verify_out_computes_each_result_once(monkeypatch, tmp_path, capsys):
-    calls = Counter()
-
-    def count(name):
-        real = getattr(chain, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(chain, name, counted)
-
+    # The spies log from the workers that run the checks and from this
+    # process, which builds the report.
+    log = tmp_path / "calls"
     sweeps = ["verify_catalan_convolution", "verify_gould_identity", "verify_binomial_series"]
     for name in sweeps + ["published_first_return_pmf"]:
-        count(name)
+        monkeypatch.setattr(chain, name, _spy(getattr(chain, name), log, lambda name=name: name))
     assert main(["verify", "--level", "quick", "--out", str(tmp_path / "report")]) == EXIT_OK
     capsys.readouterr()
     # Each identity sweep runs once, and the published pmf once per row
     # t = 2..30 of the discrepancy table.
-    assert calls == {**{name: 1 for name in sweeps}, "published_first_return_pmf": 29}
+    assert Counter(_logged(log)) == {**{name: 1 for name in sweeps}, "published_first_return_pmf": 29}
 
 
 def test_sweep_outputs(tmp_path, capsys):
@@ -642,6 +652,8 @@ import sys
 import olivetable.cli
 assert "numpy" not in sys.modules, "import olivetable.cli loaded numpy"
 assert "olivetable._lockstep" not in sys.modules, "import olivetable.cli loaded the lockstep kernel"
+assert "olivetable.verification" not in sys.modules, "import olivetable.cli loaded the verification suite"
+assert "concurrent.futures" not in sys.modules, "import olivetable.cli loaded concurrent.futures"
 from olivetable.cli import main
 assert main(["exact", "--t", "3"]) == 0
 assert main(["simulate", "--t", "100", "--seed", "1"]) == 0
@@ -708,6 +720,7 @@ if __debug__:
 from olivetable import verification
 from olivetable.rng import _RangeError
 lines = []
+verification.ProcessPoolExecutor = lambda *args, **kwargs: sys.exit("a worker pool started under -O")
 try:
     results = verification.run_suite("quick", emit=lines.append)
 except _RangeError as exc:
@@ -718,6 +731,54 @@ assert lines == [], lines
 """
     proc = _fresh_interpreter(code, "-O")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_dead_worker_fails_its_check_and_verify_exits_two():
+    # A check whose worker process dies is a FAIL row naming the pool's
+    # exception, and verify still ends instead of waiting for the result.
+    code = """
+import os, sys
+from olivetable import verification
+from olivetable.cli import main
+checks = verification.build_checks
+def dies():
+    os._exit(3)
+verification.build_checks = lambda level: [*checks(level)[:3], ("dies", dies)]
+sys.exit(main(["verify", "--level", "quick"]))
+"""
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == ["catalan_values", "catalan_convolution", "gould_identity", "dies"]
+    assert lines[3].startswith("FAIL") and lines[3].split(")  ", 1)[1].startswith("BrokenProcessPool: "), lines[3]
+    assert lines[-1].endswith("/4 checks passed"), lines[-1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_verify_payload_is_the_same_on_one_cpu(tmp_path, capsys):
+    # One usable CPU: one suite worker, and the ensemble check runs its
+    # replicas in that worker without a pool of its own.
+    code = f"""
+import os, sys
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from olivetable import ensemble
+from olivetable.cli import main
+assert ensemble._usable_cpus() == 1
+sys.exit(main(["verify", "--level", "quick", "--out", {str(tmp_path / "one")!r}]))
+"""
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["verify", "--level", "quick", "--out", str(tmp_path / "all")]) == EXIT_OK
+    capsys.readouterr()
+
+    def payload(prefix):
+        doc = _strict_loads((tmp_path / f"{prefix}.verify.json").read_text())
+        del doc["provenance"]
+        for check in doc["checks"]:
+            del check["elapsed_seconds"]
+        return doc
+
+    assert payload("one") == payload("all")
 
 
 def test_every_public_name_resolves():

@@ -66,7 +66,7 @@ def test_single_replica_reduces_to_trajectory(small_records):
     state = run_trajectory(CFG.t, derive_seed(CFG.master_seed, 0)).final_state
     row = small_records[0]
     assert int(row["O"]) == state.total_olives
-    assert int(row["t_plate"]) == state.plate_moves
+    assert int(row["t_plate"]) == state.c_add_plate + state.c_merge
     assert int(row["tau1"]) == state.num_returns + 1
     assert int(row["two_to_one"]) == state.num_returns
     assert int(row["max_other_olives"]) == state.max_other_olives

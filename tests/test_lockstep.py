@@ -28,7 +28,7 @@ def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, i
         s = run_trajectory(config.t, seed).final_state
         returns = s.num_returns
         rows.append((
-            i, seed, s.total_olives, s.plate_moves, returns + 1, returns, s.max_other_olives,
+            i, seed, s.total_olives, s.c_add_plate + s.c_merge, returns + 1, returns, s.max_other_olives,
             s.first_plate_olives, s.c_merge - returns, s.plate_moves_at_ge3,
         ))
     o = [row[2] for row in rows]

@@ -253,7 +253,7 @@ def test_accounting_identity_and_structure_hold(seed, t):
     state = TableState()
     for _ in range(t):
         state = step(state, rng)
-        assert state.total_olives == state.t - state.plate_moves - 2 * state.c_remove_olive
+        assert state.total_olives == state.t - (state.c_add_plate + state.c_merge) - 2 * state.c_remove_olive
         assert state.num_plates >= 1, "table re-emptied"
         assert min(i for i, _ in state.plates) == 1, "first plate lost"
     state.check_invariants()
@@ -289,7 +289,7 @@ def test_fast_loop_matches_step_by_step():
         assert fast == state
         assert fast.counters() == state.counters()
         assert entries[1] == fast.num_returns + 1
-        assert sum(entries.values()) == fast.plate_moves
+        assert sum(entries.values()) == fast.c_add_plate + fast.c_merge
         assert fast.num_returns == returns > 0
         assert fast.c_merge - fast.num_returns == merges_ge3 > 0
         assert fast.plate_moves_at_ge3 == moves_ge3 > merges_ge3
@@ -370,7 +370,7 @@ def test_trajectory_t1_conventions():
     rec = run_trajectory(1, 7)
     assert rec.final_state.num_plates == 1
     assert rec.final_state.total_olives == 0
-    assert rec.final_state.plate_moves == 1  # the one entry into one plate
+    assert rec.final_state.c_add_plate + rec.final_state.c_merge == 1  # the one entry into one plate
     assert rec.final_state.num_returns == 0
 
 

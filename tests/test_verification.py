@@ -25,6 +25,20 @@ def test_quick_suite_all_pass():
     } <= names
 
 
+def test_pooled_suite_equals_an_in_process_loop():
+    # The checks run in worker processes; each result, and the order they
+    # are emitted and returned in, is what running them here gives.
+    expected = []
+    for name, fn in build_checks("quick"):
+        out = fn()
+        detail, report = out if isinstance(out, tuple) else (out, None)
+        expected.append((name, True, detail, report))
+    lines = []
+    results = run_suite("quick", emit=lines.append)
+    assert [(r.name, r.passed, r.detail, r.report) for r in results] == expected
+    assert lines == [r.line() for r in results]
+
+
 def test_full_level_widens_ranges():
     quick = dict(build_checks("quick"))
     full = dict(build_checks("full"))
