@@ -14,10 +14,12 @@ every other figure straight off the columns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import operator
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
@@ -222,8 +224,9 @@ def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, t
 
     The range is cut into near-equal ``_run_chunk`` tasks of at most
     _LOCKSTEP_MAX_LANES replicas, in replica order: 4 per worker when the
-    replica-steps to the last horizon reach 10^6 and a pool of two or more
-    workers maps them, one otherwise, and more where the cap needs them.
+    replica-steps to the last horizon reach 10^6 and a ``_fork_pool`` of two
+    or more workers maps them, one otherwise, and more where the cap needs
+    them.  A dead worker raises ``BrokenProcessPool``.
     """
     cpus = _usable_cpus()
     count = hi - lo
@@ -233,19 +236,22 @@ def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, t
     bounds = [lo + count * k // n_tasks for k in range(n_tasks + 1)]
     tasks = [(horizons, a, b, master_seed) for a, b in zip(bounds, bounds[1:])]
     records = np.empty((len(horizons), count), dtype=REPLICA_DTYPE)
-
-    def fill(parts):
+    with _fork_pool(workers) if pooled else contextlib.nullcontext() as pool:
+        # In task order either way; each part is copied out and freed as it
+        # arrives instead of all parts being held for one concatenation.
+        chunksize = -(-len(tasks) // (4 * workers))
+        parts = pool.map(_run_chunk, tasks, chunksize=chunksize) if pooled else map(_run_chunk, tasks)
         for (_, a, b, _), part in zip(tasks, parts):
             records[:, a - lo : b - lo] = part
-
-    if pooled:
-        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            # pool.map's dispatches, but each part is copied out and freed as
-            # it arrives instead of all parts being held for one concatenation.
-            fill(pool.imap(_run_chunk, tasks, -(-len(tasks) // (4 * workers))))
-    else:
-        fill(map(_run_chunk, tasks))
     return records
+
+
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    """The one worker pool in the package: ``workers`` forked processes that
+    see this process's modules as they are, patched ones included.  All are
+    forked before the executor starts its own thread.  A worker that dies
+    breaks the pool, so waiting on it raises ``BrokenProcessPool``."""
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 # -- statistics helpers -------------------------------------------------------

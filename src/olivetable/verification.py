@@ -13,10 +13,8 @@ worker, so it includes CPU time shared with the other checks.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -386,8 +384,8 @@ def _run_check(level: str, index: int) -> CheckResult:
 def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
     """Run every check at the given level; never raises on check failure.
 
-    The checks run concurrently on a pool of forked worker processes, one
-    per usable CPU at most, and each worker sees this process's modules,
+    The checks run concurrently on ``ensemble._fork_pool``, one worker per
+    usable CPU at most, and each worker sees this process's modules,
     patched ones included.  Results are emitted and returned in list order,
     each as it arrives; a check's ``elapsed_seconds`` is its own wall time
     in its worker, so it includes CPU time shared with the other checks.  A
@@ -402,11 +400,7 @@ def run_suite(level: str = "quick", emit: Optional[Callable[[str], None]] = None
     checks = build_checks(level)
     cpus = ensemble._usable_cpus()
     results = []
-    # Fork, so that workers see this process's modules as they are; the
-    # executor forks every worker before it starts its own thread.
-    with ProcessPoolExecutor(
-        ensemble.pool_size(cpus, cpus, len(checks)), mp_context=multiprocessing.get_context("fork")
-    ) as pool:
+    with ensemble._fork_pool(ensemble.pool_size(cpus, cpus, len(checks))) as pool:
         futures = [pool.submit(_run_check, level, index) for index in range(len(checks))]
         for (name, _), future in zip(checks, futures):
             try:

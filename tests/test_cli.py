@@ -632,9 +632,10 @@ def test_golden_payload_digest(argv, tmp_path):
     assert h.hexdigest() == digest
 
 
-def _fresh_interpreter(code: str, *flags: str) -> subprocess.CompletedProcess:
+def _fresh_interpreter(code: str, *flags: str, timeout: float = 300) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter, started with ``flags``, that
-    imports this olivetable."""
+    imports this olivetable; past ``timeout`` seconds it is killed and the
+    test fails."""
     src = str(Path(olivetable.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -642,7 +643,7 @@ def _fresh_interpreter(code: str, *flags: str) -> subprocess.CompletedProcess:
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -720,7 +721,7 @@ if __debug__:
 from olivetable import verification
 from olivetable.rng import _RangeError
 lines = []
-verification.ProcessPoolExecutor = lambda *args, **kwargs: sys.exit("a worker pool started under -O")
+verification.ensemble._fork_pool = lambda *args, **kwargs: sys.exit("a worker pool started under -O")
 try:
     results = verification.run_suite("quick", emit=lines.append)
 except _RangeError as exc:
@@ -752,6 +753,69 @@ sys.exit(main(["verify", "--level", "quick"]))
     assert [line.split()[1] for line in lines[:-1]] == ["catalan_values", "catalan_convolution", "gould_identity", "dies"]
     assert lines[3].startswith("FAIL") and lines[3].split(")  ", 1)[1].startswith("BrokenProcessPool: "), lines[3]
     assert lines[-1].endswith("/4 checks passed"), lines[-1]
+
+
+# Every ensemble task kills the worker process that runs it, and the run is
+# pooled even on one CPU.  A pool that waits on a dead worker would hang, so
+# these tests give their interpreter far less time than a hang would take.
+_KILL_ENSEMBLE_WORKERS = """
+import os, signal, sys
+from olivetable import ensemble
+def dies(task):
+    os.kill(os.getpid(), signal.SIGKILL)
+ensemble._run_chunk = dies
+ensemble._usable_cpus = lambda: 2
+"""
+_DEAD_WORKER_TIMEOUT_S = 60
+
+
+def test_a_dead_ensemble_worker_raises_broken_process_pool():
+    code = _KILL_ENSEMBLE_WORKERS + """
+from concurrent.futures.process import BrokenProcessPool
+try:
+    ensemble.run_ensemble(ensemble.EnsembleConfig(12, 100_000, 1), threads=2)
+except BrokenProcessPool:
+    pass
+else:
+    sys.exit("run_ensemble returned")
+"""
+    proc = _fresh_interpreter(code, timeout=_DEAD_WORKER_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ensemble", "--t", "12", "--replicas", "100000", "--seed", "1", "--threads", "2"],
+        ["sweep", "--t-list", "10000,100000", "--replicas", "64", "--seed", "1", "--threads", "2"],
+    ],
+    ids=["ensemble", "sweep"],
+)
+def test_a_dead_worker_fails_the_command_and_writes_nothing(argv, tmp_path):
+    code = _KILL_ENSEMBLE_WORKERS + f"""
+from olivetable.cli import main
+sys.exit(main({[*argv, "--out", str(tmp_path / "run")]!r}))
+"""
+    proc = _fresh_interpreter(code, timeout=_DEAD_WORKER_TIMEOUT_S)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dead_ensemble_worker_fails_oracle_vs_mc_and_verify_exits_two():
+    # At the full level oracle_vs_mc pools its replicas inside its suite
+    # worker; that nested pool breaks, and only its check fails.
+    code = _KILL_ENSEMBLE_WORKERS + """
+from olivetable.cli import main
+sys.exit(main(["verify", "--level", "full"]))
+"""
+    proc = _fresh_interpreter(code, timeout=_DEAD_WORKER_TIMEOUT_S)
+    assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines[:-1] if not line.startswith("PASS")]
+    assert len(failed) == 1 and failed[0].split()[:2] == ["FAIL", "oracle_vs_mc"], lines
+    assert failed[0].split(")  ", 1)[1].startswith("BrokenProcessPool: "), failed[0]
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed", lines[-1]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")

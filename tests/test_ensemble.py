@@ -103,13 +103,14 @@ def test_pool_size_arithmetic():
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """A recording stand-in for the fork context: no process is started.
-    Records the size of each pool started and the chunksize of each imap."""
+    """A recording stand-in for ``ensemble._fork_pool``: no process is
+    started.  Records the size of each pool started and the chunksize of
+    each map."""
     seen = SimpleNamespace(started=[], chunksizes=[])
 
     class FakePool:
-        def __init__(self, processes):
-            seen.started.append(processes)
+        def __init__(self, workers):
+            seen.started.append(workers)
 
         def __enter__(self):
             return self
@@ -117,12 +118,11 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks, chunksize=1):
             seen.chunksizes.append(chunksize)
             return map(fn, tasks)
 
-    fake = SimpleNamespace(get_context=lambda method: SimpleNamespace(Pool=FakePool))
-    monkeypatch.setattr(ensemble, "multiprocessing", fake)
+    monkeypatch.setattr(ensemble, "_fork_pool", FakePool)
     return seen
 
 
