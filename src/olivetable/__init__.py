@@ -7,7 +7,6 @@ from .process import (
     TableState,
     TrajectoryRecord,
     run_trajectory,
-    step,
 )
 from .chain import (
     WalkRunStats,
@@ -29,8 +28,10 @@ from .oracle import (
 )
 from .rng import derive_seed, make_rng
 
-# The ensemble layer needs numpy, which nothing else loads; its names
-# resolve on first access, so the other layers import without it.
+# The ensemble layer loads the worker pool's modules and dataclasses (and
+# numpy when its record array is first built), which no other layer needs;
+# its names resolve on first access, so the other layers import without
+# them.
 _ENSEMBLE_NAMES = frozenset({"EnsembleConfig", "run_ensemble"})
 
 
@@ -47,7 +48,6 @@ __all__ = [
     "TableState",
     "TrajectoryRecord",
     "run_trajectory",
-    "step",
     "WalkRunStats",
     "catalan",
     "first_return_cdf",

@@ -21,8 +21,9 @@ kernel it keeps no olive total or step count; both follow from the four
 move counts.  The ensemble builds every row from these counters.  A lane
 that needs a word past its buffer leaves the block; ``run_block`` returns
 its index, and the caller refills that lane's counters from the scalar
-kernel.  ``ensemble._run_chunk`` runs this module: every task takes its
-seeds from ``derive_seeds``, and an eligible task runs one block.  The
+kernel.  ``ensemble._run_chunk`` runs this module: an eligible task takes
+its seeds from ``derive_seeds`` and runs one block (any other task derives
+them with ``rng.derive_seed`` and loads no numpy).  The
 ``seed_derivation`` check in ``olivetable.verification`` holds
 ``derive_seeds`` and ``first_words`` to ``rng.derive_seed`` and
 ``make_rng``.  The ensemble's task size cap,

@@ -17,9 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO
 
-# ``ensemble`` (numpy-backed) and ``verification``, which imports it, are
-# imported only inside the commands that run them: ``ensemble``, ``sweep``
-# and ``verify``.
+# ``ensemble`` (worker pools; numpy only where the ensemble command needs
+# it) and ``verification``, which imports it and numpy, are imported only
+# inside the commands that run them: ``ensemble``, ``sweep`` and ``verify``.
 from . import __version__, chain, oracle, process
 from .rng import _RangeError
 

@@ -3,49 +3,65 @@
 Replica ``i`` of a run is fully determined by the config: its stream seed is
 ``derive_seed(master_seed, i)``, so any subset of replicas can be computed on
 any worker (or re-run alone) bit-identically.  A run cuts its replica range
-into tasks and copies their rows into one array in replica order, so a
-pooled run equals an in-process one.  Each replica contributes one row of
-integer counters, and that record array, which ``run_ensemble`` returns, is
-the only store: every statistic is read off it, with the olive moments
-summed in Python integers (never floats).  ``summary_json(config,
-records)`` is the one report of a run: it sorts the O column once and reads
-every other figure straight off the columns.
+into tasks and takes their rows in replica order, so a pooled run equals an
+in-process one.  Each replica contributes one row of integer counters, with
+the olive moments summed in Python integers (never floats).
+
+``run_ensemble`` copies the rows into a numpy record array, which it returns
+and which is the run's only store: ``summary_json(config, records)`` is the
+one report of a run, sorting the O column once and reading every other
+figure straight off the columns.  ``sweep`` runs only the scalar kernel,
+whose tasks hand back rows of plain ints, and reads its reports off those.
+So importing this module loads no numpy, and neither does ``sweep``: numpy
+is imported only where the lockstep kernel or the record array needs it,
+and ``REPLICA_DTYPE`` is built on first access.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import operator
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import process
 from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState
-from .rng import _RangeError, make_rng
+from .rng import _RangeError, derive_seed, make_rng
 
-REPLICA_DTYPE = np.dtype(
-    [
-        ("replica", np.int64),
-        ("seed", np.uint64),
-        ("O", np.int64),
-        ("t_plate", np.int64),
-        ("tau1", np.int64),
-        ("two_to_one", np.int64),
-        ("max_other_olives", np.int64),
-        ("first_plate_olives", np.int64),
-        ("L_ge3", np.int64),
-        ("plate_moves_ge3", np.int64),
-    ]
+if TYPE_CHECKING:
+    import numpy as np
+
+# The columns of a replica row, in CSV order: all counts, int64 in the
+# record array except the uint64 seed.
+_COLUMNS = (
+    "replica", "seed", "O", "t_plate", "tau1", "two_to_one",
+    "max_other_olives", "first_plate_olives", "L_ge3", "plate_moves_ge3",
 )
 
-ENSEMBLE_CSV_HEADER = ",".join(REPLICA_DTYPE.names)
+ENSEMBLE_CSV_HEADER = ",".join(_COLUMNS)
+
+
+@functools.cache
+def _replica_dtype() -> np.dtype:
+    """The numpy record dtype of a replica row: one field per column."""
+    import numpy as np
+
+    return np.dtype([(name, np.uint64 if name == "seed" else np.int64) for name in _COLUMNS])
+
+
+def __getattr__(name: str):
+    # REPLICA_DTYPE is a numpy dtype, so it is built on first access
+    # instead of when the module is imported.
+    if name == "REPLICA_DTYPE":
+        return _replica_dtype()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -87,12 +103,19 @@ class EnsembleConfig:
         }
 
 
-def _olive_moments(o: np.ndarray) -> tuple[list[tuple[int, int]], int, int]:
-    """The distinct values of the O column with their replica counts (at
+def _olive_moments(o) -> tuple[list[tuple[int, int]], int, int]:
+    """The distinct values of an O column with their replica counts (at
     most t + 1 pairs, in increasing O), and the exact sums of O and O^2 in
-    Python ints."""
-    values, counts = np.unique(o, return_counts=True)
-    o_counts = list(zip(values.tolist(), counts.tolist()))
+    Python ints.  A record array's numpy column is counted by ``np.unique``,
+    many times faster than ``Counter`` at 10^5 replicas; a list or tuple of
+    ints (``sweep``'s) by ``Counter``, which needs no numpy."""
+    if isinstance(o, (list, tuple)):
+        o_counts = sorted(Counter(o).items())
+    else:
+        import numpy as np
+
+        values, counts = np.unique(o, return_counts=True)
+        o_counts = list(zip(values.tolist(), counts.tolist()))
     return o_counts, sum(o * c for o, c in o_counts), sum(o * o * c for o, c in o_counts)
 
 
@@ -103,28 +126,42 @@ _COUNTERS = TableState._COUNTS + ("first_plate_olives",)
 _read_counters = operator.attrgetter(*_COUNTERS)
 
 
-def _rows(t: int, lo: int, seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """The rows of replicas lo, lo + 1, ... at horizon t, from their uint64
-    seeds and their counters (one row per name in _COUNTERS, one column per
-    replica); the one place a replica row is built."""
+def _row(replica, seed, counters) -> tuple[dict, object]:
+    """A replica's row, by column name in _COLUMNS order, from its index,
+    seed and counters (in _COUNTERS order), and its move count, which
+    ``_check_conservation`` holds to the horizon.  Plain ints give one
+    replica's row; numpy columns with one value per replica give a lockstep
+    block's (``replica`` then holding the block's indices).  The one place
+    a row is built."""
     c = dict(zip(_COUNTERS, counters))
     derived = process._derived_counts(c["c_add_plate"], c["c_merge"], c["num_returns"])
-    # Every step makes one move, so the move counts sum to t at every row
-    # taken: olive conservation, O = t - t_plate - 2 * removals.  A lockstep
-    # lane that ran dry and was not refilled falls short.
-    broken = np.flatnonzero(derived["t_plate"] + c["c_add_olive"] + c["c_remove_olive"] != t)
-    if broken.size:
-        raise AssertionError(f"olive conservation violated in replica {lo + int(broken[0])}")
-    rows = np.empty(len(seeds), dtype=REPLICA_DTYPE)
-    rows["replica"] = np.arange(lo, lo + len(seeds))
-    rows["seed"] = seeds
-    rows["O"] = c["c_add_olive"] - c["c_remove_olive"]
-    for name, column in derived.items():
-        rows[name] = column
-    rows["max_other_olives"] = c["max_other_olives"]
-    rows["first_plate_olives"] = c["first_plate_olives"]
-    rows["plate_moves_ge3"] = c["plate_moves_at_ge3"]
-    return rows
+    row = {
+        "replica": replica,
+        "seed": seed,
+        "O": c["c_add_olive"] - c["c_remove_olive"],
+        "t_plate": derived["t_plate"],
+        "tau1": derived["tau1"],
+        "two_to_one": derived["two_to_one"],
+        "max_other_olives": c["max_other_olives"],
+        "first_plate_olives": c["first_plate_olives"],
+        "L_ge3": derived["L_ge3"],
+        "plate_moves_ge3": c["plate_moves_at_ge3"],
+    }
+    return row, derived["t_plate"] + c["c_add_olive"] + c["c_remove_olive"]
+
+
+def _check_conservation(t: int, lo: int, moves: Iterable[int]) -> None:
+    """Raise unless ``moves``, the move counts of replicas lo, lo + 1, ...
+    at horizon t, all equal t: the one check of every row either kernel
+    hands over.
+
+    Every step makes one move, so the move counts sum to t at every row
+    taken: olive conservation, O = t - t_plate - 2 * removals.  A lockstep
+    lane that ran dry and was not refilled falls short.
+    """
+    for k, total in enumerate(moves):
+        if total != t:
+            raise AssertionError(f"olive conservation violated in replica {lo + k}")
 
 
 def _replica_counters(seed: int, horizons: Sequence[int]) -> list[tuple]:
@@ -146,7 +183,7 @@ def _replica_counters(seed: int, horizons: Sequence[int]) -> list[tuple]:
 # t <= _LOCKSTEP_MAX_T (no ``sweep`` horizon is that short, so it never
 # gets there).  Every other task, and any lockstep lane that runs out of
 # buffered random words, runs on the scalar kernel ``process._advance``.
-# Both kernels hand over the same counters, and ``_rows`` builds every row.
+# Both kernels hand over the same counters, and ``_row`` builds every row.
 # Lockstep pays 10-15 ms per block for seeding, so it is the slower kernel
 # below about 500 replicas, and at long horizons numpy's per-call cost makes
 # each of its steps dearer than the scalar kernel's.  A task holds at most
@@ -158,24 +195,48 @@ _LOCKSTEP_MIN_REPLICAS = 1024
 _LOCKSTEP_MAX_LANES = (10 << 20) // (624 * 4)
 
 
-def _run_chunk(task: tuple) -> np.ndarray:
+def _run_chunk(task: tuple) -> list:
     """Replicas [lo, hi) of one master seed at each of the increasing
-    ``horizons``, as an array of shape (len(horizons), hi - lo): row k holds
-    the records at horizons[k].  Each replica is simulated once, to the
-    last horizon: an eligible task runs one lockstep block, and the scalar
-    kernel runs every replica the block did not finish."""
-    from . import _lockstep
-
+    ``horizons``, as one part per horizon holding their rows in replica
+    order.  Each replica is simulated once, to the last horizon.  An
+    eligible task runs one lockstep block, and its one part is a numpy
+    record array.  Any other task runs on the scalar kernel alone, taking
+    its seeds from ``derive_seed``, and each part is a list of row tuples
+    of plain ints, in _COLUMNS order: such a task loads no numpy."""
     horizons, lo, hi, master_seed = task
-    seeds = _lockstep.derive_seeds(master_seed, lo, hi)
-    counters = np.empty((len(horizons), len(_COUNTERS), hi - lo), dtype=np.int64)
-    todo = range(hi - lo)
     (t, *later) = horizons
     if not later and t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
-        counters[0], todo = _lockstep.run_block(t, seeds)
-    for k in todo:
-        counters[:, :, k] = _replica_counters(int(seeds[k]), horizons)
-    return np.stack([_rows(t, lo, seeds, c) for t, c in zip(horizons, counters)])
+        return [_lockstep_rows(t, lo, hi, master_seed)]
+    parts = [[] for _ in horizons]
+    moves = [[] for _ in horizons]
+    for i in range(lo, hi):
+        seed = derive_seed(master_seed, i)
+        for part, taken, counters in zip(parts, moves, _replica_counters(seed, horizons)):
+            row, total = _row(i, seed, counters)
+            part.append(tuple(row.values()))
+            taken.append(total)
+    for t, taken in zip(horizons, moves):
+        _check_conservation(t, lo, taken)
+    return parts
+
+
+def _lockstep_rows(t: int, lo: int, hi: int, master_seed: int) -> np.ndarray:
+    """The record array of replicas [lo, hi) at horizon t from one lockstep
+    block, with the scalar kernel refilling every lane that ran dry."""
+    import numpy as np
+
+    from . import _lockstep
+
+    seeds = _lockstep.derive_seeds(master_seed, lo, hi)
+    counters, dry = _lockstep.run_block(t, seeds)
+    for k in dry:
+        (counters[:, k],) = _replica_counters(int(seeds[k]), (t,))
+    row, moves = _row(np.arange(lo, hi), seeds, counters)
+    _check_conservation(t, lo, moves.tolist())
+    rows = np.empty(hi - lo, dtype=_replica_dtype())
+    for name, column in row.items():
+        rows[name] = column
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -203,24 +264,31 @@ def run_ensemble(
     replica_range: Optional[tuple[int, int]] = None,
 ) -> np.ndarray:
     """The records of replicas [lo, hi) of ``config`` (default: all of
-    them), one row per replica in replica order, with exactly the ensemble
-    CSV columns.
+    them) as a numpy record array of ``REPLICA_DTYPE``, one row per replica
+    in replica order, with exactly the ensemble CSV columns.
 
     ``threads`` (default: the usable CPUs) caps the worker pool, which
     ``pool_size`` also caps at the usable CPUs and the replica count; the
     result is identical for any thread count because replica seeds are
     derived from the config and each task's rows land at their replica index.
     """
+    import numpy as np
+
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     if not 0 <= lo <= hi <= config.replicas:
         raise _RangeError(f"bad replica range {replica_range} for R={config.replicas}")
-    (records,) = _run_replicas(config.master_seed, (config.t,), lo, hi, threads)
+    records = np.empty(hi - lo, dtype=_replica_dtype())
+    # Each part is copied out and freed as it arrives instead of all parts
+    # being held for one concatenation.
+    for a, b, (rows,) in _run_replicas(config.master_seed, (config.t,), lo, hi, threads):
+        records[a - lo : b - lo] = rows
     return records
 
 
-def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, threads: Optional[int]) -> np.ndarray:
+def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, threads: Optional[int]) -> Iterator[tuple]:
     """Replicas [lo, hi) of ``master_seed`` at each of the increasing
-    ``horizons``; row k of the result holds the records at horizons[k].
+    ``horizons``, as ``(a, b, parts)`` per task in replica order, where
+    ``parts`` is ``_run_chunk``'s result for replicas [a, b).
 
     The range is cut into near-equal ``_run_chunk`` tasks of at most
     _LOCKSTEP_MAX_LANES replicas, in replica order: 4 per worker when the
@@ -235,15 +303,12 @@ def _run_replicas(master_seed: int, horizons: Sequence[int], lo: int, hi: int, t
     n_tasks = max(min(count, 4 * workers) if pooled else 1, -(-count // _LOCKSTEP_MAX_LANES))
     bounds = [lo + count * k // n_tasks for k in range(n_tasks + 1)]
     tasks = [(horizons, a, b, master_seed) for a, b in zip(bounds, bounds[1:])]
-    records = np.empty((len(horizons), count), dtype=REPLICA_DTYPE)
     with _fork_pool(workers) if pooled else contextlib.nullcontext() as pool:
-        # In task order either way; each part is copied out and freed as it
-        # arrives instead of all parts being held for one concatenation.
+        # In task order either way.
         chunksize = -(-len(tasks) // (4 * workers))
         parts = pool.map(_run_chunk, tasks, chunksize=chunksize) if pooled else map(_run_chunk, tasks)
         for (_, a, b, _), part in zip(tasks, parts):
-            records[:, a - lo : b - lo] = part
-    return records
+            yield a, b, part
 
 
 def _fork_pool(workers: int) -> ProcessPoolExecutor:
@@ -347,7 +412,12 @@ def sweep(
     if replicas < 1:
         raise _RangeError(f"replicas must be >= 1, got {replicas}")
     horizons = sorted(set(t_list))
-    runs = dict(zip(horizons, _run_replicas(master_seed, horizons, 0, replicas, threads)))
+    rows = [[] for _ in horizons]
+    for _, _, parts in _run_replicas(master_seed, horizons, 0, replicas, threads):
+        for taken, part in zip(rows, parts):
+            taken += part
+    # Each horizon's rows as columns by name, like a record array's.
+    runs = {t: dict(zip(_COLUMNS, zip(*taken))) for t, taken in zip(horizons, rows)}
 
     c_rows = [_stats_estimate(_olive_moments(runs[t]["O"]), t) for t in t_list]
     ratios = [r["ratio"] for r in c_rows]
@@ -361,7 +431,7 @@ def sweep(
     n_growth = min(replicas, SWEEP_GROWTH_REPLICAS)
     growth_rows = []
     for t, records in runs.items():
-        max_other = int(records["max_other_olives"][:n_growth].max())
+        max_other = max(records["max_other_olives"][:n_growth])
         ceiling = LOG_GROWTH_CEILING * math.log(t)
         growth_rows.append(
             {
@@ -440,23 +510,25 @@ def summary_json(config: EnsembleConfig, records: np.ndarray) -> dict:
 
 _CSV_BLOCK_ROWS = 8192
 _COMMA, _NEWLINE, _ZERO = b",\n0"  # ASCII codes
-_TEN = np.uint64(10)
 
 
 def _decimal(column: np.ndarray, name: str) -> np.ndarray:
     """The decimal digits of a count column as ASCII bytes, one row per
     value, right-aligned in a uint8 matrix as wide as the largest value;
     the cells left of a value's leading digit are 0."""
+    import numpy as np
+
     if column.dtype.kind == "i" and column.min() < 0:
         raise ValueError(f"negative count in CSV column {name}: {int(column.min())}")
     value = column.astype(np.uint64)
+    ten = np.uint64(10)
     width = len(str(int(value.max())))
     cells = np.empty((len(value), width), dtype=np.uint8)
     for k in range(width - 1, -1, -1):
         # Floor division and a multiply-subtract: np.divmod skips numpy's
         # fast division by a scalar and costs several times as much.
-        quotient = value // _TEN
-        cells[:, k] = value - quotient * _TEN + _ZERO
+        quotient = value // ten
+        cells[:, k] = value - quotient * ten + _ZERO
         if k < width - 1:
             cells[:, k] *= value > 0  # units always print, 0 included
         value = quotient
@@ -476,11 +548,13 @@ def write_ensemble_csv(records: np.ndarray, out: TextIO) -> None:
     non-negative count; a negative one raises ``ValueError`` instead of
     wrapping.
     """
+    import numpy as np
+
     out.write(ENSEMBLE_CSV_HEADER + "\n")
     for lo in range(0, len(records), _CSV_BLOCK_ROWS):
         block = records[lo : lo + _CSV_BLOCK_ROWS]
         parts = []
-        for name in REPLICA_DTYPE.names:
+        for name in _COLUMNS:
             parts += [_decimal(block[name], name), np.full((len(block), 1), _COMMA, dtype=np.uint8)]
         parts[-1][:] = _NEWLINE
         out.write(np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii"))

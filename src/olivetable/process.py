@@ -20,9 +20,9 @@ either survivor convention.
 The per-step work is O(1): plates live in contiguous parallel lists with
 swap-removal, non-empty plates are tracked in an index list, and the single
 uniform draw in [0, M) is rejection-sampled and decoded positionally.  One
-kernel, ``_advance``, holds that code; :func:`run_trajectory` and
-:func:`step` are both one call to it, and the ensemble's scalar replicas
-call it once per horizon, resuming where the last call stopped.  Every
+kernel, ``_advance``, holds that code: :func:`run_trajectory` is one call
+to it, and the ensemble's scalar replicas call it once per horizon,
+resuming where the last call stopped.  Every
 count a trajectory reports lives on its :class:`TableState`, so resuming
 needs nothing else.  The state stores only independent counts
 (``TableState._COUNTS``: the move counts P+, P-, O+ and O- and the run's
@@ -436,12 +436,6 @@ def run_trajectory(
     record = TrajectoryRecord(t_max=t_max, final_state=TableState(), series=[])
     _advance(record.final_state, make_rng(seed), t_max, record.series, cadence, check_identity)
     return record
-
-
-def step(state: TableState, rng) -> TableState:
-    """Advance ``state`` in place by one uniformly chosen move and return it."""
-    _advance(state, rng, 1)
-    return state
 
 
 def write_trajectory_csv(record: TrajectoryRecord, out: TextIO) -> None:

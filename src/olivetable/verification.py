@@ -309,10 +309,11 @@ def _sample(n: int) -> list[int]:
 
 
 def _check_seed_derivation(n: int) -> str:
-    """The seeds and first words that every ensemble task uses, from
+    """The seeds and first words of the lockstep kernel, from
     ``_lockstep.derive_seeds`` and ``_lockstep.first_words``: all distinct,
-    and equal to ``rng.derive_seed`` and ``make_rng``'s first draws on a
-    fixed sample of replicas that includes the first and the last."""
+    and equal to ``rng.derive_seed`` (which the scalar tasks use) and
+    ``make_rng``'s first draws on a fixed sample of replicas that includes
+    the first and the last."""
     seeds = _lockstep.derive_seeds(123, 0, n)
     assert np.unique(seeds).size == n, "derived seeds collide"
     for i in _sample(n):

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -634,17 +636,59 @@ def test_golden_payload_digest(argv, tmp_path):
 
 def _fresh_interpreter(code: str, *flags: str, timeout: float = 300) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter, started with ``flags``, that
-    imports this olivetable; past ``timeout`` seconds it is killed and the
-    test fails."""
+    imports this olivetable.  It runs in a session of its own, so past
+    ``timeout`` seconds its whole process group is killed, pool workers it
+    forked included, and ``TimeoutExpired`` fails the test."""
     src = str(Path(olivetable.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
+    with subprocess.Popen(
         [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=timeout,
-    )
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            # A worker left behind holds the pipes open, so communicate()
+            # returns only once the whole group is gone.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_fresh_interpreter_kills_what_it_forked_on_timeout(tmp_path):
+    # The interpreter forks a child, as a pool does, and both hang.
+    pid_file = tmp_path / "child.pid"
+    code = f"""
+import os, time
+pid = os.fork()
+if pid == 0:
+    time.sleep(300)
+    os._exit(0)
+with open({str(pid_file)!r}, "w") as fh:
+    fh.write(str(pid))
+time.sleep(300)
+"""
+    with pytest.raises(subprocess.TimeoutExpired):
+        _fresh_interpreter(code, timeout=3)
+    child = int(pid_file.read_text())
+
+    def gone() -> bool:
+        # A killed process may stay a zombie until its new parent reaps it.
+        try:
+            return Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            return True
+
+    deadline = time.monotonic() + 10
+    while not gone() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert gone(), f"forked child {child} outlived the timeout"
 
 
 def test_only_numpy_commands_import_numpy():
@@ -662,6 +706,26 @@ assert main(["chain", "--t-max", "3", "--simulate-steps", "100", "--seed", "1"])
 assert "numpy" not in sys.modules, "exact, simulate or chain loaded numpy"
 assert "dataclasses" not in sys.modules, "exact, simulate or chain loaded dataclasses"
 assert "inspect" not in sys.modules, "exact, simulate or chain loaded inspect"
+from olivetable import ensemble
+assert "numpy" not in sys.modules, "import olivetable.ensemble loaded numpy"
+# A pooled sweep (two workers, whatever the host has) whose workers check
+# that their tasks loaded no numpy either, and an in-process one.
+pools = []
+fork_pool, run_chunk = ensemble._fork_pool, ensemble._run_chunk
+def counted_pool(workers):
+    pools.append(workers)
+    return fork_pool(workers)
+def checked_chunk(task):
+    parts = run_chunk(task)
+    assert "numpy" not in sys.modules, "a sweep task loaded numpy"
+    return parts
+ensemble._fork_pool, ensemble._run_chunk, ensemble._usable_cpus = counted_pool, checked_chunk, lambda: 2
+assert main(["sweep", "--t-list", "1000,2000", "--replicas", "600", "--seed", "1", "--threads", "2"]) == 0
+assert pools == [2], pools
+assert main(["sweep", "--t-list", "1000,2000", "--replicas", "5", "--seed", "1", "--threads", "1"]) == 0
+assert pools == [2], pools
+assert "numpy" not in sys.modules, "sweep loaded numpy"
+ensemble._fork_pool, ensemble._run_chunk = fork_pool, run_chunk
 assert main(["ensemble", "--t", "12", "--replicas", "10", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
 """

@@ -173,8 +173,10 @@ def test_one_task_list_tiles_the_range(horizons, lo, hi, threads, chunksizes, si
 
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ensemble, "_run_chunk", record)
-    records = ensemble._run_replicas(77, horizons, lo, hi, threads)
-    assert records.shape == (len(horizons), hi - lo)
+    parts = list(ensemble._run_replicas(77, horizons, lo, hi, threads))
+    # Each task's result comes back once, with its replica range, in task order.
+    assert [(a, b) for a, b, _ in parts] == [(a, b) for _, a, b, _ in tasks]
+    assert [part.shape for _, _, part in parts] == [(len(horizons), b - a) for _, a, b, _ in tasks]
     assert fake_pool.started == ([2] if chunksizes else [])
     assert fake_pool.chunksizes == chunksizes
     assert [b - a for _, a, b, _ in tasks] == sizes
@@ -326,12 +328,13 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
                 pooled_steps.value += n_steps
         return kernel(state, rng, n_steps, series, cadence, check_identity)
 
-    runs = []
+    tasks = []
     real_run_replicas = ensemble._run_replicas
 
     def capture(*args, **kwargs):
-        runs.append(real_run_replicas(*args, **kwargs))
-        return runs[-1]
+        for task in real_run_replicas(*args, **kwargs):
+            tasks.append(task)
+            yield task
 
     monkeypatch.setattr(process, "_advance", counting)
     monkeypatch.setattr(ensemble, "_run_replicas", capture)
@@ -340,11 +343,17 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
     assert steps.value == SWEEP_R * max(SWEEP_T)
     pooled = threads > 1 and ensemble._usable_cpus() > 1
     assert pooled_steps.value == (steps.value if pooled else 0)
-    (records,) = runs
     horizons = sorted(set(SWEEP_T))
-    assert len(records) == len(horizons)
-    for t, recs in zip(horizons, records):
-        assert recs.tobytes() == separate_ensembles[t].tobytes(), t
+    assert [a for a, _, _ in tasks] == [0] + [b for _, b, _ in tasks[:-1]]
+    assert tasks[-1][1] == SWEEP_R
+    # Every task hands back one part per horizon of plain-int row tuples,
+    # and the rows equal those of a separate run_ensemble per horizon,
+    # byte for byte.
+    assert all(len(parts) == len(horizons) for _, _, parts in tasks)
+    for k, t in enumerate(horizons):
+        rows = [row for _, _, parts in tasks for row in parts[k]]
+        assert {type(v) for row in rows for v in row} == {int}, t
+        assert np.array(rows, dtype=ensemble.REPLICA_DTYPE).tobytes() == separate_ensembles[t].tobytes(), t
     for t, row in zip(SWEEP_T, c_report["rows"]):
         assert row == _estimate(separate_ensembles[t], t)
         assert row["within_bounds"] is True
@@ -377,7 +386,7 @@ def test_summary_sorts_the_olive_column_once(mid_records, monkeypatch):
         calls.append(args[0])
         return real_unique(*args, **kwargs)
 
-    monkeypatch.setattr(ensemble.np, "unique", spy)
+    monkeypatch.setattr(np, "unique", spy)
     summary_json(MID, mid_records)
     assert len(calls) == 1
     assert calls[0].tobytes() == mid_records["O"].tobytes()

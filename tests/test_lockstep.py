@@ -154,7 +154,7 @@ def _draws_per_step(t: int, seed: int) -> list[int]:
     rng.getrandbits = getrandbits
     state = TableState()
     for _ in range(t):
-        process.step(state, rng)
+        process._advance(state, rng, 1)
         counts.append(used[0])
     return counts
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olivetable import oracle
+from olivetable import oracle, process
 from olivetable.chain import first_return_pmf_dp
 from olivetable.oracle import (
     BudgetExceededError,
@@ -18,7 +18,7 @@ from olivetable.oracle import (
     labeled_olive_distribution,
     olive_distribution_table,
 )
-from olivetable.process import TableState, step
+from olivetable.process import TableState
 from olivetable.rng import make_rng
 from olivetable.verification import _assert_return_pmf
 
@@ -187,7 +187,9 @@ def test_integer_law_matches_kernel_on_reachable_states():
         # Every one of the M moves, decoded by the production kernel.
         kernel: dict[tuple, int] = {}
         for u in range(m_total):
-            succ = canonical_of(step(_table_of(state), _Draw(u)))
+            table = _table_of(state)
+            process._advance(table, _Draw(u), 1)
+            succ = canonical_of(table)
             kernel[succ] = kernel.get(succ, 0) + 1
         assert kernel == law, state
 

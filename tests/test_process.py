@@ -14,7 +14,6 @@ from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
     run_trajectory,
-    step,
     write_trajectory_csv,
 )
 from olivetable.rng import make_rng
@@ -34,7 +33,8 @@ class _Draws:
 
 def _step_with(state, u):
     """``state`` after the move that the draw ``u`` decodes to."""
-    return step(state, _Draws(u))
+    process._advance(state, _Draws(u), 1)
+    return state
 
 
 def test_new_table_is_empty():
@@ -47,7 +47,8 @@ def test_new_table_is_empty():
 
 
 def test_first_step_is_forced():
-    state = step(TableState(), make_rng(0))
+    state = TableState()
+    process._advance(state, make_rng(0), 1)
     assert state.counters() == (1, 0, 0, 0)
     assert state.num_plates == 1
     assert state.total_olives == 0
@@ -72,7 +73,7 @@ def test_move_counts_formula(plates, expected):
     base.check_invariants()
     m_total = expected[-1]
     draws = _Draws(m_total, m_total - 1)
-    step(base.copy(), draws)
+    process._advance(base.copy(), draws, 1)
     assert draws.widths == [m_total.bit_length()] * 2 and not draws.values
     kinds = [0, 0, 0, 0]
     for u in range(m_total):
@@ -126,7 +127,10 @@ def test_conditional_merge_probability_at_least_three_quarters():
 
 def test_sample_move_empty_table_always_adds_plate():
     rng = make_rng(1)
-    assert all(step(TableState(), rng).plates == [(1, 0)] for _ in range(100))
+    for _ in range(100):
+        state = TableState()
+        process._advance(state, rng, 1)
+        assert state.plates == [(1, 0)]
 
 
 def test_sample_move_uniform_two_empty_plates():
@@ -136,7 +140,9 @@ def test_sample_move_uniform_two_empty_plates():
     n = 1_000_000
     counts = {}
     for _ in range(n):
-        plates = tuple(step(base.copy(), rng).plates)
+        trial = base.copy()
+        process._advance(trial, rng, 1)
+        plates = tuple(trial.plates)
         counts[plates] = counts.get(plates, 0) + 1
     assert len(counts) == 4
     tol = 5 * math.sqrt(n * 0.25 * 0.75)
@@ -153,7 +159,11 @@ def test_sample_move_merge_probability_one_in_five():
     base = TableState.from_plates([(1, 1), (2, 0)])
     rng = make_rng(321)
     n = 200_000
-    merges = sum(1 for _ in range(n) if step(base.copy(), rng).num_plates == 1)
+    merges = 0
+    for _ in range(n):
+        trial = base.copy()
+        process._advance(trial, rng, 1)
+        merges += trial.num_plates == 1
     tol = 5 * math.sqrt(n * 0.2 * 0.8)
     assert abs(merges - n / 5) <= tol
 
@@ -223,7 +233,7 @@ def test_single_move_deltas_are_bounded():
     state = TableState()
     for _ in range(2000):
         before = (state.total_olives, state.num_plates, state.counters())
-        state = step(state, rng)
+        process._advance(state, rng, 1)
         after = (state.total_olives, state.num_plates, state.counters())
         assert abs(after[0] - before[0]) <= 1
         assert abs(after[1] - before[1]) <= 1
@@ -240,7 +250,7 @@ def test_step_from_single_empty_plate_adds_olive_half_the_time():
     hits = 0
     for _ in range(n):
         trial = base.copy()
-        step(trial, rng)
+        process._advance(trial, rng, 1)
         hits += trial.total_olives
     tol = 5 * math.sqrt(n * 0.25)
     assert abs(hits - n / 2) <= tol
@@ -252,7 +262,7 @@ def test_accounting_identity_and_structure_hold(seed, t):
     rng = make_rng(seed)
     state = TableState()
     for _ in range(t):
-        state = step(state, rng)
+        process._advance(state, rng, 1)
         assert state.total_olives == state.t - (state.c_add_plate + state.c_merge) - 2 * state.c_remove_olive
         assert state.num_plates >= 1, "table re-emptied"
         assert min(i for i, _ in state.plates) == 1, "first plate lost"
@@ -260,7 +270,7 @@ def test_accounting_identity_and_structure_hold(seed, t):
 
 
 def test_fast_loop_matches_step_by_step():
-    # One state advanced a step at a time by step(): it counts a return
+    # One state advanced a step at a time by _advance: it counts a return
     # exactly on the steps that take the plate count from 2 to 1, and ends
     # equal, every counter included, to the state of one run_trajectory
     # call.  Every plate move enters a new plate-count level, and the entries
@@ -277,7 +287,7 @@ def test_fast_loop_matches_step_by_step():
         returns = merges_ge3 = moves_ge3 = 0
         for _ in range(t):
             before = state.num_plates
-            step(state, rng)
+            process._advance(state, rng, 1)
             if state.num_plates != before:
                 entries[state.num_plates] = entries.get(state.num_plates, 0) + 1
                 if before >= 3:
@@ -339,21 +349,34 @@ def test_a_snapshot_row_passes_the_conservation_check():
     from olivetable import ensemble
 
     seed = 4242
-    seeds = np.array([seed], dtype=np.uint64)
+
+    def row(counters, columns):
+        # A scalar task builds a row from plain ints; a lockstep block from
+        # numpy columns, here a block of one replica.
+        if columns:
+            counters = np.array([counters]).T
+            built, moves = ensemble._row(np.arange(7, 8), np.array([seed], dtype=np.uint64), counters)
+            return int(built["O"][0]), moves.tolist()
+        built, moves = ensemble._row(7, seed, counters)
+        return built["O"], [moves]
+
     # One trajectory read at 1200 steps on its way to 5000, as the scalar
     # kernel reads a replica at each sweep horizon: the snapshot is the state
     # of a 1200-step run, and each row is checked against its own t.
     snapshot, final = ensemble._replica_counters(seed, (1200, 5000))
     short, long = (run_trajectory(t, seed).final_state for t in (1200, 5000))
     assert snapshot == ensemble._read_counters(short)
-    snapshot, final = (np.array([c]).T for c in (snapshot, final))
-    assert ensemble._rows(1200, 7, seeds, snapshot)["O"] == short.total_olives
-    assert ensemble._rows(5000, 7, seeds, final)["O"] == long.total_olives
-    with pytest.raises(AssertionError, match="replica 7"):
-        ensemble._rows(5000, 7, seeds, snapshot)
-    snapshot[ensemble._COUNTERS.index("c_add_olive")] += 1
-    with pytest.raises(AssertionError, match="replica 7"):
-        ensemble._rows(1200, 7, seeds, snapshot)
+    bumped = list(snapshot)
+    bumped[ensemble._COUNTERS.index("c_add_olive")] += 1
+    for columns in (False, True):
+        (o_short, moves_short), (o_long, moves_long) = row(snapshot, columns), row(final, columns)
+        assert (o_short, o_long) == (short.total_olives, long.total_olives)
+        ensemble._check_conservation(1200, 7, moves_short)
+        ensemble._check_conservation(5000, 7, moves_long)
+        with pytest.raises(AssertionError, match="replica 7"):
+            ensemble._check_conservation(5000, 7, moves_short)
+        with pytest.raises(AssertionError, match="replica 7"):
+            ensemble._check_conservation(1200, 7, row(bumped, columns)[1])
 
 
 def test_trajectory_determinism_and_seed_sensitivity():
@@ -403,7 +426,7 @@ def test_max_other_olives_tracks_non_first_plates():
     state = TableState()
     max_other = 0
     for _ in range(t):
-        state = step(state, rng)
+        process._advance(state, rng, 1)
         max_other = max(
             max_other, max((o for i, o in state.plates if i != 1), default=0)
         )
