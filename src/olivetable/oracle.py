@@ -2,27 +2,32 @@
 
 Two independent exact engines:
 
-* a rational pushforward over the multiset of plate olive counts (an
-  ascending tuple of every plate's count), which yields the exact law of
-  the olive total for small step counts; it carries integer numerators
-  over one common denominator and builds a ``Fraction`` only for what it
-  returns, and
+* a rational pushforward over the multiset of plate olive counts, which
+  yields the exact law of the olive total for small step counts; it
+  carries integer numerators over one common denominator and builds a
+  ``Fraction`` only for what it returns, and
 * exhaustive path enumeration for the auxiliary walk's first-return time,
   deliberately sharing neither code nor types with the dynamic program in
   :mod:`olivetable.chain` that it cross-checks: both return a plain
   ``{2t: Fraction}`` dict, and this module imports nothing from ``chain``.
 
-One function lists moves: ``_pile_moves`` takes an ascending tuple of
-plate counts and lists every move among those plates.  The pushforward runs
+The pushforward keys each multiset by one ``int`` of fixed-width bit fields
+(``_Fields``): the olive total O, the plate count l and, for each count v,
+the number of plates holding v.  The width comes from the horizon, so every
+key up to it fits, and a move is one addition of a precomputed constant.
+
+One function lists moves: ``_pile_moves`` takes a multiset key and adds
+every move among those plates into a caller's dict.  The pushforward runs
 it on the multiset of all counts.  A merge leaves the combined pile on the
 table whichever plate survives, and M reads only l and n_e, so that is the
 whole one-step law of the multiset and the chain on multisets is exactly
 lumpable (Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3).
-``_law`` runs it on the non-first plates and adds plate 1's own moves,
-which gives the law of canonical states that the sampler check and
-anything that follows plate 1 need.  A canonical state is the plain tuple
-``(first, others)`` of a table with at least one plate: the first plate's
-count and the ascending tuple of the others' counts.  The empty table needs
+``_law`` runs it on the non-first plates, decodes the successors into
+ascending tuples and adds plate 1's own moves, which gives the law of
+canonical states that the sampler check and anything that follows plate 1
+need.  A canonical state is the plain tuple ``(first, others)`` of a table
+with at least one plate: the first plate's count and the ascending tuple of
+the others' counts.  The empty table needs
 no canonical form, because only the multiset layer starts from it.  Lumping
 non-first plates is sound because the uniform move choice treats them
 exchangeably.
@@ -36,17 +41,18 @@ holding them, so multiplicities in the multiset are weighted correctly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, TextIO
 
 from .process import TableState
 from .rng import _RangeError
 
 # Caps the cumulative state expansions of one pushforward.  It admits
-# t <= 34 (8.5e6 expansions; step 35 would need 1.10e7), which takes 6.4-7.1 s
-# CPU and 63 MB peak RSS for ``exact --t 34`` on a 2-vCPU x86-64 box with
-# CPython 3.11, against about 0.17-0.23 s and 17 MB at t = 20.
+# t <= 34 (8.5e6 expansions; step 35 would need 1.10e7), which takes 4.2-4.8 s
+# CPU and 61 MB peak RSS for ``exact --t 34`` on a 2-vCPU x86-64 box with
+# CPython 3.11, against about 0.16-0.17 s and 16 MB at t = 20.
 DEFAULT_STATE_BUDGET = 10_000_000
 
 OLIVE_PMF_CSV_HEADER = "t,O,prob_num,prob_den"
@@ -83,54 +89,146 @@ def canonical_of(state: TableState) -> tuple[int, tuple[int, ...]]:
     return olives[p], tuple(sorted(olives[:p] + olives[p + 1 :]))
 
 
-def _pile_moves(piles: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Every move among the ascending tuple of counts ``piles``, as
-    ``{successor: k}`` with k the number of moves that reach it: a new
-    plate, a merge of two piles, or an olive added to or taken from one.
+class _Table(dict):
+    """A dict that builds each missing entry once, as ``build(key)``."""
 
-    This is the one place that lists successors.  On every plate's count it
-    is the whole law of the multiset and the ks sum to M (a merge keeps the
-    combined pile whichever plate survives), so ``_pile_moves(())`` is
-    ``{(0,): 1}``.  ``_law`` adds plate 1's own moves to it.
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Fields:
+    """The bit-field layout of a multiset key: one ``int`` per multiset of
+    plate counts.
+
+    Every field is ``width`` bits wide.  From the lowest bits up they hold
+    the olive total O, the plate count l, and then, for each count v = 0,
+    1, 2, ..., the number of plates holding v.  While no field exceeds
+    ``mask`` none carries into the next, and each move adds one constant
+    to a key: ``new_plate`` (P+), ``raise_[v]`` and ``lower[v]`` (an olive
+    onto or off a pile of v), ``drop_empty`` (a merge with an empty pile)
+    and ``merges[v][u]`` (a merge of piles of v and u).  Each table entry is
+    built on first use, so a layout costs only the counts it meets,
+    whatever the horizon.
     """
-    # Piles of equal count lead to the same successor, so they are walked by
-    # distinct count v, held by piles[lo:hi].  Each successor is built by
-    # slicing the sorted tuple, so it stays sorted.
-    n = len(piles)
-    groups = []
-    lo = 0
-    while lo < n:
-        v = piles[lo]
-        hi = bisect_right(piles, v, lo)
-        groups.append((v, lo, hi))
-        lo = hi
-    zeros = groups[0][2] if groups and groups[0][0] == 0 else 0
-    nonzero = groups[1:] if zeros else groups
+
+    __slots__ = ("width", "mask", "unit", "new_plate", "drop_empty", "raise_", "lower", "merges")
+
+    def __init__(self, width: int):
+        w = self.width = width
+        self.mask = (1 << w) - 1
+        plate = 1 << w
+        unit = self.unit = _Table(lambda v: 1 << (v + 2) * w)
+        self.new_plate = plate + unit[0]
+        self.drop_empty = -self.new_plate
+        self.raise_ = _Table(lambda v: unit[v + 1] - unit[v] + 1)
+        self.lower = _Table(lambda v: unit[v - 1] - unit[v] - 1)
+        self.merges = _Table(lambda v: _Table(lambda u: unit[v + u] - unit[v] - unit[u] - plate))
+
+    def key(self, piles: tuple[int, ...]) -> int:
+        """The key of a tuple of counts."""
+        key = sum(piles) + (len(piles) << self.width)
+        unit = self.unit
+        for v in piles:
+            key += unit[v]
+        return key
+
+    def piles(self, key: int) -> tuple[int, ...]:
+        """The ascending tuple of counts that ``key`` holds."""
+        w, mask = self.width, self.mask
+        out: list[int] = []
+        k = key >> 2 * w
+        v = 0
+        while k:
+            out += (v,) * (k & mask)
+            k >>= w
+            v += 1
+        return tuple(out)
+
+    def moves(self, key: int) -> int:
+        """M of the table ``key`` holds, off its l and zero-count fields."""
+        w, mask = self.width, self.mask
+        l = key >> w & mask
+        return _num_moves(l, l - (key >> 2 * w & mask))
+
+
+def _fields(n: int) -> _Fields:
+    """The layout whose fields hold every value up to n: after t steps from
+    the empty table l <= t and O <= t - 1, so ``_fields(t)`` holds every
+    key the pushforward to t meets."""
+    return _layout(max(n, 1).bit_length())
+
+
+@lru_cache(maxsize=None)
+def _layout(width: int) -> _Fields:
+    """One shared layout per width; its tables only ever gain entries."""
+    return _Fields(width)
+
+
+def _pile_moves(key: int, scaled: int, out: dict[int, int], fields: _Fields) -> None:
+    """Every move among the piles of the multiset ``key``, added into
+    ``out``: ``out[successor] += scaled * k``, with k the number of moves
+    that reach it (a new plate, a merge of two piles, or an olive added to
+    or taken from one).
+
+    This is the one place that lists successors, each as ``key`` plus one
+    of ``fields``' constants.  On every plate's count it is the whole law of
+    the multiset and the ks sum to M (a merge keeps the combined pile
+    whichever plate survives), so the empty key 0 lists only the key of one
+    empty plate.  ``_advance`` adds each key's successors into the next
+    step's numerators; ``_law`` lists the non-first plates' with
+    ``scaled = 1`` and adds plate 1's own moves.
+    """
+    get = out.get
+    w, mask = fields.width, fields.mask
+    l = key >> w & mask
+    counts = key >> 2 * w
+    zeros = counts & mask
     # P+: one new empty plate.
-    out = {(0,) + piles: 1}
-    # P-: one way per unordered pair of piles.  Every merge with an empty
-    # pile just drops it, so all of them lead to one successor: C(z, 2) among
-    # the z empty piles and z (n - z) with the non-empty ones.  Every other
-    # merge leads to a successor of its own.
-    if zeros and n > 1:
-        out[piles[1:]] = zeros * (zeros - 1) // 2 + zeros * (n - zeros)
-    for i, (v, lo, hi) in enumerate(nonzero):
-        c = hi - lo
+    succ = key + fields.new_plate
+    out[succ] = get(succ, 0) + scaled
+    if zeros:
+        # O+ on one of the empty piles.
+        succ = key + fields.raise_[0]
+        out[succ] = get(succ, 0) + scaled * zeros
+        # Every merge with an empty pile just drops it, so all of them lead
+        # to one successor: C(z, 2) among the z empty piles and z (l - z)
+        # with the non-empty ones.
+        if l > 1:
+            succ = key + fields.drop_empty
+            out[succ] = get(succ, 0) + scaled * (zeros * (zeros - 1) // 2 + zeros * (l - zeros))
+    # The non-empty piles by distinct count v, c of them holding it.
+    groups = []
+    v = 0
+    counts >>= w
+    while counts:
+        v += 1
+        c = counts & mask
+        if c:
+            groups.append((v, c))
+        counts >>= w
+    raise_, lower, merges = fields.raise_, fields.lower, fields.merges
+    for i, (v, c) in enumerate(groups):
+        each = scaled * c
+        # O+ and O-: one way per pile of v.
+        succ = key + raise_[v]
+        out[succ] = get(succ, 0) + each
+        succ = key + lower[v]
+        out[succ] = get(succ, 0) + each
+        # P-: one way per unordered pair of piles.
+        row = merges[v]
         if c > 1:
-            s = 2 * v
-            p = bisect_left(piles, s, hi)
-            out[piles[:lo] + piles[lo + 2 : p] + (s,) + piles[p:]] = c * (c - 1) // 2
-        for w, lo2, hi2 in nonzero[i + 1 :]:
-            s = v + w
-            p = bisect_left(piles, s, hi2)
-            out[piles[:lo] + piles[lo + 1 : lo2] + piles[lo2 + 1 : p] + (s,) + piles[p:]] = c * (hi2 - lo2)
-    # O+: one way per pile; a count's last pile is the one raised.
-    for v, lo, hi in groups:
-        out[piles[: hi - 1] + (v + 1,) + piles[hi:]] = hi - lo
-    # O-: one way per non-empty pile; a count's first pile is the one lowered.
-    for v, lo, hi in nonzero:
-        out[piles[:lo] + (v - 1,) + piles[lo + 1 :]] = hi - lo
-    return out
+            succ = key + row[v]
+            out[succ] = get(succ, 0) + scaled * (c * (c - 1) // 2)
+        for u, d in groups[i + 1 :]:
+            succ = key + row[u]
+            out[succ] = get(succ, 0) + each * d
 
 
 def _num_moves(l: int, n_e: int) -> int:
@@ -145,15 +243,19 @@ def _law(state: tuple[int, tuple[int, ...]]) -> tuple[int, dict[tuple[int, tuple
 
     The process picks one of M equally likely moves and ``k`` counts the
     moves that lead to each successor, so the multiplicities sum to M.  It
-    is ``_pile_moves`` on the non-first plates plus plate 1's own moves; the
-    sampler and transition-mass checks read it.
+    is ``_pile_moves`` on the non-first plates, decoded into tuples, plus
+    plate 1's own moves; the sampler and transition-mass checks read it.
     """
     first, others = state
-    out = {(first, succ): k for succ, k in _pile_moves(others).items()}
+    n = len(others)
+    fields = _fields(max(sum(others), n) + 1)
+    moves: dict[int, int] = {}
+    _pile_moves(fields.key(others), 1, moves, fields)
+    piles = fields.piles
+    out = {(first, piles(succ)): k for succ, k in moves.items()}
     # Plate 1 has the lowest id, so it survives every merge it joins: one
     # way per plate holding count v.  With v = 0 that is the successor the
     # merges among the others with an empty plate already reach.
-    n = len(others)
     lo = 0
     while lo < n:
         v = others[lo]
@@ -168,31 +270,29 @@ def _law(state: tuple[int, tuple[int, ...]]) -> tuple[int, dict[tuple[int, tuple
 
 
 def _advance(
-    dist: dict[tuple[int, ...], int], den: int, step: int, work_done: int, budget: int
-) -> tuple[dict[tuple[int, ...], int], int, int]:
+    dist: dict[int, int], den: int, step: int, work_done: int, budget: int, fields: _Fields
+) -> tuple[dict[int, int], int, int]:
     """One exact pushforward step under a cumulative work budget.
 
-    ``dist`` maps each multiset of plate counts (an ascending tuple) to the
-    integer numerator of its probability over the common denominator
-    ``den``; it is consumed (left empty).  Returns the next step's
-    numerators, denominator and the work done so far.  The projected work
-    for the step (the sum of each key's M, read off its length and its
-    zeros) is charged before any successor is listed.  Each key's successors
-    come from ``_pile_moves`` on the key itself, its numerator scaled to the
-    lcm of the live Ms; one gcd is divided out at the end.
+    ``dist`` maps each multiset key (laid out by ``fields``) to the integer
+    numerator of its probability over the common denominator ``den``; it
+    is consumed (left empty).  Returns the next step's numerators,
+    denominator and the work done so far.  The projected work for the step
+    (the sum of each key's M, read off its l and zero-count fields) is
+    charged before any successor is listed.  ``_pile_moves`` adds each
+    key's successors straight into the next step's dict, its numerator
+    scaled to the lcm of the live Ms; one gcd is divided out at the end.
     """
-    moves = [_num_moves(len(key), len(key) - bisect_right(key, 0)) for key in dist]
+    moves = [fields.moves(key) for key in dist]
     projected = work_done + sum(moves)
     if projected > budget:
         raise BudgetExceededError(step, projected, budget)
     lcm = math.lcm(*set(moves))
-    nxt: dict[tuple[int, ...], int] = {}
-    get = nxt.get
+    nxt: dict[int, int] = {}
     while dist:  # emptied as it is read, so old and new numerators never both peak
         key, num = dist.popitem()
-        scaled = num * (lcm // moves.pop())  # popitem is LIFO, so this is key's M
-        for succ, k in _pile_moves(key).items():
-            nxt[succ] = get(succ, 0) + scaled * k
+        # popitem is LIFO, so moves.pop() is key's M.
+        _pile_moves(key, num * (lcm // moves.pop()), nxt, fields)
     den *= lcm
     g = math.gcd(den, *nxt.values())
     if g > 1:
@@ -202,22 +302,24 @@ def _advance(
     return nxt, den, projected
 
 
-def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[tuple[int, ...], int], int]]:
+def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[int, int], int]]:
     """The exact law of the plate-count multiset after steps 0, 1, ..., t,
-    in turn, each as (integer numerators, common denominator).  A yielded
-    dict is emptied when the next step is computed, so read it before
-    advancing."""
-    dist: dict[tuple[int, ...], int] = {(): 1}
+    in turn, each as (integer numerators keyed as ``_fields(t)`` lays
+    out, common denominator).  A yielded dict is emptied when the next
+    step is computed, so read it before advancing."""
+    fields = _fields(t)
+    dist = {0: 1}  # the empty table
     den = 1
     yield dist, den
     work = 0
     for s in range(1, t + 1):
-        dist, den, work = _advance(dist, den, s, work, budget)
+        dist, den, work = _advance(dist, den, s, work, budget, fields)
         yield dist, den
 
 
-def _final(t: int) -> tuple[dict[tuple[int, ...], int], int]:
-    """Numerators and common denominator of the multiset law at t."""
+def _final(t: int) -> tuple[dict[int, int], int]:
+    """Numerators (keyed as ``_fields(t)`` lays out) and common denominator
+    of the multiset law at t."""
     if t < 0:
         raise _RangeError(f"t must be >= 0, got {t}")
     for dist, den in _pushforward(t, DEFAULT_STATE_BUDGET):
@@ -225,11 +327,12 @@ def _final(t: int) -> tuple[dict[tuple[int, ...], int], int]:
     return dist, den
 
 
-def _olive_pmf(dist: dict[tuple[int, ...], int], den: int) -> dict[int, Fraction]:
+def _olive_pmf(dist: dict[int, int], den: int, fields: _Fields) -> dict[int, Fraction]:
     """Olive-total pmf of a multiset law, in ascending olive count."""
+    mask = fields.mask
     nums: dict[int, int] = {}
     for key, num in dist.items():
-        o = sum(key)
+        o = key & mask
         nums[o] = nums.get(o, 0) + num
     return {o: Fraction(nums[o], den) for o in sorted(nums)}
 
@@ -241,7 +344,7 @@ def _mean(pmf: dict[int, Fraction]) -> Fraction:
 
 def exact_olive_distribution(t: int) -> dict[int, Fraction]:
     """Exact pmf of the olive total after t steps; masses sum to 1."""
-    return _olive_pmf(*_final(t))
+    return _olive_pmf(*_final(t), _fields(t))
 
 
 def exact_expected_olives(t: int) -> Fraction:
@@ -255,7 +358,8 @@ def olive_distribution_table(
     """Exact olive pmf at every step 1..t_max from one incremental pushforward."""
     if t_max < 1:
         raise _RangeError(f"t_max must be >= 1, got {t_max}")
-    return [(s, _olive_pmf(*step)) for s, step in enumerate(_pushforward(t_max, budget)) if s > 0]
+    fields = _fields(t_max)
+    return [(s, _olive_pmf(*step, fields)) for s, step in enumerate(_pushforward(t_max, budget)) if s > 0]
 
 
 # -- labeled (unlumped) cross-check ----------------------------------------

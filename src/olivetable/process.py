@@ -410,6 +410,21 @@ def _advance(
     state.max_other_olives = max_other
 
 
+def _series_rows(t_max: int, cadence: int) -> int:
+    """The number of series rows ``run_trajectory(t_max, seed, cadence)``
+    records: one per step divisible by ``cadence``, none at cadence 0.
+    Refuses what ``run_trajectory`` refuses, with the same messages:
+    t_max < 1, cadence < 0, or more than ``MAX_SERIES_ROWS`` rows."""
+    if t_max < 1:
+        raise _RangeError(f"t_max must be >= 1, got {t_max}")
+    if cadence < 0:
+        raise _RangeError(f"cadence must be >= 0, got {cadence}")
+    rows = t_max // cadence if cadence else 0
+    if rows > MAX_SERIES_ROWS:
+        raise _RangeError(f"cadence {cadence} over {t_max} steps would record {rows} rows (cap {MAX_SERIES_ROWS})")
+    return rows
+
+
 def run_trajectory(
     t_max: int,
     seed: int,
@@ -424,15 +439,7 @@ def run_trajectory(
     ``check_identity`` asserts the olive conservation law after every step.
     Identical (t_max, seed, cadence) always reproduce the identical record.
     """
-    if t_max < 1:
-        raise _RangeError(f"t_max must be >= 1, got {t_max}")
-    if cadence < 0:
-        raise _RangeError(f"cadence must be >= 0, got {cadence}")
-    if cadence and t_max // cadence > MAX_SERIES_ROWS:
-        raise _RangeError(
-            f"cadence {cadence} over {t_max} steps would record "
-            f"{t_max // cadence} rows (cap {MAX_SERIES_ROWS})"
-        )
+    _series_rows(t_max, cadence)
     record = TrajectoryRecord(t_max=t_max, final_state=TableState(), series=[])
     _advance(record.final_state, make_rng(seed), t_max, record.series, cadence, check_identity)
     return record

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import json
 import os
 import signal
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import olivetable
-from olivetable import chain, ensemble, oracle, process, verification
+from olivetable import chain, cli, ensemble, oracle, process, verification
 from olivetable.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -50,6 +52,62 @@ def test_simulate_json_summary(capsys):
     assert summary["olives_over_t"] * 20000 == pytest.approx(summary["final_olives"])
     assert Fraction(summary["olives_over_t_exact"]) == Fraction(summary["final_olives"], 20000)
     assert doc["provenance"]["flags"]["t"] == 20000
+
+
+def _simulate_json(argv, capsys):
+    """The summary of ``simulate ... --format json`` on stdout."""
+    assert main(["simulate", *argv, "--format", "json"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["summary"]
+
+
+def test_simulate_json_records_no_series(monkeypatch, capsys):
+    records = []
+    run = process.run_trajectory
+    monkeypatch.setattr(process, "run_trajectory", lambda *a, **k: records.append(run(*a, **k)) or records[-1])
+    summary = _simulate_json(["--t", "20000", "--seed", "1", "--cadence", "7"], capsys)
+    assert summary["series_rows"] == 20000 // 7
+    assert [record.series for record in records] == [[]]
+    # The same trajectory as the CSV path's, which does record the rows.
+    assert main(["simulate", "--t", "20000", "--seed", "1", "--cadence", "7"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(records[1].series) == 20000 // 7
+    assert records[0].final_state.plates == records[1].final_state.plates
+
+
+@pytest.mark.parametrize("argv", [["--t", "1"], ["--t", "999"], ["--t", "250000"], ["--t", "1000", "--cadence", "3"],
+                                  ["--t", "1000", "--cadence", "1000"], ["--t", "999", "--cadence", "1000"]])
+def test_simulate_json_series_rows_count_the_csv_rows(argv, tmp_path, capsys):
+    summary = _simulate_json([*argv, "--seed", "2"], capsys)
+    assert main(["simulate", *argv, "--seed", "2", "--out", str(tmp_path / "run.csv")]) == EXIT_OK
+    rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
+    assert summary["series_rows"] == len(rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_refuses_a_too_fine_cadence(fmt, capsys):
+    assert main(["simulate", "--t", "3000000", "--seed", "1", "--cadence", "1", "--format", fmt]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cadence 1 over 3000000 steps would record 3000000 rows (cap 2000000)\n"
+
+
+def test_simulate_cadence_cap_is_the_process_one(monkeypatch, capsys):
+    # The CLI keeps no copy of the cap: lowering process's lowers the CLI's,
+    # on both formats.
+    assert "MAX_SERIES_ROWS" not in inspect.getsource(cli)
+    monkeypatch.setattr(process, "MAX_SERIES_ROWS", 3)
+    for fmt in ("csv", "json"):
+        assert main(["simulate", "--t", "10", "--seed", "1", "--cadence", "2", "--format", fmt]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cadence 2 over 10 steps would record 5 rows (cap 3)\n"
+    assert _simulate_json(["--t", "10", "--seed", "1", "--cadence", "3"], capsys)["series_rows"] == 3
+    with pytest.raises(ValueError, match=r"^cadence 2 over 10 steps would record 5 rows \(cap 3\)$"):
+        process.run_trajectory(10, 1, cadence=2)
+
+
+def test_simulate_has_no_new_flag():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in sub.choices["simulate"]._actions for flag in action.option_strings}
+    assert flags == {"-h", "--help", "--t", "--seed", "--cadence", "--out", "--format"}
 
 
 def test_ensemble_outputs_and_exit(tmp_path):
@@ -438,7 +496,7 @@ def test_only_a_refused_argument_exits_one(monkeypatch, capsys):
     ]
 
     # A ValueError from inside the library is a fault, not bad flags.
-    def broken(piles):
+    def broken(key, scaled, out, fields):
         raise ValueError("broken pile moves")
 
     monkeypatch.setattr(oracle, "_pile_moves", broken)
@@ -600,6 +658,12 @@ GOLDEN = {
         [".mean.csv", ".meta.json", ".pmf.csv"],
         "24a0157381b48c9074733028b0d7c31c3233368dd38fc831d37c2342897c2457",
     ),
+    # The benchmark's exact_t20 horizon; recorded before the multiset keys
+    # became bit fields.
+    ("exact", "--t", "20"): (
+        [".mean.csv", ".meta.json", ".pmf.csv"],
+        "2f45aa74276a540e493849bd9bd58a78d6a725525229fb89b51a14a624c89002",
+    ),
     ("simulate", "--t", "100000", "--seed", "1", "--format", "json"): (
         [""],
         "a1f4bf115faa535bf2f5646dd26b52724c263520dd7e686a6409352027bca4e4",
@@ -615,6 +679,7 @@ GOLDEN = {
 # command that was already pinned has its own id, so earlier ids stay put.
 GOLDEN_IDS = {
     ("exact", "--t", "14"): "exact_t14",
+    ("exact", "--t", "20"): "exact_t20",
     ("ensemble", "--t", "20", "--replicas", "60000", "--seed", "11", "--threads", "2"): "ensemble_t20_pooled",
 }
 

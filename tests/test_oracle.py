@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from olivetable import oracle, process
@@ -33,9 +33,20 @@ def _law_fractions(state):
 
 
 def _state_fractions(t):
-    """The exact law of the plate-count multiset after t steps, from ``oracle._final``."""
+    """The exact law of the plate-count multiset after t steps, from
+    ``oracle._final``, keyed by ascending tuples of counts."""
     dist, den = oracle._final(t)
-    return {key: Fraction(num, den) for key, num in dist.items()}
+    piles = oracle._fields(t).piles
+    return {piles(key): Fraction(num, den) for key, num in dist.items()}
+
+
+def _pile_moves(piles):
+    """``oracle._pile_moves`` on the multiset ``piles`` as ``{successor
+    tuple: k}``, listed into a fresh dict with ``scaled = 1``."""
+    fields = oracle._fields(max(sum(piles), len(piles)) + 1)
+    moves = {}
+    oracle._pile_moves(fields.key(piles), 1, moves, fields)
+    return {fields.piles(succ): k for succ, k in moves.items()}
 
 
 def _multiset(state):
@@ -63,7 +74,7 @@ def test_canonicalization():
 def test_transitions_from_empty_table():
     # The empty table's one move is the multiset layer's; from the one empty
     # plate it leads to, M = 2: add a plate, or an olive onto plate 1.
-    assert oracle._pile_moves(()) == {(0,): 1}
+    assert _pile_moves(()) == {(0,): 1}
     assert oracle._law((0, ())) == (2, {(0, (0,)): 1, (1, ()): 1})
 
 
@@ -271,8 +282,15 @@ def test_sliced_law_equals_reference_on_drawn_states(first, others):
 def _assert_pile_moves_match_reference(key):
     """``_pile_moves(key)`` is the reference law of the multiset ``key``:
     the law of a canonical state holding those counts, projected onto sorted
-    tuples with multiplicities kept, whichever count stands for plate 1."""
-    moves = oracle._pile_moves(key)
+    tuples with multiplicities kept, whichever count stands for plate 1.
+    Listed into a dict that already holds entries, with ``scaled = 3``, it
+    adds three times each k to them."""
+    moves = _pile_moves(key)
+    fields = oracle._fields(max(sum(key), len(key)) + 1)
+    held = {fields.key(succ): 5 for succ in moves}
+    held[-1] = 7
+    oracle._pile_moves(fields.key(key), 3, held, fields)
+    assert held == {-1: 7, **{fields.key(succ): 5 + 3 * k for succ, k in moves.items()}}, key
     l = len(key)
     assert sum(moves.values()) == 1 + l * (l - 1) // 2 + l + sum(v > 0 for v in key), key
     assert min(moves.values()) >= 1, key
@@ -288,9 +306,9 @@ def _assert_pile_moves_match_reference(key):
 
 
 def test_pile_moves_equal_projected_reference_on_reachable_multisets():
-    assert oracle._pile_moves(()) == {(0,): 1}
+    assert _pile_moves(()) == {(0,): 1}
     # One empty plate has no pair to merge, so no merge entry at all.
-    assert oracle._pile_moves((0,)) == {(0, 0): 1, (1,): 1}
+    assert _pile_moves((0,)) == {(0, 0): 1, (1,): 1}
     keys = {_multiset(state) for state in _reachable_states(14)}
     assert len(keys) == 507 and (0,) in keys
     for key in keys:
@@ -302,6 +320,86 @@ def test_pile_moves_equal_projected_reference_on_reachable_multisets():
 def test_pile_moves_equal_projected_reference_on_drawn_multisets(counts):
     # Small counts make repeated and zero counts common.
     _assert_pile_moves_match_reference(tuple(sorted(counts)))
+
+
+def _compositions(t):
+    """Strategy: an ascending tuple of at most t counts summing to at most
+    t, the shape of every multiset the pushforward to horizon t holds."""
+    return st.lists(st.integers(0, t), max_size=t).map(lambda xs: tuple(sorted(xs[: _fit(xs, t)])))
+
+
+def _fit(xs, t):
+    """The longest prefix of ``xs`` that sums to at most t."""
+    total = 0
+    for i, x in enumerate(xs):
+        total += x
+        if total > t:
+            return i
+    return len(xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70).flatmap(lambda t: st.tuples(st.just(t), _compositions(t))))
+@example((1, ()))
+@example((1, (0,)))
+@example((1, (1,)))
+@example((15, (0,) * 15))
+@example((16, (0,) * 16))
+@example((16, (16,)))
+@example((16, (1,) * 16))
+@example((63, (0,) * 63))
+@example((64, (64,)))
+@example((64, (0,) * 32 + (1,) * 32))
+def test_multiset_keys_round_trip(case):
+    # After t steps from the empty table l <= t and O <= t - 1, so the
+    # layout for horizon t must hold t in every field: t empty plates, one
+    # pile of t, and t piles of one are the largest values it must keep.
+    t, piles = case
+    fields = oracle._fields(t)
+    assert fields.width == t.bit_length() and t < 1 << fields.width <= 2 * t
+    key = fields.key(piles)
+    assert fields.piles(key) == piles
+    mask = (1 << fields.width) - 1
+    l, zeros = len(piles), piles.count(0)
+    assert (key & mask, key >> fields.width & mask, key >> 2 * fields.width & mask) == (sum(piles), l, zeros)
+    assert fields.moves(key) == 1 + l * (l - 1) // 2 + l + l - zeros
+    for v in range(t + 1):
+        assert key >> (v + 2) * fields.width & mask == piles.count(v), v
+    assert key >> (t + 3) * fields.width == 0
+
+
+def _tuple_pushforward(t):
+    """The law of the plate-count multiset after t steps as {ascending
+    tuple: Fraction}: every one of a multiset's M moves is played on a list
+    of its counts, which is sorted into the successor's key, and M is the
+    number of moves played.  Shares no code with ``oracle``."""
+    dist = {(): Fraction(1)}
+    for _ in range(t):
+        nxt = {}
+        for piles, p in dist.items():
+            succs = [piles + (0,)]
+            for a, b in combinations(range(len(piles)), 2):
+                succs.append(tuple(v for i, v in enumerate(piles) if i not in (a, b)) + (piles[a] + piles[b],))
+            for a, v in enumerate(piles):
+                succs.append(piles[:a] + (v + 1,) + piles[a + 1 :])
+                if v:
+                    succs.append(piles[:a] + (v - 1,) + piles[a + 1 :])
+            q = p / len(succs)
+            for succ in map(tuple, map(sorted, succs)):
+                nxt[succ] = nxt.get(succ, 0) + q
+        dist = nxt
+    return dist
+
+
+def test_multiset_law_equals_tuple_reference_where_the_width_grows():
+    # t = 16 is the first horizon whose keys need 5-bit fields.
+    assert (oracle._fields(15).width, oracle._fields(16).width) == (4, 5)
+    ref = _tuple_pushforward(16)
+    assert _state_fractions(16) == ref
+    pmf: dict[int, Fraction] = {}
+    for piles, p in ref.items():
+        pmf[sum(piles)] = pmf.get(sum(piles), 0) + p
+    assert exact_olive_distribution(16) == dict(sorted(pmf.items()))
 
 
 def test_state_distribution_equals_fraction_reference():
@@ -365,12 +463,23 @@ def test_budget_is_charged_before_any_successor_is_listed(budget, fail_step, sta
     expanded = sum(len(dist) for dist, _ in oracle._pushforward(fail_step - 2, budget))
     calls = []
     moves = oracle._pile_moves
-    monkeypatch.setattr(oracle, "_pile_moves", lambda key: calls.append(key) or moves(key))
+    monkeypatch.setattr(oracle, "_pile_moves", lambda key, *rest: calls.append(key) or moves(key, *rest))
     with pytest.raises(BudgetExceededError) as info:
         olive_distribution_table(40, budget)
     assert (info.value.step, info.value.state_count, info.value.budget) == (fail_step, state_count, budget)
     # Only the states of the steps that completed were expanded.
     assert len(calls) == expanded
+
+
+def test_a_far_horizon_is_refused_where_the_budget_runs_out():
+    # The key width grows with the horizon, but the layout's tables hold
+    # only the counts met, so t = 10^12 is refused at the same step and
+    # count as t = 40, having built no more than those steps need.
+    assert oracle._fields(10**12).width == 40
+    for t in (40, 10**12):
+        with pytest.raises(BudgetExceededError) as info:
+            olive_distribution_table(t, 20_000)
+        assert (info.value.step, info.value.state_count) == (16, 28_133), t
 
 
 def test_lumping_soundness_against_labeled_tree():

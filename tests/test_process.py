@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olivetable import process, verification
-from olivetable.oracle import _law, _pile_moves, canonical_of
+from olivetable.oracle import _fields, _law, _pile_moves, canonical_of
 from olivetable.process import (
     TRAJECTORY_CSV_HEADER,
     TableState,
@@ -104,7 +104,10 @@ def test_step_decode_matches_exact_law(plates):
     if plates:
         m_law, counts = _law(canonical_of(base))
     else:
-        counts = _pile_moves(())
+        fields = _fields(1)
+        moves = {}
+        _pile_moves(fields.key(()), 1, moves, fields)
+        counts = {fields.piles(succ): k for succ, k in moves.items()}
         m_law = sum(counts.values())
     assert m_law == m_total and law == {succ: Fraction(k, m_total) for succ, k in counts.items()}
 
