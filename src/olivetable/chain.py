@@ -34,12 +34,14 @@ from .rng import _RangeError, make_rng
 
 CHAIN_CSV_HEADER = "t,f_num,f_den,f_paper_num,f_paper_den,cdf_num,cdf_den"
 
-#: Exact mean first-return time of the walk (1 / pi_1); see
-#: mean_return_time_stationary for the derivation.
-VALIDATED_MEAN_RETURN = Fraction(5)
-
 #: The published mean-return-time value, reported but never asserted.
 PUBLISHED_MEAN_RETURN = Fraction(19)
+
+# The largest pmf horizon whose exact strings all fit CPython's default
+# 4300-digit limit on str(int): the denominators grow as 16^(t-1), about
+# 1.2 digits per t, and at t_max = 3574 the mean-return series' numerator
+# has 4301 digits, so str() would raise ValueError after seconds of work.
+_T_MAX_DIGITS_BOUND = 3573
 
 
 class VerificationError(AssertionError):
@@ -143,9 +145,15 @@ def published_first_return_pmf(t: int) -> Fraction:
 def first_return_rows(t_max: int) -> list[tuple[int, Fraction, Optional[Fraction]]]:
     """(t, validated f(2t), published form or None at t = 1) for t = 1..t_max:
     the rows of every pmf discrepancy table and of the chain CSV.  A table
-    needs a published row, so t_max < 2 is refused."""
+    needs a published row, so t_max < 2 is refused, and so is any t_max
+    above ``_T_MAX_DIGITS_BOUND``, whose exact strings Python cannot write."""
     if t_max < 2:
         raise _RangeError(f"t_max must be >= 2, got {t_max}")
+    if t_max > _T_MAX_DIGITS_BOUND:
+        raise _RangeError(
+            f"t_max must be <= {_T_MAX_DIGITS_BOUND}, got {t_max}: its exact pmf strings "
+            "would pass Python's 4300-digit limit on int-to-str conversion"
+        )
     return [
         (t, first_return_pmf_closed(t), published_first_return_pmf(t) if t >= 2 else None)
         for t in range(1, t_max + 1)

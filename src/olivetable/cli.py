@@ -299,7 +299,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("chain", help="auxiliary-walk analytics and simulation")
-    p.add_argument("--t-max", dest="t_max", type=int, required=True, help="pmf horizon (>= 2)")
+    p.add_argument(
+        "--t-max", dest="t_max", type=int, required=True, help=f"pmf horizon (2 to {chain._T_MAX_DIGITS_BOUND})"
+    )
     p.add_argument("--simulate-steps", dest="simulate_steps", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=str, default=None, help="output prefix (.csv / .report.json)")

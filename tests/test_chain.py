@@ -362,3 +362,5 @@ def test_chain_report_contents():
     assert {v["exact"] for v in conventions.values()} == {"0/1", "4/1"}
     with pytest.raises(ValueError, match="^t_max must be >= 2, got 1$"):
         first_return_rows(1)
+    with pytest.raises(ValueError, match="^t_max must be <= 3573, got 3574: "):
+        first_return_rows(3574)

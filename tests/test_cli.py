@@ -186,6 +186,22 @@ def test_chain_outputs(tmp_path, capsys):
     assert "N11/t" in out and "1/19" in out
 
 
+def test_chain_refuses_a_horizon_past_the_digit_limit(tmp_path, capsys):
+    # Past the bound the exact strings cannot be written, so the call is
+    # refused before any pmf work: one error line, exit 1, no output file.
+    bound = chain._T_MAX_DIGITS_BOUND
+    argv = ["chain", "--t-max", str(bound + 1), "--simulate-steps", "1000", "--seed", "1"]
+    start = time.process_time()
+    assert main([*argv, "--out", str(tmp_path / "chain")]) == EXIT_USAGE
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"<= {bound}, got {bound + 1}" in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_chain_out_builds_the_pmf_rows_once(monkeypatch, tmp_path, capsys):
     calls = Counter()
     real = chain.published_first_return_pmf

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import tracemalloc
@@ -315,8 +316,6 @@ def _layout(state: TableState) -> tuple:
         state._ids,
         state._olives,
         state._ne_pos,
-        state._ne_idx,
-        state._pos1,
         state.total_olives,
         state.t,
         state.counters(),
@@ -435,6 +434,38 @@ def test_max_other_olives_tracks_non_first_plates():
         )
     assert rec.final_state.max_other_olives == state.max_other_olives == max_other
     assert rec.final_state.first_plate_olives == state.first_plate_olives
+
+
+# sha256 of the plate lists, positions included, and the counts after
+# run_trajectory(10**5, seed): any change to the decode or the
+# swap-removal order of _ids, _olives and _ne_pos changes them.
+LAYOUT_DIGESTS = {
+    1: "84f86054863db718766010031145d6e075d16cbe15d862a4f05f80faff178016",
+    34: "a69fe8e504a209f0142bc158de3611fd0e93981491b88870b7f32119b4423c40",
+    39: "8c9841a32d5bc91c4558ac1c47471a3827cbfb764dc007797fd0f94340d4a4ec",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LAYOUT_DIGESTS))
+def test_plate_layout_is_pinned(seed):
+    state = run_trajectory(10**5, seed).final_state
+    counts = tuple(getattr(state, name) for name in TableState._COUNTS)
+    blob = repr((state._ids, state._olives, state._ne_pos, counts))
+    assert hashlib.sha256(blob.encode()).hexdigest() == LAYOUT_DIGESTS[seed]
+
+
+def test_series_row_reads_plate_one_as_the_state_does():
+    # A table with no plate 1 has 0 olives on it, in the row as on the state.
+    state = TableState.from_plates([(2, 0), (3, 5)])
+    series = []
+    process._advance(state, make_rng(0), 1, series, 1)
+    assert state.first_plate_olives == 0
+    assert series[0][4] == 0
+    # Where plate 1 is not stored first, the row still reads plate 1.
+    state = TableState.from_plates([(4, 2), (1, 7), (3, 0)])
+    series = []
+    process._advance(state, make_rng(0), 50, series, 1)
+    assert series[-1][4] == state.first_plate_olives > 0
 
 
 def test_trajectory_series_and_csv_schema():
