@@ -11,7 +11,6 @@ from .process import (
 from .chain import (
     WalkRunStats,
     catalan,
-    first_return_cdf,
     first_return_pmf_closed,
     first_return_pmf_convolution,
     first_return_pmf_dp,
@@ -50,7 +49,6 @@ __all__ = [
     "run_trajectory",
     "WalkRunStats",
     "catalan",
-    "first_return_cdf",
     "first_return_pmf_closed",
     "first_return_pmf_convolution",
     "first_return_pmf_dp",

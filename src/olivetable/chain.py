@@ -14,18 +14,21 @@ closed form.  The validated closed form is
     f(2t) = (3/16)^(t-1) * C(2t-3, t-1)      for t >= 2,   f(2) = 1/2,
 
 equivalently (1/2) * (3/16)^(t-1) * C(2(t-1), t-1) for all t >= 1, which
-sums to 1 and has mean 5.  The published closed form carries an extra
-factor of 4 (its excursion exponent is off by one); it is exposed by
-`published_first_return_pmf` for side-by-side discrepancy reporting only
-and is never used as truth.  The published mean-return-time claim (19) and
-limit claim (1/19) are likewise reported beside the validated values; the
-only published statement asserted anywhere is the inequality
+sums to 1 and has mean 5.  `first_return_pmf_closed` evaluates it term by
+term, and every table, sum and check of the validated pmf reads that one
+dict.  The published closed form carries an extra factor of 4 (its
+excursion exponent is off by one); `published_first_return_pmf` evaluates
+it per t, from its own formula, for side-by-side discrepancy reporting only,
+and it is never used as truth.  The published mean-return-time claim (19)
+and limit claim (1/19) are likewise reported beside the validated values;
+the only published statement asserted anywhere is the inequality
 N11(t) >= t/19, which the validated values satisfy a fortiori.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, TextIO
 
@@ -37,11 +40,21 @@ CHAIN_CSV_HEADER = "t,f_num,f_den,f_paper_num,f_paper_den,cdf_num,cdf_den"
 #: The published mean-return-time value, reported but never asserted.
 PUBLISHED_MEAN_RETURN = Fraction(19)
 
-# The largest pmf horizon whose exact strings all fit CPython's default
-# 4300-digit limit on str(int): the denominators grow as 16^(t-1), about
-# 1.2 digits per t, and at t_max = 3574 the mean-return series' numerator
-# has 4301 digits, so str() would raise ValueError after seconds of work.
-_T_MAX_DIGITS_BOUND = 3573
+
+def _t_max_digits_bound() -> float:
+    """The largest pmf horizon T whose exact strings fit the interpreter's
+    str(int) digit limit L (3573 at the default L = 4300; inf with no limit).
+    The longest, the mean-return series' numerator, is just under 5 * 2^e,
+    2^e = 2^(4T - 3 - popcount(T - 1)) being the denominator of f(2T), so
+    it fits while e <= 1 + floor((L - 1) * log2(10))."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if not limit:
+        return math.inf
+    e_max = 1 + math.floor((limit - 1) * math.log2(10))
+    t = (e_max + 3) // 4  # e <= 4t - 3 here, and e grows by 3 or more per step
+    while 4 * t + 1 - t.bit_count() <= e_max:  # e at T = t + 1
+        t += 1
+    return t
 
 
 class VerificationError(AssertionError):
@@ -115,19 +128,20 @@ def first_return_pmf_dp(t_max: int) -> dict[int, Fraction]:
     return entries
 
 
-def first_return_pmf_closed(t: int) -> Fraction:
-    """Validated closed form for Pr(T = 2t).
-
-    Piecewise: 1/2 at t = 1, (3/16)^(t-1) * C(2t-3, t-1) for t >= 2; the
-    leading constant is pinned by exact equality with the DP at t = 2 (the
-    published form is exactly 4x this).  Both pieces equal
-    (1/2) * (3/16)^(t-1) * C(2(t-1), t-1), which certifies normalization.
+def first_return_pmf_closed(t_max: int) -> dict[int, Fraction]:
+    """Validated closed form ``{2t: Pr(T = 2t)}`` for t = 1..t_max, the
+    shape of `first_return_pmf_dp`: f(2) = 1/2 (pinned by the DP; the
+    published form is exactly 4x this), then term by term by the ratio
+    f(2t+2) / f(2t) = 3(2t-1) / (8t) of (1/2) (3/16)^(t-1) C(2(t-1), t-1).
     """
-    if t < 1:
-        raise _RangeError(f"return-time index must be >= 1, got {t}")
-    if t == 1:
-        return Fraction(1, 2)
-    return Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
+    if t_max < 1:
+        raise _RangeError(f"t_max must be >= 1, got {t_max}")
+    f = Fraction(1, 2)
+    pmf = {2: f}
+    for t in range(1, t_max):
+        f *= Fraction(3 * (2 * t - 1), 8 * t)
+        pmf[2 * t + 2] = f
+    return pmf
 
 
 def published_first_return_pmf(t: int) -> Fraction:
@@ -146,17 +160,18 @@ def first_return_rows(t_max: int) -> list[tuple[int, Fraction, Optional[Fraction
     """(t, validated f(2t), published form or None at t = 1) for t = 1..t_max:
     the rows of every pmf discrepancy table and of the chain CSV.  A table
     needs a published row, so t_max < 2 is refused, and so is any t_max
-    above ``_T_MAX_DIGITS_BOUND``, whose exact strings Python cannot write."""
+    above `_t_max_digits_bound()`, whose exact strings Python cannot write."""
     if t_max < 2:
         raise _RangeError(f"t_max must be >= 2, got {t_max}")
-    if t_max > _T_MAX_DIGITS_BOUND:
+    bound = _t_max_digits_bound()
+    if t_max > bound:
         raise _RangeError(
-            f"t_max must be <= {_T_MAX_DIGITS_BOUND}, got {t_max}: its exact pmf strings "
-            "would pass Python's 4300-digit limit on int-to-str conversion"
+            f"t_max must be <= {bound}, got {t_max}: its exact pmf strings would pass "
+            f"Python's {sys.get_int_max_str_digits()}-digit limit on int-to-str conversion"
         )
     return [
-        (t, first_return_pmf_closed(t), published_first_return_pmf(t) if t >= 2 else None)
-        for t in range(1, t_max + 1)
+        (t, f, published_first_return_pmf(t) if t >= 2 else None)
+        for t, f in enumerate(first_return_pmf_closed(t_max).values(), 1)
     ]
 
 
@@ -210,16 +225,6 @@ def catalan_convolution_brute(t: int, i: int) -> int:
     return rec(target, i)
 
 
-def first_return_cdf(t: int) -> Fraction:
-    """F(t) = Pr(T <= t), summed from the validated pmf."""
-    if t < 0:
-        raise _RangeError(f"cdf argument must be >= 0, got {t}")
-    return sum(
-        (first_return_pmf_closed(j) for j in range(1, t // 2 + 1)),
-        Fraction(0),
-    )
-
-
 def mean_return_time_series(t_max: int) -> tuple[Fraction, Fraction]:
     """Partial sum for E[T] with a certified tail bound, both exact.
 
@@ -236,15 +241,12 @@ def mean_return_time_series(t_max: int) -> tuple[Fraction, Fraction]:
     """
     if t_max < 2:
         raise _RangeError(f"t_max must be >= 2, got {t_max}")
-    one = Fraction(1)
-    total = one  # the leading 1
-    cdf = Fraction(0)
-    j = 0
-    for t in range(1, 2 * t_max + 1):
-        if t % 2 == 0:
-            j += 1
-            cdf += first_return_pmf_closed(j)
-        total += one - cdf
+    total = Fraction(1)  # the leading 1
+    survival = Fraction(1)  # 1 - F(2j - 2)
+    for f in first_return_pmf_closed(t_max).values():
+        # t = 2j - 1 and t = 2j: (1 - F(2j - 2)) + (1 - F(2j - 2) - f(2j)).
+        total += 2 * survival - f
+        survival -= f
     tail_bound = 14 * Fraction(3, 4) ** t_max
     return total, tail_bound
 

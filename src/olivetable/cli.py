@@ -300,7 +300,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chain", help="auxiliary-walk analytics and simulation")
     p.add_argument(
-        "--t-max", dest="t_max", type=int, required=True, help=f"pmf horizon (2 to {chain._T_MAX_DIGITS_BOUND})"
+        "--t-max", dest="t_max", type=int, required=True, help=f"pmf horizon (2 to {chain._t_max_digits_bound()})"
     )
     p.add_argument("--simulate-steps", dest="simulate_steps", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True)

@@ -92,12 +92,10 @@ def _check_pmf_triple(t_hi: int) -> str:
     assert pmf.get(2, 0) == Fraction(1, 2)
     assert pmf.get(4, 0) == Fraction(3, 16)
     assert pmf.get(6, 0) == Fraction(27, 256)
-    for t in range(1, t_hi + 1):
-        closed = chain.first_return_pmf_closed(t)
-        assert closed == pmf.get(2 * t, 0), f"closed form != DP at t={t}"
-        if t >= 2:
-            conv = chain.first_return_pmf_convolution(t)
-            assert conv == pmf.get(2 * t, 0), f"convolution != DP at t={t}"
+    assert chain.first_return_pmf_closed(t_hi) == pmf, "closed form != DP"
+    for t in range(2, t_hi + 1):
+        conv = chain.first_return_pmf_convolution(t)
+        assert conv == pmf.get(2 * t, 0), f"convolution != DP at t={t}"
     return f"DP = closed form = convolution exactly for t <= {t_hi}"
 
 
@@ -118,12 +116,12 @@ def _check_path_enumeration(t_hi: int) -> str:
 
 
 def _check_cdf_normalization(t_hi: int) -> str:
-    cdf = chain.first_return_cdf(2 * t_hi)
+    pmf = chain.first_return_pmf_closed(t_hi)
+    cdf = sum(pmf.values(), Fraction(0))
     tail = 2 * Fraction(3, 4) ** t_hi  # sum_{j>T} (1/2)(3/4)^{j-1}
     assert cdf <= 1
     assert cdf + tail >= 1
-    assert chain.first_return_cdf(1) == 0
-    assert chain.first_return_cdf(6) == Fraction(203, 256)
+    assert pmf[2] + pmf[4] + pmf[6] == Fraction(203, 256)
     return f"F(2T) <= 1 and F(2T) + tail bound >= 1 at T = {t_hi}"
 
 

@@ -1,17 +1,17 @@
 import io
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from olivetable import chain
+from olivetable import chain, oracle
 from olivetable.chain import (
     CHAIN_CSV_HEADER,
     VerificationError,
     catalan,
     chain_report,
-    first_return_cdf,
     first_return_pmf_closed,
     first_return_pmf_convolution,
     first_return_pmf_dp,
@@ -143,7 +143,7 @@ def test_walk_return_moments_cover_the_validated_pmf(million_returns):
     # terms are at most 2 j^2 (3/4)^(j-1), whose ratio for j > J is at most
     # q = (3/4)((J+2)/(J+1))^2 < 1.
     J = 200
-    partial = sum((2 * j) ** 2 * first_return_pmf_closed(j) for j in range(1, J + 1))
+    partial = sum(k * k * p for k, p in first_return_pmf_closed(J).items())
     q = Fraction(3, 4) * Fraction(J + 2, J + 1) ** 2
     tail = 2 * (J + 1) ** 2 * Fraction(3, 4) ** J / (1 - q)
     assert partial <= 49 <= partial + tail
@@ -160,7 +160,7 @@ def test_walk_return_moments_cover_the_validated_pmf(million_returns):
     assert mean - half_mean <= 5 <= mean + half_mean, (mean, half_mean)
     # The sample variance has sd sqrt((mu4 - Var^2) / n); mu4 = E[(D-5)^4]
     # from the validated pmf (the neglected tail is far below float).
-    mu4 = float(sum((2 * j - 5) ** 4 * first_return_pmf_closed(j) for j in range(1, 401)))
+    mu4 = float(sum((k - 5) ** 4 * p for k, p in first_return_pmf_closed(400).items()))
     half_var = Z99 * math.sqrt((mu4 - 24**2) / n)
     assert var - half_var <= 24 <= var + half_var, (var, half_var)
 
@@ -176,11 +176,20 @@ def test_dp_pmf_hand_values():
     assert all(t % 2 == 0 for t in pmf)
 
 
+def _closed_form_at(t):
+    """f(2t) = (3/16)^(t-1) C(2t-3, t-1), 1/2 at t = 1, evaluated on its own."""
+    return Fraction(1, 2) if t == 1 else Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
+
+
 def test_closed_form_matches_dp_exactly():
-    pmf = first_return_pmf_dp(30)
-    for t in range(1, 31):
-        assert first_return_pmf_closed(t) == pmf.get(2 * t, 0), t
-    with pytest.raises(ValueError):
+    pmf = first_return_pmf_closed(400)
+    assert list(pmf) == [2 * t for t in range(1, 401)]
+    for t in range(1, 401):
+        assert pmf[2 * t] == _closed_form_at(t), t
+    assert first_return_pmf_closed(30) == first_return_pmf_dp(30)
+    assert first_return_pmf_closed(10) == oracle.enumerate_chain_paths(10)
+    assert first_return_pmf_closed(1) == {2: Fraction(1, 2)}
+    with pytest.raises(ValueError, match="^t_max must be >= 1, got 0$"):
         first_return_pmf_closed(0)
 
 
@@ -195,25 +204,32 @@ def test_convolution_matches_dp_exactly():
 def test_published_form_is_exactly_four_times_validated():
     assert published_first_return_pmf(2) == Fraction(3, 4)
     assert published_first_return_pmf(3) == Fraction(27, 64)
+    closed = first_return_pmf_closed(30)
     for t in range(2, 31):
-        assert published_first_return_pmf(t) == 4 * first_return_pmf_closed(t)
+        assert published_first_return_pmf(t) == 4 * closed[2 * t]
     with pytest.raises(ValueError):
         published_first_return_pmf(1)
     conventions = published_pmf_t1_conventions()
     assert set(conventions.values()) == {Fraction(0), Fraction(4)}
 
 
+def _cdf(pmf, t):
+    """F(t) = Pr(T <= t), a partial sum of the pmf dict."""
+    return sum((p for k, p in pmf.items() if k <= t), Fraction(0))
+
+
 def test_cdf_values_and_monotonicity():
-    assert first_return_cdf(0) == 0
-    assert first_return_cdf(1) == 0
-    assert first_return_cdf(2) == Fraction(1, 2)
-    assert first_return_cdf(3) == Fraction(1, 2)
-    assert first_return_cdf(6) == Fraction(203, 256)
-    values = [first_return_cdf(t) for t in range(0, 60)]
+    pmf = first_return_pmf_closed(200)
+    assert _cdf(pmf, 0) == 0
+    assert _cdf(pmf, 1) == 0
+    assert _cdf(pmf, 2) == Fraction(1, 2)
+    assert _cdf(pmf, 3) == Fraction(1, 2)
+    assert _cdf(pmf, 6) == Fraction(203, 256)
+    values = [_cdf(pmf, t) for t in range(0, 60)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert values[-1] < 1
     # F(2T) + analytic tail >= 1 certifies normalization.
-    assert first_return_cdf(400) + 2 * Fraction(3, 4) ** 200 >= 1
+    assert _cdf(pmf, 400) + 2 * Fraction(3, 4) ** 200 >= 1
 
 
 def test_mean_return_series_and_stationary_agree():
@@ -224,13 +240,26 @@ def test_mean_return_series_and_stationary_agree():
     assert tail < Fraction(1, 10**15)
     # Leading terms Pr(T >= 1) + Pr(T >= 2) contribute exactly 2.
     small_value, _ = mean_return_time_series(2)
-    assert small_value == 2 + (1 - first_return_cdf(2)) + (1 - first_return_cdf(3)) + (
-        1 - first_return_cdf(4)
-    )
+    pmf = first_return_pmf_closed(2)
+    assert small_value == 2 + (1 - _cdf(pmf, 2)) + (1 - _cdf(pmf, 3)) + (1 - _cdf(pmf, 4))
     # Independent partial check: E[T] = sum 2t * f(2t) from below.
-    direct = sum(2 * t * first_return_pmf_closed(t) for t in range(1, 201))
+    direct = sum(k * p for k, p in first_return_pmf_closed(200).items())
     assert direct < 5
     assert 5 - direct < Fraction(1, 10**10)
+
+
+def test_digit_bound_follows_the_int_str_limit():
+    # The series numerator, the longest exact string, has 640 digits at
+    # t_max = 532, 641 at 533, 4300 at 3573 and 4301 at 3574.
+    digits = {t: len(str(mean_return_time_series(t)[0].numerator)) for t in (532, 533)}
+    assert digits == {532: 640, 533: 641}
+    limit = sys.get_int_max_str_digits()
+    try:
+        for new_limit, bound in ((640, 532), (641, 533), (4300, 3573), (4301, 3574), (0, math.inf)):
+            sys.set_int_max_str_digits(new_limit)
+            assert chain._t_max_digits_bound() == bound, new_limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_stationary_distribution_structure():

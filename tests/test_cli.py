@@ -189,7 +189,7 @@ def test_chain_outputs(tmp_path, capsys):
 def test_chain_refuses_a_horizon_past_the_digit_limit(tmp_path, capsys):
     # Past the bound the exact strings cannot be written, so the call is
     # refused before any pmf work: one error line, exit 1, no output file.
-    bound = chain._T_MAX_DIGITS_BOUND
+    bound = chain._t_max_digits_bound()
     argv = ["chain", "--t-max", str(bound + 1), "--simulate-steps", "1000", "--seed", "1"]
     start = time.process_time()
     assert main([*argv, "--out", str(tmp_path / "chain")]) == EXIT_USAGE
@@ -200,6 +200,37 @@ def test_chain_refuses_a_horizon_past_the_digit_limit(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"<= {bound}, got {bound + 1}" in lines[0]
     assert not list(tmp_path.iterdir())
+
+
+def test_chain_digit_bound_follows_the_interpreter_limit(monkeypatch, tmp_path):
+    # At a 640-digit limit the series numerator has 640 digits at
+    # t_max = 532 and 641 at 533: 533 is refused before any pmf work.
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+
+    def chain_run(t_max: str, prefix: Path) -> subprocess.CompletedProcess:
+        argv = ["chain", "--t-max", t_max, "--simulate-steps", "1000", "--seed", "1", "--out", str(prefix)]
+        code = f"""
+import sys, time
+from olivetable.cli import main
+start = time.process_time()
+code = main({argv!r})
+print(f"cpu_s={{time.process_time() - start}}", file=sys.stderr)
+sys.exit(code)
+"""
+        return _fresh_interpreter(code)
+
+    refused = chain_run("533", tmp_path / "refused")
+    assert refused.returncode == EXIT_USAGE, refused.stderr
+    *lines, cpu = refused.stderr.splitlines()
+    assert float(cpu.removeprefix("cpu_s=")) < 1.0
+    assert len(lines) == 1 and lines[0].startswith("error: "), refused.stderr
+    assert "<= 532, got 533" in lines[0] and "640-digit limit" in lines[0]
+    assert refused.stdout == "" and not list(tmp_path.iterdir())
+    written = chain_run("532", tmp_path / "written")
+    assert written.returncode == EXIT_OK, written.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["written.csv", "written.report.json"]
+    usage = _fresh_interpreter("from olivetable.cli import main\nmain(['chain', '--help'])")
+    assert "pmf horizon (2 to 532)" in " ".join(usage.stdout.split()), usage.stdout
 
 
 def test_chain_out_builds_the_pmf_rows_once(monkeypatch, tmp_path, capsys):
@@ -266,12 +297,15 @@ def test_verify_writes_json_report(tmp_path, capsys):
 
 
 def test_verify_detects_mutated_constant(monkeypatch, capsys):
-    # Corrupting the validated closed form must fail the suite.
+    # Corrupting the validated closed form must fail the suite, on the
+    # triple agreement's assert rather than by a crash.
     monkeypatch.setattr(
-        chain, "first_return_pmf_closed", lambda t: Fraction(3, 4) ** t
+        chain, "first_return_pmf_closed", lambda t_max: {2 * t: Fraction(3, 4) ** t for t in range(1, t_max + 1)}
     )
     assert main(["verify", "--level", "quick"]) == EXIT_CHECK_FAILED
-    assert "FAIL" in capsys.readouterr().out
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    [triple] = [line for line in failed if "pmf_triple_agreement" in line]
+    assert triple.endswith(")  closed form != DP"), triple
 
 
 @pytest.mark.parametrize("field", ["final_state", "last_return"])
@@ -666,6 +700,12 @@ GOLDEN = {
         [".csv", ".report.json"],
         "62455f2590caf26970908842b2b17a6cdb3cb65bc87a7857f2bea21e1cd09c8a",
     ),
+    # Exact strings of hundreds of digits: the pmf to t = 600 and the
+    # mean-return series over it.
+    ("chain", "--t-max", "600", "--simulate-steps", "1000", "--seed", "1"): (
+        [".csv", ".report.json"],
+        "fa1467bc508333828189ab09d342b4c4115a63ee9eb8395631efdd199f1109e4",
+    ),
     ("exact", "--t", "8"): (
         [".mean.csv", ".meta.json", ".pmf.csv"],
         "80dfac6028cb7c946b0b878ae18e0ae75ffe862914e7a5601f501e5a9b596e5c",
@@ -694,6 +734,7 @@ GOLDEN = {
 # Test ids name the command (pytest numbers repeats); an entry added for a
 # command that was already pinned has its own id, so earlier ids stay put.
 GOLDEN_IDS = {
+    ("chain", "--t-max", "600", "--simulate-steps", "1000", "--seed", "1"): "chain_t600",
     ("exact", "--t", "14"): "exact_t14",
     ("exact", "--t", "20"): "exact_t20",
     ("ensemble", "--t", "20", "--replicas", "60000", "--seed", "11", "--threads", "2"): "ensemble_t20_pooled",

@@ -46,10 +46,15 @@ def test_full_level_widens_ranges():
 
 
 def test_suite_detects_broken_closed_form(monkeypatch):
-    monkeypatch.setattr(chain, "first_return_pmf_closed", lambda t: Fraction(1, 7))
-    results = run_suite("quick")
-    failed = {r.name for r in results if not r.passed}
-    assert "pmf_triple_agreement" in failed
+    # A pmf of the right shape whose every entry is 1/7 fails the triple
+    # agreement on its assert, not by a crash.
+    monkeypatch.setattr(
+        chain, "first_return_pmf_closed", lambda t_max: {2 * t: Fraction(1, 7) for t in range(1, t_max + 1)}
+    )
+    results = {r.name: r for r in run_suite("quick")}
+    triple = results["pmf_triple_agreement"]
+    assert not triple.passed
+    assert triple.detail == "closed form != DP"
 
 
 def test_seed_derivation_fails_on_a_shifted_derive_seeds(monkeypatch):
