@@ -7,9 +7,9 @@ under-estimates how often the plate-count process returns to a single plate,
 and everything about its first-return time T (the first revisit of state 1)
 is computable exactly.
 
-Ground-truth ordering: the forward dynamic program (`first_return_pmf_dp`)
-and the exhaustive path enumeration in :mod:`olivetable.oracle` outrank any
-closed form.  The validated closed form is
+Ground-truth ordering: the forward dynamic program (`first_return_pmf_dp`,
+on :mod:`olivetable.oracle`'s exact engine) and the exhaustive path
+enumeration there outrank any closed form.  The validated closed form is
 
     f(2t) = (3/16)^(t-1) * C(2t-3, t-1)      for t >= 2,   f(2) = 1/2,
 
@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, TextIO
+from typing import Iterator, NamedTuple, Optional, TextIO
 
+from .oracle import _advance
 from .process import Z99
 from .rng import _RangeError, make_rng
 
@@ -87,44 +88,38 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+def _walk_num_moves(k: int) -> int:
+    """M of the walk at state k >= 2, in equally likely moves."""
+    return 2 if k == 2 else 4
+
+
+def _walk_moves(k: int, scaled: int, out: dict[int, int]) -> None:
+    """The walk's moves from state k >= 2, added into ``out`` as ``_pile_moves``
+    adds a multiset's: one way each to 1 and 3, or three down and one up."""
+    get = out.get
+    out[k - 1] = get(k - 1, 0) + (scaled if k == 2 else 3 * scaled)
+    out[k + 1] = get(k + 1, 0) + scaled
+
+
 def first_return_pmf_dp(t_max: int) -> dict[int, Fraction]:
     """Exact rational f(2t) for t = 1..t_max by forward dynamic programming.
 
     Returns ``{2t: Pr(T = 2t)}`` for 1 <= t <= t_max in increasing order of
     time: odd times carry no mass (the walk changes parity every step), so
-    they have no key.  Propagates the sub-probability distribution over
-    states >= 2 of walks that have not yet returned; the mass flowing into
-    state 1 at step 2t is f(2t).  States that cannot reach 1 within the
-    horizon are pruned, which keeps the state space within 2..t_max+2
-    without any approximation.  This is the module's ground truth.
+    they have no key.  An integer DP on the exact engine ``oracle._advance``
+    over states 2..2*t_max + 1 of the walks not yet returned: the numerator
+    that reaches state 1 at step 2t, taken out after the step, is f(2t).
+    This is the module's ground truth.
     """
     if t_max < 1:
         raise _RangeError(f"t_max must be >= 1, got {t_max}")
-    half = Fraction(1, 2)
-    down = Fraction(3, 4)
-    up = Fraction(1, 4)
     entries: dict[int, Fraction] = {}
-    dist: dict[int, Fraction] = {2: Fraction(1)}  # after the forced step 1 -> 2
-    horizon = 2 * t_max
-    for s in range(2, horizon + 1):
-        nxt: dict[int, Fraction] = {}
-        returned = Fraction(0)
-        remaining = horizon - s
-        for k, p in dist.items():
-            if k == 2:
-                returned += p * half
-                if 3 - 1 <= remaining:
-                    nxt[3] = nxt.get(3, Fraction(0)) + p * half
-            else:
-                lo = k - 1
-                if lo - 1 <= remaining:
-                    nxt[lo] = nxt.get(lo, Fraction(0)) + p * down
-                hi = k + 1
-                if hi - 1 <= remaining:
-                    nxt[hi] = nxt.get(hi, Fraction(0)) + p * up
-        if returned:
-            entries[s] = returned
-        dist = nxt
+    dist, den = {2: 1}, 1  # after the forced step 1 -> 2
+    for s in range(2, 2 * t_max + 1):
+        dist, den, _ = _advance(dist, den, s, 0, math.inf, _walk_num_moves, _walk_moves)
+        back = dist.pop(1, 0)
+        if back:
+            entries[s] = Fraction(back, den)
     return entries
 
 
@@ -241,14 +236,20 @@ def mean_return_time_series(t_max: int) -> tuple[Fraction, Fraction]:
     """
     if t_max < 2:
         raise _RangeError(f"t_max must be >= 2, got {t_max}")
-    total = Fraction(1)  # the leading 1
-    survival = Fraction(1)  # 1 - F(2j - 2)
-    for f in first_return_pmf_closed(t_max).values():
+    e, nums = _dyadic_numerators(list(first_return_pmf_closed(t_max).values()))
+    total = survival = 1 << e  # the leading 1, and 1 - F(2j - 2), times 2^e
+    for num in nums:
         # t = 2j - 1 and t = 2j: (1 - F(2j - 2)) + (1 - F(2j - 2) - f(2j)).
-        total += 2 * survival - f
-        survival -= f
-    tail_bound = 14 * Fraction(3, 4) ** t_max
-    return total, tail_bound
+        total += 2 * survival - num
+        survival -= num
+    return Fraction(total, 1 << e), 14 * Fraction(3, 4) ** t_max
+
+
+def _dyadic_numerators(pmf: list[Fraction]) -> tuple[int, Iterator[int]]:
+    """(e, each f * 2^e in turn) for dyadic masses whose last has the
+    largest denominator 2^e, as f(2t)'s grows with t, to sum in integers."""
+    e = pmf[-1].denominator.bit_length() - 1
+    return e, (f.numerator << (e + 1 - f.denominator.bit_length()) for f in pmf)
 
 
 def stationary_distribution(k_max: int) -> dict[int, Fraction]:
@@ -442,14 +443,16 @@ def write_chain_csv(rows: list[tuple[int, Fraction, Optional[Fraction]]], out: T
     the JSON report), cdf_* is F(2t).
     """
     out.write(CHAIN_CSV_HEADER + "\n")
-    cdf = Fraction(0)
-    for t, f, fp in rows:
-        cdf += f
+    e, nums = _dyadic_numerators([f for _, f, _ in rows])
+    cdf = 0  # F(2t) times 2^e; 0 < F < 1, so stripping its trailing zero bits reduces it
+    for (t, f, fp), num in zip(rows, nums):
+        cdf += num
+        zeros = (cdf & -cdf).bit_length() - 1
         fp = fp or Fraction(0)
         out.write(
             "%d,%d,%d,%d,%d,%d,%d\n"
             % (t, f.numerator, f.denominator, fp.numerator, fp.denominator,
-               cdf.numerator, cdf.denominator)
+               cdf >> zeros, 1 << e - zeros)
         )
 
 

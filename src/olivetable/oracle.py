@@ -1,22 +1,21 @@
 """Desk-scale exact ground truth for the process and the auxiliary walk.
 
-Two independent exact engines:
-
-* a rational pushforward over the multiset of plate olive counts, which
-  yields the exact law of the olive total for small step counts; it
-  carries integer numerators over one common denominator and builds a
-  ``Fraction`` only for what it returns, and
-* exhaustive path enumeration for the auxiliary walk's first-return time,
-  deliberately sharing neither code nor types with the dynamic program in
-  :mod:`olivetable.chain` that it cross-checks: both return a plain
-  ``{2t: Fraction}`` dict, and this module imports nothing from ``chain``.
+One exact engine, ``_advance``, pushes a law forward a step in integer
+numerators over one common denominator; the law is two functions of a
+state key, its move count M and its successors.  It runs two laws: the
+multiset of plate olive counts here, which gives the exact law of the olive
+total for small step counts, and the auxiliary walk's plate count, for the
+first-return DP in :mod:`olivetable.chain`.  Exhaustive path enumeration of
+the walk's first-return time still shares neither code nor types with that
+DP, which it cross-checks: both return a plain ``{2t: Fraction}`` dict, and
+this module imports nothing from ``chain``.
 
 The pushforward keys each multiset by one ``int`` of fixed-width bit fields
 (``_Fields``): the olive total O, the plate count l and, for each count v,
 the number of plates holding v.  The width comes from the horizon, so every
 key up to it fits, and a move is one addition of a precomputed constant.
 
-One function lists moves: ``_pile_moves`` takes a multiset key and adds
+One function lists a multiset's moves: ``_pile_moves`` takes a key and adds
 every move among those plates into a caller's dict.  The pushforward runs
 it on the multiset of all counts.  A merge leaves the combined pile on the
 table whichever plate survives, and M reads only l and n_e, so that is the
@@ -27,10 +26,9 @@ ascending tuples and adds plate 1's own moves, which gives the law of
 canonical states that the sampler check and anything that follows plate 1
 need.  A canonical state is the plain tuple ``(first, others)`` of a table
 with at least one plate: the first plate's count and the ascending tuple of
-the others' counts.  The empty table needs
-no canonical form, because only the multiset layer starts from it.  Lumping
-non-first plates is sound because the uniform move choice treats them
-exchangeably.
+the others' counts.  The empty table needs no canonical form, because only
+the multiset layer starts from it.  Lumping non-first plates is sound
+because the uniform move choice treats them exchangeably.
 ``labeled_olive_distribution`` re-derives the same olive law from the
 fully labeled process (no lumping) to guard both lumpings.  Each
 successor's multiplicity counts the moves that reach it: a merge of plates
@@ -177,13 +175,12 @@ def _pile_moves(key: int, scaled: int, out: dict[int, int], fields: _Fields) -> 
     that reach it (a new plate, a merge of two piles, or an olive added to
     or taken from one).
 
-    This is the one place that lists successors, each as ``key`` plus one
-    of ``fields``' constants.  On every plate's count it is the whole law of
-    the multiset and the ks sum to M (a merge keeps the combined pile
-    whichever plate survives), so the empty key 0 lists only the key of one
-    empty plate.  ``_advance`` adds each key's successors into the next
-    step's numerators; ``_law`` lists the non-first plates' with
-    ``scaled = 1`` and adds plate 1's own moves.
+    This is the one place that lists a multiset's successors, each as
+    ``key`` plus one of ``fields``' constants.  On every plate's count it is
+    the whole law of the multiset and the ks sum to M (a merge keeps the
+    combined pile whichever plate survives), so the empty key 0 lists only
+    the key of one empty plate.  It is ``_pushforward``'s lister; ``_law``
+    runs it on the non-first plates and adds plate 1's own moves.
     """
     get = out.get
     w, mask = fields.width, fields.mask
@@ -270,29 +267,30 @@ def _law(state: tuple[int, tuple[int, ...]]) -> tuple[int, dict[tuple[int, tuple
 
 
 def _advance(
-    dist: dict[int, int], den: int, step: int, work_done: int, budget: int, fields: _Fields
+    dist: dict[int, int], den: int, step: int, work_done: int, budget: float, moves, lister
 ) -> tuple[dict[int, int], int, int]:
-    """One exact pushforward step under a cumulative work budget.
+    """One exact pushforward step of a law under a cumulative work budget.
 
-    ``dist`` maps each multiset key (laid out by ``fields``) to the integer
-    numerator of its probability over the common denominator ``den``; it
-    is consumed (left empty).  Returns the next step's numerators,
-    denominator and the work done so far.  The projected work for the step
-    (the sum of each key's M, read off its l and zero-count fields) is
-    charged before any successor is listed.  ``_pile_moves`` adds each
-    key's successors straight into the next step's dict, its numerator
-    scaled to the lcm of the live Ms; one gcd is divided out at the end.
+    The law is ``moves(key)``, a state's number M of equally likely moves,
+    and ``lister(key, scaled, out)``, which adds ``scaled * k`` into ``out``
+    for each successor that k of them reach.  ``dist`` maps each key to the
+    integer numerator of its probability over the common denominator
+    ``den``; it is consumed (left empty).  Returns the next step's
+    numerators, denominator and the work done so far.  The step's work, the
+    sum of the Ms, is charged before any successor is listed; each
+    numerator is scaled to the lcm of the live Ms, and one gcd is divided
+    out at the end.
     """
-    moves = [fields.moves(key) for key in dist]
-    projected = work_done + sum(moves)
+    ms = [moves(key) for key in dist]
+    projected = work_done + sum(ms)
     if projected > budget:
         raise BudgetExceededError(step, projected, budget)
-    lcm = math.lcm(*set(moves))
+    lcm = math.lcm(*set(ms))
     nxt: dict[int, int] = {}
     while dist:  # emptied as it is read, so old and new numerators never both peak
         key, num = dist.popitem()
-        # popitem is LIFO, so moves.pop() is key's M.
-        _pile_moves(key, num * (lcm // moves.pop()), nxt, fields)
+        # popitem is LIFO, so ms.pop() is key's M.
+        lister(key, num * (lcm // ms.pop()), nxt)
     den *= lcm
     g = math.gcd(den, *nxt.values())
     if g > 1:
@@ -308,12 +306,11 @@ def _pushforward(t: int, budget: int) -> Iterator[tuple[dict[int, int], int]]:
     out, common denominator).  A yielded dict is emptied when the next
     step is computed, so read it before advancing."""
     fields = _fields(t)
-    dist = {0: 1}  # the empty table
-    den = 1
+    law = fields.moves, lambda key, scaled, out: _pile_moves(key, scaled, out, fields)
+    dist, den, work = {0: 1}, 1, 0  # the empty table, before any work
     yield dist, den
-    work = 0
     for s in range(1, t + 1):
-        dist, den, work = _advance(dist, den, s, work, budget, fields)
+        dist, den, work = _advance(dist, den, s, work, budget, *law)
         yield dist, den
 
 

@@ -176,6 +176,41 @@ def test_dp_pmf_hand_values():
     assert all(t % 2 == 0 for t in pmf)
 
 
+def test_walk_law_lists_m_moves_from_every_state():
+    # The law the DP hands the exact engine: its ks sum to M from every
+    # state, one way each to 1 and 3 from 2, three down and one up above.
+    for k in range(2, 200):
+        out = {}
+        chain._walk_moves(k, 5, out)
+        m = 2 if k == 2 else 4
+        assert chain._walk_num_moves(k) == m, k
+        assert out == ({1: 5, 3: 5} if k == 2 else {k - 1: 15, k + 1: 5}), k
+        assert sum(out.values()) == 5 * m, k
+
+
+def test_dp_conserves_mass_on_the_exact_engine(monkeypatch):
+    # After every step of the DP, the numerators still on the walk plus the
+    # mass already absorbed at state 1 make up exactly den.
+    steps = []
+    engine = chain._advance
+
+    def spy(*args):
+        dist, den, work = engine(*args)
+        steps.append((args[2], sum(dist.values()), dist.get(1, 0), den))
+        return dist, den, work
+
+    monkeypatch.setattr(chain, "_advance", spy)
+    for t_max in range(1, 61):
+        steps.clear()
+        pmf = first_return_pmf_dp(t_max)
+        assert [s for s, *_ in steps] == list(range(2, 2 * t_max + 1)), t_max
+        absorbed = Fraction(0)
+        for s, total, back, den in steps:
+            absorbed += pmf.get(s, 0)
+            assert Fraction(back, den) == pmf.get(s, 0), (t_max, s)
+            assert total - back + absorbed * den == den, (t_max, s)
+
+
 def _closed_form_at(t):
     """f(2t) = (3/16)^(t-1) C(2t-3, t-1), 1/2 at t = 1, evaluated on its own."""
     return Fraction(1, 2) if t == 1 else Fraction(3, 16) ** (t - 1) * math.comb(2 * t - 3, t - 1)
@@ -187,6 +222,7 @@ def test_closed_form_matches_dp_exactly():
     for t in range(1, 401):
         assert pmf[2 * t] == _closed_form_at(t), t
     assert first_return_pmf_closed(30) == first_return_pmf_dp(30)
+    assert first_return_pmf_closed(60) == first_return_pmf_dp(60)
     assert first_return_pmf_closed(10) == oracle.enumerate_chain_paths(10)
     assert first_return_pmf_closed(1) == {2: Fraction(1, 2)}
     with pytest.raises(ValueError, match="^t_max must be >= 1, got 0$"):

@@ -391,6 +391,11 @@ def _tuple_pushforward(t):
     return dist
 
 
+def test_multiset_law_numerators_sum_to_den_at_every_step():
+    for t, (dist, den) in enumerate(oracle._pushforward(20, oracle.DEFAULT_STATE_BUDGET)):
+        assert sum(dist.values()) == den, t
+
+
 def test_multiset_law_equals_tuple_reference_where_the_width_grows():
     # t = 16 is the first horizon whose keys need 5-bit fields.
     assert (oracle._fields(15).width, oracle._fields(16).width) == (4, 5)
