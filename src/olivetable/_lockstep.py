@@ -11,8 +11,11 @@ a time.  Three parts reproduce the scalar path exactly:
   first twist and the tempering run across lanes, giving each lane its
   first ``_buffer_words(t)`` words;
 * moves: ``process._advance``'s positional decode of the rejection-sampled
-  u and its swap-removal order of the plates and of the non-empty index,
-  on padded (lanes, t) plate arrays.
+  u and its swap-removal order of the plates and of the non-empty index.
+  Each lane keeps ``TableState``'s three plate arrays (ids, olive counts
+  and the non-empty positions in rank order), padded to t entries, and
+  like ``_advance`` stores no index derived from them: a merge scans the
+  merging lanes' rows for the non-empty slots it rewrites.
 
 ``run_block`` hands each lane's counters over as the scalar kernel leaves
 them on a ``TableState``, in ``ensemble._COUNTERS`` order: the independent
@@ -152,14 +155,18 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # Padded plate arrays of t entries per lane (a lane never holds more
     # plates), flat: position p of lane k is the absolute index k * t + p.
-    # ne_pos holds absolute plate indices, ne_idx absolute ne_pos indices
-    # (-1 for an empty plate), pos1 plate 1's absolute index: the first move
-    # appends it at position 0.  The extra last cell takes masked writes.
-    junk = lanes * t
-    ids, olives, ne_pos, ne_idx = (np.zeros(junk + 1, dtype=np.int64) for _ in range(4))
+    # They are TableState's three plate lists; ne_pos holds absolute plate
+    # indices, and its entries past n_e are stale.  Plate 1 stays at
+    # position 0: the first move adds it there, and as the lowest id it
+    # survives every merge, which only ever moves the last plate.
+    ids, olives, ne_pos = (np.zeros(lanes * t, dtype=np.int64) for _ in range(3))
     row0 = np.arange(lanes, dtype=np.int64) * t
-    pos1 = row0.copy()
     n_e, c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(8))
+
+    def ne_slot(lane: np.ndarray, plate: np.ndarray) -> np.ndarray:
+        # The absolute ne_pos index of each non-empty plate: its first match
+        # in the lane's row is the live one, as only stale copies follow n_e.
+        return row0[lane] + (ne_pos.reshape(lanes, t)[lane] == plate[:, None]).argmax(axis=1)
 
     for _ in range(t):
         l = c_pp - c_pm
@@ -189,7 +196,6 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             at = row0[a] + l[a]
             ids[at] = c_pp[a] + 1
             olives[at] = 0
-            ne_idx[at] = -1
 
         # P-: merge pair rank u-1; the lower id survives at i, and j is
         # swap-removed.
@@ -205,30 +211,25 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             merged = before + moved
             olives[i] = merged
             # When nothing moved, merged is a count max_other already covers.
-            max_other[g] = np.maximum(max_other[g], merged * (i != pos1[g]))
+            max_other[g] = np.maximum(max_other[g], merged * (i != base))
             # j leaves the non-empty index if it held olives: the last entry
             # fills its slot.  An empty i first joins at the end, so i is
             # that last entry.
             k = np.flatnonzero(moved)
             if k.size:
                 gk = g[k]
-                slot = ne_idx[j[k]]
                 joins = before[k] == 0
                 last = np.where(joins, i[k], ne_pos[row0[gk] + n_e[gk] - 1])
-                ne_pos[slot] = last
-                ne_idx[last] = slot
+                ne_pos[ne_slot(gk, j[k])] = last
                 n_e[gk] -= ~joins
-            # Swap-removal of j by the last plate; when j is the last plate
-            # these writes rewrite j's own entries, and the ne_pos one goes
-            # to the junk cell.
+            # Swap-removal of j by the last plate, whose non-empty entry
+            # then points at j.
             end = base + l[g] - 1
             ids[j] = ids[end]
             olives[j] = olives[end]
-            slot = ne_idx[end]
-            ne_idx[j] = slot
-            ne_pos[np.where((j != end) & (slot >= 0), slot, junk)] = j
-            p1 = pos1[g]
-            pos1[g] = np.where(p1 == end, j, p1)
+            k = np.flatnonzero((j != end) & (olives[end] != 0))
+            if k.size:
+                ne_pos[ne_slot(g[k], end[k])] = j[k]
 
         # O+: an olive onto plate u-1-C(l,2).
         h = np.flatnonzero(is_op)
@@ -236,31 +237,26 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             at = row0[h] + (u[h] - 1 - n_merge[h])
             val = olives[at] + 1
             olives[at] = val
-            max_other[h] = np.maximum(max_other[h], val * (at != pos1[h]))
+            max_other[h] = np.maximum(max_other[h], val * (at != row0[h]))
             k = np.flatnonzero(val == 1)
             if k.size:
-                hk, atk = h[k], at[k]
-                e = row0[hk] + n_e[hk]
-                ne_idx[atk] = e
-                ne_pos[e] = atk
+                hk = h[k]
+                ne_pos[row0[hk] + n_e[hk]] = at[k]
                 n_e[hk] += 1
 
         # O-: an olive off the non-empty plate ranked u-1-C(l,2)-l.
         q = np.flatnonzero(is_om)
         if q.size:
-            at = ne_pos[row0[q] + (u[q] - 1 - n_grow[q])]
+            slot = row0[q] + (u[q] - 1 - n_grow[q])
+            at = ne_pos[slot]
             val = olives[at] - 1
             olives[at] = val
             k = np.flatnonzero(val == 0)
             if k.size:
-                qk, atk = q[k], at[k]
-                slot = ne_idx[atk]
+                qk = q[k]
                 e = n_e[qk] - 1
                 n_e[qk] = e
-                last = ne_pos[row0[qk] + e]
-                ne_pos[slot] = last
-                ne_idx[last] = slot
-                ne_idx[atk] = -1
+                ne_pos[slot[k]] = ne_pos[row0[qk] + e]
 
         c_pp += is_pp
         c_pm += is_mg
@@ -270,5 +266,5 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c_om += is_om
 
     # In ensemble._COUNTERS order.
-    counters = np.stack((c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other, olives[pos1]))
+    counters = np.stack((c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other, olives[row0]))
     return counters, np.flatnonzero(nxt >= (n_words + 1) * lanes)

@@ -102,6 +102,19 @@ def test_rows_equal_the_scalar_kernel(t, spies):
     assert scalar == []  # no lane ran dry at the default buffer
 
 
+def test_block_counters_equal_the_scalar_kernel_at_every_t():
+    # A merge scans t-wide plate rows, and longer runs reach more plates, so
+    # every horizon the ensemble may run on this kernel is checked, lane by
+    # lane.
+    for t in range(1, ensemble._LOCKSTEP_MAX_T + 1):
+        seeds = _lockstep.derive_seeds(t, 0, 300)
+        counters, dry = _lockstep.run_block(t, seeds)
+        live = sorted(set(range(len(seeds))) - set(dry.tolist()))
+        assert len(live) > 290, t
+        for k in live:
+            assert tuple(counters[:, k].tolist()) == ensemble._replica_counters(int(seeds[k]), (t,))[0], (t, k)
+
+
 def test_blocks_and_replica_ranges(spies, monkeypatch):
     blocks, scalar = spies
     monkeypatch.setattr(ensemble, "_LOCKSTEP_MAX_LANES", MIN_R + 100)

@@ -269,7 +269,7 @@ def test_accounting_identity_and_structure_hold(seed, t):
         process._advance(state, rng, 1)
         assert state.total_olives == state.t - (state.c_add_plate + state.c_merge) - 2 * state.c_remove_olive
         assert state.num_plates >= 1, "table re-emptied"
-        assert min(i for i, _ in state.plates) == 1, "first plate lost"
+        assert state.plates[0][0] == 1, "plate 1 left position 0"
     state.check_invariants()
 
 
