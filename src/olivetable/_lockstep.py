@@ -19,15 +19,16 @@ a time.  Three parts reproduce the scalar path exactly:
 
 ``run_block`` hands each lane's counters over as the scalar kernel leaves
 them on a ``TableState``, in ``ensemble._COUNTERS`` order: the independent
-counts of ``TableState._COUNTS``, then plate 1's olives.  Like the scalar
-kernel it keeps no olive total or step count; both follow from the four
-move counts.  The ensemble builds every row from these counters.  A lane
-that needs a word past its buffer leaves the block; ``run_block`` returns
-its index, and the caller refills that lane's counters from the scalar
-kernel.  ``ensemble._run_chunk`` runs this module: an eligible task takes
-its seeds from ``derive_seeds`` and runs one block (any other task derives
-them with ``rng.derive_seed`` and loads no numpy).  The
-``seed_derivation`` check in ``olivetable.verification`` holds
+counts of ``TableState._COUNTS``, then the first plate's olives, read at
+position 0 as every layer reads them (``TableState`` states that contract).
+Like the scalar kernel it keeps no olive total or step count; both follow
+from the four move counts.  The ensemble builds every row from these
+counters.  A lane that needs a word past its buffer leaves the block;
+``run_block`` returns its index, and the caller refills that lane's
+counters from the scalar kernel.  ``ensemble._run_chunk`` runs this module:
+an eligible task takes its seeds from ``derive_seeds`` and runs one block
+(any other task derives them with ``rng.derive_seed`` and loads no numpy).
+The ``seed_derivation`` check in ``olivetable.verification`` holds
 ``derive_seeds`` and ``first_words`` to ``rng.derive_seed`` and
 ``make_rng``.  The ensemble's task size cap,
 ``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624, lanes) uint32
@@ -156,9 +157,8 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Padded plate arrays of t entries per lane (a lane never holds more
     # plates), flat: position p of lane k is the absolute index k * t + p.
     # They are TableState's three plate lists; ne_pos holds absolute plate
-    # indices, and its entries past n_e are stale.  Plate 1 stays at
-    # position 0: the first move adds it there, and as the lowest id it
-    # survives every merge, which only ever moves the last plate.
+    # indices, and its entries past n_e are stale.  row0 is each lane's
+    # first plate, at position 0 as on a TableState.
     ids, olives, ne_pos = (np.zeros(lanes * t, dtype=np.int64) for _ in range(3))
     row0 = np.arange(lanes, dtype=np.int64) * t
     n_e, c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(8))

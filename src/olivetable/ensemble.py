@@ -14,7 +14,7 @@ figure straight off the columns.  ``sweep`` runs only the scalar kernel,
 whose tasks hand back rows of plain ints, and reads its reports off those.
 So importing this module loads no numpy, and neither does ``sweep``: numpy
 is imported only where the lockstep kernel or the record array needs it,
-and ``REPLICA_DTYPE`` is built on first access.
+and the record dtype, ``_replica_dtype()``, is built on first call.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ def _replica_dtype() -> np.dtype:
     import numpy as np
 
     return np.dtype([(name, np.uint64 if name == "seed" else np.int64) for name in _COLUMNS])
-
-
-def __getattr__(name: str):
-    # REPLICA_DTYPE is a numpy dtype, so it is built on first access
-    # instead of when the module is imported.
-    if name == "REPLICA_DTYPE":
-        return _replica_dtype()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -264,8 +256,8 @@ def run_ensemble(
     replica_range: Optional[tuple[int, int]] = None,
 ) -> np.ndarray:
     """The records of replicas [lo, hi) of ``config`` (default: all of
-    them) as a numpy record array of ``REPLICA_DTYPE``, one row per replica
-    in replica order, with exactly the ensemble CSV columns.
+    them) as a numpy record array of ``_replica_dtype()``, one row per
+    replica in replica order, with exactly the ensemble CSV columns.
 
     ``threads`` (default: the usable CPUs) caps the worker pool, which
     ``pool_size`` also caps at the usable CPUs and the replica count; the

@@ -22,13 +22,14 @@ table whichever plate survives, and M reads only l and n_e, so that is the
 whole one-step law of the multiset and the chain on multisets is exactly
 lumpable (Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3).
 ``_law`` runs it on the non-first plates, decodes the successors into
-ascending tuples and adds plate 1's own moves, which gives the law of
-canonical states that the sampler check and anything that follows plate 1
-need.  A canonical state is the plain tuple ``(first, others)`` of a table
-with at least one plate: the first plate's count and the ascending tuple of
-the others' counts.  The empty table needs no canonical form, because only
-the multiset layer starts from it.  Lumping non-first plates is sound
-because the uniform move choice treats them exchangeably.
+ascending tuples and adds the first plate's own moves, which gives the law
+of canonical states that the sampler check and anything that follows the
+first plate need.  A canonical state is the plain tuple ``(first, others)``
+of a table with at least one plate: the count of the first plate, which
+sits at position 0 (``process.TableState`` states that contract), and the
+ascending tuple of the others' counts.  The empty table needs no canonical
+form, because only the multiset layer starts from it.  Lumping non-first
+plates is sound because the uniform move choice treats them exchangeably.
 ``labeled_olive_distribution`` re-derives the same olive law from the
 fully labeled process (no lumping) to guard both lumpings.  Each
 successor's multiplicity counts the moves that reach it: a merge of plates
@@ -78,13 +79,10 @@ class BudgetExceededError(_RangeError, RuntimeError):
 
 def canonical_of(state: TableState) -> tuple[int, tuple[int, ...]]:
     """Canonical form ``(first, others)`` of a table with at least one plate:
-    the olive count of the distinguished plate, the minimum-id plate (plate
-    1 in any state evolved from the empty table), and the ascending tuple of
-    the other plates' counts."""
-    ids = state._ids
+    the first plate's olive count, at position 0 (see ``TableState``), and
+    the ascending tuple of the other plates' counts."""
     olives = state._olives
-    p = ids.index(min(ids))
-    return olives[p], tuple(sorted(olives[:p] + olives[p + 1 :]))
+    return olives[0], tuple(sorted(olives[1:]))
 
 
 class _Table(dict):
@@ -180,7 +178,7 @@ def _pile_moves(key: int, scaled: int, out: dict[int, int], fields: _Fields) -> 
     the whole law of the multiset and the ks sum to M (a merge keeps the
     combined pile whichever plate survives), so the empty key 0 lists only
     the key of one empty plate.  It is ``_pushforward``'s lister; ``_law``
-    runs it on the non-first plates and adds plate 1's own moves.
+    runs it on the non-first plates and adds the first plate's own moves.
     """
     get = out.get
     w, mask = fields.width, fields.mask
@@ -240,8 +238,8 @@ def _law(state: tuple[int, tuple[int, ...]]) -> tuple[int, dict[tuple[int, tuple
 
     The process picks one of M equally likely moves and ``k`` counts the
     moves that lead to each successor, so the multiplicities sum to M.  It
-    is ``_pile_moves`` on the non-first plates, decoded into tuples, plus
-    plate 1's own moves; the sampler and transition-mass checks read it.
+    is ``_pile_moves`` on the non-first plates, as tuples, plus the first
+    plate's own moves; the sampler and transition-mass checks read it.
     """
     first, others = state
     n = len(others)
@@ -250,9 +248,10 @@ def _law(state: tuple[int, tuple[int, ...]]) -> tuple[int, dict[tuple[int, tuple
     _pile_moves(fields.key(others), 1, moves, fields)
     piles = fields.piles
     out = {(first, piles(succ)): k for succ, k in moves.items()}
-    # Plate 1 has the lowest id, so it survives every merge it joins: one
-    # way per plate holding count v.  With v = 0 that is the successor the
-    # merges among the others with an empty plate already reach.
+    # The first plate has the lowest id, so it survives every merge it
+    # joins: one way per plate holding count v.  With v = 0 that is the
+    # successor the merges among the others with an empty plate already
+    # reach.
     lo = 0
     while lo < n:
         v = others[lo]

@@ -13,9 +13,10 @@ currently available moves:
 So with ``l`` plates of which ``n_e`` are non-empty there are
 ``M = 1 + C(l,2) + l + n_e`` available moves.  The table starts empty and,
 because a merge needs two plates, can never re-empty after the first move.
-The lower-id plate survives a merge, which makes plate 1 immortal and keeps
-"the first plate" well defined; the combined olive count is the same under
-either survivor convention.
+The lower-id plate survives a merge, which makes plate 1 immortal: it is
+the first plate, which never leaves position 0 (:class:`TableState` states
+that contract, which every layer reads).  The combined olive count is the
+same under either survivor convention.
 
 The state is three plate lists with swap-removal plus seven counts, and
 the single uniform draw in [0, M) is rejection-sampled and decoded
@@ -34,8 +35,9 @@ The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
 runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
 positional decode and swap-removal order, and hands over the same counters
-(``ensemble._COUNTERS``: ``TableState._COUNTS`` and plate 1's olives), so
-the ensemble's one row builder gives bit-identical rows either way.
+(``ensemble._COUNTERS``: ``TableState._COUNTS`` and the first plate's
+olives), so the ensemble's one row builder gives bit-identical rows either
+way.
 """
 
 from __future__ import annotations
@@ -97,10 +99,17 @@ class TableState:
     plates, so the removals at >= 3 plates are ``c_merge - num_returns``;
     ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
     >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run
-    and over every plate other than plate 1, of that plate's olive count.
+    and over every plate other than the first, of that plate's olive count.
     A plate's id is its place among the adds: the next plate gets id
     ``c_add_plate + 1``.
     :meth:`check_invariants` asserts that the plates hold ``total_olives``.
+
+    Position 0 holds the first plate, the lowest id: plate 1 goes there
+    first, and a merge keeps the lower id and swap-removes the other by the
+    last plate.  Every layer reads the first plate there; :meth:`from_plates`
+    refuses a table whose first pair is not its lowest id, and
+    :meth:`check_invariants` asserts it.  Equal states share their storage
+    layout, plate order included, since the decode is positional.
     """
 
     # Every count the state keeps, all independent: each starts at 0, and
@@ -135,9 +144,8 @@ class TableState:
 
     @property
     def first_plate_olives(self) -> int:
-        """Olives on plate id 1 (0 if the table holds no plate 1)."""
-        ids = self._ids
-        return self._olives[ids.index(1)] if 1 in ids else 0
+        """Olives on the first plate, at position 0 (0 on the empty table)."""
+        return self._olives[0] if self._olives else 0
 
     @property
     def t(self) -> int:
@@ -160,10 +168,7 @@ class TableState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TableState):
             return NotImplemented
-        return (
-            sorted(zip(self._ids, self._olives)) == sorted(zip(other._ids, other._olives))
-            and all(getattr(self, name) == getattr(other, name) for name in self._COUNTS)
-        )
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def counters(self) -> tuple[int, int, int, int]:
         """(P+, P-, O+, O-) move counts so far."""
@@ -176,8 +181,8 @@ class TableState:
         The counters are set to the history the ids imply: plates 1..max(id)
         added, the missing ids merged away (at >= 3 plates, except that a
         merge from 2 plates to 1 is a return), then all olives added; so
-        the next plate added gets id max(id) + 1.  The sampling
-        distribution only depends on the plate configuration.
+        the next plate added gets id max(id) + 1.  The first pair is the
+        first plate and must hold the lowest id.
         """
         state = cls()
         seen: set[int] = set()
@@ -186,6 +191,8 @@ class TableState:
                 raise _RangeError(f"duplicate plate id {plate_id}")
             if plate_id < 1 or olives < 0:
                 raise _RangeError(f"bad plate ({plate_id}, {olives})")
+            if seen and plate_id < state._ids[0]:
+                raise _RangeError(f"plate {plate_id} has a lower id than the first plate, {state._ids[0]}")
             seen.add(plate_id)
             if olives > 0:
                 state._ne_pos.append(len(state._ids))
@@ -197,7 +204,7 @@ class TableState:
         state.num_returns = int(len(seen) == 1 and added > 1)
         state.c_add_olive = sum(state._olives)
         state.plate_moves_at_ge3 = max(0, added - 3) + state.c_merge - state.num_returns
-        state.max_other_olives = max((o for i, o in zip(state._ids, state._olives) if i != 1), default=0)
+        state.max_other_olives = max(state._olives[1:], default=0)
         return state
 
     # -- invariants --------------------------------------------------------
@@ -216,14 +223,15 @@ class TableState:
         assert 0 <= self.num_returns <= self.c_merge
         t_plate = _derived_counts(self.c_add_plate, self.c_merge, self.num_returns)["t_plate"]
         assert self.c_merge - self.num_returns <= self.plate_moves_at_ge3 <= t_plate
-        assert all(o <= self.max_other_olives for i, o in zip(self._ids, self._olives) if i != 1)
+        assert not self._ids or self._ids[0] == min(self._ids), "the lowest id left position 0"
+        assert all(o <= self.max_other_olives for o in self._olives[1:])
 
 
 class TrajectoryRecord(NamedTuple):
     """Everything one trajectory run reports, in O(1) memory in ``t_max``.
 
-    Every count, plate 1's olives included, is read off ``final_state``;
-    ``series`` holds the cadence rows, capped at ``MAX_SERIES_ROWS``.
+    Every count is read off ``final_state``; ``series`` holds the cadence
+    rows, capped at ``MAX_SERIES_ROWS``.
     """
 
     t_max: int
@@ -304,7 +312,7 @@ def _advance(
                         k = bit_length(m_total)
                     val += 1
                     olives[p] = val
-                    if val > max_other and ids[p] != 1:
+                    if val > max_other and p:
                         max_other = val
                     c_op += 1
                 else:
@@ -333,7 +341,7 @@ def _advance(
                         ne_pos.append(i)
                     merged = olives[i] + moved
                     olives[i] = merged
-                    if merged > max_other and ids[i] != 1:
+                    if merged > max_other and i:
                         max_other = merged
                     slot = ne_pos.index(j)
                     last = ne_pos.pop()
@@ -375,7 +383,7 @@ def _advance(
         if check_identity and c_op - c_om != t - c_pp - c_pm - 2 * c_om:
             raise AssertionError(f"olive conservation violated at step {t}")
         if cadence and t % cadence == 0:
-            series.append((t, c_op - c_om, num_plates, len(ne_pos), state.first_plate_olives, max_other))
+            series.append((t, c_op - c_om, num_plates, len(ne_pos), olives[0], max_other))
 
     state.c_add_plate = c_pp
     state.c_merge = c_pm

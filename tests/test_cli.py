@@ -458,7 +458,7 @@ def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
     t = 1026
     assert process._in_band(olives, t) is inside
     config = ensemble.EnsembleConfig(t=t, replicas=1, master_seed=0)
-    records = np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble.REPLICA_DTYPE)
+    records = np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble._replica_dtype())
     assert ensemble._stats_estimate(ensemble._olive_moments(records["O"]), t)["within_bounds"] is inside
     assert ensemble.summary_json(config, records)["checks"]["bounds_pass"] is inside
     state = process.TableState.from_plates([(1, olives)])

@@ -37,7 +37,7 @@ def _estimate(records: np.ndarray, t: int) -> dict:
 
 
 def _hand_built(o_values: list[int]) -> np.ndarray:
-    records = np.zeros(len(o_values), dtype=ensemble.REPLICA_DTYPE)
+    records = np.zeros(len(o_values), dtype=ensemble._replica_dtype())
     records["replica"] = np.arange(len(o_values))
     records["O"] = o_values
     return records
@@ -169,7 +169,7 @@ def test_one_task_list_tiles_the_range(horizons, lo, hi, threads, chunksizes, si
     def record(task):
         tasks.append(task)
         task_horizons, a, b, _ = task
-        return np.zeros((len(task_horizons), b - a), dtype=ensemble.REPLICA_DTYPE)
+        return np.zeros((len(task_horizons), b - a), dtype=ensemble._replica_dtype())
 
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ensemble, "_run_chunk", record)
@@ -353,7 +353,7 @@ def test_sweep_simulates_each_replica_once(threads, separate_ensembles, monkeypa
     for k, t in enumerate(horizons):
         rows = [row for _, _, parts in tasks for row in parts[k]]
         assert {type(v) for row in rows for v in row} == {int}, t
-        assert np.array(rows, dtype=ensemble.REPLICA_DTYPE).tobytes() == separate_ensembles[t].tobytes(), t
+        assert np.array(rows, dtype=ensemble._replica_dtype()).tobytes() == separate_ensembles[t].tobytes(), t
     for t, row in zip(SWEEP_T, c_report["rows"]):
         assert row == _estimate(separate_ensembles[t], t)
         assert row["within_bounds"] is True

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from olivetable import _lockstep, ensemble, process
-from olivetable.ensemble import REPLICA_DTYPE, EnsembleConfig, run_ensemble
+from olivetable.ensemble import EnsembleConfig, _replica_dtype, run_ensemble
 from olivetable.process import TableState, run_trajectory
 from olivetable.rng import derive_seed, make_rng
 
@@ -32,7 +32,7 @@ def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, i
             s.first_plate_olives, s.c_merge - returns, s.plate_moves_at_ge3,
         ))
     o = [row[2] for row in rows]
-    return np.array(rows, dtype=REPLICA_DTYPE).tobytes(), sum(o), sum(v * v for v in o)
+    return np.array(rows, dtype=_replica_dtype()).tobytes(), sum(o), sum(v * v for v in o)
 
 
 def outcome(records) -> tuple[bytes, int, int]:

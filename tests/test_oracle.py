@@ -67,8 +67,8 @@ def test_canonicalization():
     assert canon == (2, (0, 0, 5))
     assert _plates_and_nonempty(canon) == (4, 2)
     assert sum(_multiset(canon)) == 7
-    # Without plate 1 the lowest id present is the distinguished plate.
-    assert canonical_of(TableState.from_plates([(3, 2), (2, 0), (5, 1)])) == (0, (1, 2))
+    # Without plate 1 the lowest id, stored first, is the first plate.
+    assert canonical_of(TableState.from_plates([(2, 0), (3, 2), (5, 1)])) == (0, (1, 2))
 
 
 def test_transitions_from_empty_table():

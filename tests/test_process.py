@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from olivetable import process, verification
@@ -17,7 +17,7 @@ from olivetable.process import (
     run_trajectory,
     write_trajectory_csv,
 )
-from olivetable.rng import make_rng
+from olivetable.rng import _RangeError, make_rng
 
 
 class _Draws:
@@ -86,7 +86,7 @@ def test_move_counts_formula(plates, expected):
 
 @pytest.mark.parametrize(
     "plates",
-    [plates for plates, _ in MOVE_COUNTS] + [[(1, 0), (2, 1), (5, 4)], [(3, 2), (1, 0), (2, 2), (7, 2)]],
+    [plates for plates, _ in MOVE_COUNTS] + [[(1, 0), (2, 1), (5, 4)], [(1, 0), (3, 2), (2, 2), (7, 2)]],
 )
 def test_step_decode_matches_exact_law(plates):
     # Every u in [0, M) through the kernel: the successors, weighted 1/M each,
@@ -129,7 +129,7 @@ def test_conditional_merge_probability_at_least_three_quarters():
         assert 4 * n_merge >= 3 * (n_merge + 1), l
 
 
-def test_sample_move_empty_table_always_adds_plate():
+def test_empty_table_always_adds_plate_one():
     rng = make_rng(1)
     for _ in range(100):
         state = TableState()
@@ -137,7 +137,7 @@ def test_sample_move_empty_table_always_adds_plate():
         assert state.plates == [(1, 0)]
 
 
-def test_sample_move_uniform_two_empty_plates():
+def test_step_from_two_empty_plates_is_uniform():
     # l=2 both empty: M=4 moves, each frequency within 5 sigma of 1/4.
     base = TableState.from_plates([(1, 0), (2, 0)])
     rng = make_rng(123)
@@ -158,7 +158,7 @@ def test_sample_move_uniform_two_empty_plates():
     assert chi2 <= 3 + 5 * math.sqrt(6)
 
 
-def test_sample_move_merge_probability_one_in_five():
+def test_step_from_one_full_and_one_empty_plate_merges_one_time_in_five():
     # l=2, n_e=1: M = 1 + 1 + 2 + 1 = 5, so Pr(P-) = 1/5.
     base = TableState.from_plates([(1, 1), (2, 0)])
     rng = make_rng(321)
@@ -172,14 +172,25 @@ def test_sample_move_merge_probability_one_in_five():
     assert abs(merges - n / 5) <= tol
 
 
-def test_apply_merge_conserves_olives_and_keeps_lower_id():
-    # u = 1 merges the plates at positions 0 and 1, whichever id is lower.
-    for plates in ([(1, 3), (2, 2)], [(2, 2), (1, 3)]):
-        state = _step_with(TableState.from_plates(plates), 1)
-        assert state.plates == [(1, 5)]
-        assert state.total_olives == 5
-        assert state.num_nonempty == 1
-        state.check_invariants()
+def test_merge_conserves_olives_and_keeps_lower_id():
+    # u = 1 merges the plates at positions 0 and 1: the first plate survives.
+    state = _step_with(TableState.from_plates([(1, 3), (2, 2)]), 1)
+    assert state.plates == [(1, 5)]
+    assert state.total_olives == 5
+    assert state.num_nonempty == 1
+    state.check_invariants()
+    # u = 3 merges positions (1, 2), here ids 5 and 2: plate 2 survives, and
+    # the swap-removal of plate 5 by the last plate moves it to position 1.
+    state = _step_with(TableState.from_plates([(1, 0), (5, 4), (2, 1)]), 3)
+    assert state.plates == [(1, 0), (2, 5)]
+    assert state.total_olives == 5
+    state.check_invariants()
+
+
+def test_from_plates_refuses_a_first_plate_that_is_not_the_lowest_id():
+    for plates in ([(2, 2), (1, 3)], [(3, 2), (2, 0), (5, 1)], [(4, 2), (1, 7), (3, 0)]):
+        with pytest.raises(_RangeError, match="lower id than the first plate"):
+            TableState.from_plates(plates)
 
 
 def test_merge_of_non_first_plates_keeps_lower_id():
@@ -310,21 +321,6 @@ def test_fast_loop_matches_step_by_step():
         fast.check_invariants()
 
 
-def _layout(state: TableState) -> tuple:
-    """Everything the next step reads, positions included."""
-    return (
-        state._ids,
-        state._olives,
-        state._ne_pos,
-        state.total_olives,
-        state.t,
-        state.counters(),
-        state.num_returns,
-        state.plate_moves_at_ge3,
-        state.max_other_olives,
-    )
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=6),
@@ -342,7 +338,6 @@ def test_kernel_resumes_in_segments(seed, cuts, cadence, check_identity):
     rng = make_rng(seed)
     for cut in sorted(cuts) + [t]:
         process._advance(state, rng, cut - state.t, series, cadence, check_identity)
-    assert _layout(state) == _layout(whole.final_state)
     assert state == whole.final_state
     assert series == whole.series
 
@@ -429,9 +424,7 @@ def test_max_other_olives_tracks_non_first_plates():
     max_other = 0
     for _ in range(t):
         process._advance(state, rng, 1)
-        max_other = max(
-            max_other, max((o for i, o in state.plates if i != 1), default=0)
-        )
+        max_other = max(max_other, max((o for _, o in state.plates[1:]), default=0))
     assert rec.final_state.max_other_olives == state.max_other_olives == max_other
     assert rec.final_state.first_plate_olives == state.first_plate_olives
 
@@ -455,17 +448,70 @@ def test_plate_layout_is_pinned(seed):
 
 
 def test_series_row_reads_plate_one_as_the_state_does():
-    # A table with no plate 1 has 0 olives on it, in the row as on the state.
+    # On a table with no plate 1 the lowest id, plate 2, is the first plate
+    # in every layer: u = 2 puts an olive on it, at position 0.
     state = TableState.from_plates([(2, 0), (3, 5)])
     series = []
-    process._advance(state, make_rng(0), 1, series, 1)
-    assert state.first_plate_olives == 0
-    assert series[0][4] == 0
-    # Where plate 1 is not stored first, the row still reads plate 1.
-    state = TableState.from_plates([(4, 2), (1, 7), (3, 0)])
+    process._advance(state, _Draws(2), 1, series, 1)
+    assert state.plates == [(2, 1), (3, 5)]
+    assert series[0][4] == state.first_plate_olives == canonical_of(state)[0] == 1
+    assert series[0][5] == state.max_other_olives == 5
+    state.check_invariants()
+    # From the empty table the first plate is plate 1.
+    state = TableState()
     series = []
     process._advance(state, make_rng(0), 50, series, 1)
-    assert series[-1][4] == state.first_plate_olives > 0
+    assert state.plates[0][0] == 1
+    assert series[-1][4] == state.first_plate_olives == canonical_of(state)[0]
+
+
+def test_equal_states_share_their_storage_layout():
+    # The same plates in two storage orders decode one draw to different
+    # moves, so they are different states: u = 5 adds an olive at position 1.
+    a = TableState.from_plates([(1, 0), (2, 1), (3, 4)])
+    b = TableState.from_plates([(1, 0), (3, 4), (2, 1)])
+    assert sorted(a.plates) == sorted(b.plates) and a.counters() == b.counters()
+    assert a != b
+    assert a == a.copy()
+    assert sorted(_step_with(a.copy(), 5).plates) == [(1, 0), (2, 2), (3, 4)]
+    assert sorted(_step_with(b.copy(), 5).plates) == [(1, 0), (2, 1), (3, 5)]
+    # Under one seed they take different paths of canonical states.
+    paths = [[], []]
+    for state, path in zip((a, b), paths):
+        rng = make_rng(11)
+        for _ in range(20):
+            process._advance(state, rng, 1)
+            path.append(canonical_of(state))
+    assert paths[0] != paths[1]
+
+
+_hand_built = st.integers(min_value=1, max_value=4).flatmap(
+    lambda first: st.tuples(
+        st.just(first),
+        st.lists(st.integers(min_value=first + 1, max_value=9), unique=True, max_size=4),
+        st.lists(st.integers(min_value=0, max_value=5), min_size=5, max_size=5),
+    )
+)
+
+
+@given(table=st.one_of(st.none(), _hand_built), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(table=(2, [3], [4, 5]), seed=0)
+@settings(max_examples=60, deadline=None)
+def test_every_layer_reads_the_first_plate_at_position_0(table, seed):
+    # Hand-built tables with the lowest id first, plate 1 or not, and runs
+    # from the empty table (None): process and oracle agree on the first
+    # plate after every step, and the kernel keeps the position-0 contract.
+    if table is None:
+        state = TableState()
+    else:
+        first, others, olives = table
+        state = TableState.from_plates(zip([first] + others, olives))
+    rng = make_rng(seed)
+    for _ in range(60):
+        process._advance(state, rng, 1)
+        state.check_invariants()
+        assert canonical_of(state)[0] == state.first_plate_olives
+        assert all(o <= state.max_other_olives for o in state._olives[1:])
 
 
 def test_trajectory_series_and_csv_schema():

@@ -206,14 +206,14 @@ def _near_digit_boundaries(top):
 
 _counts = _near_digit_boundaries(int(np.iinfo(np.int64).max))
 _seeds = _near_digit_boundaries(int(np.iinfo(np.uint64).max))
-_records = st.lists(st.tuples(_counts, _seeds, *[_counts] * (len(ensemble.REPLICA_DTYPE) - 2)), max_size=20)
+_records = st.lists(st.tuples(_counts, _seeds, *[_counts] * (len(ensemble._replica_dtype()) - 2)), max_size=20)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, ensemble._CSV_BLOCK_ROWS])
 @settings(max_examples=60, deadline=None)
 @given(rows=_records)
 def test_csv_matches_reference_at_digit_boundaries(block_rows, rows):
-    records = np.array(rows, dtype=ensemble.REPLICA_DTYPE)
+    records = np.array(rows, dtype=ensemble._replica_dtype())
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ensemble, "_CSV_BLOCK_ROWS", block_rows)
@@ -223,7 +223,7 @@ def test_csv_matches_reference_at_digit_boundaries(block_rows, rows):
 
 def test_csv_of_no_rows_is_the_header():
     out = io.StringIO()
-    write_ensemble_csv(np.empty(0, dtype=ensemble.REPLICA_DTYPE), out)
+    write_ensemble_csv(np.empty(0, dtype=ensemble._replica_dtype()), out)
     assert out.getvalue() == ENSEMBLE_CSV_HEADER + "\n"
 
 
