@@ -17,22 +17,21 @@ a time.  Three parts reproduce the scalar path exactly:
   like ``_advance`` stores no index derived from them: a merge scans the
   merging lanes' rows for the non-empty slots it rewrites.
 
-``run_block`` hands each lane's counters over as the scalar kernel leaves
-them on a ``TableState``, in ``ensemble._COUNTERS`` order: the independent
-counts of ``TableState._COUNTS``, then the first plate's olives, read at
-position 0 as every layer reads them (``TableState`` states that contract).
-Like the scalar kernel it keeps no olive total or step count; both follow
-from the four move counts.  The ensemble builds every row from these
-counters.  A lane that needs a word past its buffer leaves the block;
-``run_block`` returns its index, and the caller refills that lane's
-counters from the scalar kernel.  ``ensemble._run_chunk`` runs this module:
-an eligible task takes its seeds from ``derive_seeds`` and runs one block
-(any other task derives them with ``rng.derive_seed`` and loads no numpy).
-The ``seed_derivation`` check in ``olivetable.verification`` holds
-``derive_seeds`` and ``first_words`` to ``rng.derive_seed`` and
-``make_rng``.  The ensemble's task size cap,
-``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's (624, lanes) uint32
-seeding state within 10 MiB.
+``run_block`` hands each lane's counters over as a ``TableState`` reads
+them, in ``ensemble._COUNTERS`` order.  A lane stores the counts of
+``TableState._COUNTS`` and its plate count ``l``, and at the end reads P-
+(P+ less ``l``) and O+ (the olives on its first ``l`` plates plus O-) off
+its plates, and the first plate's olives at position 0, as ``TableState``
+does.  The ensemble builds and checks every row from these counters.  A lane
+that needs a word past its buffer leaves the block; ``run_block`` returns
+its index, and the caller refills that lane's counters from the scalar
+kernel.  ``ensemble._run_chunk`` runs this module: an eligible task takes
+its seeds from ``derive_seeds`` and runs one block (any other task derives
+them with ``rng.derive_seed`` and loads no numpy).  The ``seed_derivation``
+check in ``olivetable.verification`` holds ``derive_seeds`` and
+``first_words`` to ``rng.derive_seed`` and ``make_rng``.  The ensemble's
+task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's
+(624, lanes) uint32 seeding state within 10 MiB.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # first plate, at position 0 as on a TableState.
     ids, olives, ne_pos = (np.zeros(lanes * t, dtype=np.int64) for _ in range(3))
     row0 = np.arange(lanes, dtype=np.int64) * t
-    n_e, c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(8))
+    n_e, l, c_pp, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(7))
 
     def ne_slot(lane: np.ndarray, plate: np.ndarray) -> np.ndarray:
         # The absolute ne_pos index of each non-empty plate: its first match
@@ -169,7 +168,6 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return row0[lane] + (ne_pos.reshape(lanes, t)[lane] == plate[:, None]).argmax(axis=1)
 
     for _ in range(t):
-        l = c_pp - c_pm
         n_merge = l * (l - 1) // 2
         n_grow = n_merge + l
         m = n_grow + n_e + 1
@@ -258,13 +256,14 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 n_e[qk] = e
                 ne_pos[slot[k]] = ne_pos[row0[qk] + e]
 
-        c_pp += is_pp
-        c_pm += is_mg
         pm_ge3 += (is_pp | is_mg) & (l >= 3)
         returns += is_mg & (l == 2)
-        c_op += is_op
+        c_pp += is_pp
+        l += is_pp
+        l -= is_mg
         c_om += is_om
 
-    # In ensemble._COUNTERS order.
-    counters = np.stack((c_pp, c_pm, c_op, c_om, returns, pm_ge3, max_other, olives[row0]))
+    # In ensemble._COUNTERS order; swap-removal leaves stale counts past l.
+    on_table = np.where(np.arange(t) < l[:, None], olives.reshape(lanes, t), 0).sum(axis=1)
+    counters = np.stack((c_pp, c_pp - l, on_table + c_om, c_om, returns, pm_ge3, max_other, olives[row0]))
     return counters, np.flatnonzero(nxt >= (n_words + 1) * lanes)

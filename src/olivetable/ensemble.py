@@ -111,10 +111,11 @@ def _olive_moments(o) -> tuple[list[tuple[int, int]], int, int]:
     return o_counts, sum(o * c for o, c in o_counts), sum(o * o * c for o, c in o_counts)
 
 
-# A replica row's counters, by TableState attribute name: the scalar kernel
-# reads them off its state and the lockstep kernel hands its lanes over in
-# this order.
-_COUNTERS = TableState._COUNTS + ("first_plate_olives",)
+# A replica row's counters, by TableState attribute name, in the order the
+# lockstep kernel hands its lanes over: TableState._COUNTS, and P- (c_merge),
+# O+ (c_add_olive) and the first plate's olives, which are read off the plates.
+_COUNTERS = ("c_add_plate", "c_merge", "c_add_olive", "c_remove_olive", "num_returns", "plate_moves_at_ge3",
+             "max_other_olives", "first_plate_olives")
 _read_counters = operator.attrgetter(*_COUNTERS)
 
 
@@ -148,8 +149,9 @@ def _check_conservation(t: int, lo: int, moves: Iterable[int]) -> None:
     hands over.
 
     Every step makes one move, so the move counts sum to t at every row
-    taken: olive conservation, O = t - t_plate - 2 * removals.  A lockstep
-    lane that ran dry and was not refilled falls short.
+    taken: olive conservation, O = t - t_plate - 2 * removals.  P- and O+
+    are read off the table, so plates that do not hold what the moves imply
+    fail, as does a lockstep lane that ran dry and was not refilled.
     """
     for k, total in enumerate(moves):
         if total != t:

@@ -18,7 +18,7 @@ the first plate, which never leaves position 0 (:class:`TableState` states
 that contract, which every layer reads).  The combined olive count is the
 same under either survivor convention.
 
-The state is three plate lists with swap-removal plus seven counts, and
+The state is three plate lists with swap-removal plus five counts, and
 the single uniform draw in [0, M) is rejection-sampled and decoded
 positionally.  A merge scans the at most l non-empty positions for a rank;
 l stays small (over 10^6 steps, l <= 3 on 93% of steps, never above 8).
@@ -26,18 +26,17 @@ One kernel, ``_advance``, holds that code: :func:`run_trajectory` is one
 call to it, and the ensemble's scalar replicas call it once per horizon,
 resuming where the last call stopped.  Every count a trajectory reports
 lives on its :class:`TableState`, so resuming needs nothing else.  The
-state stores only independent counts (``TableState._COUNTS``: the move
-counts P+, P-, O+ and O- and the run's diagnostics); the step count ``t``
-(their sum) and the olive total (O+ - O-) are derived, so no kernel keeps
-them in step.
+state stores only what the plates do not hold (``TableState._COUNTS``:
+the move counts P+ and O- and the run's diagnostics): a merge removes one
+plate and keeps every olive, so P-, O+ and the step count ``t`` are read
+off the plates, and no kernel keeps them in step.
 
 The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
 runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
-positional decode and swap-removal order, and hands over the same counters
-(``ensemble._COUNTERS``: ``TableState._COUNTS`` and the first plate's
-olives), so the ensemble's one row builder gives bit-identical rows either
-way.
+positional decode and swap-removal order, and hands over the counters a
+``TableState`` stores or reads off its plates (``ensemble._COUNTERS``), so
+the ensemble's one row builder gives bit-identical rows either way.
 """
 
 from __future__ import annotations
@@ -83,26 +82,26 @@ def _derived_counts(c_add_plate, c_merge, num_returns) -> dict:
 
 
 class TableState:
-    """Full mutable process state: three plate lists and seven counts.
+    """Full mutable process state: three plate lists and five counts.
 
     ``_ids`` and ``_olives`` hold each plate's id and olive count, and
     ``_ne_pos`` the positions of the non-empty plates in rank order (an O-
     move picks a plate by its rank there).  No index derived from them is
     stored: a merge scans ``_ne_pos``, at most l entries, for a rank.  The
-    counts are the per-kind move counters and the run's diagnostics;
-    the step count ``t`` (the sum of the move counts) and ``total_olives``
-    (olive adds minus olive removals) are read off the counters, never
-    stored.  ``num_returns`` counts the merges that took the plate count
-    from 2 to 1 (the returns to one plate): the entries into the one-plate
-    level are these returns plus the forced arrival on step 1, so a run's
-    ``tau1`` is ``num_returns + 1``.  Every other merge is made at >= 3
-    plates, so the removals at >= 3 plates are ``c_merge - num_returns``;
-    ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
-    >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run
-    and over every plate other than the first, of that plate's olive count.
-    A plate's id is its place among the adds: the next plate gets id
-    ``c_add_plate + 1``.
-    :meth:`check_invariants` asserts that the plates hold ``total_olives``.
+    counts stored are P+ (``c_add_plate``), O- (``c_remove_olive``) and the
+    run's diagnostics; the plates hold the rest.  ``c_merge`` is P+ less the
+    plate count, ``total_olives`` the olives on the plates, ``c_add_olive``
+    that total plus O-, and ``t`` the sum of the four move counts: each is
+    read off, never stored.  ``num_returns`` counts the merges that took the
+    plate count from 2 to 1 (the returns to one plate): the entries into the
+    one-plate level are these returns plus the forced arrival on step 1, so
+    a run's ``tau1`` is ``num_returns + 1``.  Every other merge is made at
+    >= 3 plates, so the removals at >= 3 plates are
+    ``c_merge - num_returns``; ``plate_moves_at_ge3`` counts the plate moves
+    (adds and merges) made at >= 3 plates.  ``max_other_olives`` is the
+    maximum, over the whole run and over every plate other than the first,
+    of that plate's olive count.  A plate's id is its place among the adds:
+    the next plate gets id ``c_add_plate + 1``.
 
     Position 0 holds the first plate, the lowest id: plate 1 goes there
     first, and a merge keeps the lower id and swap-removes the other by the
@@ -112,12 +111,9 @@ class TableState:
     layout, plate order included, since the decode is positional.
     """
 
-    # Every count the state keeps, all independent: each starts at 0, and
-    # copy() and __eq__ cover them all.
-    _COUNTS = (
-        "c_add_plate", "c_merge", "c_add_olive", "c_remove_olive",
-        "num_returns", "plate_moves_at_ge3", "max_other_olives",
-    )
+    # Every count the state stores, none of which the plates hold: each
+    # starts at 0, and copy() and __eq__ cover them all.
+    _COUNTS = ("c_add_plate", "c_remove_olive", "num_returns", "plate_moves_at_ge3", "max_other_olives")
     __slots__ = ("_ids", "_olives", "_ne_pos") + _COUNTS
 
     def __init__(self) -> None:
@@ -148,13 +144,21 @@ class TableState:
         return self._olives[0] if self._olives else 0
 
     @property
+    def c_merge(self) -> int:
+        return self.c_add_plate - len(self._ids)  # every merge removes one plate
+
+    @property
+    def c_add_olive(self) -> int:
+        return sum(self._olives) + self.c_remove_olive  # on a plate or removed
+
+    @property
     def t(self) -> int:
         """Steps taken: every step makes exactly one move."""
         return sum(self.counters())
 
     @property
     def total_olives(self) -> int:
-        return self.c_add_olive - self.c_remove_olive
+        return sum(self._olives)
 
     def copy(self) -> "TableState":
         dup = TableState.__new__(TableState)
@@ -200,9 +204,7 @@ class TableState:
             state._olives.append(olives)
         added = max(seen, default=0)
         state.c_add_plate = added
-        state.c_merge = added - len(seen)
         state.num_returns = int(len(seen) == 1 and added > 1)
-        state.c_add_olive = sum(state._olives)
         state.plate_moves_at_ge3 = max(0, added - 3) + state.c_merge - state.num_returns
         state.max_other_olives = max(state._olives[1:], default=0)
         return state
@@ -212,8 +214,6 @@ class TableState:
     def check_invariants(self) -> None:
         """Assert every structural invariant; raises AssertionError on a bug."""
         l = len(self._ids)
-        assert l == self.c_add_plate - self.c_merge
-        assert self.total_olives == sum(self._olives)
         assert sorted(self._ne_pos) == [p for p, o in enumerate(self._olives) if o > 0]
         assert len(set(self._ids)) == l
         assert all(o >= 0 for o in self._olives)
@@ -255,8 +255,9 @@ def _advance(
     pick a plate for an olive, the last n_e values pick a non-empty plate
     for a removal.  It resumes from any state, and every count it keeps is
     on the state.  ``cadence`` > 0 appends a row to ``series`` at every
-    step divisible by it; ``check_identity`` asserts olive conservation
-    after every step.
+    step divisible by it.  ``check_identity`` asserts olive conservation:
+    after every step that the moves, merges read off the plate count, make
+    up t, and at the end that the plates hold the olives the moves imply.
     """
     getrandbits = rng.getrandbits
     bit_length = int.bit_length
@@ -268,8 +269,7 @@ def _advance(
     olives = state._olives
     ne_pos = state._ne_pos
     num_plates = len(ids)
-    c_pp, c_pm, c_op, c_om = state.counters()
-    t0 = c_pp + c_pm + c_op + c_om
+    c_pp, c_op, c_om = state.c_add_plate, state.c_add_olive, state.c_remove_olive
     num_returns = state.num_returns
     plate_moves_ge3 = state.plate_moves_at_ge3
     max_other = state.max_other_olives
@@ -286,8 +286,8 @@ def _advance(
     # Steps run in segments that end only where a flag can fire: after
     # every step under check_identity, else at the next cadence row, else
     # at the end; the inner loop tests neither flag.
-    t = t0
-    end = t0 + n_steps
+    t = state.t
+    end = t + n_steps
     while t < end:
         if check_identity:
             stop = t + 1
@@ -365,7 +365,6 @@ def _advance(
                 n_pm = n_merge + num_plates
                 m_total = n_pm + 1 + len(ne_pos)
                 k = bit_length(m_total)
-                c_pm += 1
             else:
                 # P+: new empty plate, whose id is its place among the adds
                 if num_plates >= 3:
@@ -380,14 +379,14 @@ def _advance(
                 c_pp += 1
 
         t = stop
-        if check_identity and c_op - c_om != t - c_pp - c_pm - 2 * c_om:
+        if check_identity and c_op - c_om != t - (2 * c_pp - len(ids)) - 2 * c_om:
             raise AssertionError(f"olive conservation violated at step {t}")
         if cadence and t % cadence == 0:
             series.append((t, c_op - c_om, num_plates, len(ne_pos), olives[0], max_other))
+    if check_identity and sum(olives) != c_op - c_om:
+        raise AssertionError(f"olive conservation violated at step {t}")
 
     state.c_add_plate = c_pp
-    state.c_merge = c_pm
-    state.c_add_olive = c_op
     state.c_remove_olive = c_om
     state.num_returns = num_returns
     state.plate_moves_at_ge3 = plate_moves_ge3

@@ -225,7 +225,7 @@ def test_wilson_upper_bounds():
         wilson_upper(0, 0)
 
 
-def test_concentration_report(mid_records):
+def test_summary_exceedance_row_per_delta(mid_records):
     config = dataclasses.replace(MID, deltas=(0.02, 1.0))
     checks = summary_json(config, mid_records)["checks"]
     rows = {r["delta"]: r for r in checks["exceedance"]}
@@ -368,7 +368,7 @@ def test_ratio_estimate_single_replica_has_no_ci():
     assert est["ratio"] == 0.07 and est["sd_O"] == 0.0
 
 
-def test_bounds_check_exact(mid_records):
+def test_summary_counts_band_violations_exactly(mid_records):
     checks = summary_json(MID, mid_records)["checks"]
     assert checks["bounds_pass"] and checks["bounds_violations"] == 0
     corrupted = mid_records.copy()

@@ -376,6 +376,37 @@ def test_a_snapshot_row_passes_the_conservation_check():
             ensemble._check_conservation(1200, 7, row(bumped, columns)[1])
 
 
+def test_plates_that_gain_an_olive_fail_the_conservation_checks():
+    # Both checks read P- and O+ off the plates, so they hold the plates to
+    # the moves: a row read off a 1200-step table that gained an olive
+    # fails the row check, and a checked _advance fails when an olive
+    # appears on its plates between two draws.
+    from olivetable import ensemble
+
+    state = run_trajectory(1200, 4242).final_state
+    _, moves = ensemble._row(7, 4242, ensemble._read_counters(state))
+    ensemble._check_conservation(1200, 7, [moves])
+    state._olives[0] += 1
+    _, moves = ensemble._row(7, 4242, ensemble._read_counters(state))
+    with pytest.raises(AssertionError, match="replica 7"):
+        ensemble._check_conservation(1200, 7, [moves])
+
+    class BumpOnSecondDraw(_Draws):
+        def getrandbits(self, k):
+            if len(self.widths) == 1:
+                state._olives[1] += 1
+            return super().getrandbits(k)
+
+    # u = 2 adds an olive to the first plate: M = 6 on this table of t = 7.
+    table = TableState.from_plates([(1, 2), (3, 1)])
+    state = table.copy()
+    process._advance(state, _Draws(2, 2, 2), 3, check_identity=True)
+    assert state.plates == [(1, 5), (3, 1)]
+    state = table.copy()
+    with pytest.raises(AssertionError, match="olive conservation violated at step 10"):
+        process._advance(state, BumpOnSecondDraw(2, 2, 2), 3, check_identity=True)
+
+
 def test_trajectory_determinism_and_seed_sensitivity():
     a = run_trajectory(20_000, 42, cadence=1000)
     b = run_trajectory(20_000, 42, cadence=1000)
@@ -429,9 +460,13 @@ def test_max_other_olives_tracks_non_first_plates():
     assert rec.final_state.first_plate_olives == state.first_plate_olives
 
 
-# sha256 of the plate lists, positions included, and the counts after
+# sha256 of the plate lists, positions included, and the seven counts after
 # run_trajectory(10**5, seed): any change to the decode or the
 # swap-removal order of _ids, _olives and _ne_pos changes them.
+LAYOUT_COUNTS = (
+    "c_add_plate", "c_merge", "c_add_olive", "c_remove_olive",
+    "num_returns", "plate_moves_at_ge3", "max_other_olives",
+)
 LAYOUT_DIGESTS = {
     1: "84f86054863db718766010031145d6e075d16cbe15d862a4f05f80faff178016",
     34: "a69fe8e504a209f0142bc158de3611fd0e93981491b88870b7f32119b4423c40",
@@ -442,7 +477,7 @@ LAYOUT_DIGESTS = {
 @pytest.mark.parametrize("seed", sorted(LAYOUT_DIGESTS))
 def test_plate_layout_is_pinned(seed):
     state = run_trajectory(10**5, seed).final_state
-    counts = tuple(getattr(state, name) for name in TableState._COUNTS)
+    counts = tuple(getattr(state, name) for name in LAYOUT_COUNTS)
     blob = repr((state._ids, state._olives, state._ne_pos, counts))
     assert hashlib.sha256(blob.encode()).hexdigest() == LAYOUT_DIGESTS[seed]
 

@@ -161,7 +161,7 @@ def test_bounds_check_matches_reference(run):
     assert _same(summary_json(*edges), ref_summary_json(*edges))
 
 
-def test_concentration_report_matches_reference(run):
+def test_exceedance_rows_match_reference(run):
     other = _with_deltas(run, (0.0001, 0.5))
     assert _same(summary_json(*other), ref_summary_json(*other))
 
