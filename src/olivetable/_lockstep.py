@@ -17,12 +17,11 @@ a time.  Three parts reproduce the scalar path exactly:
   like ``_advance`` stores no index derived from them: a merge scans the
   merging lanes' rows for the non-empty slots it rewrites.
 
-``run_block`` hands each lane's counters over as a ``TableState`` reads
-them, in ``ensemble._COUNTERS`` order.  A lane stores the counts of
-``TableState._COUNTS`` and its plate count ``l``, and at the end reads P-
-(P+ less ``l``) and O+ (the olives on its first ``l`` plates plus O-) off
-its plates, and the first plate's olives at position 0, as ``TableState``
-does.  The ensemble builds and checks every row from these counters.  A lane
+``run_block`` hands each lane's counters over in ``ensemble._COUNTERS``
+order: the counts of ``TableState._COUNTS``, then ``l``, the olive total
+(the sum of the lane's olive cells, as those past ``l`` hold 0) and the
+first plate's olives at position 0, as a ``TableState`` reads them.  The
+ensemble builds and checks every row from these counters.  A lane
 that needs a word past its buffer leaves the block; ``run_block`` returns
 its index, and the caller refills that lane's counters from the scalar
 kernel.  ``ensemble._run_chunk`` runs this module: an eligible task takes
@@ -155,9 +154,9 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # Padded plate arrays of t entries per lane (a lane never holds more
     # plates), flat: position p of lane k is the absolute index k * t + p.
-    # They are TableState's three plate lists; ne_pos holds absolute plate
-    # indices, and its entries past n_e are stale.  row0 is each lane's
-    # first plate, at position 0 as on a TableState.
+    # They are TableState's three plate lists: olive cells past l hold 0 (a
+    # merge clears the cell it frees), and ne_pos, of absolute plate indices,
+    # is stale past n_e.  row0 is each lane's first plate, at position 0.
     ids, olives, ne_pos = (np.zeros(lanes * t, dtype=np.int64) for _ in range(3))
     row0 = np.arange(lanes, dtype=np.int64) * t
     n_e, l, c_pp, c_om, returns, pm_ge3, max_other = (np.zeros(lanes, dtype=np.int64) for _ in range(7))
@@ -191,9 +190,7 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # P+: a new empty plate appended; ids run 1, 2, ... in P+ order.
         a = np.flatnonzero(is_pp)
         if a.size:
-            at = row0[a] + l[a]
-            ids[at] = c_pp[a] + 1
-            olives[at] = 0
+            ids[row0[a] + l[a]] = c_pp[a] + 1
 
         # P-: merge pair rank u-1; the lower id survives at i, and j is
         # swap-removed.
@@ -221,13 +218,14 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 ne_pos[ne_slot(gk, j[k])] = last
                 n_e[gk] -= ~joins
             # Swap-removal of j by the last plate, whose non-empty entry
-            # then points at j.
+            # then points at j; the cell the last plate left holds 0.
             end = base + l[g] - 1
             ids[j] = ids[end]
             olives[j] = olives[end]
             k = np.flatnonzero((j != end) & (olives[end] != 0))
             if k.size:
                 ne_pos[ne_slot(g[k], end[k])] = j[k]
+            olives[end] = 0
 
         # O+: an olive onto plate u-1-C(l,2).
         h = np.flatnonzero(is_op)
@@ -263,7 +261,6 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         l -= is_mg
         c_om += is_om
 
-    # In ensemble._COUNTERS order; swap-removal leaves stale counts past l.
-    on_table = np.where(np.arange(t) < l[:, None], olives.reshape(lanes, t), 0).sum(axis=1)
-    counters = np.stack((c_pp, c_pp - l, on_table + c_om, c_om, returns, pm_ge3, max_other, olives[row0]))
+    on_table = olives.reshape(lanes, t).sum(axis=1)
+    counters = np.stack((c_pp, c_om, returns, pm_ge3, max_other, l, on_table, olives[row0]))
     return counters, np.flatnonzero(nxt >= (n_words + 1) * lanes)

@@ -105,7 +105,7 @@ def _cmd_simulate(args) -> int:
     record = process.run_trajectory(args.t, args.seed, cadence=0 if args.format == "json" else cadence)
     elapsed = time.perf_counter() - start
     state = record.final_state
-    derived = process._derived_counts(state.c_add_plate, state.c_merge, state.num_returns)
+    derived = process._derived_counts(state.c_add_plate, state.num_plates, state.num_returns)
     ratio = Fraction(state.total_olives, args.t)
     lo, hi = process.C_BOUNDS
     summary = {

@@ -112,26 +112,26 @@ def _olive_moments(o) -> tuple[list[tuple[int, int]], int, int]:
 
 
 # A replica row's counters, by TableState attribute name, in the order the
-# lockstep kernel hands its lanes over: TableState._COUNTS, and P- (c_merge),
-# O+ (c_add_olive) and the first plate's olives, which are read off the plates.
-_COUNTERS = ("c_add_plate", "c_merge", "c_add_olive", "c_remove_olive", "num_returns", "plate_moves_at_ge3",
-             "max_other_olives", "first_plate_olives")
+# lockstep kernel hands its lanes over: the counts a TableState stores, then
+# what its plates hold, the plate count l, the olive total O and the first
+# plate's olives.  A count added to TableState._COUNTS is named only there.
+_COUNTERS = TableState._COUNTS + ("num_plates", "total_olives", "first_plate_olives")
 _read_counters = operator.attrgetter(*_COUNTERS)
 
 
 def _row(replica, seed, counters) -> tuple[dict, object]:
     """A replica's row, by column name in _COLUMNS order, from its index,
     seed and counters (in _COUNTERS order), and its move count, which
-    ``_check_conservation`` holds to the horizon.  Plain ints give one
-    replica's row; numpy columns with one value per replica give a lockstep
-    block's (``replica`` then holding the block's indices).  The one place
-    a row is built."""
+    ``_check_conservation`` holds to the horizon: 2 P+ - l + O + 2 O-.
+    Plain ints give one replica's row; numpy columns with one value per
+    replica give a lockstep block's (``replica`` then holding the block's
+    indices).  The one place a row is built."""
     c = dict(zip(_COUNTERS, counters))
-    derived = process._derived_counts(c["c_add_plate"], c["c_merge"], c["num_returns"])
+    derived = process._derived_counts(c["c_add_plate"], c["num_plates"], c["num_returns"])
     row = {
         "replica": replica,
         "seed": seed,
-        "O": c["c_add_olive"] - c["c_remove_olive"],
+        "O": c["total_olives"],
         "t_plate": derived["t_plate"],
         "tau1": derived["tau1"],
         "two_to_one": derived["two_to_one"],
@@ -140,7 +140,7 @@ def _row(replica, seed, counters) -> tuple[dict, object]:
         "L_ge3": derived["L_ge3"],
         "plate_moves_ge3": c["plate_moves_at_ge3"],
     }
-    return row, derived["t_plate"] + c["c_add_olive"] + c["c_remove_olive"]
+    return row, derived["t_plate"] + c["total_olives"] + 2 * c["c_remove_olive"]
 
 
 def _check_conservation(t: int, lo: int, moves: Iterable[int]) -> None:
@@ -149,9 +149,9 @@ def _check_conservation(t: int, lo: int, moves: Iterable[int]) -> None:
     hands over.
 
     Every step makes one move, so the move counts sum to t at every row
-    taken: olive conservation, O = t - t_plate - 2 * removals.  P- and O+
-    are read off the table, so plates that do not hold what the moves imply
-    fail, as does a lockstep lane that ran dry and was not refilled.
+    taken: olive conservation, O = t - t_plate - 2 * removals.  Both kernels
+    hand over l and O off the plates, so plates that do not hold what the
+    moves imply fail, as does a lockstep lane run dry and not refilled.
     """
     for k, total in enumerate(moves):
         if total != t:

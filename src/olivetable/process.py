@@ -26,17 +26,17 @@ One kernel, ``_advance``, holds that code: :func:`run_trajectory` is one
 call to it, and the ensemble's scalar replicas call it once per horizon,
 resuming where the last call stopped.  Every count a trajectory reports
 lives on its :class:`TableState`, so resuming needs nothing else.  The
-state stores only what the plates do not hold (``TableState._COUNTS``:
-the move counts P+ and O- and the run's diagnostics): a merge removes one
-plate and keeps every olive, so P-, O+ and the step count ``t`` are read
-off the plates, and no kernel keeps them in step.
+plates hold the plate count l and the olive total O, and no kernel keeps a
+second copy.  The state stores what they do not (``TableState._COUNTS``:
+P+, O- and the run's diagnostics); a merge removes one plate and keeps
+every olive, so P- is P+ - l, O+ is O + O-, and ``t`` is the four's sum.
 
 The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
 runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
-positional decode and swap-removal order, and hands over the counters a
-``TableState`` stores or reads off its plates (``ensemble._COUNTERS``), so
-the ensemble's one row builder gives bit-identical rows either way.
+positional decode and swap-removal order, and hands over a ``TableState``'s
+stored counts, l, O and the first plate's olives (``ensemble._COUNTERS``),
+so the ensemble's one row builder gives bit-identical rows either way.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ def _in_band(olives, t: int) -> bool:
     return lo * t <= olives <= hi * t
 
 
-def _derived_counts(c_add_plate, c_merge, num_returns) -> dict:
-    """The report columns that no kernel stores, from a run's move and
-    return counts: ints for one trajectory or numpy count columns for an
-    ensemble's rows alike.  The one place each is derived."""
+def _derived_counts(c_add_plate, num_plates, num_returns) -> dict:
+    """The report columns that no kernel stores, from a run's P+, plate
+    count and returns: ints for one trajectory or numpy count columns for
+    an ensemble's rows alike.  The one place each is derived, P- included."""
+    c_merge = c_add_plate - num_plates  # every merge removes one plate
     return {
         "t_plate": c_add_plate + c_merge,
         "tau1": num_returns + 1,  # every return, and the arrival on step 1
@@ -221,7 +222,7 @@ class TableState:
         if self.t >= 1:
             assert l >= 1, "the table can never re-empty"
         assert 0 <= self.num_returns <= self.c_merge
-        t_plate = _derived_counts(self.c_add_plate, self.c_merge, self.num_returns)["t_plate"]
+        t_plate = _derived_counts(self.c_add_plate, l, self.num_returns)["t_plate"]
         assert self.c_merge - self.num_returns <= self.plate_moves_at_ge3 <= t_plate
         assert not self._ids or self._ids[0] == min(self._ids), "the lowest id left position 0"
         assert all(o <= self.max_other_olives for o in self._olives[1:])
@@ -255,9 +256,9 @@ def _advance(
     pick a plate for an olive, the last n_e values pick a non-empty plate
     for a removal.  It resumes from any state, and every count it keeps is
     on the state.  ``cadence`` > 0 appends a row to ``series`` at every
-    step divisible by it.  ``check_identity`` asserts olive conservation:
-    after every step that the moves, merges read off the plate count, make
-    up t, and at the end that the plates hold the olives the moves imply.
+    step divisible by it.  ``check_identity`` asserts after every step that
+    the plates hold the olives the moves imply, t - 2 P+ + l - 2 O-, so it
+    names the step where they stop doing so.
     """
     getrandbits = rng.getrandbits
     bit_length = int.bit_length
@@ -269,7 +270,7 @@ def _advance(
     olives = state._olives
     ne_pos = state._ne_pos
     num_plates = len(ids)
-    c_pp, c_op, c_om = state.c_add_plate, state.c_add_olive, state.c_remove_olive
+    c_pp, c_om = state.c_add_plate, state.c_remove_olive
     num_returns = state.num_returns
     plate_moves_ge3 = state.plate_moves_at_ge3
     max_other = state.max_other_olives
@@ -314,7 +315,6 @@ def _advance(
                     olives[p] = val
                     if val > max_other and p:
                         max_other = val
-                    c_op += 1
                 else:
                     # O-: remove an olive from the non-empty plate of rank slot
                     slot = u - 1 - n_pm
@@ -379,12 +379,10 @@ def _advance(
                 c_pp += 1
 
         t = stop
-        if check_identity and c_op - c_om != t - (2 * c_pp - len(ids)) - 2 * c_om:
+        if check_identity and sum(olives) != t - (2 * c_pp - len(ids)) - 2 * c_om:
             raise AssertionError(f"olive conservation violated at step {t}")
         if cadence and t % cadence == 0:
-            series.append((t, c_op - c_om, num_plates, len(ne_pos), olives[0], max_other))
-    if check_identity and sum(olives) != c_op - c_om:
-        raise AssertionError(f"olive conservation violated at step {t}")
+            series.append((t, sum(olives), num_plates, len(ne_pos), olives[0], max_other))
 
     state.c_add_plate = c_pp
     state.c_remove_olive = c_om
@@ -419,7 +417,7 @@ def run_trajectory(
     ``cadence`` > 0 samples a (step, olives, plates, nonempty,
     first_plate_olives, max_other_olives) row every ``cadence`` steps;
     per-step recording of long runs is refused to bound memory.
-    ``check_identity`` asserts the olive conservation law after every step.
+    ``check_identity`` holds the plates' olives to the moves after every step.
     Identical (t_max, seed, cadence) always reproduce the identical record.
     """
     _series_rows(t_max, cadence)

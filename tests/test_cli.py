@@ -728,6 +728,12 @@ GOLDEN = {
         ["", ".meta.json"],
         "9372e5c1659bf0067a08e10dcf7b25508150ba32496d9e78aa85bd125eb5fffe",
     ),
+    # Every series row, whose olive total the kernel reads off the plates;
+    # recorded while the kernel still kept an O+ tally.
+    ("simulate", "--t", "20000", "--seed", "4", "--cadence", "1"): (
+        ["", ".meta.json"],
+        "fd8335fb422e2a93380407245e78b5d6c511da7ddca828519bee27b42b9ea932",
+    ),
 }
 
 
@@ -738,6 +744,7 @@ GOLDEN_IDS = {
     ("exact", "--t", "14"): "exact_t14",
     ("exact", "--t", "20"): "exact_t20",
     ("ensemble", "--t", "20", "--replicas", "60000", "--seed", "11", "--threads", "2"): "ensemble_t20_pooled",
+    ("simulate", "--t", "20000", "--seed", "4", "--cadence", "1"): "simulate_cadence1",
 }
 
 

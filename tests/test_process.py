@@ -364,7 +364,7 @@ def test_a_snapshot_row_passes_the_conservation_check():
     short, long = (run_trajectory(t, seed).final_state for t in (1200, 5000))
     assert snapshot == ensemble._read_counters(short)
     bumped = list(snapshot)
-    bumped[ensemble._COUNTERS.index("c_add_olive")] += 1
+    bumped[ensemble._COUNTERS.index("total_olives")] += 1
     for columns in (False, True):
         (o_short, moves_short), (o_long, moves_long) = row(snapshot, columns), row(final, columns)
         assert (o_short, o_long) == (short.total_olives, long.total_olives)
@@ -377,10 +377,10 @@ def test_a_snapshot_row_passes_the_conservation_check():
 
 
 def test_plates_that_gain_an_olive_fail_the_conservation_checks():
-    # Both checks read P- and O+ off the plates, so they hold the plates to
-    # the moves: a row read off a 1200-step table that gained an olive
-    # fails the row check, and a checked _advance fails when an olive
-    # appears on its plates between two draws.
+    # Both checks read O off the plates, so they hold the plates to the
+    # moves: a row read off a 1200-step table that gained an olive fails the
+    # row check, and a checked _advance fails at the step in which an olive
+    # appears on its plates.
     from olivetable import ensemble
 
     state = run_trajectory(1200, 4242).final_state
@@ -397,13 +397,14 @@ def test_plates_that_gain_an_olive_fail_the_conservation_checks():
                 state._olives[1] += 1
             return super().getrandbits(k)
 
-    # u = 2 adds an olive to the first plate: M = 6 on this table of t = 7.
+    # u = 2 adds an olive to the first plate: M = 6 on this table of t = 7,
+    # and the plates gain one more during step 9.
     table = TableState.from_plates([(1, 2), (3, 1)])
     state = table.copy()
     process._advance(state, _Draws(2, 2, 2), 3, check_identity=True)
     assert state.plates == [(1, 5), (3, 1)]
     state = table.copy()
-    with pytest.raises(AssertionError, match="olive conservation violated at step 10"):
+    with pytest.raises(AssertionError, match="olive conservation violated at step 9"):
         process._advance(state, BumpOnSecondDraw(2, 2, 2), 3, check_identity=True)
 
 

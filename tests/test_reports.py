@@ -152,7 +152,7 @@ def test_cases_cover_the_edge_cases():
     assert [name for name, config in CASES.items() if -(-config.t // 75) > _tau1_bound(config.t)] == ["t76"]
 
 
-def test_bounds_check_matches_reference(run):
+def test_band_violations_match_reference_at_the_band_edges(run):
     # Replicas on and just outside each end of the band t/342 <= O <= 2t/3,
     # in unequal numbers, so a band shifted by one olive changes the count.
     t = run[0].t
