@@ -9,7 +9,10 @@ a time.  Three parts reproduce the scalar path exactly:
   seed's 32-bit words (one word below 2**32, two above), and
   ``getrandbits(k <= 32)`` returns ``word >> (32 - k)``.  The seeding, the
   first twist and the tempering run across lanes, giving each lane its
-  first ``_buffer_words(t)`` words;
+  first ``_buffer_words(t)`` words.  The seeded state is 624 lane arrays,
+  one per state word, and ``run_block`` builds its int64 word buffer once
+  ``first_words`` has returned and the state is freed, so a block never
+  holds both;
 * moves: ``process._advance``'s positional decode of the rejection-sampled
   u and its swap-removal order of the plates and of the non-empty index.
   Each lane keeps ``TableState``'s three plate arrays (ids, olive counts
@@ -29,8 +32,8 @@ its seeds from ``derive_seeds`` and runs one block (any other task derives
 them with ``rng.derive_seed`` and loads no numpy).  The ``seed_derivation``
 check in ``olivetable.verification`` holds ``derive_seeds`` and
 ``first_words`` to ``rng.derive_seed`` and ``make_rng``.  The ensemble's
-task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's
-(624, lanes) uint32 seeding state within 10 MiB.
+task size cap, ``ensemble._LOCKSTEP_MAX_LANES``, keeps a block's 624
+uint32 lane arrays of seeding state within 10 MiB.
 """
 
 from __future__ import annotations
@@ -75,7 +78,12 @@ def derive_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
 
 def first_words(seeds: np.ndarray, n_words: int) -> np.ndarray:
     """(n_words, lanes) uint32: the first ``getrandbits(32)`` outputs of
-    ``random.Random(seed)`` for each uint64 seed, ``n_words <= TWIST_WORDS``."""
+    ``random.Random(seed)`` for each uint64 seed, ``n_words <= TWIST_WORDS``.
+
+    The seeded state is 624 lane arrays, one per MT19937 state word.  Only
+    the rows the first twist reads are stacked, into two arrays; the state
+    is then dropped, and the words are twisted and tempered in place.
+    """
     if not 0 < n_words <= TWIST_WORDS:
         raise ValueError(f"n_words must be in [1, {TWIST_WORDS}], got {n_words}")
     lanes = len(seeds)
@@ -83,41 +91,60 @@ def first_words(seeds: np.ndarray, n_words: int) -> np.ndarray:
     key1 = (seeds >> _U64(32)).astype(np.uint32)
     # init_by_array adds key[j] + j, with j cycling over the key's words.
     add = (key0, np.where(key1 != 0, key1 + _U32(1), key0))
-    mt = np.empty((_N, lanes), dtype=np.uint32)
-    row = list(mt)  # row views, made once
     tmp = np.empty(lanes, dtype=np.uint32)
     rshift, xor, mul = np.right_shift, np.bitwise_xor, np.multiply
 
-    def mix(i: int, mult: np.ndarray, old: np.ndarray) -> np.ndarray:
-        # row[i] = old ^ (row[i-1] ^ row[i-1] >> 30) * mult
+    def mix(i: int, mult: np.ndarray, old: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # out = old ^ (row[i-1] ^ row[i-1] >> 30) * mult
         prev = row[i - 1]
         rshift(prev, _C30, tmp)
         xor(tmp, prev, tmp)
         mul(tmp, mult, tmp)
-        return xor(tmp, old, row[i])
+        return xor(tmp, old, out)
 
-    # First loop: i = 1..N-1, each row still at its init_genrand value, then
+    # First loop: i = 1..N-1, each row made from its init_genrand value, then
     # i = 1 again after the wrap (mt[0] = mt[N-1]); step n adds key[j] + j
     # with j = n mod the key length.
-    row[0].fill(_GENRAND_19650218[0])
+    row = [np.full(lanes, _GENRAND_19650218[0], dtype=np.uint32)]
     for i in range(1, _N):
-        np.add(mix(i, _C1664525, _GENRAND_19650218[i]), add[(i - 1) & 1], row[i])
+        row.append(np.add(mix(i, _C1664525, _GENRAND_19650218[i], tmp), add[(i - 1) & 1]))
     row[0][:] = row[_N - 1]
-    np.add(mix(1, _C1664525, row[1]), add[(_N - 1) & 1], row[1])
+    np.add(mix(1, _C1664525, row[1], row[1]), add[(_N - 1) & 1], row[1])
     # Second loop: i = 2..N-1, then i = 1 after the wrap; step i subtracts i.
     for i in range(2, _N):
-        np.subtract(mix(i, _C1566083941, row[i]), _MINUS[i], row[i])
+        np.subtract(mix(i, _C1566083941, row[i], row[i]), _MINUS[i], row[i])
     row[0][:] = row[_N - 1]
-    np.subtract(mix(1, _C1566083941, row[1]), _MINUS[1], row[1])
+    np.subtract(mix(1, _C1566083941, row[1], row[1]), _MINUS[1], row[1])
     row[0].fill(0x80000000)
 
-    # The first twist's leading words need only the seeded state.
-    y = (mt[:n_words] & _U32(0x80000000)) | (mt[1 : n_words + 1] & _U32(0x7FFFFFFF))
-    w = mt[_M : _M + n_words] ^ (y >> _U32(1)) ^ ((y & _U32(1)) * _U32(0x9908B0DF))
-    w ^= w >> _U32(11)
-    w ^= (w << _U32(7)) & _U32(0x9D2C5680)
-    w ^= (w << _U32(15)) & _U32(0xEFC60000)
-    w ^= w >> _U32(18)
+    # The first twist's leading words need only the seeded state.  As
+    # y = (mt[i] & U) | (mt[i + 1] & L) joins disjoint bits, word i is
+    # mt[M + i] ^ (mt[i] & U) >> 1 ^ (mt[i + 1] & L) >> 1 ^ (mt[i + 1] & 1) * A.
+    w = np.stack(row[_M : _M + n_words])
+    mt = np.stack(row[: n_words + 1])
+    del row
+    part = np.bitwise_and(mt[:n_words], _U32(0x80000000))
+    part >>= _U32(1)
+    w ^= part
+    lo = mt[1:]
+    np.bitwise_and(lo, _U32(1), part)
+    part *= _U32(0x9908B0DF)
+    w ^= part
+    lo &= _U32(0x7FFFFFFF)
+    lo >>= _U32(1)
+    w ^= lo
+    # Tempering, in place: temporaries of the words' shape here and in the
+    # twist would raise a worker's peak RSS.
+    np.right_shift(w, _U32(11), part)
+    w ^= part
+    np.left_shift(w, _U32(7), part)
+    part &= _U32(0x9D2C5680)
+    w ^= part
+    np.left_shift(w, _U32(15), part)
+    part &= _U32(0xEFC60000)
+    w ^= part
+    np.right_shift(w, _U32(18), part)
+    w ^= part
     return w
 
 
@@ -137,12 +164,11 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lanes = len(seeds)
     n_words = _buffer_words(t)
-    # Word c of lane k at c * lanes + k.  The t padding words (-1) after a
-    # lane's buffer are accepted by any rejection test and decode to no
-    # move: a lane that reads one has run dry and idles to the end.
-    words = np.full((n_words + t, lanes), -1, dtype=np.int64)
-    words[:n_words] = first_words(seeds, n_words)
-    words = words.ravel()
+    # Word c of lane k at c * lanes + k, built once seeding has freed its
+    # state.  The t padding words (-1) after a lane's buffer are accepted by
+    # any rejection test and decode to no move: a lane that reads one has
+    # run dry and idles to the end.
+    words = np.concatenate((first_words(seeds, n_words), np.full((t, lanes), -1, dtype=np.int64))).ravel()
     nxt = np.arange(lanes, dtype=np.int64)  # each lane's next word
 
     # Positional decode tables: the shift that turns a word into

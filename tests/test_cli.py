@@ -34,6 +34,17 @@ def test_simulate_is_byte_identical_across_runs(tmp_path, capsys):
     assert "O=" in capsys.readouterr().out
 
 
+def test_simulate_seeds_are_taken_mod_2_64(tmp_path):
+    # --seed -1 is 2**64 - 1, not the |seed| = 1 that random.Random would use.
+    outs = []
+    for seed in ("-1", str(2**64 - 1), "1"):
+        outs.append(tmp_path / f"seed{seed}.csv")
+        assert main(["simulate", "--t", "50", "--seed", seed, "--out", str(outs[-1])]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+    assert outs[0].read_text().splitlines()[-1].startswith("50,11,3,")
+    assert outs[2].read_text().splitlines()[-1].startswith("50,10,2,")
+
+
 def test_simulate_rejects_bad_t(capsys):
     assert main(["simulate", "--t", "0", "--seed", "1"]) == EXIT_USAGE
     err = capsys.readouterr().err

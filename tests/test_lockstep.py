@@ -6,6 +6,7 @@ kernel, replica by replica: each row is written by hand from
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def test_seeding_buffer_stays_within_ten_mib():
     # So cutting a range of at least MIN_R replicas into tasks of at most
     # cap leaves every task at MIN_R or more: it stays on the lockstep path.
     assert cap >= 2 * MIN_R
+
+
+@pytest.mark.parametrize("t, cap_mib", [(12, 12.5), (64, 16.5)])
+def test_a_block_holds_its_seeding_state_and_word_buffer_one_after_the_other(t, cap_mib):
+    # At 4,167 lanes the 624 seeding rows take 9.9 MiB and the int64 word
+    # buffer 2.2 MiB (t = 12) or 7.1 MiB (t = 64); a block that holds both
+    # at once peaks at 14.9 and 24.8 MiB.
+    seeds = _lockstep.derive_seeds(1, 0, 4167)
+    tracemalloc.start()
+    try:
+        _lockstep.run_block(t, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2**20, peak / 2**20
 
 
 POOLED = EnsembleConfig(t=40, replicas=25_000, master_seed=5)

@@ -166,7 +166,7 @@ def test_exceedance_rows_match_reference(run):
     assert _same(summary_json(*other), ref_summary_json(*other))
 
 
-def test_plate_move_stats_matches_reference(run):
+def test_plate_move_columns_match_reference(run):
     # tau1 on the bound t/76 and one below it; replicas with and without
     # plate moves at >= 3 plates.
     tau1 = _tau1_bound(run[0].t)

@@ -28,3 +28,13 @@ def test_replica_streams_do_not_overlap():
         streams.add(tuple(rng.getrandbits(32) for _ in range(1000)))
     assert len(streams) == 1000
 
+
+def test_seeds_are_taken_mod_2_64():
+    # random.Random seeds with |seed|, so without the reduction -1 would
+    # draw the words of seed 1.
+    def words(seed):
+        rng = make_rng(seed)
+        return [rng.getrandbits(32) for _ in range(50)]
+
+    assert words(-1) == words(2**64 - 1) != words(1)
+    assert words(2**64 + 5) == words(5)
