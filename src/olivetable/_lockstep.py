@@ -20,11 +20,12 @@ a time.  Three parts reproduce the scalar path exactly:
   like ``_advance`` stores no index derived from them: a merge scans the
   merging lanes' rows for the non-empty slots it rewrites.
 
-``run_block`` hands each lane's counters over in ``ensemble._COUNTERS``
+``run_block`` hands each lane's counters over in ``process._COUNTERS``
 order: the counts of ``TableState._COUNTS``, then ``l``, the olive total
 (the sum of the lane's olive cells, as those past ``l`` hold 0) and the
-first plate's olives at position 0, as a ``TableState`` reads them.  The
-ensemble builds and checks every row from these counters.  A lane
+first plate's olives at position 0, as a ``TableState`` reads them.
+``process._row`` and ``process._check_conservation`` build and check every
+row from these counters.  A lane
 that needs a word past its buffer leaves the block; ``run_block`` returns
 its index, and the caller refills that lane's counters from the scalar
 kernel.  ``ensemble._run_chunk`` runs this module: an eligible task takes
@@ -159,7 +160,7 @@ def run_block(t: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lockstep.
 
     Returns the lanes' counters, one int64 row per name in
-    ``ensemble._COUNTERS`` and one column per lane, and the indices of the
+    ``process._COUNTERS`` and one column per lane, and the indices of the
     lanes that ran out of buffered words, whose columns are not valid.
     """
     lanes = len(seeds)

@@ -105,22 +105,22 @@ def _cmd_simulate(args) -> int:
     record = process.run_trajectory(args.t, args.seed, cadence=0 if args.format == "json" else cadence)
     elapsed = time.perf_counter() - start
     state = record.final_state
-    derived = process._derived_counts(state.c_add_plate, state.num_plates, state.num_returns)
-    ratio = Fraction(state.total_olives, args.t)
+    row, _ = process._row(0, args.seed, process._read_counters(state))
+    ratio = Fraction(row["O"], args.t)
     lo, hi = process.C_BOUNDS
     summary = {
-        "final_olives": state.total_olives,
+        "final_olives": row["O"],
         "plates": state.num_plates,
         "nonempty": state.num_nonempty,
         "olives_over_t": float(ratio),
         "olives_over_t_exact": f"{ratio.numerator}/{ratio.denominator}",
         "bounds_band": [str(lo), str(hi)],
-        "within_bounds": process._in_band(state.total_olives, args.t),
-        "t_plate": derived["t_plate"],
-        "tau1": derived["tau1"],
-        "two_to_one": derived["two_to_one"],
-        "max_other_olives": state.max_other_olives,
-        "first_plate_olives": state.first_plate_olives,
+        "within_bounds": process._in_band(row["O"], args.t),
+        "t_plate": row["t_plate"],
+        "tau1": row["tau1"],
+        "two_to_one": row["two_to_one"],
+        "max_other_olives": row["max_other_olives"],
+        "first_plate_olives": row["first_plate_olives"],
         "series_rows": rows,
     }
     if args.format == "json":
@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> int:
         else:
             process.write_trajectory_csv(record, sys.stdout)
     print(
-        f"simulate t={args.t} seed={args.seed}: O={state.total_olives} "
+        f"simulate t={args.t} seed={args.seed}: O={row['O']} "
         f"plates={state.num_plates} O/t={float(ratio):.6f}",
         file=_report_stream(args),
     )

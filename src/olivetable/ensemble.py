@@ -23,13 +23,11 @@ import contextlib
 import functools
 import math
 import multiprocessing
-import operator
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
 from . import process
 from .process import BOUND_ENFORCEMENT_MIN_T, Z99, TableState
@@ -38,14 +36,7 @@ from .rng import _RangeError, derive_seed, make_rng
 if TYPE_CHECKING:
     import numpy as np
 
-# The columns of a replica row, in CSV order: all counts, int64 in the
-# record array except the uint64 seed.
-_COLUMNS = (
-    "replica", "seed", "O", "t_plate", "tau1", "two_to_one",
-    "max_other_olives", "first_plate_olives", "L_ge3", "plate_moves_ge3",
-)
-
-ENSEMBLE_CSV_HEADER = ",".join(_COLUMNS)
+ENSEMBLE_CSV_HEADER = ",".join(process._COLUMNS)
 
 
 @functools.cache
@@ -53,7 +44,7 @@ def _replica_dtype() -> np.dtype:
     """The numpy record dtype of a replica row: one field per column."""
     import numpy as np
 
-    return np.dtype([(name, np.uint64 if name == "seed" else np.int64) for name in _COLUMNS])
+    return np.dtype([(name, np.uint64 if name == "seed" else np.int64) for name in process._COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -95,80 +86,17 @@ class EnsembleConfig:
         }
 
 
-def _olive_moments(o) -> tuple[list[tuple[int, int]], int, int]:
-    """The distinct values of an O column with their replica counts (at
-    most t + 1 pairs, in increasing O), and the exact sums of O and O^2 in
-    Python ints.  A record array's numpy column is counted by ``np.unique``,
-    many times faster than ``Counter`` at 10^5 replicas; a list or tuple of
-    ints (``sweep``'s) by ``Counter``, which needs no numpy."""
-    if isinstance(o, (list, tuple)):
-        o_counts = sorted(Counter(o).items())
-    else:
-        import numpy as np
-
-        values, counts = np.unique(o, return_counts=True)
-        o_counts = list(zip(values.tolist(), counts.tolist()))
-    return o_counts, sum(o * c for o, c in o_counts), sum(o * o * c for o, c in o_counts)
-
-
-# A replica row's counters, by TableState attribute name, in the order the
-# lockstep kernel hands its lanes over: the counts a TableState stores, then
-# what its plates hold, the plate count l, the olive total O and the first
-# plate's olives.  A count added to TableState._COUNTS is named only there.
-_COUNTERS = TableState._COUNTS + ("num_plates", "total_olives", "first_plate_olives")
-_read_counters = operator.attrgetter(*_COUNTERS)
-
-
-def _row(replica, seed, counters) -> tuple[dict, object]:
-    """A replica's row, by column name in _COLUMNS order, from its index,
-    seed and counters (in _COUNTERS order), and its move count, which
-    ``_check_conservation`` holds to the horizon: 2 P+ - l + O + 2 O-.
-    Plain ints give one replica's row; numpy columns with one value per
-    replica give a lockstep block's (``replica`` then holding the block's
-    indices).  The one place a row is built."""
-    c = dict(zip(_COUNTERS, counters))
-    derived = process._derived_counts(c["c_add_plate"], c["num_plates"], c["num_returns"])
-    row = {
-        "replica": replica,
-        "seed": seed,
-        "O": c["total_olives"],
-        "t_plate": derived["t_plate"],
-        "tau1": derived["tau1"],
-        "two_to_one": derived["two_to_one"],
-        "max_other_olives": c["max_other_olives"],
-        "first_plate_olives": c["first_plate_olives"],
-        "L_ge3": derived["L_ge3"],
-        "plate_moves_ge3": c["plate_moves_at_ge3"],
-    }
-    return row, derived["t_plate"] + c["total_olives"] + 2 * c["c_remove_olive"]
-
-
-def _check_conservation(t: int, lo: int, moves: Iterable[int]) -> None:
-    """Raise unless ``moves``, the move counts of replicas lo, lo + 1, ...
-    at horizon t, all equal t: the one check of every row either kernel
-    hands over.
-
-    Every step makes one move, so the move counts sum to t at every row
-    taken: olive conservation, O = t - t_plate - 2 * removals.  Both kernels
-    hand over l and O off the plates, so plates that do not hold what the
-    moves imply fail, as does a lockstep lane run dry and not refilled.
-    """
-    for k, total in enumerate(moves):
-        if total != t:
-            raise AssertionError(f"olive conservation violated in replica {lo + k}")
-
-
 def _replica_counters(seed: int, horizons: Sequence[int]) -> list[tuple]:
-    """One replica's counters, in _COUNTERS order, at each of the increasing
-    ``horizons``, from one trajectory: the scalar kernel resumes from the
-    state and rng it left at the previous horizon, and every counter is
-    cumulative."""
+    """One replica's counters, in ``process._COUNTERS`` order, at each of
+    the increasing ``horizons``, from one trajectory: the scalar kernel
+    resumes from the state and rng it left at the previous horizon, and
+    every counter is cumulative."""
     state = TableState()
     rng = make_rng(seed)
     counters = []
     for t in horizons:
         process._advance(state, rng, t - state.t)
-        counters.append(_read_counters(state))
+        counters.append(process._read_counters(state))
     return counters
 
 
@@ -177,13 +105,13 @@ def _replica_counters(seed: int, horizons: Sequence[int]) -> list[tuple]:
 # t <= _LOCKSTEP_MAX_T (no ``sweep`` horizon is that short, so it never
 # gets there).  Every other task, and any lockstep lane that runs out of
 # buffered random words, runs on the scalar kernel ``process._advance``.
-# Both kernels hand over the same counters, and ``_row`` builds every row.
-# Lockstep pays 10-15 ms per block for seeding, so it is the slower kernel
-# below about 500 replicas, and at long horizons numpy's per-call cost makes
-# each of its steps dearer than the scalar kernel's.  A task holds at most
-# _LOCKSTEP_MAX_LANES replicas, whose (624, lanes) uint32 MT19937 seeding
-# state fits in 10 MiB; the cap is at least twice the minimum, so cutting an
-# eligible range leaves no task below it.
+# Both kernels hand over the same counters, and ``process._row`` builds
+# every row.  Lockstep pays 10-15 ms per block for seeding, so it is the
+# slower kernel below about 500 replicas, and at long horizons numpy's
+# per-call cost makes each of its steps dearer than the scalar kernel's.  A
+# task holds at most _LOCKSTEP_MAX_LANES replicas, whose (624, lanes) uint32
+# MT19937 seeding state fits in 10 MiB; the cap is at least twice the
+# minimum, so cutting an eligible range leaves no task below it.
 _LOCKSTEP_MAX_T = 64
 _LOCKSTEP_MIN_REPLICAS = 1024
 _LOCKSTEP_MAX_LANES = (10 << 20) // (624 * 4)
@@ -196,7 +124,8 @@ def _run_chunk(task: tuple) -> list:
     eligible task runs one lockstep block, and its one part is a numpy
     record array.  Any other task runs on the scalar kernel alone, taking
     its seeds from ``derive_seed``, and each part is a list of row tuples
-    of plain ints, in _COLUMNS order: such a task loads no numpy."""
+    of plain ints, in ``process._COLUMNS`` order: such a task loads no
+    numpy."""
     horizons, lo, hi, master_seed = task
     (t, *later) = horizons
     if not later and t <= _LOCKSTEP_MAX_T and hi - lo >= _LOCKSTEP_MIN_REPLICAS:
@@ -206,11 +135,11 @@ def _run_chunk(task: tuple) -> list:
     for i in range(lo, hi):
         seed = derive_seed(master_seed, i)
         for part, taken, counters in zip(parts, moves, _replica_counters(seed, horizons)):
-            row, total = _row(i, seed, counters)
+            row, total = process._row(i, seed, counters)
             part.append(tuple(row.values()))
             taken.append(total)
     for t, taken in zip(horizons, moves):
-        _check_conservation(t, lo, taken)
+        process._check_conservation(t, lo, taken)
     return parts
 
 
@@ -225,8 +154,8 @@ def _lockstep_rows(t: int, lo: int, hi: int, master_seed: int) -> np.ndarray:
     counters, dry = _lockstep.run_block(t, seeds)
     for k in dry:
         (counters[:, k],) = _replica_counters(int(seeds[k]), (t,))
-    row, moves = _row(np.arange(lo, hi), seeds, counters)
-    _check_conservation(t, lo, moves.tolist())
+    row, moves = process._row(np.arange(lo, hi), seeds, counters)
+    process._check_conservation(t, lo, moves.tolist())
     rows = np.empty(hi - lo, dtype=_replica_dtype())
     for name, column in row.items():
         rows[name] = column
@@ -327,18 +256,16 @@ def wilson_upper(successes: int, n: int) -> float:
     return (center + half) / denom
 
 
-def _stats_estimate(moments: tuple[list[tuple[int, int]], int, int], t: int) -> dict:
+def _stats_estimate(n: int, total: int, total_sq: int, t: int) -> dict:
     """Mean O/t with a 99% normal-approximation CI over the replicas, and
     whether the exact mean O/t lies in the paper's band ``process.C_BOUNDS``,
-    from the ``_olive_moments`` of the O column at horizon t.
+    from the exact integer sums of n replicas' O and O^2 at horizon t.
 
     Exact integer sums feed the point estimate and the band test; the CI
     uses the sample sd.  Degenerate samples (all equal) get a zero-width
     interval; a single replica has no CI, so ``ci_low`` and ``ci_high`` are
     None.
     """
-    o_counts, total, total_sq = moments
-    n = sum(c for _, c in o_counts)
     if n < 1:
         raise ValueError("need at least one replica")
     mean_o = Fraction(total, n)
@@ -411,9 +338,12 @@ def sweep(
         for taken, part in zip(rows, parts):
             taken += part
     # Each horizon's rows as columns by name, like a record array's.
-    runs = {t: dict(zip(_COLUMNS, zip(*taken))) for t, taken in zip(horizons, rows)}
+    runs = {t: dict(zip(process._COLUMNS, zip(*taken))) for t, taken in zip(horizons, rows)}
 
-    c_rows = [_stats_estimate(_olive_moments(runs[t]["O"]), t) for t in t_list]
+    c_rows = []
+    for t in t_list:
+        o = runs[t]["O"]
+        c_rows.append(_stats_estimate(len(o), sum(o), sum(v * v for v in o), t))
     ratios = [r["ratio"] for r in c_rows]
     c_report = {
         "replicas": replicas,
@@ -458,20 +388,25 @@ def summary_json(config: EnsembleConfig, records: np.ndarray) -> dict:
     without its provenance, which the CLI adds (schema is stable; see
     README).
 
-    This is the one ensemble report.  The O column is sorted once, by
-    ``_olive_moments``; the estimates come from ``_stats_estimate``, and the
-    band and exceedance tests are made once per distinct O in exact
-    rationals, weighted by its replica count (exceedance is |O - mean| >=
-    delta * t, compared as |O*R - sum| >= delta * t * R).  Zero counts come
-    with Wilson 99% upper bounds.  ``tau1_pass`` is tau1 >= t/76 for every
+    This is the one ensemble report, and the one reader of distinct O
+    values.  The O column is sorted once, by ``np.unique``, into at most
+    t + 1 values with their replica counts.  The exact sums of O and O^2
+    for ``_stats_estimate`` are formed from those, and the band and
+    exceedance tests are made once per distinct O in exact rationals,
+    weighted by its replica count (exceedance is |O - mean| >= delta * t,
+    compared as |O*R - sum| >= delta * t * R).  Zero counts come with
+    Wilson 99% upper bounds.  ``tau1_pass`` is tau1 >= t/76 for every
     replica, and ``removal_fraction`` is pooled over the plate moves made
     at >= 3 plates.
     """
+    import numpy as np
+
     t = config.t
-    moments = _olive_moments(records["O"])
-    est = _stats_estimate(moments, t)
-    o_counts, total, _ = moments
-    n = est["n"]
+    values, counts = np.unique(records["O"], return_counts=True)
+    o_counts = list(zip(values.tolist(), counts.tolist()))
+    n = len(records)
+    total = sum(o * c for o, c in o_counts)
+    est = _stats_estimate(n, total, sum(o * o * c for o, c in o_counts), t)
     outside = sum(c for o, c in o_counts if not process._in_band(o, t))
     exceedance = []
     for d in config.deltas:
@@ -548,7 +483,7 @@ def write_ensemble_csv(records: np.ndarray, out: TextIO) -> None:
     for lo in range(0, len(records), _CSV_BLOCK_ROWS):
         block = records[lo : lo + _CSV_BLOCK_ROWS]
         parts = []
-        for name in _COLUMNS:
+        for name in process._COLUMNS:
             parts += [_decimal(block[name], name), np.full((len(block), 1), _COMMA, dtype=np.uint8)]
         parts[-1][:] = _NEWLINE
         out.write(np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii"))

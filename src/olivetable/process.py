@@ -35,13 +35,15 @@ The ensemble has a second, lockstep path for short horizons
 (``olivetable._lockstep``; ``ensemble._run_chunk`` states which tasks it
 runs).  It advances one task's replicas as numpy lanes with ``_advance``'s
 positional decode and swap-removal order, and hands over a ``TableState``'s
-stored counts, l, O and the first plate's olives (``ensemble._COUNTERS``),
-so the ensemble's one row builder gives bit-identical rows either way.
+stored counts, l, O and the first plate's olives (``_COUNTERS``), so the
+one row builder, ``_row``, gives bit-identical rows either way.  ``_row``
+also builds ``simulate``'s summary counts from a single trajectory.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, TextIO
@@ -69,19 +71,6 @@ def _in_band(olives, t: int) -> bool:
     return lo * t <= olives <= hi * t
 
 
-def _derived_counts(c_add_plate, num_plates, num_returns) -> dict:
-    """The report columns that no kernel stores, from a run's P+, plate
-    count and returns: ints for one trajectory or numpy count columns for
-    an ensemble's rows alike.  The one place each is derived, P- included."""
-    c_merge = c_add_plate - num_plates  # every merge removes one plate
-    return {
-        "t_plate": c_add_plate + c_merge,
-        "tau1": num_returns + 1,  # every return, and the arrival on step 1
-        "two_to_one": num_returns,
-        "L_ge3": c_merge - num_returns,  # every other merge is made at >= 3 plates
-    }
-
-
 class TableState:
     """Full mutable process state: three plate lists and five counts.
 
@@ -94,15 +83,13 @@ class TableState:
     plate count, ``total_olives`` the olives on the plates, ``c_add_olive``
     that total plus O-, and ``t`` the sum of the four move counts: each is
     read off, never stored.  ``num_returns`` counts the merges that took the
-    plate count from 2 to 1 (the returns to one plate): the entries into the
-    one-plate level are these returns plus the forced arrival on step 1, so
-    a run's ``tau1`` is ``num_returns + 1``.  Every other merge is made at
-    >= 3 plates, so the removals at >= 3 plates are
-    ``c_merge - num_returns``; ``plate_moves_at_ge3`` counts the plate moves
-    (adds and merges) made at >= 3 plates.  ``max_other_olives`` is the
-    maximum, over the whole run and over every plate other than the first,
-    of that plate's olive count.  A plate's id is its place among the adds:
-    the next plate gets id ``c_add_plate + 1``.
+    plate count from 2 to 1 (the returns to one plate); :func:`_row` reads a
+    run's ``tau1`` and its removals at >= 3 plates off it.
+    ``plate_moves_at_ge3`` counts the plate moves (adds and merges) made at
+    >= 3 plates.  ``max_other_olives`` is the maximum, over the whole run and
+    over every plate other than the first, of that plate's olive count.  A
+    plate's id is its place among the adds: the next plate gets id
+    ``c_add_plate + 1``.
 
     Position 0 holds the first plate, the lowest id: plate 1 goes there
     first, and a merge keeps the lower id and swap-removes the other by the
@@ -222,10 +209,67 @@ class TableState:
         if self.t >= 1:
             assert l >= 1, "the table can never re-empty"
         assert 0 <= self.num_returns <= self.c_merge
-        t_plate = _derived_counts(self.c_add_plate, l, self.num_returns)["t_plate"]
-        assert self.c_merge - self.num_returns <= self.plate_moves_at_ge3 <= t_plate
+        row, _ = _row(None, None, _read_counters(self))
+        assert row["L_ge3"] <= self.plate_moves_at_ge3 <= row["t_plate"]
         assert not self._ids or self._ids[0] == min(self._ids), "the lowest id left position 0"
         assert all(o <= self.max_other_olives for o in self._olives[1:])
+
+
+# The columns of a replica row, in CSV order: all counts, int64 in the
+# ensemble's record array except the uint64 seed.
+_COLUMNS = (
+    "replica", "seed", "O", "t_plate", "tau1", "two_to_one",
+    "max_other_olives", "first_plate_olives", "L_ge3", "plate_moves_ge3",
+)
+
+# A row's counters, by TableState attribute name, in the order the lockstep
+# kernel hands its lanes over: the counts a TableState stores, then what its
+# plates hold, the plate count l, the olive total O and the first plate's
+# olives.  A count added to TableState._COUNTS is named only there.
+_COUNTERS = TableState._COUNTS + ("num_plates", "total_olives", "first_plate_olives")
+_read_counters = operator.attrgetter(*_COUNTERS)
+
+
+def _row(replica, seed, counters) -> tuple[dict, object]:
+    """A trajectory's row, by column name in _COLUMNS order, from its
+    replica index, seed and counters (in _COUNTERS order), and its move
+    count, which ``_check_conservation`` holds to the horizon:
+    2 P+ - l + O + 2 O-.  Plain ints give one trajectory's row; numpy
+    columns with one value per replica give a lockstep block's (``replica``
+    then holding the block's indices).  The one place a reported count that
+    no kernel stores is derived."""
+    c = dict(zip(_COUNTERS, counters))
+    returns = c["num_returns"]
+    c_merge = c["c_add_plate"] - c["num_plates"]  # every merge removes one plate
+    t_plate = c["c_add_plate"] + c_merge
+    row = {
+        "replica": replica,
+        "seed": seed,
+        "O": c["total_olives"],
+        "t_plate": t_plate,
+        "tau1": returns + 1,  # every return to one plate, and the arrival on step 1
+        "two_to_one": returns,
+        "max_other_olives": c["max_other_olives"],
+        "first_plate_olives": c["first_plate_olives"],
+        "L_ge3": c_merge - returns,  # every other merge is made at >= 3 plates
+        "plate_moves_ge3": c["plate_moves_at_ge3"],
+    }
+    return row, t_plate + c["total_olives"] + 2 * c["c_remove_olive"]
+
+
+def _check_conservation(t: int, lo: int, moves: Iterable[int]) -> None:
+    """Raise unless ``moves``, the move counts of replicas lo, lo + 1, ...
+    at horizon t, all equal t: the one check of every row either kernel
+    hands over.
+
+    Every step makes one move, so the move counts sum to t at every row
+    taken: olive conservation, O = t - t_plate - 2 * removals.  Both kernels
+    hand over l and O off the plates, so plates that do not hold what the
+    moves imply fail, as does a lockstep lane run dry and not refilled.
+    """
+    for k, total in enumerate(moves):
+        if total != t:
+            raise AssertionError(f"olive conservation violated in replica {lo + k}")
 
 
 class TrajectoryRecord(NamedTuple):

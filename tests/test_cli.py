@@ -149,6 +149,26 @@ def test_ensemble_merge_of_parts_equals_monolithic(tmp_path):
     assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
 
 
+@pytest.mark.parametrize("t, replicas, lockstep", [(12, 1024, True), (2000, 3, False)])
+def test_simulate_reports_the_counts_of_the_ensemble_row(t, replicas, lockstep, tmp_path, capsys):
+    # Both commands read their counts off process._row: replica i of
+    # ``ensemble --seed m`` is the trajectory of ``simulate --seed
+    # derive_seed(m, i)``, whichever kernel ran the replica.
+    assert (t <= ensemble._LOCKSTEP_MAX_T and replicas >= ensemble._LOCKSTEP_MIN_REPLICAS) is lockstep
+    master = 5
+    prefix = tmp_path / "run"
+    argv = ["ensemble", "--t", str(t), "--replicas", str(replicas), "--seed", str(master), "--threads", "1"]
+    assert main(argv + ["--out", str(prefix)]) == EXIT_OK
+    capsys.readouterr()
+    header, *lines = (tmp_path / "run.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), map(int, line.split(",")))) for line in lines]
+    counts = ("t_plate", "tau1", "two_to_one", "max_other_olives", "first_plate_olives")
+    for i in sorted({0, replicas // 2, replicas - 1}):
+        summary = _simulate_json(["--t", str(t), "--seed", str(olivetable.derive_seed(master, i))], capsys)
+        assert summary["final_olives"] == rows[i]["O"]
+        assert {name: summary[name] for name in counts} == {name: rows[i][name] for name in counts}
+
+
 def test_ensemble_bound_failure_exits_two(monkeypatch):
     real = ensemble.run_ensemble
 
@@ -470,7 +490,7 @@ def test_band_ends_are_inside(olives, inside, monkeypatch, capsys):
     assert process._in_band(olives, t) is inside
     config = ensemble.EnsembleConfig(t=t, replicas=1, master_seed=0)
     records = np.array([(0, 0, olives, 0, 0, 0, 0, 0, 0, 0)], dtype=ensemble._replica_dtype())
-    assert ensemble._stats_estimate(ensemble._olive_moments(records["O"]), t)["within_bounds"] is inside
+    assert ensemble._stats_estimate(1, olives, olives * olives, t)["within_bounds"] is inside
     assert ensemble.summary_json(config, records)["checks"]["bounds_pass"] is inside
     state = process.TableState.from_plates([(1, olives)])
     record = process.TrajectoryRecord(t_max=t, final_state=state, series=[])

@@ -28,12 +28,12 @@ MID = EnsembleConfig(t=10_000, replicas=24, master_seed=7)
 
 
 def _sums(records: np.ndarray) -> tuple[int, int]:
-    _, total, total_sq = ensemble._olive_moments(records["O"])
-    return total, total_sq
+    o = records["O"].tolist()
+    return sum(o), sum(v * v for v in o)
 
 
 def _estimate(records: np.ndarray, t: int) -> dict:
-    return ensemble._stats_estimate(ensemble._olive_moments(records["O"]), t)
+    return ensemble._stats_estimate(len(records), *_sums(records), t)
 
 
 def _hand_built(o_values: list[int]) -> np.ndarray:

@@ -37,8 +37,8 @@ def scalar_reference(config: EnsembleConfig, lo: int, hi: int) -> tuple[bytes, i
 
 
 def outcome(records) -> tuple[bytes, int, int]:
-    _, total, total_sq = ensemble._olive_moments(records["O"])
-    return records.tobytes(), total, total_sq
+    o = records["O"].tolist()
+    return records.tobytes(), sum(o), sum(v * v for v in o)
 
 
 @pytest.fixture
@@ -228,7 +228,7 @@ def test_a_corrupted_lane_fails_the_conservation_check(monkeypatch):
 
     def corrupt(t, seeds):
         counters, dry = real(t, seeds)
-        counters[ensemble._COUNTERS.index("c_remove_olive"), 37] += 1  # one extra O-
+        counters[process._COUNTERS.index("c_remove_olive"), 37] += 1  # one extra O-
         return counters, dry
 
     monkeypatch.setattr(_lockstep, "run_block", corrupt)

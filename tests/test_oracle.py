@@ -1,6 +1,7 @@
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -146,6 +147,75 @@ def test_expected_olives_monotone_and_mass_one():
         assert mean >= prev, f"mean decreased at t={t}"
         prev = mean
     assert rows[1][1] == {0: HALF, 1: HALF}
+
+
+def test_drift_is_at_most_a_half_and_a_quarter_with_a_nonempty_plate():
+    # d = (l - n_e)/M is the expected olive increment of one step from l
+    # plates, n_e of them non-empty: O+ has l ways and O- has n_e.
+    drifts = {(l, n_e): Fraction(l - n_e, oracle._num_moves(l, n_e)) for l in range(201) for n_e in range(l + 1)}
+    assert max(drifts.values()) == HALF
+    assert [key for key, d in drifts.items() if d == HALF] == [(1, 0), (2, 0)]
+    nonempty = {key: d for key, d in drifts.items() if key[1] >= 1}
+    assert max(nonempty.values()) == QUARTER
+    assert [key for key, d in nonempty.items() if d == QUARTER] == [(3, 1), (4, 1)]
+
+
+@cache
+def _mean_olives():
+    """E[O_t] for t = 1..24, from one ``olive_distribution_table`` pass."""
+    return {t: sum(o * p for o, p in pmf.items()) for t, pmf in olive_distribution_table(24)}
+
+
+def test_expected_olives_are_at_most_half_of_the_steps_after_the_first():
+    # d <= 1/2 at every step and O_1 = 0, so E[O_t] <= (t - 1)/2.
+    means = _mean_olives()
+    for t, mean in means.items():
+        assert mean <= Fraction(t - 1, 2), t
+    assert [t for t, mean in means.items() if mean == Fraction(t - 1, 2)] == [1, 2]
+
+
+def _canonical_laws(t_max):
+    """The exact law of the canonical state ``(first, others)`` after steps
+    1..t_max, each as ({state: numerator}, denominator), pushed through
+    ``oracle._advance`` with ``oracle._law`` as the law.  Step 1 always
+    leaves one empty plate."""
+    law = cache(oracle._law)
+
+    def lister(state, scaled, out):
+        for succ, k in law(state)[1].items():
+            out[succ] = out.get(succ, 0) + scaled * k
+
+    dist, den, work = {(0, ()): 1}, 1, 0
+    laws = {1: (dict(dist), den)}
+    for t in range(2, t_max + 1):
+        dist, den, work = oracle._advance(
+            dist, den, t, work, oracle.DEFAULT_STATE_BUDGET, lambda state: law(state)[0], lister
+        )
+        laws[t] = dict(dist), den
+    return laws
+
+
+def test_olive_increment_is_at_most_a_quarter_plus_a_quarter_of_p_first_empty():
+    # With plate 1 non-empty d <= 1/4, and d <= 1/2 always, so
+    # E[O_{t+1}] - E[O_t] = E[d(S_t)] <= 1/4 + P(plate 1 empty at t)/4.
+    means = _mean_olives()
+    laws = _canonical_laws(20)
+    assert len(laws[20][0]) == 4721
+    for t, (dist, den) in laws.items():
+        assert Fraction(sum(num * (first + sum(others)) for (first, others), num in dist.items()), den) == means[t]
+        p_empty = Fraction(sum(num for (first, _), num in dist.items() if first == 0), den)
+        assert means[t + 1] - means[t] <= QUARTER + p_empty / 4, t
+
+
+def test_summed_drift_is_the_expected_olive_total():
+    # O rises by one on O+ and falls by one on O-, so E[O_{t+1}] - E[O_t] is
+    # E[d(S_t)], and the drift summed over the steps before t is E[O_t].
+    fields = oracle._fields(20)
+    w, mask = fields.width, fields.mask
+    summed = Fraction(0)
+    for t, (dist, den) in enumerate(oracle._pushforward(20, oracle.DEFAULT_STATE_BUDGET)):
+        assert summed == Fraction(sum(num * (key & mask) for key, num in dist.items()), den), t
+        summed += sum(Fraction(num * (key >> 2 * w & mask), den * fields.moves(key)) for key, num in dist.items())
 
 
 def test_state_distribution_support_is_reachable():

@@ -352,9 +352,9 @@ def test_a_snapshot_row_passes_the_conservation_check():
         # numpy columns, here a block of one replica.
         if columns:
             counters = np.array([counters]).T
-            built, moves = ensemble._row(np.arange(7, 8), np.array([seed], dtype=np.uint64), counters)
+            built, moves = process._row(np.arange(7, 8), np.array([seed], dtype=np.uint64), counters)
             return int(built["O"][0]), moves.tolist()
-        built, moves = ensemble._row(7, seed, counters)
+        built, moves = process._row(7, seed, counters)
         return built["O"], [moves]
 
     # One trajectory read at 1200 steps on its way to 5000, as the scalar
@@ -362,18 +362,18 @@ def test_a_snapshot_row_passes_the_conservation_check():
     # of a 1200-step run, and each row is checked against its own t.
     snapshot, final = ensemble._replica_counters(seed, (1200, 5000))
     short, long = (run_trajectory(t, seed).final_state for t in (1200, 5000))
-    assert snapshot == ensemble._read_counters(short)
+    assert snapshot == process._read_counters(short)
     bumped = list(snapshot)
-    bumped[ensemble._COUNTERS.index("total_olives")] += 1
+    bumped[process._COUNTERS.index("total_olives")] += 1
     for columns in (False, True):
         (o_short, moves_short), (o_long, moves_long) = row(snapshot, columns), row(final, columns)
         assert (o_short, o_long) == (short.total_olives, long.total_olives)
-        ensemble._check_conservation(1200, 7, moves_short)
-        ensemble._check_conservation(5000, 7, moves_long)
+        process._check_conservation(1200, 7, moves_short)
+        process._check_conservation(5000, 7, moves_long)
         with pytest.raises(AssertionError, match="replica 7"):
-            ensemble._check_conservation(5000, 7, moves_short)
+            process._check_conservation(5000, 7, moves_short)
         with pytest.raises(AssertionError, match="replica 7"):
-            ensemble._check_conservation(1200, 7, row(bumped, columns)[1])
+            process._check_conservation(1200, 7, row(bumped, columns)[1])
 
 
 def test_plates_that_gain_an_olive_fail_the_conservation_checks():
@@ -381,15 +381,13 @@ def test_plates_that_gain_an_olive_fail_the_conservation_checks():
     # moves: a row read off a 1200-step table that gained an olive fails the
     # row check, and a checked _advance fails at the step in which an olive
     # appears on its plates.
-    from olivetable import ensemble
-
     state = run_trajectory(1200, 4242).final_state
-    _, moves = ensemble._row(7, 4242, ensemble._read_counters(state))
-    ensemble._check_conservation(1200, 7, [moves])
+    _, moves = process._row(7, 4242, process._read_counters(state))
+    process._check_conservation(1200, 7, [moves])
     state._olives[0] += 1
-    _, moves = ensemble._row(7, 4242, ensemble._read_counters(state))
+    _, moves = process._row(7, 4242, process._read_counters(state))
     with pytest.raises(AssertionError, match="replica 7"):
-        ensemble._check_conservation(1200, 7, [moves])
+        process._check_conservation(1200, 7, [moves])
 
     class BumpOnSecondDraw(_Draws):
         def getrandbits(self, k):
